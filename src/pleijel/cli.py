@@ -10,6 +10,10 @@ Verbs:
 * ``htype N M OUT.json``  -- write a verified H-type matrix family
                              (exit 3 for inadmissible pairs).
 
+A certified value the series cannot deliver (eps below the binary64
+rounding floor, or a pair out of binary64 range) is refused with a
+one-line message on stderr and exit 2.
+
 Output is deterministic byte-for-byte; ``check`` carries a timestamp in
 its JSON trailer unless --no-timestamp is given.
 """
@@ -32,7 +36,7 @@ from .constants import (
     gamma_tilde_interval,
     sobolev_constant,
 )
-from .core import DimPair, InadmissiblePair
+from .core import DimPair, InadmissiblePair, PrecisionUnreachable
 from .htype_algebra import construct, write_json
 from .numerics import round_half_away
 from .series import c_series
@@ -376,7 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except PrecisionUnreachable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

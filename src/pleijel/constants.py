@@ -32,8 +32,10 @@ For Q = 2n + 2m the homogeneous dimension:
 
 Asymptotic-classification decisions (is gamma_tilde >= 1?) are made on
 certified intervals so that floating-point noise can never flip them:
-gamma factors are exact rationals, the series contributes its enclosure,
-and a single multiplicative slack of 1e-10 absorbs binary64 rounding.
+gamma factors are exact rationals, the series contributes its enclosure
+(at the binary64 rounding floor, the same for every eps; eps is only
+checked against it), and a single multiplicative slack of 1e-10 absorbs
+the rounding of the remaining binary64 factors.
 """
 
 from __future__ import annotations
@@ -256,36 +258,44 @@ def weyl_density_bruteforce(pair, lam: float, max_shells: int | None = None,
 
     so the density is omega_(m-1)/(2pi)^(n+m) times the shell sum of
     multiindex_count(n, K) (lambda/(2K+n))^(n+m)/(n+m).  Shells are
-    enumerated to a cutoff chosen by the series stopping rule and the
-    rest is enclosed by the same integral bracket (the shell sum *is* the
-    series, restructured); the bracket midpoint is used.
+    enumerated directly, independently of the c_series kernel: the sum
+    stops at the first K >= _min_terms(n) whose series term is at most
+    eps times the partial series sum, and the rest is enclosed by the
+    integral bracket (the shell sum *is* the series, restructured); the
+    bracket midpoint is used.
 
     Equals weyl_constant(pair) * lambda^(n+m) up to the combined
-    certified error.  Raises PrecisionUnreachable if ``max_shells`` is
-    too small for the eps target.
+    certified error.  Raises PrecisionUnreachable if ``max_shells`` shells
+    do not reach that stop rule.
     """
     p = as_pair(pair)
     if not lam > 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
     s = p.n + p.m
-    cutoff = c_series(p, eps, relative=True).terms_used  # the series stopping rule
-    if max_shells is not None and cutoff > max_shells:
-        raise PrecisionUnreachable(
-            f"max_shells={max_shells} insufficient for eps={eps:g} at {p} "
-            f"(needs {cutoff} shells)",
-            best_bound=series_term(p, max_shells) if max_shells >= _min_terms(p.n) else math.inf,
-            terms_used=max_shells,
-        )
+    kmin = _min_terms(p.n)
 
     total = 0.0
     comp = 0.0
-    for K in range(cutoff):
+    partial = 0.0  # the series' partial sum, for the stop rule
+    K = 0
+    while True:
+        term = series_term(p, K)
+        if K >= kmin and term <= eps * partial:
+            break
+        if max_shells is not None and K >= max_shells:
+            raise PrecisionUnreachable(
+                f"max_shells={max_shells} insufficient for eps={eps:g} at {p}",
+                best_bound=term if K >= kmin else math.inf,
+                terms_used=K,
+            )
         shell = multiindex_count(p.n, K) * (lam / (2 * K + p.n)) ** s / s
         y = shell - comp
         t = total + y
         comp = (t - total) - y
         total = t
-    remainder = _integral_remainder(p, cutoff) + series_term(p, cutoff) / 2
+        partial += term
+        K += 1
+    remainder = _integral_remainder(p, K) + term / 2
     total += lam**s * remainder / s
     # omega_(m-1)/(2pi)^(n+m) * total; _weyl_prefactor carries an extra 1/s
     return _weyl_prefactor(p) * s * total

@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 
 class PrecisionUnreachable(RuntimeError):
-    """A certified error target could not be met within the iteration cap.
+    """A certified error target cannot be met.
 
-    Carries the best bound that *was* achieved so callers can decide
-    whether to accept it.
+    Raised when eps lies below the binary64 rounding floor of the
+    enclosure, when a pair is out of binary64 range (best_bound is then
+    inf), or when a direct-summation oracle runs out of shells.  Carries
+    the best bound that *was* achieved so callers can decide whether to
+    accept it.
     """
 
     def __init__(self, message: str, best_bound: float, terms_used: int):

@@ -66,6 +66,18 @@ class TestValue:
             main(["value", "1", "1", "gamma_tilde", "--precision", "13"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("value", "1", "1", "gamma_tilde", "--eps", "1e-18"),  # below the rounding floor
+        ("value", "200", "1", "gamma_tilde"),  # used to overflow
+        ("value", "150", "3", "gamma_tilde"),  # used to miss c ~ 1.9e-315
+        ("table", "weyl", "--eps", "1e-18"),
+        ("exceptional", "--eps", "1e-18"),
+    ])
+    def test_unreachable_refused_in_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: c(") and err.count("\n") == 1
+
 
 def _csv_cells(out: str) -> dict[tuple[int, int], list[str]]:
     lines = out.strip().splitlines()

@@ -201,10 +201,10 @@ class TestWeylBruteForce:
 
 class TestErrorPropagation:
     def test_unreachable_series_target_propagates(self):
-        # m = 1 tails decay like 1/K, so a 1e-18 relative target exceeds
-        # the iteration cap and must surface, not silently degrade
+        # a 1e-18 relative target is below the binary64 rounding floor and
+        # must surface, not silently degrade
         with pytest.raises(PrecisionUnreachable) as err:
             gamma_tilde((1, 1), 1e-18)
-        assert err.value.terms_used == 10**8
+        assert 1e-18 < err.value.best_bound < 1e-13
         with pytest.raises(PrecisionUnreachable):
             weyl_constant((1, 1), 1e-18)

@@ -14,16 +14,22 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pleijel.core import DimPair, PrecisionUnreachable
 from pleijel.numerics import zeta
 from pleijel.series import (
+    _BERNOULLI,
+    _enclosure,
     _integral_remainder,
     _min_terms,
+    _term_block,
     c_series,
     c_tail_bound,
     multiindex_count,
@@ -120,12 +126,10 @@ class TestCSeries:
             fine = c_series(pair, 1e-12 * scale)
             assert coarse.value <= fine.value + fine.tail_bound
             assert fine.value <= coarse.value + coarse.tail_bound
-            # chunked stopping may land both targets on the same boundary
             assert fine.tail_bound <= coarse.tail_bound
-        # where the targets force different cutoffs the enclosure shrinks
-        assert (
-            c_series((1, 1), 1e-12).tail_bound < c_series((1, 1), 1e-6).tail_bound
-        )
+        # the enclosure sits at the rounding floor whatever eps is asked
+        fine, coarse = c_series((1, 1), 1e-12), c_series((1, 1), 1e-6)
+        assert fine.tail_bound == coarse.tail_bound <= 1e-12
 
     def test_reported_tail_meets_target_and_floor(self):
         for pair in ((1, 1), (2, 3), (5, 1), (12, 12)):
@@ -144,7 +148,95 @@ class TestCSeries:
         with pytest.raises(PrecisionUnreachable) as err:
             c_series((1, 1), 1e-30)
         assert err.value.best_bound > 1e-30
-        assert err.value.terms_used == 10**8
+
+
+class TestHurwitzKernel:
+    """The head sum plus Euler-Maclaurin Hurwitz-zeta tail behind c_series."""
+
+    def test_overlaps_direct_summation_on_30x30(self):
+        # an independent bracket: 4096 summed terms plus the integral
+        # bracket [I(K), I(K) + f(K)], widened by 1e-12 for its own rounding
+        K = 4096
+        for n, m in itertools.product(range(1, 31), range(1, 31)):
+            head = float(np.sum(_term_block(n, m, 0, K)))
+            lo = (head + _integral_remainder((n, m), K)) * (1 - 1e-12)
+            hi = (head + _integral_remainder((n, m), K) + series_term((n, m), K)) * (1 + 1e-12)
+            for eps in (1e-8, 1e-12):
+                sv = c_series((n, m), eps, relative=True)
+                assert sv.tail_bound <= eps * sv.value, (n, m, eps)
+                assert sv.value <= hi and lo <= sv.upper, (n, m, eps)
+
+    def test_contains_hurwitz_identity_value(self):
+        pytest.importorskip("mpmath")
+        for n, m in ((1, 1), (1, 30), (2, 7), (5, 5), (13, 2), (30, 1), (30, 30),
+                     (60, 60), (139, 1)):
+            sv = c_series((n, m), 1e-12, relative=True)
+            assert Fraction(sv.value) <= _hurwitz_oracle(n, m) <= Fraction(sv.upper), (n, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.integers(min_value=1, max_value=64), st.integers(min_value=140, max_value=400)),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=-18, max_value=-1).map(lambda e: 10.0**e),
+        st.booleans(),
+    )
+    def test_sound_or_typed_refusal(self, n, m, eps, relative):
+        pytest.importorskip("mpmath")
+        try:
+            sv = c_series((n, m), eps, relative)
+        except PrecisionUnreachable as err:
+            if (n + m) * math.log2(n) > 1000:
+                assert err.best_bound == math.inf
+                return
+            floor = _enclosure(n, m)
+            assert err.best_bound == floor.tail_bound > (eps * floor.value if relative else eps)
+            return
+        assert (n + m) * math.log2(n) <= 1000
+        assert Fraction(sv.value) <= _hurwitz_oracle(n, m) <= Fraction(sv.upper)
+
+    def test_out_of_range_pairs_refused(self):
+        # (200, 1) used to overflow, (150, 3) to miss the true c ~ 1.9e-315
+        for pair in ((200, 1), (150, 3)):
+            with pytest.raises(PrecisionUnreachable) as err:
+                c_series(pair, 1e-8, relative=True)
+            assert err.value.best_bound == math.inf
+
+    def test_pair_forms_share_one_cache_entry(self):
+        _enclosure.cache_clear()
+        c_series((2, 2))
+        c_series(DimPair(2, 2))
+        c_series((2, 2), 1e-10, relative=True)
+        info = _enclosure.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_bernoulli_table(self):
+        # B_j from the recurrence sum_{k<=j} C(j+1, k) B_k = 0
+        B = [Fraction(1)]
+        for j in range(1, 2 * len(_BERNOULLI) + 1):
+            B.append(-sum(math.comb(j + 1, k) * B[k] for k in range(j)) / (j + 1))
+        assert [Fraction(*b) for b in _BERNOULLI] == B[2::2]
+
+
+@lru_cache(maxsize=None)
+def _hurwitz_oracle(n: int, m: int) -> Fraction:
+    """c(n, m) = 2^(1-n)/(n-1)! sum_i b_i 2^(-s_i) zeta(s_i, n/2), s_i = n+m-i, in mpmath.
+
+    b_i are the coefficients of prod_{j=1}^{n-1} (u + 2j - n), built here
+    independently of the package.  They alternate in sign and cancel by at
+    most (n-1) log10(2n) digits; 30 more digits leave the value far inside
+    any binary64 enclosure.
+    """
+    import mpmath
+
+    b = [1]
+    for j in range(1, n):
+        b = [(2 * j - n) * lo + hi for lo, hi in zip(b + [0], [0] + b)]
+    with mpmath.workdps(30 + math.ceil((n - 1) * math.log10(2 * n))):
+        a = mpmath.mpf(n) / 2
+        total = mpmath.fsum(bi * mpmath.ldexp(mpmath.zeta(n + m - i, a), -(n + m - i))
+                            for i, bi in enumerate(b) if bi)
+        man, exp = (mpmath.ldexp(total, 1 - n) / mpmath.factorial(n - 1)).man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 class TestTailBound:
