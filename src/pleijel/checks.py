@@ -13,8 +13,7 @@ import math
 import random
 from fractions import Fraction
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import reference
 from .admissibility import admissible, radon_hurwitz, shading_mask
@@ -43,6 +42,9 @@ from .htype_algebra import (
 from .monotonicity import inequality_suite
 from .numerics import round_half_away, zeta
 from .series import c_series, series_term
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
 
@@ -231,6 +233,8 @@ def _skew_signed_permutations(dim: int):
     Such a matrix is a fixed-point-free involution with opposite signs on
     the two entries of each transposition.
     """
+    import numpy as np
+
     def pairings(items):
         if not items:
             yield []
@@ -252,6 +256,8 @@ def _skew_signed_permutations(dim: int):
 
 
 def _random_skew_signed_permutation(dim: int, rng: random.Random) -> np.ndarray:
+    import numpy as np
+
     order = list(range(dim))
     rng.shuffle(order)
     M = np.zeros((dim, dim), dtype=np.int64)
@@ -268,6 +274,8 @@ def _extends(family, M: np.ndarray) -> bool:
 
 
 def check_algebra(seed: int = 2024, triples: int = 1000) -> CheckResult:
+    import numpy as np
+
     failures: list[str] = []
     notes: list[str] = []
 

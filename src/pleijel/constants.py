@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from .admissibility import is_admissible
 from .core import DimPair, PrecisionUnreachable, as_pair
-from .numerics import gamma_ratio_exact, log_gamma, sphere_area
+from .numerics import log_gamma, sphere_area
 from .series import (
     SeriesValue,
     _integral_remainder,
@@ -90,13 +90,18 @@ def gamma_bar_exact(pair) -> Fraction:
     2^-(n-m+1) (n+m)/(n+m-1)^(n+m) * Gamma(m/2)Gamma(2n+m)/Gamma(n+m/2).
 
     The gamma ratio has integer argument difference, so the half-integer
-    gammas cancel and the whole expression is rational.
+    gammas cancel and the whole expression is rational:
+    Gamma(m/2)/Gamma(n+m/2) = 2^n / prod_{j<n} (m+2j), which leaves
+
+        2^(m-1) s (2n+m-1)! / ((s-1)^s prod_{j<n} (m+2j)),  s = n + m,
+
+    built over integers and normalised once.
     """
     p = as_pair(pair)
     s = p.n + p.m
-    pref = Fraction(2) ** (p.m - p.n - 1) * Fraction(s, (s - 1) ** s)
-    half_m = Fraction(p.m, 2)
-    return pref * gamma_ratio_exact(half_m, half_m + p.n) * math.factorial(2 * p.n + p.m - 1)
+    num = 2 ** (p.m - 1) * s * math.factorial(2 * p.n + p.m - 1)
+    den = (s - 1) ** s * math.prod(range(p.m, p.m + 2 * p.n, 2))
+    return Fraction(num, den)
 
 
 def gamma_bar(pair) -> float:

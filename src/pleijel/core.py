@@ -51,7 +51,8 @@ class DimPair:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.m, int)):
+        # bool is an int subclass; DimPair(True, True) would alias (1, 1)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.n, self.m)):
             raise TypeError(f"n, m must be ints, got ({self.n!r}, {self.m!r})")
         if self.n < 1 or self.m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got ({self.n}, {self.m})")

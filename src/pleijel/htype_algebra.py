@@ -44,11 +44,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .admissibility import admissible
 from .core import DimPair, InadmissiblePair, as_pair
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HTypeStructure",
@@ -67,9 +69,11 @@ __all__ = [
     "write_json",
 ]
 
-_R2 = np.array([[0, -1], [1, 0]], dtype=np.int64)
-_P2 = np.array([[0, 1], [1, 0]], dtype=np.int64)
-_Q2 = np.array([[1, 0], [0, -1]], dtype=np.int64)
+# numpy is imported by the functions that build or verify matrices, so
+# importing this module (and the CLI) does not load it
+_R2 = ((0, -1), (1, 0))
+_P2 = ((0, 1), (1, 0))
+_Q2 = ((1, 0), (0, -1))
 
 # quaternion basis (1, i, j, k): _QMUL[a][b] = (sign, c) with e_a e_b = sign e_c
 _QMUL = {
@@ -82,6 +86,8 @@ _QMUL = {
 
 def _quat_matrix(a: int, side: str) -> np.ndarray:
     """Matrix of left (x -> e_a x) or right (x -> x e_a) multiplication."""
+    import numpy as np
+
     M = np.zeros((4, 4), dtype=np.int64)
     for b in range(4):
         sign, c = _QMUL[a][b] if side == "left" else _QMUL[b][a]
@@ -92,8 +98,11 @@ def _quat_matrix(a: int, side: str) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _hurwitz_radon_family(v: int) -> tuple[np.ndarray, ...]:
     """Maximal anticommuting skew orthogonal family on R^(2^v)."""
+    import numpy as np
+
+    R2, P2, Q2 = (np.array(M, dtype=np.int64) for M in (_R2, _P2, _Q2))
     if v == 1:
-        fam: tuple[np.ndarray, ...] = (_R2,)
+        fam: tuple[np.ndarray, ...] = (R2,)
     elif v == 2:
         fam = tuple(_quat_matrix(a, "left") for a in (1, 2, 3))
     elif v == 3:
@@ -101,13 +110,13 @@ def _hurwitz_radon_family(v: int) -> tuple[np.ndarray, ...]:
         rights = [_quat_matrix(a, "right") for a in (1, 2, 3)]
         eye4 = np.eye(4, dtype=np.int64)
         fam = (
-            tuple(np.kron(_Q2, L) for L in lefts)
-            + (np.kron(_R2, eye4),)
-            + tuple(np.kron(_P2, R) for R in rights)
+            tuple(np.kron(Q2, L) for L in lefts)
+            + (np.kron(R2, eye4),)
+            + tuple(np.kron(P2, R) for R in rights)
         )
     elif v == 4:
         base = _hurwitz_radon_family(3)
-        fam = tuple(np.kron(_Q2, B) for B in base) + (np.kron(_R2, np.eye(8, dtype=np.int64)),)
+        fam = tuple(np.kron(Q2, B) for B in base) + (np.kron(R2, np.eye(8, dtype=np.int64)),)
     else:
         sixteen = _hurwitz_radon_family(4)
         omega = reduce(np.matmul, sixteen)
@@ -139,6 +148,8 @@ class HTypeStructure:
 
 def verify_structure(s: HTypeStructure) -> None:
     """Exact integer verification of all defining axioms; raises ValueError."""
+    import numpy as np
+
     d = s.dim_x
     if len(s.U) != s.pair.m:
         raise ValueError(f"expected {s.pair.m} matrices, got {len(s.U)}")
@@ -163,6 +174,8 @@ def construct(pair) -> HTypeStructure:
 
     Raises InadmissiblePair (citing rho(2n)) when none exists.
     """
+    import numpy as np
+
     p = as_pair(pair)
     verdict = admissible(p)
     if not verdict.admissible:
@@ -233,6 +246,8 @@ def group_inverse(g: GroupElement) -> GroupElement:
 
 def jz_map(s: HTypeStructure, z) -> np.ndarray:
     """sum_j z_j U^(j); orthogonal whenever |z| = 1 (anticommutation)."""
+    import numpy as np
+
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (s.dim_t,):
         raise ValueError(f"z must have length {s.dim_t}, got shape {z.shape}")
@@ -385,6 +400,8 @@ def to_json_dict(s: HTypeStructure) -> dict:
 
 
 def from_json_dict(data: dict) -> HTypeStructure:
+    import numpy as np
+
     pair = DimPair(int(data["n"]), int(data["m"]))
     mats = tuple(np.array(U, dtype=np.int64) for U in data["U"])
     s = HTypeStructure(pair=pair, U=mats)

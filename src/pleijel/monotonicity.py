@@ -37,13 +37,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import gamma_bar_exact, gamma_tilde, gamma_tilde_interval
 from .core import as_pair
 from .numerics import log_gamma
 from .series import c_series, series_term
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InequalityReport",
@@ -193,6 +195,8 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, k_max: int = 10_000,
     All reports pass on the default grid; a failed report carries the
     offending maximum rather than raising.
     """
+    import numpy as np
+
     if n_max < 2 or m_max < 2:
         raise ValueError("the suite needs n_max, m_max >= 2")
     reports: list[InequalityReport] = []

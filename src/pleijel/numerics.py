@@ -13,18 +13,17 @@ ints and exactly-half-integral floats are accepted and coerced.
 from __future__ import annotations
 
 import math
+import numbers
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 LOG_PI = math.log(math.pi)
 
 
 def as_half_integer(q) -> Fraction:
     """Coerce q to an exact half-integer Fraction; reject anything else."""
-    if isinstance(q, (int, np.integer)):
+    if isinstance(q, numbers.Integral):
         return Fraction(int(q))
     if isinstance(q, Fraction):
         f = q
@@ -64,13 +63,10 @@ def gamma_ratio_exact(a, b) -> Fraction:
         )
     if fa < fb:
         return 1 / gamma_ratio_exact(fb, fa)
-    # Gamma(a) = (a-1)(a-2)...(b) Gamma(b)
-    out = Fraction(1)
-    x = fb
-    while x < fa:
-        out *= x
-        x += 1
-    return out
+    # Gamma(a) = (a-1)(a-2)...(b) Gamma(b); with b = p/q each factor is (p + iq)/q
+    p, q = fb.numerator, fb.denominator
+    steps = int(fa - fb)
+    return Fraction(math.prod(range(p, p + steps * q, q)), q**steps)
 
 
 def binomial(p: int, q: int) -> int:
@@ -98,8 +94,10 @@ def zeta(s: int) -> float:
     integral bracket [N^(1-s), (N-1)^(1-s)] / (s-1); N is chosen so the
     bracket is narrower than 1e-14 and the midpoint is returned.
     """
-    if not isinstance(s, (int, np.integer)) or s < 2:
+    if not isinstance(s, numbers.Integral) or s < 2:
         raise ValueError(f"zeta needs an integer s >= 2, got {s!r}")
+    import numpy as np  # the 1e7-term oracle of the checks; kept off the import path
+
     s = int(s)
     # bracket width ~ N^-s, so N = ceil(1e14^(1/s)) + 1 makes it < 1e-14
     N = math.ceil(10 ** (14 / s)) + 2

@@ -5,8 +5,9 @@
 Every emitted value comes with a proven enclosure.  ``c_series`` splits
 the series at K = ``_min_terms(n)`` >= n^2/2, past the summand's peak:
 
-* the head, k < K, is summed in binary64 (``_head_factors``, shared by
-  every m, times (2k+n)^-(m+1), then the correctly rounded ``math.fsum``);
+* the head, k < K, is summed over Python floats in binary64
+  (``_head_factors``, shared by every m, times (2k+n)^-(m+1) from libm's
+  pow, then the correctly rounded ``math.fsum``);
 
 * the tail is a finite combination of Hurwitz zeta values.  With
   u = 2k + n, C(k+n-1, k) = 2^(1-n)/(n-1)! * sum_i b_i u^i, where b_i are
@@ -67,8 +68,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .core import DimPair, PrecisionUnreachable, as_pair
 
 __all__ = [
@@ -83,7 +82,7 @@ __all__ = [
 
 _U = 2.0**-53  # unit roundoff of binary64
 _ETA = 2.0**-1074  # bound on the error of one rounding into the subnormal range
-_POW = 8  # roundings charged per pow(): 4 ulps (glibc's pow is within 1, numpy's SIMD loops 4)
+_POW = 8  # roundings charged per pow(): 4 ulps (libm's pow, as in glibc, is within 1)
 _MAX_SCORE = 1000  # refuse (n+m) log2 n above this: n^-(n+m) nears 2^-1022
 
 # B_2, B_4, ..., B_24 as (numerator, denominator)
@@ -157,19 +156,6 @@ def series_term_exact(pair, k: int) -> Fraction:
     return Fraction(math.comb(k + p.n - 1, k), (2 * k + p.n) ** (p.n + p.m))
 
 
-def _term_block(n: int, m: int, k0: int, k1: int) -> np.ndarray:
-    """Vectorised series_term for k in [k0, k1); same arithmetic as the scalar.
-
-    The direct-summation oracle of the tests; the kernel uses ``_head_factors``.
-    """
-    k = np.arange(k0, k1, dtype=np.float64)
-    d = 2.0 * k + n
-    r = d ** (-(m + 1.0))
-    for j in range(1, n):
-        r *= (k + j) / (j * d)
-    return r
-
-
 @lru_cache(maxsize=None)
 def _shifted_numerator_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients b_i with prod_{j=1}^{n-1} (u + 2j - n) = sum b_i u^i."""
@@ -208,17 +194,20 @@ def _min_terms(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _head_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _head_factors(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """d = 2k + n and prod_{j<n} (k+j)/(j d), for the head k < _min_terms(n).
 
     A head term is this product times d^-(m+1), so every m shares it.
     """
-    k = np.arange(_min_terms(n), dtype=np.float64)
-    d = 2.0 * k + n
-    r = np.ones_like(d)
-    for j in range(1, n):
-        r *= (k + j) / (j * d)
-    return d, r
+    d, r = [], []
+    for k in range(_min_terms(n)):
+        dk = 2 * k + n
+        x = 1.0
+        for j in range(1, n):
+            x *= (k + j) / (j * dk)  # exact integers in, one correctly rounded division
+        d.append(float(dk))
+        r.append(x)
+    return tuple(d), tuple(r)
 
 
 def _charge(k: int, x: float) -> float:
@@ -249,7 +238,8 @@ def _enclosure(n: int, m: int) -> SeriesValue:
     # adds one.  Its factors (k+j)/(j(2k+n)) and d^-(m+1) are <= 1, so
     # subnormal errors do not grow.
     d, r = _head_factors(n)
-    head = math.fsum((r * d ** -(m + 1.0)).tolist())
+    e = -(m + 1.0)
+    head = math.fsum([x * dk ** e for x, dk in zip(r, d)])
     k_head = 2 * (n - 1) + _POW + 2
     head_error = _charge(k_head, head) + K * k_head * _ETA
 
@@ -258,20 +248,20 @@ def _enclosure(n: int, m: int) -> SeriesValue:
     # t_i = b_i / U^(n-1-i) is one correctly rounded integer division, and
     # |t_i| <= 1 because U >= n^2.
     U = 2 * K + n
-    t = np.array([b / U ** (n - 1 - i) for i, b in enumerate(_shifted_numerator_coeffs(n))])
-    s = np.arange(n + m, m, -1, dtype=np.float64)  # s_i = n + m - i
+    t = [b / U ** (n - 1 - i) for i, b in enumerate(_shifted_numerator_coeffs(n))]
+    s = [float(n + m - i) for i in range(n)]  # s_i = n + m - i
     scale = 1 / (2 ** (n - 1) * math.factorial(n - 1)) * float(U) ** -(m + 1)
     # roundings: 5 in t U/(2(s-1)), 2 in t/2
-    parts = [t * (U / (2 * (s - 1))), 0.5 * t]
-    magnitudes = np.abs(np.concatenate(parts)).tolist()
-    em = _BETA1 * s / U  # correction 1 per i, 4 roundings
+    parts = [ti * (U / (2 * (si - 1))) for ti, si in zip(t, s)] + [0.5 * ti for ti in t]
+    magnitudes = [abs(x) for x in parts]
+    em = [_BETA1 * si / U for si in s]  # correction 1 per i, 4 roundings
     inv_u2 = 1 / (U * U)
     p = 0
     while True:
         # t * em is the first omitted correction: 9p + 6 roundings, each
         # correction adding 9 (4 in the rising-factorial step, 3 in the ratio, 2 products)
-        correction = t * em
-        correction_magnitudes = np.abs(correction).tolist()
+        correction = [ti * ei for ti, ei in zip(t, em)]
+        correction_magnitudes = [abs(x) for x in correction]
         omitted = math.fsum(correction_magnitudes)
         truncation = scale * omitted
         truncation += (_charge(9 * p + _POW + 10, truncation)
@@ -282,12 +272,13 @@ def _enclosure(n: int, m: int) -> SeriesValue:
                     + (n * (p + 3) + 2 + (_POW + 2) * absolute) * _ETA)
         if truncation <= 1e-3 * rounding or p == len(_EM_RATIO):
             break
-        parts.append(correction)
+        parts += correction
         magnitudes += correction_magnitudes
-        em = em * ((s + (2 * p + 1)) * (s + (2 * p + 2))) * (_EM_RATIO[p] * inv_u2)
+        ratio = _EM_RATIO[p] * inv_u2
+        em = [ei * ((si + (2 * p + 1)) * (si + (2 * p + 2))) * ratio for ei, si in zip(em, s)]
         p += 1
 
-    center = head + scale * math.fsum(np.concatenate(parts).tolist())
+    center = head + scale * math.fsum(parts)
     radius = rounding + truncation + 2 * _U * center
     lo = math.nextafter(center - radius, -math.inf)
     hi = math.nextafter(center + radius, math.inf)

@@ -283,3 +283,36 @@ class TestConsoleEntryPoint:
             timeout=120,
         )
         assert result.returncode == 2
+
+
+# Run in a fresh interpreter: which modules one import and three verbs load.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import pleijel.cli
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "pleijel")
+after_import = "numpy" in sys.modules
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["value", "30", "1", "gamma_tilde"],
+                 ["table", "weyl", "--n-max", "30", "--m-max", "30", "--format", "json"],
+                 ["exceptional"]):
+        codes.append(pleijel.cli.main(argv))
+print(json.dumps({"loaded": loaded, "after_import": after_import,
+                  "after_verbs": "numpy" in sys.modules, "codes": codes}))
+"""
+
+
+class TestImportPath:
+    def test_value_table_exceptional_leave_numpy_unloaded(self):
+        # numpy is loaded only by the algebra check and the monotonicity scan
+        # (`check`, `htype`); every layer module still loads eagerly
+        result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        probe = json.loads(result.stdout)
+        assert probe["loaded"] == ["pleijel"] + [f"pleijel.{name}" for name in (
+            "admissibility", "checks", "cli", "constants", "core", "htype_algebra",
+            "monotonicity", "numerics", "reference", "series")]
+        assert probe["codes"] == [0, 0, 0]
+        assert not probe["after_import"]
+        assert not probe["after_verbs"]

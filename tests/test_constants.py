@@ -28,7 +28,7 @@ from pleijel.constants import (
     weyl_density_bruteforce,
 )
 from pleijel.core import DimPair, PrecisionUnreachable
-from pleijel.numerics import round_half_away, sphere_area, zeta
+from pleijel.numerics import gamma_ratio_exact, round_half_away, sphere_area, zeta
 from pleijel import reference
 
 SOBOLEV_21_REFERENCE = 9.973934966328010133395
@@ -114,6 +114,15 @@ class TestGammaBar:
         # the exact value behind the reference-table erratum
         assert gamma_bar_exact((1, 3)) == Fraction(128, 81)
         assert round_half_away(Fraction(128, 81), 4) == "1.5802"
+
+    def test_equals_gamma_ratio_form(self):
+        # the defining form 2^-(n-m+1) (n+m)/(n+m-1)^(n+m) Gamma(m/2)Gamma(2n+m)/Gamma(n+m/2)
+        for n, m in itertools.product(range(1, 31), range(1, 31)):
+            s = n + m
+            half_m = Fraction(m, 2)
+            want = (Fraction(2) ** (m - n - 1) * Fraction(s, (s - 1) ** s)
+                    * gamma_ratio_exact(half_m, half_m + n) * math.factorial(2 * n + m - 1))
+            assert gamma_bar_exact((n, m)) == want, (n, m)
 
     def test_log_domain_matches_exact(self):
         for n, m in itertools.product(range(1, 21), range(1, 21)):

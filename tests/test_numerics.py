@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -90,6 +91,25 @@ class TestGammaRatioExact:
     def test_inverse_pairs(self):
         a, b = Fraction(61, 2), Fraction(5, 2)
         assert gamma_ratio_exact(a, b) * gamma_ratio_exact(b, a) == 1
+
+    def test_equals_chained_fraction_product(self):
+        # the factor-by-factor product Gamma(a)/Gamma(b) = (a-1)(a-2)...(b)
+        def chained(a, b):
+            if a < b:
+                return 1 / chained(b, a)
+            out, x = Fraction(1), b
+            while x < a:
+                out *= x
+                x += 1
+            return out
+
+        for twice_b in range(1, 62):
+            for diff in range(-30, 31):
+                twice_a = twice_b + 2 * diff
+                if twice_a < 1:
+                    continue
+                a, b = Fraction(twice_a, 2), Fraction(twice_b, 2)
+                assert gamma_ratio_exact(a, b) == chained(a, b), (a, b)
 
 
 class TestBinomial:
@@ -188,3 +208,13 @@ class TestHalfIntegerCoercion:
             as_half_integer(0.2)
         with pytest.raises(TypeError):
             as_half_integer("1/2")
+
+
+class TestNumpyIntegers:
+    """numpy integers pass the numbers.Integral checks, as plain ints do."""
+
+    def test_accepted_like_ints(self):
+        assert as_half_integer(np.int64(4)) == 4
+        assert type(as_half_integer(np.int64(4))) is Fraction
+        assert log_gamma(np.int64(3)) == log_gamma(3)
+        assert zeta(np.int64(2)) == zeta(2)

@@ -22,14 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pleijel.core import DimPair, PrecisionUnreachable
+from pleijel.core import DimPair, PrecisionUnreachable, as_pair
 from pleijel.numerics import zeta
 from pleijel.series import (
     _BERNOULLI,
     _enclosure,
     _integral_remainder,
     _min_terms,
-    _term_block,
     c_series,
     c_tail_bound,
     multiindex_count,
@@ -39,6 +38,19 @@ from pleijel.series import (
 
 C41_REFERENCE = 0.002930264755922334609148  # 10^7-term summation + bracket; = (zeta(2)-zeta(4))/192
 C31_REFERENCE = 0.02737781481649722160101
+
+
+def _term_block(n: int, m: int, k0: int, k1: int) -> np.ndarray:
+    """Vectorised series_term for k in [k0, k1); same arithmetic as the scalar.
+
+    The direct-summation oracle of these tests; the kernel uses ``_head_factors``.
+    """
+    k = np.arange(k0, k1, dtype=np.float64)
+    d = 2.0 * k + n
+    r = d ** (-(m + 1.0))
+    for j in range(1, n):
+        r *= (k + j) / (j * d)
+    return r
 
 
 def odd_zeta(s: int) -> float:
@@ -324,6 +336,18 @@ class TestDimPair:
             DimPair(1, 0)
         with pytest.raises(TypeError):
             DimPair(1.5, 1)
+
+    def test_bools_rejected(self):
+        # bool is an int subclass: (True, True) would print as (True,True)
+        # and share the cache entry of (1, 1)
+        for n, m in ((True, True), (True, 1), (1, False)):
+            with pytest.raises(TypeError):
+                DimPair(n, m)
+
+    def test_numpy_integers_coerced(self):
+        pair = as_pair((np.int64(2), np.int64(1)))
+        assert pair == DimPair(2, 1)
+        assert type(pair.n) is int and type(pair.m) is int
 
     def test_homogeneous_dimension(self):
         assert DimPair(3, 2).homogeneous_dimension == 10
