@@ -9,9 +9,7 @@ bound gamma_bar, the Radon-Hurwitz admissibility classification of
 
 from .admissibility import AdmissibilityVerdict, admissible, is_admissible, radon_hurwitz, shading_mask
 from .constants import (
-    ConstantBundle,
     ExceptionalSet,
-    constant_bundle,
     exceptional_set,
     gamma_bar,
     gamma_bar_exact,
@@ -19,10 +17,12 @@ from .constants import (
     gamma_tilde_interval,
     gamma_tilde_product_form,
     sobolev_constant,
+    sobolev_interval,
     weyl_constant,
     weyl_density_bruteforce,
+    weyl_interval,
 )
-from .core import DimPair, InadmissiblePair, PrecisionUnreachable
+from .core import DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable
 from .htype_algebra import (
     GroupElement,
     HTypeStructure,
@@ -49,8 +49,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityVerdict",
-    "ConstantBundle",
     "DimPair",
+    "Enclosure",
     "ExceptionalSet",
     "GroupElement",
     "HTypeStructure",
@@ -64,7 +64,6 @@ __all__ = [
     "c_ratio_lower_bound",
     "c_series",
     "c_tail_bound",
-    "constant_bundle",
     "construct",
     "exceptional_set",
     "gamma_bar",
@@ -89,10 +88,12 @@ __all__ = [
     "series_term_exact",
     "shading_mask",
     "sobolev_constant",
+    "sobolev_interval",
     "sphere_area",
     "sublaplacian_coefficients",
     "term_ratio",
     "weyl_constant",
     "weyl_density_bruteforce",
+    "weyl_interval",
     "zeta",
 ]

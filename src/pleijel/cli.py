@@ -28,22 +28,17 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from .admissibility import admissible
-from .checks import run_suites
-from .constants import (
-    constant_bundle,
-    exceptional_set,
-    gamma_bar_exact,
-    gamma_tilde_interval,
-    sobolev_constant,
-)
-from .core import DimPair, InadmissiblePair, PrecisionUnreachable
+from .checks import SUITES, run_suites
+from .constants import (exceptional_set, gamma_bar_exact, gamma_tilde_interval,
+                        sobolev_interval, weyl_interval)
+from .core import DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable
 from .htype_algebra import construct, write_json
 from .numerics import round_half_away
 from .series import c_series
 
 QUANTITIES = ("gamma_tilde", "gamma_bar", "sobolev", "weyl", "c_series")
 FORMATS = ("markdown", "csv", "json", "latex")
-SUITE_NAMES = ("tables", "consistency", "monotonicity", "admissibility", "algebra", "all")
+SUITE_NAMES = (*SUITES, "all")
 
 
 @dataclass(frozen=True)
@@ -82,43 +77,30 @@ class Cell:
     exact: Fraction | None = None
 
 
+def _c_enclosure(pair: DimPair, eps: float) -> Enclosure:
+    sv = c_series(pair, eps)  # eps is the absolute enclosure width here
+    return Enclosure(sv.value, sv.upper)
+
+
+# every quantity but the exact gamma_bar: (pair, eps) -> its certified enclosure
+_ENCLOSURES = {
+    "gamma_tilde": gamma_tilde_interval,
+    "sobolev": lambda pair, eps: sobolev_interval(pair),
+    "weyl": weyl_interval,
+    "c_series": _c_enclosure,
+}
+
+
 def _compute_cell(quantity: str, n: int, m: int, precision: int, eps: float) -> Cell:
     pair = DimPair(n, m)
     adm = admissible(pair).admissible
-    exact = None
     if quantity == "gamma_bar":
         exact = gamma_bar_exact(pair)
-        value = float(exact)
-        err = 0.0
-        display = round_half_away(exact, precision)
-        exceeds = exact > 1
-    elif quantity == "gamma_tilde":
-        low, high = gamma_tilde_interval(pair, eps)
-        value = (low + high) / 2
-        err = (high - low) / 2
-        display = round_half_away(value, precision)
-        exceeds = value > 1.0
-    elif quantity == "sobolev":
-        value = sobolev_constant(pair)
-        err = 1e-12 * value  # documented binary64 slack; no series involved
-        display = round_half_away(value, precision)
-        exceeds = value > 1.0
-    elif quantity == "weyl":
-        b = constant_bundle(pair, eps)
-        value = b.weyl
-        err = b.weyl / b.c.midpoint * b.c.tail_bound / 2 + 1e-12 * b.weyl
-        display = round_half_away(value, precision)
-        exceeds = value > 1.0
-    elif quantity == "c_series":
-        sv = c_series(pair, eps)  # eps is the absolute enclosure width here
-        value = sv.midpoint
-        err = sv.tail_bound / 2
-        display = round_half_away(value, precision)
-        exceeds = value > 1.0
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    return Cell(n=n, m=m, value=value, display=display, error_bound=err,
-                admissible=adm, exceeds_one=exceeds, exact=exact)
+        return Cell(n=n, m=m, value=float(exact), display=round_half_away(exact, precision),
+                    error_bound=0.0, admissible=adm, exceeds_one=exact > 1, exact=exact)
+    enc = _ENCLOSURES[quantity](pair, eps)
+    return Cell(n=n, m=m, value=enc.mid, display=round_half_away(enc.mid, precision),
+                error_bound=enc.radius, admissible=adm, exceeds_one=enc.mid > 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -227,8 +209,6 @@ def render_table(spec: TableSpec) -> str:
 # subcommand implementations
 
 def _cmd_value(args, parser) -> int:
-    if args.quantity not in QUANTITIES:
-        parser.error(f"unknown quantity {args.quantity!r}")
     if args.n < 1 or args.m < 1:
         parser.error("n and m must be >= 1")
     if not 1 <= args.precision <= 12:

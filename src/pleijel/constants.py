@@ -30,26 +30,27 @@ For Q = 2n + 2m the homogeneous dimension:
   k = 0 term of the series, i.e. replacing 1/c by n^(n+m).  Exact value
   via ``gamma_bar_exact``.
 
-Asymptotic-classification decisions (is gamma_tilde >= 1?) are made on
-certified intervals so that floating-point noise can never flip them:
-gamma factors are exact rationals, the series contributes its enclosure
-(at the binary64 rounding floor, the same for every eps; eps is only
-checked against it), and a single multiplicative slack of 1e-10 absorbs
-the rounding of the remaining binary64 factors.
+Every non-exact constant is an ``Enclosure(lo, hi)`` built from exact
+rationals; the float views (``gamma_tilde``, ``weyl_constant``,
+``sobolev_constant``) are its midpoints.  The series enclosure sits at
+the binary64 rounding floor (eps is only checked against it), the gamma
+factors are rational once the half-integer sqrt(pi) joins the pi power,
+and math.pi < pi < nextafter(math.pi, 4).  Each end is an integer
+quotient, correctly rounded by ``int / int`` and moved one ulp outward
+(W. Tucker, *Validated Numerics*, Princeton UP 2011), so floating-point
+noise can never flip a classification (is gamma_tilde >= 1?).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .admissibility import is_admissible
-from .core import DimPair, PrecisionUnreachable, as_pair
+from .core import DimPair, Enclosure, PrecisionUnreachable, as_pair
 from .numerics import log_gamma, sphere_area
 from .series import (
-    SeriesValue,
     _integral_remainder,
     _min_terms,
     c_series,
@@ -58,30 +59,32 @@ from .series import (
 )
 
 __all__ = [
-    "ConstantBundle",
     "ExceptionalSet",
     "sobolev_constant",
+    "sobolev_interval",
     "weyl_constant",
+    "weyl_interval",
     "gamma_tilde",
     "gamma_tilde_interval",
     "gamma_tilde_product_form",
     "gamma_bar",
     "gamma_bar_exact",
-    "constant_bundle",
     "exceptional_set",
     "weyl_density_bruteforce",
 ]
 
-_SLACK = 1e-10  # multiplicative allowance for binary64 gamma/power factors
+# math.pi < pi < nextafter(math.pi, 4), as (numerator, denominator)
+_PI_LO = math.pi.as_integer_ratio()
+_PI_HI = math.nextafter(math.pi, 4).as_integer_ratio()
 
 _LOG_TWO_PI = math.log(2 * math.pi)
 
 
-def _c_certified(p: DimPair, eps: float) -> SeriesValue:
-    """Series value with enclosure width <= eps *relative* to c(n, m)."""
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    return c_series(p, eps, relative=True)
+def _gamma_bar_ratio(p: DimPair) -> tuple[int, int]:
+    # gamma_bar_exact as an unnormalised (numerator, denominator)
+    s = p.n + p.m
+    num = 2 ** (p.m - 1) * s * math.factorial(2 * p.n + p.m - 1)
+    return num, (s - 1) ** s * math.prod(range(p.m, p.m + 2 * p.n, 2))
 
 
 def gamma_bar_exact(pair) -> Fraction:
@@ -97,11 +100,7 @@ def gamma_bar_exact(pair) -> Fraction:
 
     built over integers and normalised once.
     """
-    p = as_pair(pair)
-    s = p.n + p.m
-    num = 2 ** (p.m - 1) * s * math.factorial(2 * p.n + p.m - 1)
-    den = (s - 1) ** s * math.prod(range(p.m, p.m + 2 * p.n, 2))
-    return Fraction(num, den)
+    return Fraction(*_gamma_bar_ratio(as_pair(pair)))
 
 
 def gamma_bar(pair) -> float:
@@ -119,51 +118,94 @@ def gamma_bar(pair) -> float:
     return math.exp(log)
 
 
-def _gamma_tilde_prefactor(p: DimPair) -> Fraction:
-    # the exact rational multiplying 1/c(n, m)
-    return gamma_bar_exact(p) / Fraction(p.n) ** (p.n + p.m)
+def _gamma_half(q: int) -> tuple[int, int]:
+    # Gamma(q/2) / sqrt(pi)^[q odd] as (numerator, denominator)
+    if q % 2 == 0:
+        return math.factorial(q // 2 - 1), 1
+    k = q // 2  # Gamma(k + 1/2) = (2k)! / (4^k k!) sqrt(pi)
+    return math.factorial(2 * k), 4**k * math.factorial(k)
 
 
-def gamma_tilde_interval(pair, eps: float = 1e-8) -> tuple[float, float]:
-    """Certified enclosure [low, high] of the nodal-domain bound.
+def _outward(lo: tuple[int, int], hi: tuple[int, int]) -> Enclosure:
+    # int / int is correctly rounded, so one ulp outward contains each exact end
+    return Enclosure(math.nextafter(lo[0] / lo[1], -math.inf),
+                     math.nextafter(hi[0] / hi[1], math.inf))
 
-    eps is the relative width requested from the series; the gamma
-    prefactor is exact, and the 1e-10 float slack widens both ends.
+
+def _root(num: int, den: int, s: int, up: bool) -> float:
+    """The smallest float x with x^s >= num/den (up), or the largest with
+    x^s <= num/den (not up); each candidate is compared exactly over integers."""
+    def holds(x: float) -> bool:
+        a, b = x.as_integer_ratio()  # b is a power of two
+        lhs, rhs = a**s * den, num << (b.bit_length() - 1) * s
+        return lhs >= rhs if up else lhs <= rhs
+
+    outward, inward = (math.inf, 0.0) if up else (0.0, math.inf)
+    x = math.exp((math.log(num) - math.log(den)) / s)
+    a, b = x.as_integer_ratio()
+    x *= (num * b**s / (a**s * den)) ** (1 / s)  # one Newton step: now within ~2 ulps
+    while not holds(x):
+        x = math.nextafter(x, outward)
+    while holds(y := math.nextafter(x, inward)):
+        x = y
+    return x
+
+
+def sobolev_interval(pair) -> Enclosure:
+    """Certified enclosure of the sharp L^2 Sobolev constant C, from
+    C^s = R pi^k with s = n + m, k = n + ceil(m/2) and the rational
+    R = 4^n n^s (s-1)^s (Gamma(n+m/2)/sqrt(pi)^[m odd]) / (2n+m-1)!; the
+    ends are the outward float s-th roots of R pi^k at the two pi bounds.
     """
     p = as_pair(pair)
-    sv = _c_certified(p, eps)
-    pref = _gamma_tilde_prefactor(p)
-    low = float(pref / Fraction(sv.upper)) * (1 - _SLACK)
-    high = float(pref / Fraction(sv.value)) * (1 + _SLACK)
-    return low, high
-
-
-def gamma_tilde(pair, eps: float = 1e-8) -> float:
-    """Nodal-domain bound, certified to relative accuracy ~eps/2 + 1e-10."""
-    p = as_pair(pair)
-    sv = _c_certified(p, eps)
-    return float(_gamma_tilde_prefactor(p) / Fraction(sv.midpoint))
+    s, k = p.n + p.m, p.n + (p.m + 1) // 2
+    gn, gd = _gamma_half(2 * p.n + p.m)
+    num = 4**p.n * p.n**s * (s - 1) ** s * gn
+    den = gd * math.factorial(2 * p.n + p.m - 1)
+    return Enclosure(_root(num * _PI_LO[0] ** k, den * _PI_LO[1] ** k, s, up=False),
+                     _root(num * _PI_HI[0] ** k, den * _PI_HI[1] ** k, s, up=True))
 
 
 def sobolev_constant(pair) -> float:
-    """Sharp L^2 Sobolev constant, assembled in the log domain."""
+    """Sharp L^2 Sobolev constant: the midpoint of ``sobolev_interval``."""
+    return sobolev_interval(pair).mid
+
+
+def weyl_interval(pair, eps: float = 1e-8) -> Enclosure:
+    """Certified enclosure of the eigenvalue-counting coefficient
+    W = R_w c(n, m) pi^-k, with s = n + m, k = n + ceil(m/2) and the rational
+    R_w = 2 / (s 2^s Gamma(m/2)/sqrt(pi)^[m odd]); eps is relative, for the series.
+    """
     p = as_pair(pair)
-    s = p.n + p.m
-    log = (
-        (p.n / s) * math.log(4)
-        + math.log(p.n)
-        + math.log(s - 1)
-        + ((2 * p.n + p.m) / (2 * s)) * math.log(math.pi)
-        + (log_gamma(Fraction(p.m, 2) + p.n) - log_gamma(2 * p.n + p.m)) / s
-    )
-    return math.exp(log)
+    sv = c_series(p, eps, relative=True)
+    s, k = p.n + p.m, p.n + (p.m + 1) // 2
+    gn, gd = _gamma_half(p.m)
+    num, den = 2 * gd, s * 2**s * gn
+    (ln, ld), (hn, hd) = sv.value.as_integer_ratio(), sv.upper.as_integer_ratio()
+    return _outward((num * ln * _PI_HI[1] ** k, den * ld * _PI_HI[0] ** k),
+                    (num * hn * _PI_LO[1] ** k, den * hd * _PI_LO[0] ** k))
 
 
 def weyl_constant(pair, eps: float = 1e-8) -> float:
-    """Eigenvalue-counting coefficient, relative accuracy ~eps/2."""
+    """Eigenvalue-counting coefficient: the midpoint of ``weyl_interval``."""
+    return weyl_interval(pair, eps).mid
+
+
+def gamma_tilde_interval(pair, eps: float = 1e-8) -> Enclosure:
+    """Certified enclosure [low, high] of the nodal-domain bound: the exact
+    gamma_bar_exact / n^(n+m) over c(n, m); eps is relative, for the series.
+    """
     p = as_pair(pair)
-    sv = _c_certified(p, eps)
-    return _weyl_prefactor(p) * sv.midpoint
+    sv = c_series(p, eps, relative=True)
+    num, den = _gamma_bar_ratio(p)
+    den *= p.n ** (p.n + p.m)
+    (ln, ld), (hn, hd) = sv.upper.as_integer_ratio(), sv.value.as_integer_ratio()
+    return _outward((num * ld, den * ln), (num * hd, den * hn))
+
+
+def gamma_tilde(pair, eps: float = 1e-8) -> float:
+    """Nodal-domain bound: the midpoint of ``gamma_tilde_interval``."""
+    return gamma_tilde_interval(pair, eps).mid
 
 
 def _weyl_prefactor(p: DimPair) -> float:
@@ -179,43 +221,9 @@ def gamma_tilde_product_form(pair, eps: float = 1e-8) -> float:
     """
     p = as_pair(pair)
     s = p.n + p.m
-    sv = _c_certified(p, eps)
+    sv = c_series(p, eps, relative=True)
     log_w = math.log(_weyl_prefactor(p)) + math.log(sv.midpoint)
     return math.exp(-s * math.log(sobolev_constant(p)) - log_w)
-
-
-@dataclass(frozen=True)
-class ConstantBundle:
-    """All constants for one pair, from a single certified series value."""
-
-    pair: DimPair
-    Q: int
-    c: SeriesValue
-    sobolev: float
-    weyl: float
-    gamma_tilde: float
-    gamma_tilde_low: float
-    gamma_tilde_high: float
-    gamma_bar: float
-    gamma_bar_exact: Fraction
-
-
-def constant_bundle(pair, eps: float = 1e-8) -> ConstantBundle:
-    p = as_pair(pair)
-    sv = _c_certified(p, eps)
-    pref = _gamma_tilde_prefactor(p)
-    return ConstantBundle(
-        pair=p,
-        Q=p.homogeneous_dimension,
-        c=sv,
-        sobolev=sobolev_constant(p),
-        weyl=_weyl_prefactor(p) * sv.midpoint,
-        gamma_tilde=float(pref / Fraction(sv.midpoint)),
-        gamma_tilde_low=float(pref / Fraction(sv.upper)) * (1 - _SLACK),
-        gamma_tilde_high=float(pref / Fraction(sv.value)) * (1 + _SLACK),
-        gamma_bar=gamma_bar(p),
-        gamma_bar_exact=gamma_bar_exact(p),
-    )
 
 
 class ExceptionalSet(NamedTuple):

@@ -8,7 +8,10 @@ dimension is Q = 2n + 2m.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class PrecisionUnreachable(RuntimeError):
@@ -69,8 +72,27 @@ PairLike = "DimPair | tuple[int, int]"
 
 
 def as_pair(pair) -> DimPair:
-    """Coerce a DimPair or (n, m) tuple to DimPair."""
+    """Coerce a DimPair or (n, m) tuple of integers (numpy ones too) to DimPair."""
     if isinstance(pair, DimPair):
         return pair
     n, m = pair
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (n, m)):
+        raise TypeError(f"n, m must be integers, got ({n!r}, {m!r})")
     return DimPair(int(n), int(m))
+
+
+class Enclosure(NamedTuple):
+    """A certified interval [lo, hi] with binary64 ends: the true value lies in it."""
+
+    lo: float
+    hi: float
+
+    @property
+    def mid(self) -> float:
+        return (self.lo + self.hi) / 2
+
+    @property
+    def radius(self) -> float:
+        """Rounded up, so that mid +- radius covers [lo, hi] exactly."""
+        mid = self.mid
+        return math.nextafter(max(self.hi - mid, mid - self.lo), math.inf)

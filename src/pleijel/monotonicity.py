@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .constants import gamma_bar_exact, gamma_tilde, gamma_tilde_interval
-from .core import as_pair
+from .core import Enclosure, as_pair
 from .numerics import log_gamma
 from .series import c_series, series_term
 
@@ -202,7 +202,7 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, k_max: int = 10_000,
     reports: list[InequalityReport] = []
     e = math.e
 
-    def interval(n: int, m: int) -> tuple[float, float]:
+    def interval(n: int, m: int) -> Enclosure:
         return gamma_tilde_interval((n, m), eps)
 
     # --- phi: value bound and quotient-vs-closed-form agreement ------------
@@ -284,12 +284,8 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, k_max: int = 10_000,
     reports.append(_report("psi_closed_form_agreement", psi_domain, worst_closed_dev, 1e-12))
 
     # --- monotonicity of the tables themselves -----------------------------
-    worst = 0.0
-    for m in range(1, m_max + 1):
-        for n in range(2, n_max + 1):
-            lo_prev, _ = interval(n - 1, m)
-            _, hi_here = interval(n, m)
-            worst = max(worst, hi_here / lo_prev)
+    worst = max(interval(n, m).hi / interval(n - 1, m).lo
+                for m in range(1, m_max + 1) for n in range(2, n_max + 1))
     reports.append(
         _report("gamma_tilde_decreasing_in_n", phi_domain, worst, 1.0,
                 note="certified upper/lower quotient of consecutive rows")
@@ -304,12 +300,8 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, k_max: int = 10_000,
                 note="exact rational quotient of consecutive columns")
     )
 
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        for m in range(2, m_max + 1):
-            lo_prev, _ = interval(n, m - 1)
-            _, hi_here = interval(n, m)
-            worst = max(worst, hi_here / lo_prev)
+    worst = max(interval(n, m).hi / interval(n, m - 1).lo
+                for n in range(1, n_max + 1) for m in range(2, m_max + 1))
     reports.append(
         _report("gamma_tilde_decreasing_in_m_empirical",
                 f"1 <= n <= {n_max}, 2 <= m <= {m_max}", worst, 1.0,
@@ -320,13 +312,11 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, k_max: int = 10_000,
     gb42 = gamma_bar_exact((4, 2))  # = 2268/3125
     worst = 0.0
     for m in range(2, m_max + 1):
-        lo4, hi4 = interval(4, m)
-        gbm = gamma_bar_exact((4, m))
-        worst = max(worst, hi4 / float(gbm))  # gamma_tilde(4, m) <= gamma_bar(4, m)
+        g4, gbm = interval(4, m), gamma_bar_exact((4, m))
+        worst = max(worst, g4.hi / float(gbm))  # gamma_tilde(4, m) <= gamma_bar(4, m)
         worst = max(worst, float(gbm / gb42))  # gamma_bar(4, m) <= gamma_bar(4, 2)
         for n in range(5, n_max + 1):
-            _, hi = interval(n, m)
-            worst = max(worst, hi / lo4)  # gamma_tilde(n, m) <= gamma_tilde(4, m)
+            worst = max(worst, interval(n, m).hi / g4.lo)  # gamma_tilde(n, m) <= gamma_tilde(4, m)
     reports.append(
         _report("combination_chain",
                 f"4 <= n <= {n_max}, 2 <= m <= {m_max}", worst, 1.0,

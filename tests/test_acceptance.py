@@ -171,7 +171,7 @@ def test_known_reference_errata():
     # round to the printed 0.0010
     low, high = gamma_tilde_interval((9, 10), 1e-10)
     assert high < 0.00095  # anything printing 0.0010 is at least 0.00095
-    assert low <= 0.000897389516577 <= high  # independent 50-digit value
+    assert low <= Fraction("0.000897389516577124100793306") <= high  # independent 50-digit value
     _verdict(0, "reference-table errata pinned (2 cells)", True,
              "gamma_bar(1,3) = 128/81 -> 1.5802; gamma_tilde(9,10) -> 0.0009")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import sys
 import pytest
 
 from pleijel import reference
-from pleijel.cli import main
+from pleijel.checks import run_suite
+from pleijel.cli import QUANTITIES, TableSpec, main, render_table
 from pleijel.constants import gamma_tilde_interval
 
 
@@ -38,6 +40,12 @@ class TestValue:
     def test_error_bound_reported(self, capsys):
         _, out, _ = run_cli(capsys, "value", "2", "2", "weyl", "--precision", "9")
         assert "error_bound=" in out and "admissible=yes" in out
+
+    def test_tight_eps_is_met(self, capsys):
+        # eps is relative here: the printed bound is at most eps/2 of the value
+        _, out, _ = run_cli(capsys, "value", "30", "1", "gamma_tilde", "--eps", "1e-12")
+        fields = dict(f.split("=") for f in out.splitlines()[1].removeprefix("# ").split())
+        assert float(fields["error_bound"]) <= 5e-13 * float(fields["value"])
 
     def test_c_series_quantity(self, capsys):
         code, out, _ = run_cli(
@@ -87,6 +95,21 @@ def _csv_cells(out: str) -> dict[tuple[int, int], list[str]]:
         n, m, value, err, adm = line.split(",")
         cells[int(n), int(m)] = [value, err, adm]
     return cells
+
+
+#: sha256 of the default 10 x 10 tables (4 decimals, eps 1e-8, annotated)
+_TABLE_DIGESTS = {
+    ("gamma_tilde", "markdown"): "a191fc4b08c2253646d777a4f8840dc666f6357483dc12c7b72ffcc45a205c3e",
+    ("gamma_tilde", "latex"): "6420d0f98f47f38b79d8944a120567ca1f93cf569d9e9d93c520975f81be250e",
+    ("gamma_bar", "markdown"): "ef1a4755df0956c5fefd819c7a6d49001756d7b0ae1200ed1d1459e79e29a6da",
+    ("gamma_bar", "latex"): "edf7692d58c6321da314865bf9552ce8734406f9003a0a55e86a44c8ba793d14",
+    ("sobolev", "markdown"): "fd09bcc5134b3c63d83b55f09e21a65a5da529cda3fa3c60733fad8fd634c93e",
+    ("sobolev", "latex"): "e674475cca5adaa3fd1bd798df47050a22b47c8f2699e582fa158d91fd7623fb",
+    ("weyl", "markdown"): "ad8df82d6032d74b35b9638b8417a8e6bbf57f4945d0112597d7e7f9386037e8",
+    ("weyl", "latex"): "ec6493f63bf83b33542e8c033b53acc658ee16bb8b017337085e78340e81c16e",
+    ("c_series", "markdown"): "e9026213f2f9ba2b2af53da315abcd358104f91f2b80cff6751524326955119f",
+    ("c_series", "latex"): "645d6b2237360881457ccd75273820f04cbf930ed1fe05059f4ef83525678c4d",
+}
 
 
 class TestTable:
@@ -154,6 +177,14 @@ class TestTable:
         by_key = {(c["n"], c["m"]): c for c in payload["cells"]}
         assert by_key[2, 3]["exact"] == "15/16"
 
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_json_error_bounds_meet_eps(self, capsys, quantity):
+        eps = 1e-12
+        _, out, _ = run_cli(capsys, "table", quantity, "--format", "json",
+                            "--n-max", "30", "--m-max", "30", "--eps", str(eps))
+        for cell in json.loads(out)["cells"]:
+            assert cell["error_bound"] <= eps / 2 * abs(cell["value"]), cell
+
     def test_latex_format(self, capsys):
         _, out, _ = run_cli(capsys, "table", "gamma_bar", "--format", "latex",
                             "--n-max", "3", "--m-max", "3")
@@ -169,6 +200,13 @@ class TestTable:
             with pytest.raises(SystemExit) as err:
                 main(args)
             assert err.value.code == 2
+
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    @pytest.mark.parametrize("fmt", ("markdown", "latex"))
+    def test_displayed_bytes_pinned(self, quantity, fmt):
+        # a change to the numerics that moves a displayed digit fails here
+        text = render_table(TableSpec(quantity, fmt=fmt))
+        assert hashlib.sha256(text.encode()).hexdigest() == _TABLE_DIGESTS[quantity, fmt]
 
     def test_determinism_markdown(self, capsys):
         _, a, _ = run_cli(capsys, "table", "gamma_tilde", "--n-max", "5", "--m-max", "5")
@@ -209,6 +247,11 @@ class TestCheck:
         assert code == 1
         assert "FAIL tables" in out
         assert "gamma_bar(1,3): computed 1.5802, reference 1.5803" in out
+
+    def test_run_suite_dispatch(self):
+        assert run_suite("admissibility", eps=1e-3).passed  # eps is not used there
+        with pytest.raises(ValueError, match="unknown suite"):
+            run_suite("everything")
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as err:

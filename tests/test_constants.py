@@ -14,9 +14,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pleijel.constants import (
-    constant_bundle,
     exceptional_set,
     gamma_bar,
     gamma_bar_exact,
@@ -24,12 +25,15 @@ from pleijel.constants import (
     gamma_tilde_interval,
     gamma_tilde_product_form,
     sobolev_constant,
+    sobolev_interval,
     weyl_constant,
     weyl_density_bruteforce,
+    weyl_interval,
 )
-from pleijel.core import DimPair, PrecisionUnreachable
+from pleijel.core import DimPair, Enclosure, PrecisionUnreachable
 from pleijel.numerics import gamma_ratio_exact, round_half_away, sphere_area, zeta
 from pleijel import reference
+from test_series import _hurwitz_oracle
 
 SOBOLEV_21_REFERENCE = 9.973934966328010133395
 
@@ -85,7 +89,7 @@ class TestGammaTilde:
             low, high = gamma_tilde_interval(pair, 1e-9)
             point = gamma_tilde(pair, 1e-9)
             assert low <= point <= high
-            assert (high - low) / point <= 1e-9 + 1e-9  # series width + slack
+            assert (high - low) / point <= 1e-9  # at most the series width asked for
 
 
 class TestProductFormConsistency:
@@ -131,26 +135,12 @@ class TestGammaBar:
 
     def test_dominates_gamma_tilde_strictly(self):
         for n, m in itertools.product(range(1, 11), range(1, 11)):
-            b = constant_bundle((n, m))
-            assert b.gamma_tilde_high < float(b.gamma_bar_exact)
+            assert gamma_tilde_interval((n, m)).hi < gamma_bar_exact((n, m))
 
     def test_reference_table(self):
         table = reference.corrected(reference.GAMMA_BAR_PRINTED, reference.GAMMA_BAR_ERRATA)
         for (n, m), want in table.items():
             assert round_half_away(gamma_bar_exact((n, m)), 4) == want
-
-
-class TestBundle:
-    def test_fields_consistent(self):
-        b = constant_bundle((3, 2))
-        assert b.Q == 10
-        assert b.gamma_tilde_low <= b.gamma_tilde <= b.gamma_tilde_high
-        assert b.gamma_tilde <= float(b.gamma_bar_exact) + 1e-12
-        assert b.gamma_bar == pytest.approx(float(b.gamma_bar_exact), rel=1e-12)
-        assert b.weyl == pytest.approx(
-            weyl_constant((3, 2)), rel=1e-12
-        )
-        assert b.c.value <= b.c.midpoint <= b.c.upper
 
 
 class TestExceptionalSet:
@@ -217,3 +207,56 @@ class TestErrorPropagation:
         assert 1e-18 < err.value.best_bound < 1e-13
         with pytest.raises(PrecisionUnreachable):
             weyl_constant((1, 1), 1e-18)
+
+
+_FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+class TestEnclosure:
+    @given(_FINITE, _FINITE)
+    def test_radius_covers_the_ends_exactly(self, a, b):
+        enc = Enclosure(min(a, b), max(a, b))
+        mid, radius = Fraction(enc.mid), Fraction(enc.radius)
+        assert enc.lo <= enc.mid <= enc.hi
+        assert mid - radius <= Fraction(enc.lo) and Fraction(enc.hi) <= mid + radius
+
+
+def _mp_fraction(x) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+#: every cell of the 30 x 30 tables, plus the largest n the series serves
+_ORACLE_PAIRS = list(itertools.product(range(1, 31), range(1, 31))) + [(139, 1)]
+
+
+class TestEnclosuresContainOracle:
+    """The enclosures hold 50-digit mpmath values built from the defining
+    formulas (gamma functions, pi powers, roots), with c(n, m) from the
+    Hurwitz-zeta identity."""
+
+    def test_sobolev(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for n, m in _ORACLE_PAIRS:
+                s, h = n + m, mpmath.mpf(m) / 2
+                want = (mpmath.power(4, mpmath.mpf(n) / s) * n * (s - 1)
+                        * mpmath.power(mpmath.pi, (n + h) / s)
+                        * mpmath.power(mpmath.gamma(n + h) / mpmath.gamma(2 * n + m),
+                                       mpmath.mpf(1) / s))
+                low, high = sobolev_interval((n, m))
+                assert low <= _mp_fraction(want) <= high, (n, m)
+
+    def test_weyl_and_gamma_tilde(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for n, m in _ORACLE_PAIRS:
+                s, c = n + m, _hurwitz_oracle(n, m)
+                sphere = 2 * mpmath.power(mpmath.pi, mpmath.mpf(m) / 2) / mpmath.gamma(
+                    mpmath.mpf(m) / 2)
+                want = sphere / mpmath.power(2 * mpmath.pi, s) / s * c.numerator / c.denominator
+                low, high = weyl_interval((n, m), 1e-12)
+                assert low <= _mp_fraction(want) <= high, (n, m)
+                # gamma_tilde is the exact gamma_bar_exact / n^s over c
+                low, high = gamma_tilde_interval((n, m), 1e-12)
+                assert low <= gamma_bar_exact((n, m)) / n**s / c <= high, (n, m)

@@ -243,12 +243,24 @@ def _hurwitz_oracle(n: int, m: int) -> Fraction:
     b = [1]
     for j in range(1, n):
         b = [(2 * j - n) * lo + hi for lo, hi in zip(b + [0], [0] + b)]
-    with mpmath.workdps(30 + math.ceil((n - 1) * math.log10(2 * n))):
-        a = mpmath.mpf(n) / 2
-        total = mpmath.fsum(bi * mpmath.ldexp(mpmath.zeta(n + m - i, a), -(n + m - i))
+    with mpmath.workdps(_oracle_digits(n)):
+        total = mpmath.fsum(bi * mpmath.ldexp(_hurwitz_zeta(n + m - i, n), -(n + m - i))
                             for i, bi in enumerate(b) if bi)
         man, exp = (mpmath.ldexp(total, 1 - n) / mpmath.factorial(n - 1)).man_exp
     return Fraction(man) * Fraction(2) ** exp
+
+
+def _oracle_digits(n: int) -> int:
+    return 30 + math.ceil((n - 1) * math.log10(2 * n))
+
+
+@lru_cache(maxsize=None)
+def _hurwitz_zeta(s: int, n: int):
+    """zeta(s, n/2) at the working precision of row n (shared by every m)."""
+    import mpmath
+
+    with mpmath.workdps(_oracle_digits(n)):
+        return mpmath.zeta(s, mpmath.mpf(n) / 2)
 
 
 class TestTailBound:
@@ -343,6 +355,14 @@ class TestDimPair:
         for n, m in ((True, True), (True, 1), (1, False)):
             with pytest.raises(TypeError):
                 DimPair(n, m)
+
+    def test_as_pair_rejects_non_integers(self):
+        # a float is not truncated to an int, nor a string or bool coerced
+        for pair in ((1.9, 1), (2, 1.0), ("3", "4"), (True, True), (2, False)):
+            with pytest.raises(TypeError):
+                as_pair(pair)
+        with pytest.raises(TypeError):
+            c_series((1.9, 1))
 
     def test_numpy_integers_coerced(self):
         pair = as_pair((np.int64(2), np.int64(1)))
