@@ -13,7 +13,6 @@ import math
 import random
 from fractions import Fraction
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import reference
 from .admissibility import admissible, radon_hurwitz, shading_mask
@@ -31,6 +30,7 @@ from .core import DimPair
 from .htype_algebra import (
     GroupElement,
     Polynomial,
+    SignedPermutation,
     construct,
     group_identity,
     group_inverse,
@@ -42,9 +42,6 @@ from .htype_algebra import (
 from .monotonicity import inequality_suite
 from .numerics import round_half_away, zeta
 from .series import c_series, series_term
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
 
@@ -227,49 +224,37 @@ def check_admissibility() -> CheckResult:
 
 
 def _skew_signed_permutations(dim: int):
-    """All skew-symmetric orthogonal signed-permutation matrices on R^dim.
-
-    Such a matrix is a fixed-point-free involution with opposite signs on
-    the two entries of each transposition.
-    """
-    import numpy as np
-
+    """All skew-symmetric orthogonal signed permutations on R^dim: fixed-point-free
+    involutions with opposite signs on the two entries of each transposition."""
     def pairings(items):
         if not items:
             yield []
-            return
-        first, rest = items[0], items[1:]
-        for idx in range(len(rest)):
-            partner = rest[idx]
-            remaining = rest[:idx] + rest[idx + 1:]
-            for tail in pairings(remaining):
-                yield [(first, partner)] + tail
+        for idx in range(1, len(items)):
+            for tail in pairings(items[1:idx] + items[idx + 1:]):
+                yield [(items[0], items[idx])] + tail
 
     for pairing in pairings(list(range(dim))):
         for signs in itertools.product((1, -1), repeat=len(pairing)):
-            M = np.zeros((dim, dim), dtype=np.int64)
-            for (i, j), sgn in zip(pairing, signs):
-                M[i, j] = sgn
-                M[j, i] = -sgn
-            yield M
+            yield _swap_pairs(dim, pairing, signs)
 
 
-def _random_skew_signed_permutation(dim: int, rng: random.Random) -> np.ndarray:
-    import numpy as np
-
+def _random_skew_signed_permutation(dim: int, rng: random.Random) -> SignedPermutation:
     order = list(range(dim))
     rng.shuffle(order)
-    M = np.zeros((dim, dim), dtype=np.int64)
-    for idx in range(0, dim, 2):
-        i, j = order[idx], order[idx + 1]
-        sgn = rng.choice((1, -1))
-        M[i, j] = sgn
-        M[j, i] = -sgn
-    return M
+    pairing = [(order[idx], order[idx + 1]) for idx in range(0, dim, 2)]
+    return _swap_pairs(dim, pairing, [rng.choice((1, -1)) for _ in pairing])
 
 
-def _extends(family, M: np.ndarray) -> bool:
-    return all(not (M @ U + U @ M).any() for U in family)
+def _swap_pairs(dim: int, pairing, signs) -> SignedPermutation:
+    """The skew matrix with entries sgn at (i, j) and -sgn at (j, i) per pair."""
+    perm, out = [0] * dim, [0] * dim
+    for (i, j), sgn in zip(pairing, signs):
+        perm[i], perm[j], out[i], out[j] = j, i, sgn, -sgn
+    return SignedPermutation(tuple(perm), tuple(out))
+
+
+def _extends(family, M: SignedPermutation) -> bool:
+    return all(M.anticommutes(U) for U in family)
 
 
 def check_algebra(seed: int = 2024, triples: int = 1000) -> CheckResult:
@@ -336,13 +321,13 @@ def check_algebra(seed: int = 2024, triples: int = 1000) -> CheckResult:
     # best-effort Hurwitz-Radon maximality: no skew signed permutation extends
     # a maximal family (exhaustive through dim 8, sampled above)
     for n in (1, 2, 3, 4):
-        fam = construct((n, radon_hurwitz(2 * n) - 1)).U
+        fam = construct((n, radon_hurwitz(2 * n) - 1)).family
         for M in _skew_signed_permutations(2 * n):
             if _extends(fam, M):
                 failures.append(f"maximal family at 2n={2 * n} extended by a signed permutation")
                 break
     for n in (5, 6, 7, 8):
-        fam = construct((n, radon_hurwitz(2 * n) - 1)).U
+        fam = construct((n, radon_hurwitz(2 * n) - 1)).family
         if any(
             _extends(fam, _random_skew_signed_permutation(2 * n, rng)) for _ in range(5000)
         ):
@@ -362,11 +347,8 @@ def check_algebra(seed: int = 2024, triples: int = 1000) -> CheckResult:
         failures.append("sublaplacian does not annihilate linear coordinates")
     if sub.apply(norm_sq) != Polynomial.constant(2 * s.dim_x, nv):
         failures.append("sublaplacian of |x|^2 is not 2 * dim(x)")
-    rows = s.U[0].tolist()
-    expected = Polynomial(nv, {
-        tuple(1 if v == l else 0 for v in range(nv)): rows[0][l]
-        for l in range(s.dim_x) if rows[0][l]
-    })
+    first = s.family[0]
+    expected = Polynomial.variable(first.perm[0], nv).scale(first.signs[0])
     if sub.apply(x1 * t1) != expected:
         failures.append("sublaplacian of x_1 t_1 is not (U^(1) x)_1")
     else:

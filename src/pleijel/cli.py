@@ -11,8 +11,9 @@ Verbs:
                              (exit 3 for inadmissible pairs).
 
 A certified value the series cannot deliver (eps below the binary64
-rounding floor, or a pair out of binary64 range) is refused with a
-one-line message on stderr and exit 2.
+rounding floor, a pair out of binary64 range, or a value that underflows
+binary64 so no relative eps holds) is refused with a one-line message on
+stderr and exit 2.
 
 Output is deterministic byte-for-byte; ``check`` carries a timestamp in
 its JSON trailer unless --no-timestamp is given.
@@ -99,6 +100,10 @@ def _compute_cell(quantity: str, n: int, m: int, precision: int, eps: float) -> 
         return Cell(n=n, m=m, value=float(exact), display=round_half_away(exact, precision),
                     error_bound=0.0, admissible=adm, exceeds_one=exact > 1, exact=exact)
     enc = _ENCLOSURES[quantity](pair, eps)
+    if quantity != "c_series" and not enc.radius <= eps / 2 * abs(enc.mid):  # eps is relative
+        raise PrecisionUnreachable(f"{quantity}({n},{m}) cannot be certified to relative "
+                                   f"eps={eps:g} in binary64: its enclosure is {list(enc)}",
+                                   best_bound=enc.radius, terms_used=0)
     return Cell(n=n, m=m, value=enc.mid, display=round_half_away(enc.mid, precision),
                 error_bound=enc.radius, admissible=adm, exceeds_one=enc.mid > 1.0)
 

@@ -3,9 +3,9 @@ the sublaplacian symbol.
 
 An H-type structure on R^(2n) x R^m is a family U^(1..m) of 2n x 2n
 matrices that are skew-symmetric, orthogonal, and pairwise anticommuting.
-The construction here realises a maximal family with entries in
-{-1, 0, 1}, so all three axioms can be verified in exact integer
-arithmetic:
+The construction here realises a maximal family of signed permutations,
+(U x)_i = signs[i] * x[perm[i]], so products, Kronecker products and all
+three axioms are O(d) integer operations, without numpy:
 
 * dimension 2:  the rotation J = [[0, -1], [1, 0]];
 * dimension 4:  left multiplication by i, j, k on the quaternions;
@@ -23,7 +23,8 @@ arithmetic:
 The family size matches the Radon-Hurwitz maximum rho(2n) - 1 at every
 even dimension, so construction succeeds exactly on admissible pairs.
 For m = 1 the canonical symplectic block [[0, -I_n], [I_n, 0]] is
-returned directly.
+returned directly.  Only the dense views ``HTypeStructure.U`` and
+``jz_map`` load numpy.
 
 The group law on R^(2n) x R^m is
 
@@ -41,10 +42,12 @@ test functions.
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import TYPE_CHECKING
+from functools import cached_property, lru_cache, reduce
+from typing import TYPE_CHECKING, NamedTuple
 
 from .admissibility import admissible
 from .core import DimPair, InadmissiblePair, as_pair
@@ -53,6 +56,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "SignedPermutation",
     "HTypeStructure",
     "GroupElement",
     "Polynomial",
@@ -69,11 +73,45 @@ __all__ = [
     "write_json",
 ]
 
-# numpy is imported by the functions that build or verify matrices, so
-# importing this module (and the CLI) does not load it
-_R2 = ((0, -1), (1, 0))
-_P2 = ((0, 1), (1, 0))
-_Q2 = ((1, 0), (0, -1))
+
+class SignedPermutation(NamedTuple):
+    """The matrix with the single entry signs[i] at (i, perm[i]) in row i."""
+
+    perm: tuple[int, ...]
+    signs: tuple[int, ...]
+
+    @classmethod
+    def identity(cls, d: int) -> SignedPermutation:
+        return cls(tuple(range(d)), (1,) * d)
+
+    def __matmul__(self, other: SignedPermutation) -> SignedPermutation:
+        return SignedPermutation(tuple(other.perm[p] for p in self.perm),
+                                 tuple(s * other.signs[p] for p, s in zip(self.perm, self.signs)))
+
+    def kron(self, other: SignedPermutation) -> SignedPermutation:
+        b = len(other.perm)
+        return SignedPermutation(tuple(p * b + q for p in self.perm for q in other.perm),
+                                 tuple(s * t for s in self.signs for t in other.signs))
+
+    def is_skew(self) -> bool:
+        """U^T = -U: perm is an involution whose 2-cycles carry opposite signs."""
+        p, s = self.perm, self.signs
+        return all(p[p[i]] == i and s[p[i]] == -s[i] for i in range(len(p)))
+
+    def anticommutes(self, other: SignedPermutation) -> bool:
+        """U V = -V U: the two perms commute and the products' signs are opposite."""
+        p, s, q, t = self.perm, self.signs, other.perm, other.signs
+        return all(q[p[i]] == p[q[i]] and s[i] * t[p[i]] == -t[i] * s[q[i]]
+                   for i in range(len(p)))
+
+    def rows(self) -> list[list[int]]:
+        return [[s if k == p else 0 for k in range(len(self.perm))]
+                for p, s in zip(self.perm, self.signs)]
+
+
+_J = SignedPermutation((1, 0), (-1, 1))  # [[0, -1], [1, 0]]
+_P = SignedPermutation((1, 0), (1, 1))  # [[0, 1], [1, 0]]
+_Q = SignedPermutation((0, 1), (1, -1))  # [[1, 0], [0, -1]]
 
 # quaternion basis (1, i, j, k): _QMUL[a][b] = (sign, c) with e_a e_b = sign e_c
 _QMUL = {
@@ -84,58 +122,42 @@ _QMUL = {
 }
 
 
-def _quat_matrix(a: int, side: str) -> np.ndarray:
-    """Matrix of left (x -> e_a x) or right (x -> x e_a) multiplication."""
-    import numpy as np
-
-    M = np.zeros((4, 4), dtype=np.int64)
+def _quaternion(a: int, side: str) -> SignedPermutation:
+    """Left (x -> e_a x) or right (x -> x e_a) multiplication: e_b lands on sign e_c."""
+    perm, signs = [0] * 4, [0] * 4
     for b in range(4):
         sign, c = _QMUL[a][b] if side == "left" else _QMUL[b][a]
-        M[c, b] = sign
-    return M
+        perm[c], signs[c] = b, sign
+    return SignedPermutation(tuple(perm), tuple(signs))
 
 
 @lru_cache(maxsize=None)
-def _hurwitz_radon_family(v: int) -> tuple[np.ndarray, ...]:
+def _hurwitz_radon_family(v: int) -> tuple[SignedPermutation, ...]:
     """Maximal anticommuting skew orthogonal family on R^(2^v)."""
-    import numpy as np
-
-    R2, P2, Q2 = (np.array(M, dtype=np.int64) for M in (_R2, _P2, _Q2))
     if v == 1:
-        fam: tuple[np.ndarray, ...] = (R2,)
-    elif v == 2:
-        fam = tuple(_quat_matrix(a, "left") for a in (1, 2, 3))
-    elif v == 3:
-        lefts = [_quat_matrix(a, "left") for a in (1, 2, 3)]
-        rights = [_quat_matrix(a, "right") for a in (1, 2, 3)]
-        eye4 = np.eye(4, dtype=np.int64)
-        fam = (
-            tuple(np.kron(Q2, L) for L in lefts)
-            + (np.kron(R2, eye4),)
-            + tuple(np.kron(P2, R) for R in rights)
-        )
-    elif v == 4:
-        base = _hurwitz_radon_family(3)
-        fam = tuple(np.kron(Q2, B) for B in base) + (np.kron(R2, np.eye(8, dtype=np.int64)),)
-    else:
-        sixteen = _hurwitz_radon_family(4)
-        omega = reduce(np.matmul, sixteen)
-        small = _hurwitz_radon_family(v - 4)
-        eye_small = np.eye(1 << (v - 4), dtype=np.int64)
-        fam = tuple(np.kron(B, eye_small) for B in sixteen) + tuple(
-            np.kron(omega, A) for A in small
-        )
-    for M in fam:
-        M.setflags(write=False)
-    return fam
+        return (_J,)
+    if v == 2:
+        return tuple(_quaternion(a, "left") for a in (1, 2, 3))
+    if v == 3:
+        return (tuple(_Q.kron(_quaternion(a, "left")) for a in (1, 2, 3))
+                + (_J.kron(SignedPermutation.identity(4)),)
+                + tuple(_P.kron(_quaternion(a, "right")) for a in (1, 2, 3)))
+    if v == 4:
+        return (tuple(_Q.kron(B) for B in _hurwitz_radon_family(3))
+                + (_J.kron(SignedPermutation.identity(8)),))
+    sixteen = _hurwitz_radon_family(4)
+    omega = reduce(operator.matmul, sixteen)
+    eye = SignedPermutation.identity(1 << (v - 4))
+    return (tuple(B.kron(eye) for B in sixteen)
+            + tuple(omega.kron(A) for A in _hurwitz_radon_family(v - 4)))
 
 
 @dataclass(frozen=True, eq=False)
 class HTypeStructure:
-    """An explicit family of matrices realising an H-type group."""
+    """An explicit family of signed permutation matrices realising an H-type group."""
 
     pair: DimPair
-    U: tuple[np.ndarray, ...]
+    family: tuple[SignedPermutation, ...]
 
     @property
     def dim_x(self) -> int:
@@ -145,27 +167,30 @@ class HTypeStructure:
     def dim_t(self) -> int:
         return self.pair.m
 
+    @cached_property
+    def U(self) -> tuple[np.ndarray, ...]:
+        """The family as read-only dense int64 matrices (loads numpy)."""
+        import numpy as np
+
+        mats = np.array([P.rows() for P in self.family], dtype=np.int64)
+        mats.setflags(write=False)
+        return tuple(mats)
+
 
 def verify_structure(s: HTypeStructure) -> None:
-    """Exact integer verification of all defining axioms; raises ValueError."""
-    import numpy as np
-
+    """Exact integer verification of all defining axioms, O(d) each; raises ValueError."""
     d = s.dim_x
-    if len(s.U) != s.pair.m:
-        raise ValueError(f"expected {s.pair.m} matrices, got {len(s.U)}")
-    eye = np.eye(d, dtype=np.int64)
-    for idx, U in enumerate(s.U):
-        if U.shape != (d, d):
-            raise ValueError(f"U^({idx + 1}) has shape {U.shape}, expected {(d, d)}")
-        if not np.isin(U, (-1, 0, 1)).all():
-            raise ValueError(f"U^({idx + 1}) has entries outside {{-1, 0, 1}}")
-        if (U.T + U).any():
-            raise ValueError(f"U^({idx + 1}) is not skew-symmetric")
-        if (U.T @ U != eye).any():
-            raise ValueError(f"U^({idx + 1}) is not orthogonal")
-    for i in range(len(s.U)):
-        for j in range(i + 1, len(s.U)):
-            if (s.U[i] @ s.U[j] + s.U[j] @ s.U[i]).any():
+    if len(s.family) != s.pair.m:
+        raise ValueError(f"expected {s.pair.m} matrices, got {len(s.family)}")
+    for idx, P in enumerate(s.family, 1):
+        # orthogonal: perm is a bijection of range(d) and every sign is +-1
+        if sorted(P.perm) != list(range(d)) or len(P.signs) != d or set(P.signs) - {-1, 1}:
+            raise ValueError(f"U^({idx}) is not an orthogonal {d} x {d} signed permutation")
+        if not P.is_skew():
+            raise ValueError(f"U^({idx}) is not skew-symmetric")
+    for i in range(len(s.family)):
+        for j in range(i + 1, len(s.family)):
+            if not s.family[i].anticommutes(s.family[j]):
                 raise ValueError(f"U^({i + 1}) and U^({j + 1}) do not anticommute")
 
 
@@ -174,26 +199,18 @@ def construct(pair) -> HTypeStructure:
 
     Raises InadmissiblePair (citing rho(2n)) when none exists.
     """
-    import numpy as np
-
     p = as_pair(pair)
     verdict = admissible(p)
     if not verdict.admissible:
         raise InadmissiblePair(p, verdict.rho_2n)
     if p.m == 1:
-        eye_n = np.eye(p.n, dtype=np.int64)
-        zero = np.zeros((p.n, p.n), dtype=np.int64)
-        mats = [np.block([[zero, -eye_n], [eye_n, zero]])]
+        family: tuple[SignedPermutation, ...] = (_J.kron(SignedPermutation.identity(p.n)),)
     else:
         two_n = 2 * p.n
         v = (two_n & -two_n).bit_length() - 1
-        odd = two_n >> v
-        family = _hurwitz_radon_family(v)[: p.m]
-        eye_odd = np.eye(odd, dtype=np.int64)
-        mats = [np.kron(F, eye_odd) for F in family]
-    for M in mats:
-        M.setflags(write=False)
-    s = HTypeStructure(pair=p, U=tuple(mats))
+        eye_odd = SignedPermutation.identity(two_n >> v)
+        family = tuple(F.kron(eye_odd) for F in _hurwitz_radon_family(v)[: p.m])
+    s = HTypeStructure(pair=p, family=family)
     verify_structure(s)
     return s
 
@@ -224,12 +241,9 @@ def group_mul(s: HTypeStructure, a: GroupElement, b: GroupElement) -> GroupEleme
     _check_dims(s, b)
     x = tuple(xa + xb for xa, xb in zip(a.x, b.x))
     t = []
-    for j, U in enumerate(s.U):
-        rows = U.tolist()  # plain ints so Fractions survive
-        corr = sum(
-            b.x[i] * sum(rows[i][l] * a.x[l] for l in range(s.dim_x) if rows[i][l])
-            for i in range(s.dim_x)
-        )
+    for j, P in enumerate(s.family):
+        # <U x, xi> = sum_i xi_i signs[i] x_perm[i]: d terms
+        corr = sum(xi * (sign * a.x[p]) for xi, p, sign in zip(b.x, P.perm, P.signs))
         half = Fraction(1, 2) if isinstance(corr, (int, Fraction)) else 0.5
         t.append(a.t[j] + b.t[j] + half * corr)
     return GroupElement(x=x, t=tuple(t))
@@ -245,16 +259,14 @@ def group_inverse(g: GroupElement) -> GroupElement:
 
 
 def jz_map(s: HTypeStructure, z) -> np.ndarray:
-    """sum_j z_j U^(j); orthogonal whenever |z| = 1 (anticommutation)."""
+    """sum_j z_j U^(j) as a dense float matrix (loads numpy); orthogonal
+    whenever |z| = 1 (anticommutation)."""
     import numpy as np
 
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (s.dim_t,):
         raise ValueError(f"z must have length {s.dim_t}, got shape {z.shape}")
-    out = np.zeros((s.dim_x, s.dim_x), dtype=np.float64)
-    for zj, U in zip(z, s.U):
-        out += zj * U
-    return out
+    return np.tensordot(z, s.U, axes=1)
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +354,7 @@ class SublaplacianCoefficients:
     structure: HTypeStructure
     x_identity_dim: int
     t_weight: Polynomial
-    mixed: tuple[np.ndarray, ...]
+    mixed: tuple[SignedPermutation, ...]
 
     @property
     def nvars(self) -> int:
@@ -361,50 +373,51 @@ class SublaplacianCoefficients:
             lap_t = lap_t + u.diff(dx + j).diff(dx + j)
         if not lap_t.is_zero():
             out = out + self.t_weight * lap_t
-        for j, U in enumerate(self.mixed):
+        for j, P in enumerate(self.mixed):
             du = u.diff(dx + j)
             if du.is_zero():
                 continue
-            rows = U.tolist()
-            for i in range(dx):
+            for i, (p, sign) in enumerate(zip(P.perm, P.signs)):
                 di = du.diff(i)
-                if di.is_zero():
-                    continue
-                field_i = Polynomial(self.nvars, {
-                    tuple(1 if v == l else 0 for v in range(self.nvars)): Fraction(rows[i][l])
-                    for l in range(dx) if rows[i][l]
-                })
-                out = out + field_i * di
+                if not di.is_zero():  # (U^(j) x)_i = sign * x_p, one monomial
+                    out = out + Polynomial.variable(p, self.nvars).scale(sign) * di
         return out
 
 
 def sublaplacian_coefficients(s: HTypeStructure) -> SublaplacianCoefficients:
     nvars = s.dim_x + s.dim_t
-    weight = Polynomial(nvars)
-    for i in range(s.dim_x):
-        xi = Polynomial.variable(i, nvars)
-        weight = weight + xi * xi
-    return SublaplacianCoefficients(
-        structure=s,
-        x_identity_dim=s.dim_x,
-        t_weight=weight.scale(Fraction(1, 4)),
-        mixed=s.U,
-    )
+    weight = {tuple(2 if v == i else 0 for v in range(nvars)): Fraction(1, 4)
+              for i in range(s.dim_x)}  # |x|^2 / 4
+    return SublaplacianCoefficients(structure=s, x_identity_dim=s.dim_x,
+                                    t_weight=Polynomial(nvars, weight), mixed=s.family)
 
 
 # --------------------------------------------------------------------------
 # JSON export: {"n": int, "m": int, "U": [[[int]]]}
 
 def to_json_dict(s: HTypeStructure) -> dict:
-    return {"n": s.pair.n, "m": s.pair.m, "U": [U.tolist() for U in s.U]}
+    return {"n": s.pair.n, "m": s.pair.m, "U": [P.rows() for P in s.family]}
+
+
+def _from_rows(idx: int, rows, d: int) -> SignedPermutation:
+    """Dense rows as a signed permutation; raises on shape, entries, skew, orthogonal."""
+    if not (isinstance(rows, Sized) and len(rows) == d
+            and all(isinstance(row, Sized) and len(row) == d for row in rows)):
+        raise ValueError(f"U^({idx}) is not a {d} x {d} matrix")
+    if not all(v in (-1, 0, 1) for row in rows for v in row):
+        raise ValueError(f"U^({idx}) has entries outside {{-1, 0, 1}}")
+    if any(rows[i][k] != -rows[k][i] for i in range(d) for k in range(d)):
+        raise ValueError(f"U^({idx}) is not skew-symmetric")
+    if any(sum(v * v for v in row) != 1 for row in rows):  # rows of norm 1: one entry each
+        raise ValueError(f"U^({idx}) is not orthogonal")
+    perm = tuple(k for row in rows for k, v in enumerate(row) if v)
+    return SignedPermutation(perm, tuple(int(rows[i][k]) for i, k in enumerate(perm)))
 
 
 def from_json_dict(data: dict) -> HTypeStructure:
-    import numpy as np
-
     pair = DimPair(int(data["n"]), int(data["m"]))
-    mats = tuple(np.array(U, dtype=np.int64) for U in data["U"])
-    s = HTypeStructure(pair=pair, U=mats)
+    family = tuple(_from_rows(idx, U, 2 * pair.n) for idx, U in enumerate(data["U"], 1))
+    s = HTypeStructure(pair=pair, family=family)
     verify_structure(s)
     return s
 

@@ -134,4 +134,4 @@ def round_half_away(value, decimals: int = 4) -> str:
             return f"{sign}{q}"
         return f"{sign}{q // 10**decimals}.{q % 10**decimals:0{decimals}d}"
     d = Decimal(float(value)).quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP)
-    return str(d)
+    return format(d, "f")  # str() would switch to exponent form below 1e-6

@@ -86,6 +86,14 @@ class TestValue:
         assert code == 2 and out == ""
         assert err.startswith("error: c(") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("pair", [("139", "1"), ("1", "3000")])
+    def test_underflow_refused_not_printed_as_zero(self, capsys, pair):
+        # weyl underflows binary64 here: [-5e-324, 5e-324] meets no relative eps
+        code, out, err = run_cli(capsys, "value", *pair, "weyl")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: weyl({pair[0]},{pair[1]}) cannot be certified")
+        assert err.count("\n") == 1
+
 
 def _csv_cells(out: str) -> dict[tuple[int, int], list[str]]:
     lines = out.strip().splitlines()
@@ -202,6 +210,15 @@ class TestTable:
             assert err.value.code == 2
 
     @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_twelve_decimals_print_in_fixed_point(self, quantity):
+        # Decimal's str() would print 0E-12 and 1.2E-11 here; error bounds use e
+        text = render_table(TableSpec(quantity, n_max=30, m_max=30, fmt="csv", precision=12))
+        assert "E" not in text
+        for value, _, _ in _csv_cells(text).values():
+            whole, point, frac = value.partition(".")
+            assert whole.isdigit() and point == "." and len(frac) == 12 and frac.isdigit()
+
+    @pytest.mark.parametrize("quantity", QUANTITIES)
     @pytest.mark.parametrize("fmt", ("markdown", "latex"))
     def test_displayed_bytes_pinned(self, quantity, fmt):
         # a change to the numerics that moves a displayed digit fails here
@@ -212,6 +229,10 @@ class TestTable:
         _, a, _ = run_cli(capsys, "table", "gamma_tilde", "--n-max", "5", "--m-max", "5")
         _, b, _ = run_cli(capsys, "table", "gamma_tilde", "--n-max", "5", "--m-max", "5")
         assert a == b
+
+
+#: sha256 of `check all --no-timestamp` (numpy 2.4, Python 3.11)
+_CHECK_ALL_DIGEST = "ac6761da3333bc0628c6b4c3fa994c40c0b545c95efa12318aebc336f4407b25"
 
 
 class TestCheck:
@@ -232,6 +253,11 @@ class TestCheck:
         _, a, _ = run_cli(capsys, "check", "admissibility", "--no-timestamp")
         _, b, _ = run_cli(capsys, "check", "admissibility", "--no-timestamp")
         assert a == b
+
+    def test_all_suites_bytes_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "all", "--no-timestamp")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _CHECK_ALL_DIGEST
 
     def test_tables_suite_reports_errata(self, capsys):
         code, out, _ = run_cli(capsys, "check", "tables", "--no-timestamp")
@@ -284,7 +310,46 @@ class TestExceptional:
         assert a == b
 
 
+#: sha256 of the `htype` JSON for every admissible pair with 2n <= 16, (16, 9), (32, 11)
+_HTYPE_DIGESTS = {
+    (1, 1): "4ccdb5608fb04cbeb3e8043e474aff5f221902906d1909011011e679f1516e4e",
+    (2, 1): "3883e347c97f197369426b8e5e6af505c4b26a1ec6b693f674450193fce27ccd",
+    (2, 2): "c0877b2b7530ddb28ffab5cd66aed06f66a98d7cf82877a01382df74f10956b1",
+    (2, 3): "8c420dfecbd3ec030c95ce51874f6103a4c71fa8e709277e73bab2122e45715b",
+    (3, 1): "502b3aef3a6af4fbea989784f6ec71009e6ec4fda7a72655d69dfd20e273342c",
+    (4, 1): "1c8a8105e322dfb91c7bf2d260317c3e0b5fad15735790f400df73a999c80c63",
+    (4, 2): "ad918dff0619d21ac1899f94eb6e228a1320b814d66ff5e461879d60b9e0097c",
+    (4, 3): "dadff80a2211a5d8a8b8320636886c5a68eb2a21def6aa04161fd27371bcccc2",
+    (4, 4): "b97abeb9d0714ab3f92e69eae20a99f1bade9019aaae3946d72dd26f3b06095b",
+    (4, 5): "76c960c1f3cb8206620497006bc5052e714bc08bfc83a19c90a699b0aed18c95",
+    (4, 6): "54799740e77ca788cca53791ce067373c3047d762a53468a9662c261af3372c5",
+    (4, 7): "20f8bf46575c9870f6ad6b64ffb14b55a67e69e46b0774dce1f0abcfdf7601c3",
+    (5, 1): "cbb591dcfd69925ef088335b19679e96e2116f2a466f1ce417d8eb084c1d698e",
+    (6, 1): "97d61b9ddb1acec3973e6fa7c33736b9439617342d2a0ff382fa1328eafeeab4",
+    (6, 2): "db6cee73a7a19b357886bbfecfba26521423ab36bdfa5f2c98ad00226d3ffcd2",
+    (6, 3): "d44dbf5cf2e9d87a5f9a1e417bbde5c00cb5b41aca56e74ab388f6a711a18119",
+    (7, 1): "93cb2ab11d578135ff1007c3cc6722e430489be5894d5b0af48538eb442c8df2",
+    (8, 1): "64599773c3cb77f104f5a5b492a933fd7090439a7fc889707c5b7696e225747b",
+    (8, 2): "39aaa6f4f4fb8ff9d998bfb9d5d14b14bb597f8cef7acc95217f6b7f5712c26c",
+    (8, 3): "931e852f8e822d5920c6cc8ca7d07c9137ce12cef9823ae8de513303d6674dfe",
+    (8, 4): "989d529f4df252d59e3783f67cc8e7c3f0e8bb3f8ebef953465298e07837086c",
+    (8, 5): "1d1e7e8f8e55f12375303d114f3d90e40c7878f1ca36ed8f2121a30a1abf8499",
+    (8, 6): "2abaeadb9388187ad80710d19fe1acd11e8fffacc96501f1f1737f7b0ad83713",
+    (8, 7): "0e5c3eda0868acc8255995796676d156a13ddf5cd45e494ecb4c83f6979f6f54",
+    (8, 8): "7212af578417209df2e3c665de13350e1eae728cac9cdbffa62c42d7c2600d5d",
+    (16, 9): "731018425af040f2b6711cdd2a6403090be746583a528a0ae0d6038e43ab22d6",
+    (32, 11): "e2d7e7c23e90faf52463aa5220434303b7e48cbe4bbe88db4694675eec34fd04",
+}
+
+
 class TestHType:
+    @pytest.mark.parametrize("pair", sorted(_HTYPE_DIGESTS))
+    def test_json_bytes_pinned(self, capsys, tmp_path, pair):
+        out_file = tmp_path / "h.json"
+        code, _, _ = run_cli(capsys, "htype", *map(str, pair), str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == _HTYPE_DIGESTS[pair]
+
     def test_writes_heisenberg_matrix(self, capsys, tmp_path):
         out_file = tmp_path / "h.json"
         code, out, _ = run_cli(capsys, "htype", "1", "1", str(out_file))
@@ -328,7 +393,7 @@ class TestConsoleEntryPoint:
         assert result.returncode == 2
 
 
-# Run in a fresh interpreter: which modules one import and three verbs load.
+# Run in a fresh interpreter: which modules one import and four verbs load.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import pleijel.cli
@@ -338,7 +403,8 @@ codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["value", "30", "1", "gamma_tilde"],
                  ["table", "weyl", "--n-max", "30", "--m-max", "30", "--format", "json"],
-                 ["exceptional"]):
+                 ["exceptional"],
+                 ["htype", "8", "8", sys.argv[1]]):
         codes.append(pleijel.cli.main(argv))
 print(json.dumps({"loaded": loaded, "after_import": after_import,
                   "after_verbs": "numpy" in sys.modules, "codes": codes}))
@@ -346,16 +412,16 @@ print(json.dumps({"loaded": loaded, "after_import": after_import,
 
 
 class TestImportPath:
-    def test_value_table_exceptional_leave_numpy_unloaded(self):
-        # numpy is loaded only by the algebra check and the monotonicity scan
-        # (`check`, `htype`); every layer module still loads eagerly
-        result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+    def test_value_table_exceptional_leave_numpy_unloaded(self, tmp_path):
+        # `htype` included: numpy is loaded only by `check` (the J_z check, the
+        # monotonicity scan, the zeta oracle); every layer module still loads eagerly
+        result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "h88.json")],
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         probe = json.loads(result.stdout)
         assert probe["loaded"] == ["pleijel"] + [f"pleijel.{name}" for name in (
             "admissibility", "checks", "cli", "constants", "core", "htype_algebra",
             "monotonicity", "numerics", "reference", "series")]
-        assert probe["codes"] == [0, 0, 0]
+        assert probe["codes"] == [0, 0, 0, 0]
         assert not probe["after_import"]
         assert not probe["after_verbs"]

@@ -7,6 +7,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from pleijel.htype_algebra import (
     GroupElement,
     HTypeStructure,
     Polynomial,
+    SignedPermutation,
+    _QMUL,
     construct,
     from_json_dict,
     group_identity,
@@ -30,6 +33,54 @@ from pleijel.htype_algebra import (
     verify_structure,
     write_json,
 )
+
+
+# The construction redone on dense int64 matrices with numpy kron and @,
+# as an oracle for the signed-permutation arithmetic.
+_R2 = np.array([[0, -1], [1, 0]], dtype=np.int64)
+_P2 = np.array([[0, 1], [1, 0]], dtype=np.int64)
+_Q2 = np.array([[1, 0], [0, -1]], dtype=np.int64)
+
+
+def _eye(d: int) -> np.ndarray:
+    return np.eye(d, dtype=np.int64)
+
+
+def _quat_matrix(a: int, side: str) -> np.ndarray:
+    M = np.zeros((4, 4), dtype=np.int64)
+    for b in range(4):
+        sign, c = _QMUL[a][b] if side == "left" else _QMUL[b][a]
+        M[c, b] = sign
+    return M
+
+
+def _dense_hurwitz_radon(v: int) -> list[np.ndarray]:
+    lefts = [_quat_matrix(a, "left") for a in (1, 2, 3)]
+    if v == 1:
+        return [_R2]
+    if v == 2:
+        return lefts
+    if v == 3:
+        return ([np.kron(_Q2, L) for L in lefts] + [np.kron(_R2, _eye(4))]
+                + [np.kron(_P2, _quat_matrix(a, "right")) for a in (1, 2, 3)])
+    if v == 4:
+        return [np.kron(_Q2, B) for B in _dense_hurwitz_radon(3)] + [np.kron(_R2, _eye(8))]
+    sixteen = _dense_hurwitz_radon(4)
+    omega = reduce(np.matmul, sixteen)
+    return ([np.kron(B, _eye(1 << (v - 4))) for B in sixteen]
+            + [np.kron(omega, A) for A in _dense_hurwitz_radon(v - 4)])
+
+
+def _dense_family(n: int, m: int) -> list[np.ndarray]:
+    if m == 1:
+        zero = np.zeros((n, n), dtype=np.int64)
+        return [np.block([[zero, -_eye(n)], [_eye(n), zero]])]
+    v = ((2 * n) & -(2 * n)).bit_length() - 1
+    return [np.kron(F, _eye((2 * n) >> v)) for F in _dense_hurwitz_radon(v)[:m]]
+
+
+_DENSE_PAIRS = [(n, m) for n in range(1, 9) for m in range(1, radon_hurwitz(2 * n))]
+_DENSE_PAIRS += [(16, 9), (32, 11)]
 
 
 def rational_element(s, rng, span=30, max_den=10) -> GroupElement:
@@ -81,12 +132,22 @@ class TestConstruct:
 
     def test_verify_rejects_broken_structures(self):
         s = construct((2, 3))
-        bad = HTypeStructure(pair=s.pair, U=(s.U[0], s.U[1], s.U[0]))  # repeated matrix
+        fam = s.family
+        bad = HTypeStructure(pair=s.pair, family=(fam[0], fam[1], fam[0]))  # repeated matrix
         with pytest.raises(ValueError, match="anticommute"):
             verify_structure(bad)
-        asym = np.array([[1, 0], [0, 1]], dtype=np.int64)
+        asym = SignedPermutation.identity(2)  # [[1, 0], [0, 1]]
         with pytest.raises(ValueError, match="skew"):
-            verify_structure(HTypeStructure(pair=construct((1, 1)).pair, U=(asym,)))
+            verify_structure(HTypeStructure(pair=construct((1, 1)).pair, family=(asym,)))
+
+    @pytest.mark.parametrize("pair", _DENSE_PAIRS)
+    def test_signed_permutations_match_dense_products(self, pair):
+        s = construct(pair)
+        want = _dense_family(*pair)
+        assert len(s.family) == len(want) == pair[1]
+        for P, U, W in zip(s.family, s.U, want):
+            assert P.rows() == W.tolist()
+            assert U.dtype == np.int64 and not U.flags.writeable and (U == W).all()
 
 
 class TestGroupLaw:
@@ -274,6 +335,18 @@ class TestJsonInterchange:
         write_json(s, out)
         data = json.loads(out.read_text())
         assert data == {"n": 1, "m": 1, "U": [[[0, -1], [1, 0]]]}
+
+    @pytest.mark.parametrize("n, U, message", [
+        (1, [[[0, -1, 0], [1, 0, 0]]], "not a 2 x 2 matrix"),
+        (1, [[0, 1]], "not a 2 x 2 matrix"),
+        (1, [[[0, -2], [2, 0]]], "entries outside"),
+        (1, [[[0, 1], [0, 1]]], "skew"),
+        (1, [[[0, 0], [0, 0]]], "orthogonal"),
+        (2, [[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]] * 2, "anticommute"),
+    ])
+    def test_dense_payload_names_the_broken_axiom(self, n, U, message):
+        with pytest.raises(ValueError, match=message):
+            from_json_dict({"n": n, "m": len(U), "U": U})
 
     def test_corrupted_payload_rejected(self):
         s = construct((2, 3))
