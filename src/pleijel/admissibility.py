@@ -13,7 +13,7 @@ n in {2, 6, 10} admit m <= 3, n = 4 admits m <= 7, n = 8 admits m <= 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DimPair, as_pair
 
@@ -28,8 +28,7 @@ def radon_hurwitz(N: int) -> int:
     return 8 * (a // 4) + 2 ** (a % 4)
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
+class AdmissibilityVerdict(NamedTuple):
     pair: DimPair
     admissible: bool
     rho_2n: int

@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import reference
 from .admissibility import admissible, radon_hurwitz, shading_mask
@@ -46,8 +46,7 @@ from .series import c_series, series_term
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: tuple[str, ...]

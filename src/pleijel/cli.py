@@ -13,7 +13,8 @@ Verbs:
 A certified value the series cannot deliver (eps below the binary64
 rounding floor, a pair out of binary64 range, or a value that underflows
 binary64 so no relative eps holds) is refused with a one-line message on
-stderr and exit 2.
+stderr and exit 2, as is an exact gamma_bar whose numerator or
+denominator may exceed the interpreter's integer-to-string digit limit.
 
 Output is deterministic byte-for-byte; ``check`` carries a timestamp in
 its JSON trailer unless --no-timestamp is given.
@@ -22,11 +23,9 @@ its JSON trailer unless --no-timestamp is given.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
+from typing import NamedTuple
 
 from .admissibility import admissible
 from .checks import SUITES, run_suites
@@ -42,8 +41,7 @@ FORMATS = ("markdown", "csv", "json", "latex")
 SUITE_NAMES = (*SUITES, "all")
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     quantity: str
     n_max: int = 10
     m_max: int = 10
@@ -66,8 +64,7 @@ class TableSpec:
         return None
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     n: int
     m: int
     value: float
@@ -145,6 +142,8 @@ def _render_csv(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
 
 
 def _render_json(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
+    import json
+
     payload = {
         "quantity": spec.quantity,
         "n_max": spec.n_max,
@@ -223,6 +222,15 @@ def _cmd_value(args, parser) -> int:
     cell = _compute_cell(args.quantity, args.n, args.m, args.precision, args.eps)
     line = cell.display
     if cell.exact is not None:
+        # str() refuses integers over the interpreter's digit limit (0: none; no
+        # limit before Python 3.10.7); b bits give at most b log10(2) + 1 digits
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        bits = max(cell.exact.numerator.bit_length(), cell.exact.denominator.bit_length())
+        if limit and bits * 30103 // 100000 + 1 > limit:
+            print(f"error: {args.quantity}({args.n},{args.m}) is exact, but its numerator or "
+                  f"denominator may have more than the {limit} digits this interpreter "
+                  "prints", file=sys.stderr)
+            return 2
         line += f" (= {cell.exact.numerator}/{cell.exact.denominator})"
     if not cell.admissible:
         line += " [inadmissible: no H-type group]"
@@ -253,6 +261,8 @@ def _cmd_table(args, parser) -> int:
 
 
 def _cmd_check(args, parser) -> int:
+    import json
+
     if not args.eps > 0:
         parser.error("eps must be > 0")
     names = SUITE_NAMES[:-1] if args.suite == "all" else (args.suite,)
@@ -269,6 +279,8 @@ def _cmd_check(args, parser) -> int:
         "passed": all(r.passed for r in results),
     }
     if not args.no_timestamp:
+        from datetime import datetime, timezone
+
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
     print(json.dumps(report, sort_keys=True))
     return 0 if report["passed"] else 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -42,23 +41,33 @@ class InadmissiblePair(ValueError):
         self.rho_2n = rho_2n
 
 
-@dataclass(frozen=True, order=True)
-class DimPair:
+class _DimPairFields(NamedTuple):
+    n: int
+    m: int
+
+
+class DimPair(_DimPairFields):
     """Dimension parameters of an H-type group R^(2n) x R^m.
 
     n: half the dimension of the horizontal layer (which is always even).
     m: dimension of the centre.
+
+    A tuple: DimPair(2, 1) == (2, 1), with the same order and hash.
     """
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, m: int):
         # bool is an int subclass; DimPair(True, True) would alias (1, 1)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.n, self.m)):
-            raise TypeError(f"n, m must be ints, got ({self.n!r}, {self.m!r})")
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n >= 1 and m >= 1, got ({self.n}, {self.m})")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, m)):
+            raise TypeError(f"n, m must be ints, got ({n!r}, {m!r})")
+        if n < 1 or m < 1:
+            raise ValueError(f"need n >= 1 and m >= 1, got ({n}, {m})")
+        return super().__new__(cls, n, m)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     @property
     def homogeneous_dimension(self) -> int:

@@ -41,12 +41,10 @@ test functions.
 
 from __future__ import annotations
 
-import json
 import operator
 from collections.abc import Sized
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, NamedTuple
 
 from .admissibility import admissible
@@ -152,8 +150,7 @@ def _hurwitz_radon_family(v: int) -> tuple[SignedPermutation, ...]:
             + tuple(omega.kron(A) for A in _hurwitz_radon_family(v - 4)))
 
 
-@dataclass(frozen=True, eq=False)
-class HTypeStructure:
+class HTypeStructure(NamedTuple):
     """An explicit family of signed permutation matrices realising an H-type group."""
 
     pair: DimPair
@@ -167,9 +164,9 @@ class HTypeStructure:
     def dim_t(self) -> int:
         return self.pair.m
 
-    @cached_property
+    @property
     def U(self) -> tuple[np.ndarray, ...]:
-        """The family as read-only dense int64 matrices (loads numpy)."""
+        """The family as read-only dense int64 matrices (loads numpy; built on each access)."""
         import numpy as np
 
         mats = np.array([P.rows() for P in self.family], dtype=np.int64)
@@ -215,8 +212,7 @@ def construct(pair) -> HTypeStructure:
     return s
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """A point (x, t) with len(x) = 2n and len(t) = m.
 
     Coordinates may be ints, Fractions, or floats; group operations stay
@@ -341,8 +337,7 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True, eq=False)
-class SublaplacianCoefficients:
+class SublaplacianCoefficients(NamedTuple):
     """Second-order symbol of the sublaplacian, in exact form.
 
     Variables are ordered x_1..x_(2n), t_1..t_m.  The symbol consists of
@@ -424,6 +419,8 @@ def from_json_dict(data: dict) -> HTypeStructure:
 
 def write_json(s: HTypeStructure, path) -> None:
     """Re-verify and serialise; never writes an unverified structure."""
+    import json
+
     verify_structure(s)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_json_dict(s), fh, indent=1)

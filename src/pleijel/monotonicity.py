@@ -35,9 +35,8 @@ empirical observation: it is not covered by the proved chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import gamma_bar_exact, gamma_tilde, gamma_tilde_interval
 from .core import Enclosure, as_pair
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     name: str
     domain_scanned: str
     max_observed: float

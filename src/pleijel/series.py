@@ -64,9 +64,9 @@ kernel:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import DimPair, PrecisionUnreachable, as_pair
 
@@ -105,8 +105,13 @@ _EM_RATIO = _em_ratios()
 _BETA1 = 1 / 6  # beta_1 = B_2
 
 
-@dataclass(frozen=True)
-class SeriesValue:
+class _SeriesValueFields(NamedTuple):
+    value: float
+    tail_bound: float
+    terms_used: int
+
+
+class SeriesValue(_SeriesValueFields):
     """A certified lower bound plus enclosure width for a positive series.
 
     The true sum lies in [value, value + tail_bound].  ``terms_used`` is
@@ -114,13 +119,16 @@ class SeriesValue:
     accounted for by the Euler-Maclaurin Hurwitz-zeta tail.
     """
 
-    value: float
-    tail_bound: float
-    terms_used: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tail_bound < 0:
+    def __new__(cls, value: float, tail_bound: float, terms_used: int):
+        if tail_bound < 0:
             raise ValueError("tail_bound must be >= 0")
+        return super().__new__(cls, value, tail_bound, terms_used)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     @property
     def midpoint(self) -> float:

@@ -11,8 +11,26 @@ from hypothesis import strategies as st
 
 from pleijel import reference
 from pleijel.admissibility import admissible, is_admissible, radon_hurwitz, shading_mask
-from pleijel.core import InadmissiblePair
-from pleijel.htype_algebra import construct
+from pleijel.checks import CheckResult
+from pleijel.cli import TableSpec, _compute_cell
+from pleijel.core import DimPair, InadmissiblePair
+from pleijel.htype_algebra import construct, group_identity, sublaplacian_coefficients
+from pleijel.monotonicity import InequalityReport
+from pleijel.series import c_series
+
+#: one instance of each of the package's value types (NamedTuples)
+_VALUE_TYPES = {
+    "DimPair": lambda: DimPair(2, 1),
+    "SeriesValue": lambda: c_series((2, 1)),
+    "AdmissibilityVerdict": lambda: admissible((2, 1)),
+    "CheckResult": lambda: CheckResult("tables", True, ()),
+    "InequalityReport": lambda: InequalityReport("phi", "n <= 2", 0.5, 1.0, True),
+    "TableSpec": lambda: TableSpec("gamma_tilde"),
+    "Cell": lambda: _compute_cell("gamma_bar", 4, 2, 4, 1e-8),
+    "HTypeStructure": lambda: construct((2, 3)),
+    "GroupElement": lambda: group_identity(construct((2, 3))),
+    "SublaplacianCoefficients": lambda: sublaplacian_coefficients(construct((2, 3))),
+}
 
 
 class TestRadonHurwitz:
@@ -91,3 +109,13 @@ class TestCrossModule:
             with pytest.raises(InadmissiblePair) as err:
                 construct((n, max_m + 1))
             assert err.value.rho_2n == radon_hurwitz(2 * n)
+
+    @pytest.mark.parametrize("name", _VALUE_TYPES)
+    def test_value_types_are_read_only(self, name):
+        value = _VALUE_TYPES[name]()
+        assert type(value).__name__ == name
+        for field in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = None

@@ -94,6 +94,16 @@ class TestValue:
         assert err.startswith(f"error: weyl({pair[0]},{pair[1]}) cannot be certified")
         assert err.count("\n") == 1
 
+    def test_exact_rational_over_the_digit_limit_refused(self, capsys):
+        # gamma_bar(2000, 1) = p/q with a 5,055-digit q: str() of it would raise
+        code, out, err = run_cli(capsys, "value", "2000", "1", "gamma_bar")
+        assert code == 2 and out == ""
+        assert err.startswith("error: gamma_bar(2000,1) is exact") and err.count("\n") == 1
+        # (1000, 1) has a 2,229-digit q, under the limit: printed in full, as before
+        code, out, _ = run_cli(capsys, "value", "1000", "1", "gamma_bar")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+            "c6cca717828fdaa32101bc2d5a6ca9ae42a20fb1e95f86ec6bcc03d4df5ec0e3")
+
 
 def _csv_cells(out: str) -> dict[tuple[int, int], list[str]]:
     lines = out.strip().splitlines()
@@ -395,8 +405,11 @@ class TestConsoleEntryPoint:
 
 # Run in a fresh interpreter: which modules one import and four verbs load.
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)  # whatever site loaded does not count
 import pleijel.cli
+added = set(sys.modules) - before
+import contextlib, io, json
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "pleijel")
 after_import = "numpy" in sys.modules
 codes = []
@@ -407,7 +420,8 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["htype", "8", "8", sys.argv[1]]):
         codes.append(pleijel.cli.main(argv))
 print(json.dumps({"loaded": loaded, "after_import": after_import,
-                  "after_verbs": "numpy" in sys.modules, "codes": codes}))
+                  "after_verbs": "numpy" in sys.modules, "codes": codes,
+                  "stdlib_added": sorted(added & {"dataclasses", "inspect", "datetime", "json"})}))
 """
 
 
@@ -425,3 +439,6 @@ class TestImportPath:
         assert probe["codes"] == [0, 0, 0, 0]
         assert not probe["after_import"]
         assert not probe["after_verbs"]
+        # the import itself adds none of these: dataclasses pulls in inspect, ast,
+        # dis and tokenize; datetime and json are loaded by the verbs that use them
+        assert probe["stdlib_added"] == []

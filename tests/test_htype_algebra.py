@@ -93,6 +93,10 @@ class TestConstruct:
     def test_heisenberg_plane(self):
         s = construct((1, 1))
         assert s.U[0].tolist() == [[0, -1], [1, 0]]
+        with pytest.raises(ValueError):  # a read-only dense view
+            s.U[0][0, 1] = 1
+        with pytest.raises(AttributeError):
+            s.U = ()
 
     def test_heisenberg_block_form(self):
         s = construct((3, 1))

@@ -26,6 +26,7 @@ from pleijel.core import DimPair, PrecisionUnreachable, as_pair
 from pleijel.numerics import zeta
 from pleijel.series import (
     _BERNOULLI,
+    SeriesValue,
     _enclosure,
     _integral_remainder,
     _min_terms,
@@ -214,12 +215,22 @@ class TestHurwitzKernel:
             assert err.value.best_bound == math.inf
 
     def test_pair_forms_share_one_cache_entry(self):
+        c_series.cache_clear()
         _enclosure.cache_clear()
         c_series((2, 2))
-        c_series(DimPair(2, 2))
+        c_series(DimPair(2, 2))  # equal to (2, 2), with its hash: a cache hit
         c_series((2, 2), 1e-10, relative=True)
         info = _enclosure.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
+        assert c_series.cache_info().currsize == 2
+
+    def test_series_value_validated(self):
+        assert SeriesValue(1.0, 0.5, 3) == (1.0, 0.5, 3)
+        for tail_bound in (-1, -1e-300):
+            with pytest.raises(ValueError):
+                SeriesValue(1.0, tail_bound=tail_bound, terms_used=0)
+        with pytest.raises(ValueError):
+            SeriesValue(1.0, 0.5, 3)._replace(tail_bound=-1)
 
     def test_bernoulli_table(self):
         # B_j from the recurrence sum_{k<=j} C(j+1, k) B_k = 0
@@ -348,6 +359,8 @@ class TestDimPair:
             DimPair(1, 0)
         with pytest.raises(TypeError):
             DimPair(1.5, 1)
+        with pytest.raises(ValueError):
+            DimPair(1, 1)._replace(n=0)
 
     def test_bools_rejected(self):
         # bool is an int subclass: (True, True) would print as (True,True)
@@ -371,3 +384,10 @@ class TestDimPair:
 
     def test_homogeneous_dimension(self):
         assert DimPair(3, 2).homogeneous_dimension == 10
+
+    def test_a_tuple_with_order_str_and_hash(self):
+        assert sorted([DimPair(2, 1), DimPair(1, 3), DimPair(1, 1)]) == [
+            DimPair(1, 1), DimPair(1, 3), DimPair(2, 1)]
+        assert str(DimPair(2, 1)) == f"{DimPair(2, 1)}" == "(2,1)"
+        assert DimPair(2, 1) == (2, 1) and hash(DimPair(2, 1)) == hash((2, 1))
+        assert DimPair(n=2, m=1) == DimPair(2, 1) != DimPair(1, 2)
