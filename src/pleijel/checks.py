@@ -238,10 +238,20 @@ def _skew_signed_permutations(dim: int):
 
 
 def _random_skew_signed_permutation(dim: int, rng: random.Random) -> SignedPermutation:
-    order = list(range(dim))
-    rng.shuffle(order)
-    pairing = [(order[idx], order[idx + 1]) for idx in range(0, dim, 2)]
-    return _swap_pairs(dim, pairing, [rng.choice((1, -1)) for _ in pairing])
+    """A uniform draw from the skew signed permutations on R^dim.
+
+    Sorting by i.i.d. uniform keys gives a uniform order of range(dim) (a
+    tie, probability below dim^2 2^-54, falls back to index order), so
+    consecutive pairs form a uniform perfect matching, each pair in either
+    orientation alike; one independent uniform sign per pair then puts
+    the +1 of each transposition on either side alike, so every one of
+    the (dim-1)!! 2^(dim/2) matrices is equally likely.
+    """
+    keys = [rng.random() for _ in range(dim)]
+    order = sorted(range(dim), key=keys.__getitem__)
+    bits = rng.getrandbits(dim // 2)
+    signs = [1 - 2 * (bits >> h & 1) for h in range(dim // 2)]
+    return _swap_pairs(dim, zip(order[::2], order[1::2]), signs)
 
 
 def _swap_pairs(dim: int, pairing, signs) -> SignedPermutation:
@@ -290,18 +300,27 @@ def check_algebra(seed: int = 2024, triples: int = 1000) -> CheckResult:
         return GroupElement(x=x, t=t)
 
     ident = group_identity(s)
-    bad = 0
+    bad = skewed = 0
     for _ in range(triples):
         a, b, c = rand_element(), rand_element(), rand_element()
-        if group_mul(s, group_mul(s, a, b), c) != group_mul(s, a, group_mul(s, b, c)):
+        ab = group_mul(s, a, b)
+        if group_mul(s, ab, c) != group_mul(s, a, group_mul(s, b, c)):
             bad += 1
         if group_mul(s, a, ident) != a or group_mul(s, a, group_inverse(a)) != ident:
             bad += 1
+        # every bilinear correction makes an associative law with these
+        # inverses; the commutator t(ab) - t(ba) = <U x, xi> pins the 1/2
+        ba = group_mul(s, b, a)
+        if any(u - v != sum(xi * sign * a.x[p] for xi, p, sign in zip(b.x, P.perm, P.signs))
+               for u, v, P in zip(ab.t, ba.t, s.family)):
+            skewed += 1
     if bad:
         failures.append(f"group law failed exact associativity/identity on {bad} triples")
     else:
         notes.append(f"group law exactly associative with exact inverses on {triples} "
                      "random rational triples at (2,3)")
+    if skewed:
+        failures.append(f"group commutator differs from <U x, xi> on {skewed} pairs")
 
     # J_z orthogonality on random unit vectors
     s47 = construct((4, 7))

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .admissibility import is_admissible
@@ -53,9 +54,8 @@ from .numerics import log_gamma, sphere_area
 from .series import (
     _integral_remainder,
     _min_terms,
+    _summand,
     c_series,
-    multiindex_count,
-    series_term,
 )
 
 __all__ = [
@@ -282,33 +282,42 @@ def weyl_density_bruteforce(pair, lam: float, max_shells: int | None = None,
     do not reach that stop rule.
     """
     p = as_pair(pair)
-    if not lam > 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    s = p.n + p.m
-    kmin = _min_terms(p.n)
-
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
+    n, s = p.n, p.n + p.m
+    shells, remainder = _bruteforce_shells(n, p.m, eps, max_shells)
     total = 0.0
     comp = 0.0
-    partial = 0.0  # the series' partial sum, for the stop rule
-    K = 0
-    while True:
-        term = series_term(p, K)
-        if K >= kmin and term <= eps * partial:
-            break
-        if max_shells is not None and K >= max_shells:
-            raise PrecisionUnreachable(
-                f"max_shells={max_shells} insufficient for eps={eps:g} at {p}",
-                best_bound=term if K >= kmin else math.inf,
-                terms_used=K,
-            )
-        shell = multiindex_count(p.n, K) * (lam / (2 * K + p.n)) ** s / s
+    for K in range(shells):
+        # multiindex_count(n, K) * (lam / (2K + n))^s / s
+        shell = math.comb(K + n - 1, K) * (lam / (2 * K + n)) ** s / s
         y = shell - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        partial += term
-        K += 1
-    remainder = _integral_remainder(p, K) + term / 2
     total += lam**s * remainder / s
     # omega_(m-1)/(2pi)^(n+m) * total; _weyl_prefactor carries an extra 1/s
     return _weyl_prefactor(p) * s * total
+
+
+@lru_cache(maxsize=16)
+def _bruteforce_shells(n: int, m: int, eps: float, max_shells: int | None) -> tuple[int, float]:
+    """The lambda-free part of weyl_density_bruteforce: the number of shells
+    summed before the stop rule holds, and the integral bracket of the
+    series from there on."""
+    kmin = _min_terms(n)
+    partial = 0.0  # the series' partial sum, for the stop rule
+    K = 0
+    while True:
+        term = _summand(n, m, K)
+        if K >= kmin and term <= eps * partial:
+            break
+        if max_shells is not None and K >= max_shells:
+            raise PrecisionUnreachable(
+                f"max_shells={max_shells} insufficient for eps={eps:g} at {DimPair(n, m)}",
+                best_bound=term if K >= kmin else math.inf,
+                terms_used=K,
+            )
+        partial += term
+        K += 1
+    return K, _integral_remainder((n, m), K) + term / 2

@@ -149,11 +149,16 @@ def series_term(pair, k: int) -> float:
     p = as_pair(pair)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    d = 2 * k + p.n
+    return _summand(p.n, p.m, k)
+
+
+def _summand(n: int, m: int, k: int) -> float:
+    """series_term on a validated pair and k >= 0."""
+    d = 2 * k + n
     r = 1.0
-    for j in range(1, p.n):
+    for j in range(1, n):
         r *= (k + j) / (j * d)
-    return r * float(d) ** (-(p.m + 1))
+    return r * float(d) ** (-(m + 1))
 
 
 def series_term_exact(pair, k: int) -> Fraction:
@@ -293,7 +298,6 @@ def _enclosure(n: int, m: int) -> SeriesValue:
     return SeriesValue(value=lo, tail_bound=math.nextafter(hi - lo, math.inf), terms_used=K)
 
 
-@lru_cache(maxsize=None)
 def c_series(pair, eps: float = 1e-8, relative: bool = False) -> SeriesValue:
     """Evaluate c(n, m) with certified enclosure width <= eps.
 
@@ -305,7 +309,13 @@ def c_series(pair, eps: float = 1e-8, relative: bool = False) -> SeriesValue:
     the floor width as ``best_bound``.  So does a pair out of binary64
     range ((n+m) log2 n > 1000), with an infinite ``best_bound``.
     """
-    p = as_pair(pair)
+    return _c_series(as_pair(pair), eps, relative)
+
+
+# The cache sits behind as_pair, so every pair is validated before the
+# lookup and each pair form shares the entry of its DimPair.
+@lru_cache(maxsize=None)
+def _c_series(p: DimPair, eps: float, relative: bool) -> SeriesValue:
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     sv = _enclosure(p.n, p.m)
@@ -318,6 +328,11 @@ def c_series(pair, eps: float = 1e-8, relative: bool = False) -> SeriesValue:
             terms_used=sv.terms_used,
         )
     return sv
+
+
+# c_series keeps lru_cache's statistics and reset
+c_series.cache_info = _c_series.cache_info
+c_series.cache_clear = _c_series.cache_clear
 
 
 def c_tail_bound(pair, K: int) -> float:

@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pleijel.constants import (
+    _weyl_prefactor,
     exceptional_set,
     gamma_bar,
     gamma_bar_exact,
@@ -30,9 +31,10 @@ from pleijel.constants import (
     weyl_density_bruteforce,
     weyl_interval,
 )
-from pleijel.core import DimPair, Enclosure, PrecisionUnreachable
+from pleijel.core import DimPair, Enclosure, PrecisionUnreachable, as_pair
 from pleijel.numerics import gamma_ratio_exact, round_half_away, sphere_area, zeta
 from pleijel import reference
+from pleijel.series import _integral_remainder, _min_terms, multiindex_count, series_term
 from test_series import _hurwitz_oracle
 
 SOBOLEV_21_REFERENCE = 9.973934966328010133395
@@ -194,8 +196,57 @@ class TestWeylBruteForce:
             weyl_density_bruteforce((1, 1), 1.0, max_shells=50)
 
     def test_bad_lambda(self):
-        with pytest.raises(ValueError):
-            weyl_density_bruteforce((1, 1), 0.0)
+        for lam in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                weyl_density_bruteforce((1, 1), lam)
+
+    @pytest.mark.parametrize("pair", [(1, 1), (2, 2), (3, 1)])
+    def test_bit_identical_to_the_shell_loop(self, pair):
+        # the (pair, lambda) calls of check_consistency
+        for lam in (0.5, 1.0, 2.0, 8.0):
+            got = weyl_density_bruteforce(pair, lam)
+            assert got.hex() == _bruteforce_reference(pair, lam).hex(), lam
+
+    @pytest.mark.parametrize("max_shells", [10, 50, 1000])
+    def test_max_shells_refusal_unchanged(self, max_shells):
+        # 10 stops before _min_terms(1) = 16, so its best bound is infinite
+        with pytest.raises(PrecisionUnreachable) as got:
+            weyl_density_bruteforce((1, 1), 1.0, max_shells=max_shells)
+        with pytest.raises(PrecisionUnreachable) as want:
+            _bruteforce_reference((1, 1), 1.0, max_shells=max_shells)
+        assert str(got.value) == str(want.value)
+        assert got.value.terms_used == want.value.terms_used == max_shells
+        assert got.value.best_bound == want.value.best_bound
+
+
+def _bruteforce_reference(pair, lam, max_shells=None, eps=1e-9) -> float:
+    """weyl_density_bruteforce as one loop over the shells, each term and
+    count computed in place: the reference for its hoisted form."""
+    p = as_pair(pair)
+    s = p.n + p.m
+    kmin = _min_terms(p.n)
+    total = comp = partial = 0.0
+    K = 0
+    while True:
+        term = series_term(p, K)
+        if K >= kmin and term <= eps * partial:
+            break
+        if max_shells is not None and K >= max_shells:
+            raise PrecisionUnreachable(
+                f"max_shells={max_shells} insufficient for eps={eps:g} at {p}",
+                best_bound=term if K >= kmin else math.inf,
+                terms_used=K,
+            )
+        shell = multiindex_count(p.n, K) * (lam / (2 * K + p.n)) ** s / s
+        y = shell - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        partial += term
+        K += 1
+    remainder = _integral_remainder(p, K) + term / 2
+    total += lam**s * remainder / s
+    return _weyl_prefactor(p) * s * total
 
 
 class TestErrorPropagation:

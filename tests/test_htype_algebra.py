@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pleijel import checks
 from pleijel.admissibility import radon_hurwitz
 from pleijel.core import InadmissiblePair
 from pleijel.htype_algebra import (
@@ -81,6 +83,22 @@ def _dense_family(n: int, m: int) -> list[np.ndarray]:
 
 _DENSE_PAIRS = [(n, m) for n in range(1, 9) for m in range(1, radon_hurwitz(2 * n))]
 _DENSE_PAIRS += [(16, 9), (32, 11)]
+
+
+def _group_mul_reference(s, a: GroupElement, b: GroupElement) -> GroupElement:
+    """group_mul as one generic loop over the coordinates, whatever their
+    type: the reference for its integer-numerator branch."""
+    x = tuple(xa + xb for xa, xb in zip(a.x, b.x))
+    t = []
+    for j, P in enumerate(s.family):
+        corr = sum(xi * (sign * a.x[p]) for xi, p, sign in zip(b.x, P.perm, P.signs))
+        half = Fraction(1, 2) if isinstance(corr, (int, Fraction)) else 0.5
+        t.append(a.t[j] + b.t[j] + half * corr)
+    return GroupElement(x=x, t=tuple(t))
+
+
+def _typed(g: GroupElement) -> list:
+    return [(v, type(v)) for v in g.x + g.t]
 
 
 def rational_element(s, rng, span=30, max_den=10) -> GroupElement:
@@ -197,6 +215,43 @@ class TestGroupLaw:
                 )
                 assert ab.t[j] - ba.t[j] == bracket
 
+    @pytest.mark.parametrize("pair", [(2, 3), (4, 7)])
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed", "float"])
+    def test_matches_the_generic_loop_in_value_and_type(self, pair, kind):
+        s = construct(pair)
+        rng = random.Random(f"{pair} {kind}")
+
+        def coord():
+            draw = rng.randrange(3) if kind in ("mixed", "float") else 0
+            if kind == "int" or draw == 0:
+                return rng.randint(-30, 30)
+            if kind == "float" and draw == 1:
+                return rng.uniform(-30, 30)
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 10))
+
+        def element():
+            return GroupElement(x=tuple(coord() for _ in range(s.dim_x)),
+                                t=tuple(coord() for _ in range(s.dim_t)))
+
+        e = group_identity(s)
+        for _ in range(100):
+            a, b = element(), element()
+            for u, v in ((a, b), (b, a), (a, e), (e, a), (e, e), (a, group_inverse(a))):
+                assert _typed(group_mul(s, u, v)) == _typed(_group_mul_reference(s, u, v))
+
+    def test_check_algebra_sees_a_dropped_half(self, monkeypatch):
+        # (x, t) o (xi, tau) = (x + xi, t + tau + <U x, xi>) is associative with
+        # the same inverses; only the commutator check can tell it apart
+        def without_half(s, a, b):
+            ab = group_mul(s, a, b)
+            return ab._replace(t=tuple(2 * u - ta - tb for u, ta, tb in zip(ab.t, a.t, b.t)))
+
+        monkeypatch.setattr(checks, "group_mul", without_half)
+        result = checks.check_algebra(triples=20)
+        assert not result.passed
+        assert "group commutator differs from <U x, xi> on 20 pairs" in result.details
+        assert any(note.startswith("group law exactly associative") for note in result.details)
+
     def test_dimension_mismatch(self):
         s = construct((1, 1))
         with pytest.raises(ValueError):
@@ -213,6 +268,19 @@ class TestGroupLaw:
         lhs = group_inverse(group_mul(s, a, b))
         rhs = group_mul(s, group_inverse(b), group_inverse(a))
         assert lhs == rhs
+
+
+class TestExtensionSampler:
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_uniform_over_the_skew_signed_permutations(self, dim):
+        # 3 * 4 = 12 matrices at dim 4 and 15 * 8 = 120 at dim 6, each drawn
+        # 400 times on average; every count within 6 standard deviations
+        every = set(checks._skew_signed_permutations(dim))
+        rng = random.Random(dim)
+        counts = Counter(checks._random_skew_signed_permutation(dim, rng)
+                         for _ in range(400 * len(every)))
+        assert set(counts) == every
+        assert all(abs(c - 400) < 6 * math.sqrt(400) for c in counts.values())
 
 
 class TestJz:

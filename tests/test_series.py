@@ -224,6 +224,12 @@ class TestHurwitzKernel:
         assert (info.misses, info.currsize) == (1, 1)
         assert c_series.cache_info().currsize == 2
 
+    def test_pair_validated_before_the_cache(self):
+        c_series(DimPair(1, 1))  # a cached (1, 1) must not answer for bad pair forms
+        for bad in ((1.0, 1), (True, True)):
+            with pytest.raises(TypeError):
+                c_series(bad)
+
     def test_series_value_validated(self):
         assert SeriesValue(1.0, 0.5, 3) == (1.0, 0.5, 3)
         for tail_bound in (-1, -1e-300):
