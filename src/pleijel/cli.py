@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 from .admissibility import admissible
 from .checks import SUITES, run_suites
-from .constants import (exceptional_set, gamma_bar_exact, gamma_tilde_interval,
-                        sobolev_interval, weyl_interval)
+from .constants import (_gamma_bar_ratio, exceptional_set, gamma_bar_exact,
+                        gamma_tilde_interval, sobolev_interval, weyl_interval)
 from .core import DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable
 from .htype_algebra import construct, write_json
 from .numerics import round_half_away
@@ -49,19 +49,6 @@ class TableSpec(NamedTuple):
     precision: int = 4
     eps: float = 1e-8
     annotations: bool = True
-
-    def validate(self) -> str | None:
-        if self.quantity not in QUANTITIES:
-            return f"unknown quantity {self.quantity!r}"
-        if not 1 <= self.precision <= 12:
-            return f"precision must be in [1, 12], got {self.precision}"
-        if not (1 <= self.n_max <= 30 and 1 <= self.m_max <= 30):
-            return f"n_max, m_max must be in [1, 30], got ({self.n_max}, {self.m_max})"
-        if self.fmt not in FORMATS:
-            return f"unknown format {self.fmt!r}"
-        if not self.eps > 0:
-            return "eps must be > 0"
-        return None
 
 
 class Cell(NamedTuple):
@@ -108,23 +95,34 @@ def _compute_cell(quantity: str, n: int, m: int, precision: int, eps: float) -> 
 # --------------------------------------------------------------------------
 # table rendering
 
-def _render_markdown(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
-    lines = [f"quantity: {spec.quantity} ({spec.precision} decimals; eps {spec.eps:g})", ""]
-    header = "| n/m | " + " | ".join(str(m) for m in range(1, spec.m_max + 1)) + " |"
-    rule = "|" + "---|" * (spec.m_max + 1)
-    lines += [header, rule]
+def _annotated_rows(spec: TableSpec, cells: dict[tuple[int, int], Cell],
+                    exceeds: str, inadmissible: str) -> list[list[str]]:
+    """Rows [n, display(n, 1), ...]; with annotations on, an admissible cell
+    above 1 is put in the ``exceeds`` template, an inadmissible one in the
+    ``inadmissible`` template."""
+    rows = []
     for n in range(1, spec.n_max + 1):
         row = [str(n)]
         for m in range(1, spec.m_max + 1):
             c = cells[n, m]
             text = c.display
             if spec.annotations:
-                if c.admissible and c.exceeds_one:
-                    text = f"**{text}**"
                 if not c.admissible:
-                    text = f"({text})"
+                    text = inadmissible.format(text)
+                elif c.exceeds_one:
+                    text = exceeds.format(text)
             row.append(text)
-        lines.append("| " + " | ".join(row) + " |")
+        rows.append(row)
+    return rows
+
+
+def _render_markdown(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
+    lines = [f"quantity: {spec.quantity} ({spec.precision} decimals; eps {spec.eps:g})", ""]
+    header = "| n/m | " + " | ".join(str(m) for m in range(1, spec.m_max + 1)) + " |"
+    rule = "|" + "---|" * (spec.m_max + 1)
+    lines += [header, rule]
+    lines += ["| " + " | ".join(row) + " |"
+              for row in _annotated_rows(spec, cells, "**{}**", "({})")]
     if spec.annotations:
         lines += ["", "legend: **value** admissible and > 1; (value) no H-type group"]
     return "\n".join(lines) + "\n"
@@ -176,18 +174,8 @@ def _render_latex(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
         "\\hline",
         "$n/m$ & " + " & ".join(str(m) for m in range(1, spec.m_max + 1)) + r" \\ \hline",
     ]
-    for n in range(1, spec.n_max + 1):
-        row = [str(n)]
-        for m in range(1, spec.m_max + 1):
-            c = cells[n, m]
-            text = c.display
-            if spec.annotations:
-                if c.admissible and c.exceeds_one:
-                    text = f"\\textcolor{{red}}{{{text}}}"
-                if not c.admissible:
-                    text = f"\\cellcolor{{gray!50}}{text}"
-            row.append(text)
-        lines.append(" & ".join(row) + r" \\ \hline")
+    lines += [" & ".join(row) + r" \\ \hline" for row in _annotated_rows(
+        spec, cells, r"\textcolor{{red}}{{{}}}", r"\cellcolor{{gray!50}}{}")]
     lines.append("\\end{tabular}")
     return "\n".join(lines) + "\n"
 
@@ -212,24 +200,34 @@ def render_table(spec: TableSpec) -> str:
 # --------------------------------------------------------------------------
 # subcommand implementations
 
-def _cmd_value(args, parser) -> int:
-    if args.n < 1 or args.m < 1:
-        parser.error("n and m must be >= 1")
-    if not 1 <= args.precision <= 12:
-        parser.error("precision must be in [1, 12]")
-    if not args.eps > 0:
-        parser.error("eps must be > 0")
+def _over_digit_limit(args, bits: int) -> bool:
+    """Whether an exact value with a numerator or denominator of ``bits`` bits
+    is refused, with its one-line message on stderr.
+
+    str() refuses integers over the interpreter's digit limit (0: none; no
+    limit before Python 3.10.7); b bits give at most b log10(2) + 1 digits.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not (limit and bits * 30103 // 100000 + 1 > limit):
+        return False
+    print(f"error: {args.quantity}({args.n},{args.m}) is exact, but its numerator or "
+          f"denominator may have more than the {limit} digits this interpreter "
+          "prints", file=sys.stderr)
+    return True
+
+
+def _cmd_value(args) -> int:
+    if args.quantity == "gamma_bar":
+        # a/b = num/den in lowest terms has a or b of at least
+        # |bits(num) - bits(den)| - 1 bits: enough to refuse before normalising
+        num, den = _gamma_bar_ratio(DimPair(args.n, args.m))
+        if _over_digit_limit(args, abs(num.bit_length() - den.bit_length()) - 1):
+            return 2
     cell = _compute_cell(args.quantity, args.n, args.m, args.precision, args.eps)
     line = cell.display
     if cell.exact is not None:
-        # str() refuses integers over the interpreter's digit limit (0: none; no
-        # limit before Python 3.10.7); b bits give at most b log10(2) + 1 digits
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        bits = max(cell.exact.numerator.bit_length(), cell.exact.denominator.bit_length())
-        if limit and bits * 30103 // 100000 + 1 > limit:
-            print(f"error: {args.quantity}({args.n},{args.m}) is exact, but its numerator or "
-                  f"denominator may have more than the {limit} digits this interpreter "
-                  "prints", file=sys.stderr)
+        if _over_digit_limit(args, max(cell.exact.numerator.bit_length(),
+                                       cell.exact.denominator.bit_length())):
             return 2
         line += f" (= {cell.exact.numerator}/{cell.exact.denominator})"
     if not cell.admissible:
@@ -243,7 +241,7 @@ def _cmd_value(args, parser) -> int:
     return 0
 
 
-def _cmd_table(args, parser) -> int:
+def _cmd_table(args) -> int:
     spec = TableSpec(
         quantity=args.quantity,
         n_max=args.n_max,
@@ -253,18 +251,13 @@ def _cmd_table(args, parser) -> int:
         eps=args.eps,
         annotations=not args.no_annotations,
     )
-    problem = spec.validate()
-    if problem:
-        parser.error(problem)
     sys.stdout.write(render_table(spec))
     return 0
 
 
-def _cmd_check(args, parser) -> int:
+def _cmd_check(args) -> int:
     import json
 
-    if not args.eps > 0:
-        parser.error("eps must be > 0")
     names = SUITE_NAMES[:-1] if args.suite == "all" else (args.suite,)
     results = run_suites(names, eps=args.eps)
     for res in results:
@@ -286,32 +279,21 @@ def _cmd_check(args, parser) -> int:
     return 0 if report["passed"] else 1
 
 
-def _cmd_exceptional(args, parser) -> int:
-    if args.n_max < 1 or args.m_max < 1:
-        parser.error("--n-max and --m-max must be >= 1")
-    if not args.eps > 0:
-        parser.error("eps must be > 0")
+def _cmd_exceptional(args) -> int:
     result = exceptional_set(args.n_max, args.m_max, args.eps)
-    print(
-        f"exceptional pairs (certified gamma_tilde >= 1) "
-        f"for 1 <= n <= {args.n_max}, 1 <= m <= {args.m_max}:"
-    )
-    for p in result.exceptional:
-        low, high = gamma_tilde_interval(p, args.eps)
-        print(f"  {p}  gamma_tilde in [{low:.8f}, {high:.8f}]")
-    if result.uncertain:
-        print("uncertain (certified interval straddles 1):")
-        for p in result.uncertain:
+    titles = (f"exceptional pairs (certified gamma_tilde >= 1) "
+              f"for 1 <= n <= {args.n_max}, 1 <= m <= {args.m_max}:",
+              "uncertain (certified interval straddles 1):" if result.uncertain
+              else "uncertain: none")
+    for title, pairs in zip(titles, result):
+        print(title)
+        for p in pairs:
             low, high = gamma_tilde_interval(p, args.eps)
             print(f"  {p}  gamma_tilde in [{low:.8f}, {high:.8f}]")
-    else:
-        print("uncertain: none")
     return 0
 
 
-def _cmd_htype(args, parser) -> int:
-    if args.n < 1 or args.m < 1:
-        parser.error("n and m must be >= 1")
+def _cmd_htype(args) -> int:
     try:
         structure = construct((args.n, args.m))
     except InadmissiblePair as exc:
@@ -322,6 +304,24 @@ def _cmd_htype(args, parser) -> int:
     return 0
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse type: ``convert`` the text, then refuse a value failing ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # a malformed value reads "invalid int value: ..."
+    return parse
+
+
+_EPS = _checked(float, lambda x: x > 0, "> 0")  # NaN fails x > 0 too
+_PRECISION = _checked(int, lambda k: 1 <= k <= 12, "in [1, 12]")
+_POSITIVE = _checked(int, lambda k: k >= 1, ">= 1")
+_TABLE_SIDE = _checked(int, lambda k: 1 <= k <= 30, "in [1, 30]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pleijel",
@@ -330,24 +330,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_eps(p):
-        p.add_argument("--eps", type=float, default=1e-8,
+        p.add_argument("--eps", type=_EPS, default=1e-8,
                        help="series tolerance (default 1e-8); relative for derived "
                             "constants, absolute enclosure width for c_series")
 
     p = sub.add_parser("value", help="one constant with certified error bound")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("n", type=_POSITIVE)
+    p.add_argument("m", type=_POSITIVE)
     p.add_argument("quantity", choices=QUANTITIES)
-    p.add_argument("--precision", type=int, default=4)
+    p.add_argument("--precision", type=_PRECISION, default=4)
     add_eps(p)
     p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("table", help="emit a full table")
     p.add_argument("quantity", choices=QUANTITIES)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--m-max", type=int, default=10)
+    p.add_argument("--n-max", type=_TABLE_SIDE, default=10)
+    p.add_argument("--m-max", type=_TABLE_SIDE, default=10)
     p.add_argument("--format", choices=FORMATS, default="markdown")
-    p.add_argument("--precision", type=int, default=4)
+    p.add_argument("--precision", type=_PRECISION, default=4)
     p.add_argument("--no-annotations", action="store_true",
                    help="plain numbers only (csv is always plain)")
     add_eps(p)
@@ -361,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("exceptional", help="classify pairs against the threshold 1")
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--m-max", type=int, default=10)
+    p.add_argument("--n-max", type=_POSITIVE, default=10)
+    p.add_argument("--m-max", type=_POSITIVE, default=10)
     add_eps(p)
     p.set_defaults(func=_cmd_exceptional)
 
     p = sub.add_parser("htype", help="export a verified H-type matrix family as JSON")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("n", type=_POSITIVE)
+    p.add_argument("m", type=_POSITIVE)
     p.add_argument("output")
     p.set_defaults(func=_cmd_htype)
     return parser
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except PrecisionUnreachable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

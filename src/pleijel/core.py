@@ -77,9 +77,6 @@ class DimPair(_DimPairFields):
         return f"({self.n},{self.m})"
 
 
-PairLike = "DimPair | tuple[int, int]"
-
-
 def as_pair(pair) -> DimPair:
     """Coerce a DimPair or (n, m) tuple of integers (numpy ones too) to DimPair."""
     if isinstance(pair, DimPair):

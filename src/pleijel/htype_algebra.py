@@ -374,7 +374,6 @@ class SublaplacianCoefficients(NamedTuple):
     """
 
     structure: HTypeStructure
-    x_identity_dim: int
     t_weight: Polynomial
     mixed: tuple[SignedPermutation, ...]
 
@@ -410,8 +409,8 @@ def sublaplacian_coefficients(s: HTypeStructure) -> SublaplacianCoefficients:
     nvars = s.dim_x + s.dim_t
     weight = {tuple(2 if v == i else 0 for v in range(nvars)): Fraction(1, 4)
               for i in range(s.dim_x)}  # |x|^2 / 4
-    return SublaplacianCoefficients(structure=s, x_identity_dim=s.dim_x,
-                                    t_weight=Polynomial(nvars, weight), mixed=s.family)
+    return SublaplacianCoefficients(structure=s, t_weight=Polynomial(nvars, weight),
+                                    mixed=s.family)
 
 
 # --------------------------------------------------------------------------

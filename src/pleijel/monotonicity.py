@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .constants import gamma_bar_exact, gamma_tilde, gamma_tilde_interval
 from .core import Enclosure, as_pair
 from .numerics import log_gamma
-from .series import c_series, series_term
+from .series import c_series
 
 if TYPE_CHECKING:
     import numpy as np
@@ -118,8 +118,8 @@ def phi_closed_form(pair, eps: float = 1e-8) -> float:
         * (2 * n + m - 1)
         / (Fraction(n) ** s * Fraction(s - 1) ** (s + 1))
     )
-    c_prev = c_series((n - 1, m), eps * series_term((n - 1, m), 0)).midpoint
-    c_here = c_series((n, m), eps * series_term((n, m), 0)).midpoint
+    c_prev = c_series((n - 1, m), eps, relative=True).midpoint
+    c_here = c_series((n, m), eps, relative=True).midpoint
     return float(pref) * c_prev / c_here
 
 
@@ -142,10 +142,7 @@ def term_ratio(pair, k: int) -> float:
 def c_ratio_lower_bound(pair) -> float:
     """Lower bound (1/n)(1 - 1/n)^(n+m-1) on c(n, m)/c(n-1, m); equals
     term_ratio at k = 0."""
-    p = as_pair(pair)
-    if p.n < 2:
-        raise ValueError(f"c_ratio_lower_bound needs n >= 2, got {p}")
-    return (1 / p.n) * (1 - 1 / p.n) ** (p.n + p.m - 1)
+    return term_ratio(pair, 0)
 
 
 def psi(pair) -> Fraction:
@@ -246,8 +243,8 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, k_max: int = 10_000,
     worst_ratio = 0.0
     for n in range(2, n_max + 1):
         for m in range(1, m_max + 1):
-            lo_here = c_series((n, m), eps * series_term((n, m), 0))
-            hi_prev = c_series((n - 1, m), eps * series_term((n - 1, m), 0))
+            lo_here = c_series((n, m), eps, relative=True)
+            hi_prev = c_series((n - 1, m), eps, relative=True)
             certified_low = lo_here.value / hi_prev.upper
             worst_ratio = max(worst_ratio, c_ratio_lower_bound((n, m)) / certified_low)
     reports.append(

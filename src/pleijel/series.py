@@ -155,10 +155,15 @@ def series_term(pair, k: int) -> float:
 def _summand(n: int, m: int, k: int) -> float:
     """series_term on a validated pair and k >= 0."""
     d = 2 * k + n
+    return _binomial_factor(n, k, d) * float(d) ** (-(m + 1))
+
+
+def _binomial_factor(n: int, k: int, d: int) -> float:
+    """prod_{j<n} (k+j)/(j d): exact integers in, one correctly rounded division each."""
     r = 1.0
     for j in range(1, n):
         r *= (k + j) / (j * d)
-    return r * float(d) ** (-(m + 1))
+    return r
 
 
 def series_term_exact(pair, k: int) -> Fraction:
@@ -212,15 +217,8 @@ def _head_factors(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
     A head term is this product times d^-(m+1), so every m shares it.
     """
-    d, r = [], []
-    for k in range(_min_terms(n)):
-        dk = 2 * k + n
-        x = 1.0
-        for j in range(1, n):
-            x *= (k + j) / (j * dk)  # exact integers in, one correctly rounded division
-        d.append(float(dk))
-        r.append(x)
-    return tuple(d), tuple(r)
+    d = [2 * k + n for k in range(_min_terms(n))]
+    return tuple(map(float, d)), tuple(_binomial_factor(n, k, dk) for k, dk in enumerate(d))
 
 
 def _charge(k: int, x: float) -> float:
@@ -305,17 +303,12 @@ def c_series(pair, eps: float = 1e-8, relative: bool = False) -> SeriesValue:
     contains the sum.  By default eps is the absolute enclosure width;
     with ``relative=True`` the target is eps times the certified lower
     bound.  The enclosure is the same for every eps, at the rounding
-    floor; a target below it raises PrecisionUnreachable at once, with
-    the floor width as ``best_bound``.  So does a pair out of binary64
-    range ((n+m) log2 n > 1000), with an infinite ``best_bound``.
+    floor, and cached per pair; a target below it raises
+    PrecisionUnreachable at once, with the floor width as ``best_bound``.
+    So does a pair out of binary64 range ((n+m) log2 n > 1000), with an
+    infinite ``best_bound``.
     """
-    return _c_series(as_pair(pair), eps, relative)
-
-
-# The cache sits behind as_pair, so every pair is validated before the
-# lookup and each pair form shares the entry of its DimPair.
-@lru_cache(maxsize=None)
-def _c_series(p: DimPair, eps: float, relative: bool) -> SeriesValue:
+    p = as_pair(pair)
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     sv = _enclosure(p.n, p.m)
@@ -330,9 +323,9 @@ def _c_series(p: DimPair, eps: float, relative: bool) -> SeriesValue:
     return sv
 
 
-# c_series keeps lru_cache's statistics and reset
-c_series.cache_info = _c_series.cache_info
-c_series.cache_clear = _c_series.cache_clear
+# c_series answers from the per-pair cache of _enclosure: its statistics and reset
+c_series.cache_info = _enclosure.cache_info
+c_series.cache_clear = _enclosure.cache_clear
 
 
 def c_tail_bound(pair, K: int) -> float:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -19,6 +21,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_parser_refuses(capsys, *argv):
+    # exit 2 and nothing on stdout, with argparse's message naming the verb and argument
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == "", argv
+    assert f"pleijel {argv[0]}: error: argument " in captured.err, argv
+
+
+_VALUE = ("value", "1", "1", "gamma_tilde")
 
 
 class TestValue:
@@ -65,14 +79,24 @@ class TestValue:
         assert err.value.code == 2
 
     def test_invalid_pair_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["value", "0", "1", "gamma_tilde"])
-        assert err.value.code == 2
+        for argv in (("value", "0", "1", "gamma_tilde"), ("value", "1", "0", "gamma_tilde"),
+                     ("htype", "0", "1", os.devnull), ("htype", "1", "0", os.devnull)):
+            assert_parser_refuses(capsys, *argv)
 
     def test_invalid_precision_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["value", "1", "1", "gamma_tilde", "--precision", "13"])
-        assert err.value.code == 2
+        for verb in (_VALUE, ("table", "gamma_tilde")):
+            for bad in ("0", "13"):
+                assert_parser_refuses(capsys, *verb, "--precision", bad)
+
+    def test_invalid_eps_exits_2(self, capsys):
+        for verb in (_VALUE, ("table", "gamma_tilde"), ("check", "all"), ("exceptional",)):
+            for bad in ("0", "-1", "nan"):
+                assert_parser_refuses(capsys, *verb, "--eps", bad)
+
+    def test_malformed_number_names_its_type(self, capsys):
+        with pytest.raises(SystemExit):
+            main([*_VALUE, "--eps", "abc"])
+        assert "argument --eps: invalid float value: 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ("value", "1", "1", "gamma_tilde", "--eps", "1e-18"),  # below the rounding floor
@@ -103,6 +127,15 @@ class TestValue:
         code, out, _ = run_cli(capsys, "value", "1000", "1", "gamma_bar")
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
             "c6cca717828fdaa32101bc2d5a6ca9ae42a20fb1e95f86ec6bcc03d4df5ec0e3")
+
+    def test_exact_rational_refused_before_normalising(self, capsys):
+        # the unnormalised ratio's bit lengths already force the refusal, so the
+        # Fraction of gamma_bar(1, 100000) (about 5 s to reduce) is never built
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "value", "1", "100000", "gamma_bar")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: gamma_bar(1,100000) is exact") and err.count("\n") == 1
 
 
 def _csv_cells(out: str) -> dict[tuple[int, int], list[str]]:
@@ -214,10 +247,10 @@ class TestTable:
     def test_bounds_validated(self, capsys):
         for args in (["table", "gamma_tilde", "--n-max", "31"],
                      ["table", "gamma_tilde", "--precision", "0"],
-                     ["table", "gamma_tilde", "--m-max", "0"]):
-            with pytest.raises(SystemExit) as err:
-                main(args)
-            assert err.value.code == 2
+                     ["table", "gamma_tilde", "--m-max", "0"],
+                     ["exceptional", "--n-max", "0"],
+                     ["exceptional", "--m-max", "0"]):
+            assert_parser_refuses(capsys, *args)
 
     @pytest.mark.parametrize("quantity", QUANTITIES)
     def test_twelve_decimals_print_in_fixed_point(self, quantity):
@@ -268,6 +301,26 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "all", "--no-timestamp")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == _CHECK_ALL_DIGEST
+
+    def test_tight_eps_gives_the_same_verdicts(self, capsys):
+        # every suite asks c(n, m) for a relative eps, as `value` and `table` do
+        code, out, _ = run_cli(capsys, "check", "all", "--eps", "1e-12", "--no-timestamp")
+        assert code == 0
+        out = out.replace('{"eps": 1e-12, ', '{"eps": 1e-08, ', 1)
+        assert hashlib.sha256(out.encode()).hexdigest() == _CHECK_ALL_DIGEST
+
+    def test_monotonicity_at_tight_eps(self, capsys):
+        _, default, _ = run_cli(capsys, "check", "monotonicity", "--no-timestamp")
+        code, out, _ = run_cli(capsys, "check", "monotonicity", "--eps", "1e-12",
+                               "--no-timestamp")
+        assert code == 0
+        assert out.splitlines()[:-1] == default.splitlines()[:-1]
+
+    def test_eps_below_the_rounding_floor_refused(self, capsys):
+        code, out, err = run_cli(capsys, "check", "monotonicity", "--eps", "1e-14",
+                                 "--no-timestamp")
+        assert code == 2 and out == ""
+        assert err.startswith("error: c(") and err.count("\n") == 1
 
     def test_tables_suite_reports_errata(self, capsys):
         code, out, _ = run_cli(capsys, "check", "tables", "--no-timestamp")
