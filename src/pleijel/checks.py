@@ -35,7 +35,6 @@ from .htype_algebra import (
     group_identity,
     group_inverse,
     group_mul,
-    jz_map,
     sublaplacian_coefficients,
     verify_structure,
 )
@@ -222,53 +221,43 @@ def check_admissibility() -> CheckResult:
     return _result("admissibility", failures, notes)
 
 
-def _skew_signed_permutations(dim: int):
-    """All skew-symmetric orthogonal signed permutations on R^dim: fixed-point-free
-    involutions with opposite signs on the two entries of each transposition."""
-    def pairings(items):
-        if not items:
-            yield []
-        for idx in range(1, len(items)):
-            for tail in pairings(items[1:idx] + items[idx + 1:]):
-                yield [(items[0], items[idx])] + tail
+def _extensions(family, d: int):
+    """Every skew signed permutation M on R^d, (M x)_i = a_i x_mu(i), that
+    anticommutes with each U in ``family``, (U x)_i = u_i x_p(i).
 
-    for pairing in pairings(list(range(dim))):
-        for signs in itertools.product((1, -1), repeat=len(pairing)):
-            yield _swap_pairs(dim, pairing, signs)
-
-
-def _random_skew_signed_permutation(dim: int, rng: random.Random) -> SignedPermutation:
-    """A uniform draw from the skew signed permutations on R^dim.
-
-    Sorting by i.i.d. uniform keys gives a uniform order of range(dim) (a
-    tie, probability below dim^2 2^-54, falls back to index order), so
-    consecutive pairs form a uniform perfect matching, each pair in either
-    orientation alike; one independent uniform sign per pair then puts
-    the +1 of each transposition on either side alike, so every one of
-    the (dim-1)!! 2^(dim/2) matrices is equally likely.
+    Exhaustive: pick mu(i) and a_i for the first open index i, then apply
+    the forced rules until they stop or contradict each other.  M^T = -M
+    forces mu(mu(i)) = i and a_mu(i) = -a_i; M U = -U M forces
+    mu(p(i)) = p(mu(i)) and a_p(i) = -a_i u_mu(i) u_i.  Every index of a
+    complete assignment has had its rules applied, so it is a solution.
     """
-    keys = [rng.random() for _ in range(dim)]
-    order = sorted(range(dim), key=keys.__getitem__)
-    bits = rng.getrandbits(dim // 2)
-    signs = [1 - 2 * (bits >> h & 1) for h in range(dim // 2)]
-    return _swap_pairs(dim, zip(order[::2], order[1::2]), signs)
+    def settle(mu: list[int], a: list[int], i: int, j: int, sign: int) -> bool:
+        todo = [(i, j, sign)]
+        while todo:
+            i, j, sign = todo.pop()
+            if mu[i] >= 0:
+                if (mu[i], a[i]) != (j, sign):
+                    return False
+                continue
+            mu[i], a[i] = j, sign
+            todo.append((j, i, -sign))
+            todo += [(p[i], p[j], -sign * u[j] * u[i]) for p, u in family]
+        return True
 
+    def search(mu: list[int], a: list[int]):
+        if -1 not in mu:
+            yield SignedPermutation(tuple(mu), tuple(a))
+            return
+        i = mu.index(-1)  # mu(j) = i for a set j would have set mu(i): mu(i) is open
+        for j, sign in itertools.product([j for j in range(i + 1, d) if mu[j] < 0], (1, -1)):
+            branch, signs = list(mu), list(a)
+            if settle(branch, signs, i, j, sign):
+                yield from search(branch, signs)
 
-def _swap_pairs(dim: int, pairing, signs) -> SignedPermutation:
-    """The skew matrix with entries sgn at (i, j) and -sgn at (j, i) per pair."""
-    perm, out = [0] * dim, [0] * dim
-    for (i, j), sgn in zip(pairing, signs):
-        perm[i], perm[j], out[i], out[j] = j, i, sgn, -sgn
-    return SignedPermutation(tuple(perm), tuple(out))
-
-
-def _extends(family, M: SignedPermutation) -> bool:
-    return all(M.anticommutes(U) for U in family)
+    yield from search([-1] * d, [0] * d)
 
 
 def check_algebra(seed: int = 2024, triples: int = 1000) -> CheckResult:
-    import numpy as np
-
     failures: list[str] = []
     notes: list[str] = []
 
@@ -322,36 +311,32 @@ def check_algebra(seed: int = 2024, triples: int = 1000) -> CheckResult:
     if skewed:
         failures.append(f"group commutator differs from <U x, xi> on {skewed} pairs")
 
-    # J_z orthogonality on random unit vectors
+    # J_z^T J_z = |z|^2 I (anticommutation), exactly on random integer z
     s47 = construct((4, 7))
-    np_rng = np.random.default_rng(seed)
-    worst = 0.0
+    d = s47.dim_x
+    off = 0
     for _ in range(100):
-        z = np_rng.normal(size=7)
-        z /= math.sqrt(float(z @ z))
-        J = jz_map(s47, z)
-        worst = max(worst, float(np.max(np.abs(J.T @ J - np.eye(8)))))
-    if worst > 1e-12:
-        failures.append(f"J_z orthogonality off by {worst:.2e} (> 1e-12)")
+        z = [rng.randint(-40, 40) for _ in range(s47.dim_t)]
+        J = [[0] * d for _ in range(d)]
+        for zj, P in zip(z, s47.family):
+            for row, p, sign in zip(J, P.perm, P.signs):
+                row[p] += zj * sign
+        norm_sq = sum(zj * zj for zj in z)
+        if any(sum(row[k] * row[l] for row in J) != (norm_sq if k == l else 0)
+               for k in range(d) for l in range(d)):
+            off += 1
+    if off:
+        failures.append(f"J_z^T J_z != |z|^2 I on {off} of 100 random integer z at (4,7)")
     else:
-        notes.append(f"J_z^T J_z = I within {worst:.2e} on 100 random unit z at (4,7)")
+        notes.append("J_z^T J_z = |z|^2 I exactly on 100 random integer z at (4,7)")
 
-    # best-effort Hurwitz-Radon maximality: no skew signed permutation extends
-    # a maximal family (exhaustive through dim 8, sampled above)
-    for n in (1, 2, 3, 4):
-        fam = construct((n, radon_hurwitz(2 * n) - 1)).family
-        for M in _skew_signed_permutations(2 * n):
-            if _extends(fam, M):
-                failures.append(f"maximal family at 2n={2 * n} extended by a signed permutation")
-                break
-    for n in (5, 6, 7, 8):
-        fam = construct((n, radon_hurwitz(2 * n) - 1)).family
-        if any(
-            _extends(fam, _random_skew_signed_permutation(2 * n, rng)) for _ in range(5000)
-        ):
-            failures.append(f"maximal family at 2n={2 * n} extended by a sampled candidate")
-    notes.append("no signed-permutation extension of maximal families "
-                 "(exhaustive 2n <= 8, 5000 samples each for 2n = 10..16; best-effort check)")
+    # Hurwitz-Radon maximality: no skew signed permutation extends a maximal family
+    extended = [2 * n for n in range(1, 9) if next(
+        _extensions(construct((n, radon_hurwitz(2 * n) - 1)).family, 2 * n), None)]
+    if extended:
+        failures.append(f"maximal family extended by a skew signed permutation at 2n = {extended}")
+    else:
+        notes.append("no skew signed permutation extends a maximal family (exhaustive, 2n <= 16)")
 
     # sublaplacian on polynomial test functions, exactly
     sub = sublaplacian_coefficients(s)

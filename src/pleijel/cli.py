@@ -8,7 +8,8 @@ Verbs:
 * ``exceptional``         -- certified classification against the
                              Pleijel threshold 1;
 * ``htype N M OUT.json``  -- write a verified H-type matrix family
-                             (exit 3 for inadmissible pairs).
+                             (exit 3 for inadmissible pairs, exit 2 over
+                             2^22 dense matrix entries).
 
 A certified value the series cannot deliver (eps below the binary64
 rounding floor, a pair out of binary64 range, or a value that underflows
@@ -23,14 +24,15 @@ its JSON trailer unless --no-timestamp is given.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
 from .admissibility import admissible
 from .checks import SUITES, run_suites
-from .constants import (_gamma_bar_ratio, exceptional_set, gamma_bar_exact,
-                        gamma_tilde_interval, sobolev_interval, weyl_interval)
+from .constants import (exceptional_set, gamma_bar_exact, gamma_tilde_interval,
+                        log_gamma_bar, sobolev_interval, weyl_interval)
 from .core import DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable
 from .htype_algebra import construct, write_json
 from .numerics import round_half_away
@@ -218,10 +220,11 @@ def _over_digit_limit(args, bits: int) -> bool:
 
 def _cmd_value(args) -> int:
     if args.quantity == "gamma_bar":
-        # a/b = num/den in lowest terms has a or b of at least
-        # |bits(num) - bits(den)| - 1 bits: enough to refuse before normalising
-        num, den = _gamma_bar_ratio(DimPair(args.n, args.m))
-        if _over_digit_limit(args, abs(num.bit_length() - den.bit_length()) - 1):
+        # a/b in lowest terms has a or b of more than |log2(a/b)| bits: enough to
+        # refuse before building it; 1e-9 q ln q covers log_gamma_bar's float error
+        q = 2 * args.n + args.m
+        log = abs(log_gamma_bar(DimPair(args.n, args.m))) - 1e-9 * q * math.log(q)
+        if _over_digit_limit(args, math.floor(log / math.log(2))):
             return 2
     cell = _compute_cell(args.quantity, args.n, args.m, args.precision, args.eps)
     line = cell.display
@@ -299,6 +302,11 @@ def _cmd_htype(args) -> int:
     except InadmissiblePair as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    entries = args.m * (2 * args.n) ** 2  # htype 1024 1 (29 MB of JSON) is the largest m = 1
+    if entries > 1 << 22:
+        print(f"error: htype({args.n},{args.m}) would write {entries} dense matrix entries, "
+              "over the limit of 2^22", file=sys.stderr)
+        return 2
     write_json(structure, args.output)
     print(f"wrote verified H-type structure ({args.n},{args.m}) to {args.output}")
     return 0

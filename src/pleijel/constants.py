@@ -69,6 +69,7 @@ __all__ = [
     "gamma_tilde_product_form",
     "gamma_bar",
     "gamma_bar_exact",
+    "log_gamma_bar",
     "exceptional_set",
     "weyl_density_bruteforce",
 ]
@@ -103,11 +104,12 @@ def gamma_bar_exact(pair) -> Fraction:
     return Fraction(*_gamma_bar_ratio(as_pair(pair)))
 
 
-def gamma_bar(pair) -> float:
-    """Log-domain binary64 evaluation of the truncation bound."""
+def log_gamma_bar(pair) -> float:
+    """ln gamma_bar in binary64: six terms, each at most about (2n+m) ln(2n+m)
+    in size and accurate to 1e-14 relative (``log_gamma``)."""
     p = as_pair(pair)
     s = p.n + p.m
-    log = (
+    return (
         (p.m - p.n - 1) * math.log(2)
         + math.log(s)
         - s * math.log(s - 1)
@@ -115,7 +117,11 @@ def gamma_bar(pair) -> float:
         + log_gamma(2 * p.n + p.m)
         - log_gamma(Fraction(p.m, 2) + p.n)
     )
-    return math.exp(log)
+
+
+def gamma_bar(pair) -> float:
+    """Log-domain binary64 evaluation of the truncation bound."""
+    return math.exp(log_gamma_bar(pair))
 
 
 def _gamma_half(q: int) -> tuple[int, int]:

@@ -36,15 +36,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .constants import gamma_bar_exact, gamma_tilde, gamma_tilde_interval
 from .core import Enclosure, as_pair
 from .numerics import log_gamma
 from .series import c_series
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "InequalityReport",
@@ -135,8 +132,13 @@ def term_ratio(pair, k: int) -> float:
         raise ValueError(f"term_ratio needs n >= 2, got {p}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    d = 2 * k + p.n
-    return (k + p.n - 1) / ((p.n - 1) * d) * (1 - 1 / d) ** (p.n + p.m - 1)
+    return _term_ratio(p.n, p.m, k)
+
+
+def _term_ratio(n: int, m: int, k):
+    """term_ratio's formula, unvalidated: k is an int or a float array."""
+    d = 2 * k + n
+    return (k + n - 1) / ((n - 1) * d) * (1 - 1 / d) ** (n + m - 1)
 
 
 def c_ratio_lower_bound(pair) -> float:
@@ -176,11 +178,6 @@ def psi_closed_form(pair) -> float:
         - log_gamma(n + Fraction(m, 2))
     )
     return math.exp(log)
-
-
-def _vector_term_ratio(n: int, m: int, ks: np.ndarray) -> np.ndarray:
-    d = 2.0 * ks + n
-    return (ks + n - 1) / ((n - 1) * d) * (1.0 - 1.0 / d) ** (n + m - 1)
 
 
 def inequality_suite(n_max: int = 12, m_max: int = 12, k_max: int = 10_000,
@@ -225,7 +222,7 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, k_max: int = 10_000,
     worst_min_shift = -math.inf
     for n in range(2, n_max + 1):
         for m in range(1, m_max + 1):
-            vals = _vector_term_ratio(n, m, ks)
+            vals = _term_ratio(n, m, ks)
             worst_drop = max(worst_drop, float(np.max(vals[:-1] - vals[1:])))
             worst_min_shift = max(worst_min_shift, float(vals[0] - np.min(vals)))
     reports.append(

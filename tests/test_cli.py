@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +137,16 @@ class TestValue:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith("error: gamma_bar(1,100000) is exact") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("pair", [("100000", "1"), ("50000", "1"), ("200000", "1")])
+    def test_large_n_refused_from_the_magnitude(self, capsys, pair):
+        # |log2 gamma_bar| already forces the refusal, so no factorial of 2n is built
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "value", *pair, "gamma_bar")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: gamma_bar({pair[0]},{pair[1]}) is exact")
+        assert err.count("\n") == 1
 
 
 def _csv_cells(out: str) -> dict[tuple[int, int], list[str]]:
@@ -274,8 +285,8 @@ class TestTable:
         assert a == b
 
 
-#: sha256 of `check all --no-timestamp` (numpy 2.4, Python 3.11)
-_CHECK_ALL_DIGEST = "ac6761da3333bc0628c6b4c3fa994c40c0b545c95efa12318aebc336f4407b25"
+#: every byte of `check all --no-timestamp` (numpy 2.4, Python 3.11)
+_CHECK_ALL_TEXT = (Path(__file__).parent / "check_all_no_timestamp.txt").read_text(encoding="utf-8")
 
 
 class TestCheck:
@@ -300,14 +311,14 @@ class TestCheck:
     def test_all_suites_bytes_pinned(self, capsys):
         code, out, _ = run_cli(capsys, "check", "all", "--no-timestamp")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == _CHECK_ALL_DIGEST
+        assert out == _CHECK_ALL_TEXT
 
     def test_tight_eps_gives_the_same_verdicts(self, capsys):
         # every suite asks c(n, m) for a relative eps, as `value` and `table` do
         code, out, _ = run_cli(capsys, "check", "all", "--eps", "1e-12", "--no-timestamp")
         assert code == 0
         out = out.replace('{"eps": 1e-12, ', '{"eps": 1e-08, ', 1)
-        assert hashlib.sha256(out.encode()).hexdigest() == _CHECK_ALL_DIGEST
+        assert out == _CHECK_ALL_TEXT
 
     def test_monotonicity_at_tight_eps(self, capsys):
         _, default, _ = run_cli(capsys, "check", "monotonicity", "--no-timestamp")
@@ -433,6 +444,24 @@ class TestHType:
         assert "rho(4) = 4" in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("pair", [("5000", "1"), ("1025", "1"), ("512", "5")])
+    def test_oversized_refused_without_writing(self, capsys, tmp_path, pair):
+        # m (2n)^2 > 2^22 dense entries; htype 1024 1 (exactly 2^22) is the largest m = 1
+        out_file = tmp_path / "big.json"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "htype", *pair, str(out_file))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: htype({pair[0]},{pair[1]}) would write")
+        assert err.count("\n") == 1
+        assert not out_file.exists()
+
+    def test_inadmissible_refused_before_the_size(self, capsys, tmp_path):
+        out_file = tmp_path / "nope.json"
+        code, _, err = run_cli(capsys, "htype", "5001", "2", str(out_file))
+        assert code == 3 and "rho(10002) = 2" in err
+        assert not out_file.exists()
+
 
 class TestConsoleEntryPoint:
     def test_subprocess_invocation(self, tmp_path):
@@ -480,8 +509,8 @@ print(json.dumps({"loaded": loaded, "after_import": after_import,
 
 class TestImportPath:
     def test_value_table_exceptional_leave_numpy_unloaded(self, tmp_path):
-        # `htype` included: numpy is loaded only by `check` (the J_z check, the
-        # monotonicity scan, the zeta oracle); every layer module still loads eagerly
+        # `htype` included: numpy is loaded only by `check` (the monotonicity
+        # scan, the zeta oracle); every layer module still loads eagerly
         result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "h88.json")],
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
@@ -495,3 +524,15 @@ class TestImportPath:
         # the import itself adds none of these: dataclasses pulls in inspect, ast,
         # dis and tokenize; datetime and json are loaded by the verbs that use them
         assert probe["stdlib_added"] == []
+
+    def test_check_algebra_leaves_numpy_unloaded(self):
+        # the extension search and the J_z check are integer work on signed permutations
+        probe = ("import contextlib, io, sys\n"
+                 "import pleijel.cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = pleijel.cli.main(['check', 'algebra', '--no-timestamp'])\n"
+                 "print(code, 'numpy' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "False"]

@@ -25,6 +25,7 @@ from pleijel.constants import (
     gamma_tilde,
     gamma_tilde_interval,
     gamma_tilde_product_form,
+    log_gamma_bar,
     sobolev_constant,
     sobolev_interval,
     weyl_constant,
@@ -134,6 +135,15 @@ class TestGammaBar:
         for n, m in itertools.product(range(1, 21), range(1, 21)):
             exact = float(gamma_bar_exact((n, m)))
             assert gamma_bar((n, m)) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("pair", [(1, 1), (4, 2), (30, 30), (2000, 1), (1, 3000), (700, 900)])
+    def test_log_within_the_refusal_margin(self, pair):
+        # the CLI refuses gamma_bar over the digit limit from log_gamma_bar,
+        # with 1e-9 q ln q (q = 2n + m) as its float error allowance
+        exact = gamma_bar_exact(pair)
+        q = 2 * pair[0] + pair[1]
+        err = abs(log_gamma_bar(pair) - (math.log(exact.numerator) - math.log(exact.denominator)))
+        assert err <= 1e-12 * q * math.log(q)
 
     def test_dominates_gamma_tilde_strictly(self):
         for n, m in itertools.product(range(1, 11), range(1, 11)):

@@ -3,10 +3,10 @@ J_z maps, and the sublaplacian symbol."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from pleijel import checks
 from pleijel.admissibility import radon_hurwitz
-from pleijel.core import InadmissiblePair
+from pleijel.core import DimPair, InadmissiblePair
 from pleijel.htype_algebra import (
     GroupElement,
     HTypeStructure,
@@ -270,17 +270,61 @@ class TestGroupLaw:
         assert lhs == rhs
 
 
-class TestExtensionSampler:
-    @pytest.mark.parametrize("dim", [4, 6])
-    def test_uniform_over_the_skew_signed_permutations(self, dim):
-        # 3 * 4 = 12 matrices at dim 4 and 15 * 8 = 120 at dim 6, each drawn
-        # 400 times on average; every count within 6 standard deviations
-        every = set(checks._skew_signed_permutations(dim))
-        rng = random.Random(dim)
-        counts = Counter(checks._random_skew_signed_permutation(dim, rng)
-                         for _ in range(400 * len(every)))
-        assert set(counts) == every
-        assert all(abs(c - 400) < 6 * math.sqrt(400) for c in counts.values())
+def _skew_signed_permutations(dim: int):
+    """Brute force: all (dim-1)!! 2^(dim/2) skew signed permutations on R^dim,
+    fixed-point-free involutions with opposite signs on each transposition."""
+    def pairings(items):
+        if not items:
+            yield []
+        for idx in range(1, len(items)):
+            for tail in pairings(items[1:idx] + items[idx + 1:]):
+                yield [(items[0], items[idx])] + tail
+
+    for pairing in pairings(list(range(dim))):
+        for signs in itertools.product((1, -1), repeat=len(pairing)):
+            perm, out = [0] * dim, [0] * dim
+            for (i, j), sgn in zip(pairing, signs):
+                perm[i], perm[j], out[i], out[j] = j, i, sgn, -sgn
+            yield SignedPermutation(tuple(perm), tuple(out))
+
+
+def _maximal_family(n: int):
+    return construct((n, radon_hurwitz(2 * n) - 1)).family
+
+
+class TestExtensions:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_brute_force_on_every_prefix(self, n):
+        every = list(_skew_signed_permutations(2 * n))
+        family = _maximal_family(n)
+        for k in range(len(family) + 1):
+            want = {M for M in every if all(M.anticommutes(U) for U in family[:k])}
+            got = list(checks._extensions(family[:k], 2 * n))
+            assert len(got) == len(set(got)) and set(got) == want, k
+        assert not want  # the whole family is maximal
+
+    def test_empty_family_yields_every_candidate(self):
+        got = list(checks._extensions((), 10))
+        assert len(got) == len(set(got)) == 9 * 7 * 5 * 3 * 2**5
+        assert set(got) == set(_skew_signed_permutations(10))
+
+    @pytest.mark.parametrize("n", [n for n in range(1, 9) if radon_hurwitz(2 * n) > 2])
+    def test_finds_the_dropped_member(self, n):
+        family = _maximal_family(n)
+        assert family[-1] in set(checks._extensions(family[:-1], 2 * n))
+
+    def test_check_algebra_sees_a_non_maximal_family(self, monkeypatch):
+        # a valid (6, 2) structure handed out for the maximal (6, 3) one
+        def drop_at_12(pair):
+            s = construct(pair)
+            return HTypeStructure(DimPair(6, 2), s.family[:2]) if s.pair == (6, 3) else s
+
+        monkeypatch.setattr(checks, "construct", drop_at_12)
+        result = checks.check_algebra(triples=20)
+        assert not result.passed
+        assert result.details[-1] == (
+            "maximal family extended by a skew signed permutation at 2n = [12]")
+        assert not any(line.startswith("no skew signed permutation") for line in result.details)
 
 
 class TestJz:

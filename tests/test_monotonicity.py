@@ -9,6 +9,7 @@ import pytest
 
 from pleijel.constants import gamma_bar_exact
 from pleijel.monotonicity import (
+    _term_ratio,
     c_ratio_lower_bound,
     inequality_suite,
     phi,
@@ -62,6 +63,15 @@ class TestTermRatio:
         for n, m, k in ((2, 1, 0), (3, 2, 4), (6, 5, 17)):
             direct = series_term((n, m), k) / series_term((n - 1, m), k)
             assert term_ratio((n, m), k) == pytest.approx(direct, rel=1e-12)
+
+    def test_scan_evaluates_the_public_formula(self):
+        # inequality_suite scans _term_ratio on a float array of k, the body of
+        # term_ratio; numpy's pow and Python's may differ in the last bit
+        np = pytest.importorskip("numpy")
+        ks = np.arange(0, 2001, dtype=np.float64)
+        for n, m in ((2, 1), (5, 3), (12, 12)):
+            want = [term_ratio((n, m), k) for k in range(2001)]
+            assert _term_ratio(n, m, ks).tolist() == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
