@@ -31,7 +31,6 @@ from .htype_algebra import (
     group_identity,
     group_inverse,
     group_mul,
-    jz_map,
     sublaplacian_coefficients,
 )
 from .monotonicity import (
@@ -42,7 +41,7 @@ from .monotonicity import (
     psi,
     term_ratio,
 )
-from .numerics import binomial, gamma_ratio_exact, log_gamma, round_half_away, sphere_area, zeta
+from .numerics import binomial, gamma_ratio_exact, log_gamma, round_half_away, sphere_area, zeta, zeta_interval
 from .series import SeriesValue, c_series, c_tail_bound, multiindex_count, series_term, series_term_exact
 
 __version__ = "0.1.0"
@@ -77,7 +76,6 @@ __all__ = [
     "group_mul",
     "inequality_suite",
     "is_admissible",
-    "jz_map",
     "log_gamma",
     "multiindex_count",
     "phi",
@@ -96,4 +94,5 @@ __all__ = [
     "weyl_density_bruteforce",
     "weyl_interval",
     "zeta",
+    "zeta_interval",
 ]

@@ -39,7 +39,7 @@ from .htype_algebra import (
     verify_structure,
 )
 from .monotonicity import inequality_suite
-from .numerics import round_half_away, zeta
+from .numerics import round_half_away, zeta_interval
 from .series import c_series
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
@@ -134,17 +134,15 @@ def check_consistency(eps: float = 1e-8) -> CheckResult:
             failures.append(f"gamma_bar exact/log mismatch at ({n},{m}): rel dev {dev:.2e}")
     notes.append(f"gamma_bar exact vs log-domain (n, m <= 20): worst rel dev {worst:.2e}")
 
-    # zeta closed forms for the first two rows of the series
-    worst = 0.0
+    # zeta closed forms for the first two rows of the series: both enclosures
+    # contain c(n, m), so they must overlap (compared exactly, as Fractions)
     for m in range(1, 11):
-        z = zeta(m + 1)
-        for n, oracle in ((1, (1 - 2.0 ** (-(m + 1))) * z), (2, 2.0 ** (-(m + 2)) * z)):
-            value = c_series((n, m), 1e-10, relative=True).midpoint
-            dev = abs(value - oracle) / oracle
-            worst = max(worst, dev)
-            if dev > 1e-10:
-                failures.append(f"series/zeta oracle mismatch at ({n},{m}): rel dev {dev:.2e}")
-    notes.append(f"series vs zeta closed forms (n in 1..2, m in 1..10): worst rel dev {worst:.2e}")
+        z = zeta_interval(m + 1)
+        for n, scale in ((1, 1 - Fraction(1, 2 ** (m + 1))), (2, Fraction(1, 2 ** (m + 2)))):
+            sv = c_series((n, m), 1e-10, relative=True)
+            if not (sv.value <= scale * Fraction(z.hi) and scale * Fraction(z.lo) <= sv.upper):
+                failures.append(f"series/zeta oracle enclosures disjoint at ({n},{m})")
+    notes.append("series vs zeta closed forms (n in 1..2, m in 1..10): enclosures overlap")
 
     g11 = gamma_tilde((1, 1), 1e-10)
     dev = abs(g11 - 32 / math.pi**2) / (32 / math.pi**2)
@@ -180,9 +178,8 @@ def check_consistency(eps: float = 1e-8) -> CheckResult:
     return _result("consistency", failures, notes)
 
 
-def check_monotonicity(n_max: int = 12, m_max: int = 12, k_max: int = 10_000,
-                       eps: float = 1e-8) -> CheckResult:
-    reports = inequality_suite(n_max, m_max, k_max, eps)
+def check_monotonicity(n_max: int = 12, m_max: int = 12, eps: float = 1e-8) -> CheckResult:
+    reports = inequality_suite(n_max, m_max, eps)
     failures = [str(r) for r in reports if not r.passed]
     notes = [str(r) for r in reports if r.passed]
     return _result("monotonicity", failures, notes)
@@ -284,9 +281,15 @@ def check_algebra(seed: int = 2024, triples: int = 1000) -> CheckResult:
     s = construct((2, 3))
 
     def rand_element() -> GroupElement:
-        x = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(s.dim_x))
-        t = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(s.dim_t))
-        return GroupElement(x=x, t=t)
+        """Coordinates a/b, a uniform in -40..40 and b in 1..12, from one uniform
+        r in [0, 972^7), 972 = 81 * 12: r's base-972 digits are independent and
+        uniform, and a digit q is the pair a = q // 12 - 40, b = q % 12 + 1."""
+        r = rng.randrange(972 ** (s.dim_x + s.dim_t))
+        coords = []
+        for _ in range(s.dim_x + s.dim_t):
+            r, q = divmod(r, 972)
+            coords.append(Fraction(q // 12 - 40, q % 12 + 1))
+        return GroupElement(x=tuple(coords[:s.dim_x]), t=tuple(coords[s.dim_x:]))
 
     ident = group_identity(s)
     bad = skewed = 0

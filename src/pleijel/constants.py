@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from .admissibility import is_admissible
 from .core import DimPair, Enclosure, PrecisionUnreachable, as_pair
-from .numerics import log_gamma, sphere_area
+from .numerics import _PI_HI, _PI_LO, _outward, log_gamma, sphere_area
 from .series import (
     _integral_remainder,
     _min_terms,
@@ -73,10 +73,6 @@ __all__ = [
     "exceptional_set",
     "weyl_density_bruteforce",
 ]
-
-# math.pi < pi < nextafter(math.pi, 4), as (numerator, denominator)
-_PI_LO = math.pi.as_integer_ratio()
-_PI_HI = math.nextafter(math.pi, 4).as_integer_ratio()
 
 _LOG_TWO_PI = math.log(2 * math.pi)
 
@@ -130,12 +126,6 @@ def _gamma_half(q: int) -> tuple[int, int]:
         return math.factorial(q // 2 - 1), 1
     k = q // 2  # Gamma(k + 1/2) = (2k)! / (4^k k!) sqrt(pi)
     return math.factorial(2 * k), 4**k * math.factorial(k)
-
-
-def _outward(lo: tuple[int, int], hi: tuple[int, int]) -> Enclosure:
-    # int / int is correctly rounded, so one ulp outward contains each exact end
-    return Enclosure(math.nextafter(lo[0] / lo[1], -math.inf),
-                     math.nextafter(hi[0] / hi[1], math.inf))
 
 
 def _root(num: int, den: int, s: int, up: bool) -> float:

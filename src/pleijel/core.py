@@ -78,7 +78,7 @@ class DimPair(_DimPairFields):
 
 
 def as_pair(pair) -> DimPair:
-    """Coerce a DimPair or (n, m) tuple of integers (numpy ones too) to DimPair."""
+    """Coerce a DimPair or an (n, m) tuple of any ``numbers.Integral`` to DimPair."""
     if isinstance(pair, DimPair):
         return pair
     n, m = pair

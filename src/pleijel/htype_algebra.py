@@ -5,7 +5,7 @@ An H-type structure on R^(2n) x R^m is a family U^(1..m) of 2n x 2n
 matrices that are skew-symmetric, orthogonal, and pairwise anticommuting.
 The construction here realises a maximal family of signed permutations,
 (U x)_i = signs[i] * x[perm[i]], so products, Kronecker products and all
-three axioms are O(d) integer operations, without numpy:
+three axioms are O(d) integer operations:
 
 * dimension 2:  the rotation J = [[0, -1], [1, 0]];
 * dimension 4:  left multiplication by i, j, k on the quaternions;
@@ -23,8 +23,8 @@ three axioms are O(d) integer operations, without numpy:
 The family size matches the Radon-Hurwitz maximum rho(2n) - 1 at every
 even dimension, so construction succeeds exactly on admissible pairs.
 For m = 1 the canonical symplectic block [[0, -I_n], [I_n, 0]] is
-returned directly.  Only the dense views ``HTypeStructure.U`` and
-``jz_map`` load numpy.
+returned directly.  ``SignedPermutation.rows`` gives a member's dense
+integer matrix.
 
 The group law on R^(2n) x R^m is
 
@@ -46,13 +46,10 @@ import operator
 from collections.abc import Sized
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .admissibility import admissible
 from .core import DimPair, InadmissiblePair, as_pair
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SignedPermutation",
@@ -65,7 +62,6 @@ __all__ = [
     "group_mul",
     "group_identity",
     "group_inverse",
-    "jz_map",
     "sublaplacian_coefficients",
     "to_json_dict",
     "from_json_dict",
@@ -164,15 +160,6 @@ class HTypeStructure(NamedTuple):
     @property
     def dim_t(self) -> int:
         return self.pair.m
-
-    @property
-    def U(self) -> tuple[np.ndarray, ...]:
-        """The family as read-only dense int64 matrices (loads numpy; built on each access)."""
-        import numpy as np
-
-        mats = np.array([P.rows() for P in self.family], dtype=np.int64)
-        mats.setflags(write=False)
-        return tuple(mats)
 
 
 def verify_structure(s: HTypeStructure) -> None:
@@ -279,17 +266,6 @@ def group_identity(s: HTypeStructure) -> GroupElement:
 def group_inverse(g: GroupElement) -> GroupElement:
     # <U x, -x> = 0 by skew-symmetry, so negation inverts
     return GroupElement(x=tuple(-v for v in g.x), t=tuple(-v for v in g.t))
-
-
-def jz_map(s: HTypeStructure, z) -> np.ndarray:
-    """sum_j z_j U^(j) as a dense float matrix (loads numpy); orthogonal
-    whenever |z| = 1 (anticommutation)."""
-    import numpy as np
-
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (s.dim_t,):
-        raise ValueError(f"z must have length {s.dim_t}, got shape {z.shape}")
-    return np.tensordot(z, s.U, axes=1)
 
 
 # --------------------------------------------------------------------------

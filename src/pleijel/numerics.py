@@ -7,7 +7,8 @@ rational (gamma ratios with integer argument difference, binomials) are
 computed exactly over arbitrary-precision integers.
 
 Half-integers are represented as Fraction with denominator 1 or 2; plain
-ints and exactly-half-integral floats are accepted and coerced.
+ints and exactly-half-integral floats are accepted and coerced.  The
+float bounds of pi and ``zeta_interval``, the checks' zeta oracle, live here.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import numbers
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from functools import lru_cache
+
+from .core import Enclosure
+from .series import _BERNOULLI, _ETA, _POW, _charge
 
 LOG_PI = math.log(math.pi)
 
@@ -86,33 +90,47 @@ def sphere_area(d: int) -> float:
     return math.exp(math.log(2) + float(h) * LOG_PI - log_gamma(h))
 
 
-@lru_cache(maxsize=None)
-def zeta(s: int) -> float:
-    """Riemann zeta at an integer s >= 2, by direct summation.
+# math.pi < pi < nextafter(math.pi, 4), as (numerator, denominator)
+_PI_LO = math.pi.as_integer_ratio()
+_PI_HI = math.nextafter(math.pi, 4).as_integer_ratio()
 
-    Sums j^-s for j < N and encloses the remainder sum_{j>=N} j^-s in the
-    integral bracket [N^(1-s), (N-1)^(1-s)] / (s-1); N is chosen so the
-    bracket is narrower than 1e-14 and the midpoint is returned.
+
+def _outward(lo: tuple[int, int], hi: tuple[int, int]) -> Enclosure:
+    # int / int is correctly rounded, so one ulp outward contains each exact end
+    return Enclosure(math.nextafter(lo[0] / lo[1], -math.inf),
+                     math.nextafter(hi[0] / hi[1], math.inf))
+
+
+@lru_cache(maxsize=None)
+def zeta_interval(s: int) -> Enclosure:
+    """Riemann zeta at an integer s >= 2, enclosed to 1e-14 relative.
+
+    Even s = 2j <= 24: zeta(2j) = |B_2j| (2 pi)^(2j) / (2 (2j)!), exact at
+    both float bounds of pi.  Other s: ``math.fsum`` of j^-s for j < N (each
+    pow charged 4 ulps, the sum one rounding) plus the remainder's integral
+    bracket [N^(1-s), (N-1)^(1-s)] / (s-1), under 5e-15 wide.  Each end is
+    exact, then rounded outward.  No Euler-Maclaurin code is shared with
+    ``series``, so the checks' zeta rows stay an independent oracle.
     """
     if not isinstance(s, numbers.Integral) or s < 2:
         raise ValueError(f"zeta needs an integer s >= 2, got {s!r}")
-    import numpy as np  # the 1e7-term oracle of the checks; kept off the import path
-
     s = int(s)
-    # bracket width ~ N^-s, so N = ceil(1e14^(1/s)) + 1 makes it < 1e-14
-    N = math.ceil(10 ** (14 / s)) + 2
-    total = 0.0
-    comp = 0.0
-    for lo in range(1, N, 1 << 16):
-        j = np.arange(lo, min(lo + (1 << 16), N), dtype=np.float64)
-        block = float(np.sum(j ** (-float(s))))
-        y = block - comp  # Kahan across blocks
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    lo_tail = float(N) ** (1 - s) / (s - 1)
-    hi_tail = float(N - 1) ** (1 - s) / (s - 1)
-    return total + (lo_tail + hi_tail) / 2
+    if s % 2 == 0 and s // 2 <= len(_BERNOULLI):
+        num, den = _BERNOULLI[s // 2 - 1]
+        num, den = abs(num) * 2 ** (s - 1), den * math.factorial(s)
+        return _outward((num * _PI_LO[0] ** s, den * _PI_LO[1] ** s),
+                        (num * _PI_HI[0] ** s, den * _PI_HI[1] ** s))
+    N = math.ceil(2e14 ** (1 / s)) + 2  # bracket width ~ N^-s
+    head = math.fsum(j ** -float(s) for j in map(float, range(1, N)))
+    error = Fraction(_charge(_POW + 1, head) + (_POW + 1) * N * _ETA)
+    lo = Fraction(head) - error + Fraction(1, (s - 1) * N ** (s - 1))
+    hi = Fraction(head) + error + Fraction(1, (s - 1) * (N - 1) ** (s - 1))
+    return _outward(lo.as_integer_ratio(), hi.as_integer_ratio())
+
+
+def zeta(s: int) -> float:
+    """Riemann zeta at an integer s >= 2: the midpoint of ``zeta_interval``."""
+    return zeta_interval(s).mid
 
 
 def round_half_away(value, decimals: int = 4) -> str:

@@ -35,7 +35,7 @@ from pleijel.constants import (
     weyl_density_bruteforce,
 )
 from pleijel.core import DimPair
-from pleijel.htype_algebra import construct, group_mul, jz_map, verify_structure
+from pleijel.htype_algebra import construct, group_mul, verify_structure
 from pleijel.monotonicity import inequality_suite
 from pleijel.numerics import round_half_away, zeta
 from pleijel.series import (
@@ -252,7 +252,7 @@ def test_criterion_06_weyl_bruteforce_oracle():
 
 def test_criterion_07_monotonicity_suite():
     t0 = time.perf_counter()
-    reports = inequality_suite(n_max=12, m_max=12, k_max=10_000, eps=1e-8)
+    reports = inequality_suite(n_max=12, m_max=12, eps=1e-8)
     elapsed = time.perf_counter() - t0
     failing = [r.name for r in reports if not r.passed]
     ok = not failing and elapsed < 30.0
@@ -301,12 +301,13 @@ def test_criterion_09_algebra():
     )
 
     s47 = construct((4, 7))
+    dense = np.array([P.rows() for P in s47.family], dtype=np.float64)
     np_rng = np.random.default_rng(7)
     worst_j = 0.0
     for _ in range(100):
         z = np_rng.normal(size=7)
         z /= math.sqrt(float(z @ z))
-        J = jz_map(s47, z)
+        J = np.tensordot(z, dense, axes=1)  # J_z = sum_j z_j U^(j)
         worst_j = max(worst_j, float(np.max(np.abs(J.T @ J - np.eye(8)))))
 
     ok = assoc_failures == 0 and worst_j <= 1e-12

@@ -285,7 +285,7 @@ class TestTable:
         assert a == b
 
 
-#: every byte of `check all --no-timestamp` (numpy 2.4, Python 3.11)
+#: every byte of `check all --no-timestamp` (Python 3.11)
 _CHECK_ALL_TEXT = (Path(__file__).parent / "check_all_no_timestamp.txt").read_text(encoding="utf-8")
 
 
@@ -332,6 +332,20 @@ class TestCheck:
                                  "--no-timestamp")
         assert code == 2 and out == ""
         assert err.startswith("error: c(") and err.count("\n") == 1
+
+    def test_zeta_rows_compare_enclosures(self, monkeypatch):
+        # an oracle shifted by 1e-13 relative no longer overlaps the series enclosure
+        from pleijel import checks
+        from pleijel.numerics import zeta_interval
+
+        def shifted(s):
+            z = zeta_interval(s)
+            return z._replace(lo=z.lo * (1 + 1e-13), hi=z.hi * (1 + 1e-13))
+
+        monkeypatch.setattr(checks, "zeta_interval", shifted)
+        result = checks.check_consistency()
+        assert not result.passed
+        assert "series/zeta oracle enclosures disjoint at (1,1)" in result.details
 
     def test_tables_suite_reports_errata(self, capsys):
         code, out, _ = run_cli(capsys, "check", "tables", "--no-timestamp")
@@ -509,8 +523,7 @@ print(json.dumps({"loaded": loaded, "after_import": after_import,
 
 class TestImportPath:
     def test_value_table_exceptional_leave_numpy_unloaded(self, tmp_path):
-        # `htype` included: numpy is loaded only by `check` (the monotonicity
-        # scan, the zeta oracle); every layer module still loads eagerly
+        # `htype` included; every layer module still loads eagerly
         result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "h88.json")],
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
@@ -536,3 +549,45 @@ class TestImportPath:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["0", "False"]
+
+    def test_check_all_leaves_numpy_unloaded(self):
+        # the zeta oracle sums over Python floats and the term-ratio link is exact
+        probe = ("import contextlib, io, sys\n"
+                 "import pleijel.cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = pleijel.cli.main(['check', 'all', '--no-timestamp'])\n"
+                 "print(code, 'numpy' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "False"]
+
+    def test_every_verb_runs_where_numpy_cannot_be_imported(self, tmp_path):
+        # stands in for an install without numpy: the import system refuses it
+        result = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE, str(tmp_path / "h.json")],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        probe = json.loads(result.stdout)
+        assert probe["codes"] == [0] * 6
+        assert probe["check_all"] == _CHECK_ALL_TEXT
+
+
+_NO_NUMPY_PROBE = """
+import contextlib, io, json, sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError("numpy is not installed")
+
+sys.meta_path.insert(0, RefuseNumpy())
+import pleijel.cli
+codes, outputs = [], []
+for argv in (["value", "3", "2", "weyl"], ["table", "gamma_tilde", "--format", "json"],
+             ["exceptional"], ["htype", "4", "7", sys.argv[1]], ["check", "all", "--no-timestamp"],
+             ["check", "monotonicity", "--eps", "1e-12", "--no-timestamp"]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        codes.append(pleijel.cli.main(argv))
+    outputs.append(out.getvalue())
+print(json.dumps({"codes": codes, "check_all": outputs[4]}))
+"""

@@ -29,12 +29,26 @@ from pleijel.htype_algebra import (
     group_identity,
     group_inverse,
     group_mul,
-    jz_map,
     sublaplacian_coefficients,
     to_json_dict,
     verify_structure,
     write_json,
 )
+
+
+def dense(s: HTypeStructure) -> tuple[np.ndarray, ...]:
+    """The family as read-only dense int64 matrices: the dense reference view."""
+    mats = np.array([P.rows() for P in s.family], dtype=np.int64)
+    mats.setflags(write=False)
+    return tuple(mats)
+
+
+def jz_map(s: HTypeStructure, z) -> np.ndarray:
+    """sum_j z_j U^(j) as a dense float matrix; orthogonal whenever |z| = 1."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (s.dim_t,):
+        raise ValueError(f"z must have length {s.dim_t}, got shape {z.shape}")
+    return np.tensordot(z, dense(s), axes=1)
 
 
 # The construction redone on dense int64 matrices with numpy kron and @,
@@ -110,15 +124,15 @@ def rational_element(s, rng, span=30, max_den=10) -> GroupElement:
 class TestConstruct:
     def test_heisenberg_plane(self):
         s = construct((1, 1))
-        assert s.U[0].tolist() == [[0, -1], [1, 0]]
+        assert dense(s)[0].tolist() == [[0, -1], [1, 0]]
         with pytest.raises(ValueError):  # a read-only dense view
-            s.U[0][0, 1] = 1
+            dense(s)[0][0, 1] = 1
         with pytest.raises(AttributeError):
-            s.U = ()
+            s.family = ()
 
     def test_heisenberg_block_form(self):
         s = construct((3, 1))
-        U = s.U[0]
+        U = dense(s)[0]
         n = 3
         assert (U[:n, :n] == 0).all() and (U[n:, n:] == 0).all()
         assert (U[:n, n:] == -np.eye(n, dtype=np.int64)).all()
@@ -126,12 +140,13 @@ class TestConstruct:
 
     def test_quaternionic_2_3(self):
         s = construct((2, 3))
-        assert len(s.U) == 3
-        assert all(U.shape == (4, 4) for U in s.U)
+        U = dense(s)
+        assert len(U) == 3
+        assert all(M.shape == (4, 4) for M in U)
         verify_structure(s)
         # the three matrices multiply like i, j, k up to sign: U1 U2 = +-U3
-        prod = s.U[0] @ s.U[1]
-        assert (prod == s.U[2]).all() or (prod == -s.U[2]).all()
+        prod = U[0] @ U[1]
+        assert (prod == U[2]).all() or (prod == -U[2]).all()
 
     def test_inadmissible_raises_with_rho(self):
         with pytest.raises(InadmissiblePair) as err:
@@ -144,7 +159,7 @@ class TestConstruct:
             for m in range(1, radon_hurwitz(2 * n)):
                 s = construct((n, m))
                 verify_structure(s)  # exact integer axioms
-                assert all(set(np.unique(U)) <= {-1, 0, 1} for U in s.U)
+                assert all(set(np.unique(U)) <= {-1, 0, 1} for U in dense(s))
 
     def test_large_two_adic_parts(self):
         # 2n = 32 needs the period-8 glue; 2n = 64 one more level
@@ -167,7 +182,7 @@ class TestConstruct:
         s = construct(pair)
         want = _dense_family(*pair)
         assert len(s.family) == len(want) == pair[1]
-        for P, U, W in zip(s.family, s.U, want):
+        for P, U, W in zip(s.family, dense(s), want):
             assert P.rows() == W.tolist()
             assert U.dtype == np.int64 and not U.flags.writeable and (U == W).all()
 
@@ -207,7 +222,7 @@ class TestGroupLaw:
             b = rational_element(s, rng)
             ab = group_mul(s, a, b)
             ba = group_mul(s, b, a)
-            for j, U in enumerate(s.U):
+            for j, U in enumerate(dense(s)):
                 rows = U.tolist()
                 bracket = sum(
                     b.x[i] * sum(rows[i][l] * a.x[l] for l in range(s.dim_x))
@@ -333,7 +348,7 @@ class TestJz:
         for j in range(3):
             z = np.zeros(3)
             z[j] = 1.0
-            assert (jz_map(s, z) == s.U[j]).all()
+            assert (jz_map(s, z) == dense(s)[j]).all()
 
     def test_zero_map(self):
         s = construct((2, 3))
@@ -390,7 +405,7 @@ class TestSublaplacian:
         nv = sub.nvars
         x1 = Polynomial.variable(0, nv)
         t1 = Polynomial.variable(s.dim_x, nv)
-        rows = s.U[0].tolist()
+        rows = dense(s)[0].tolist()
         expected = Polynomial(nv, {
             tuple(1 if v == l else 0 for v in range(nv)): rows[0][l]
             for l in range(s.dim_x) if rows[0][l]
@@ -443,7 +458,7 @@ class TestJsonInterchange:
         assert all(isinstance(v, int) for row in data["U"][0] for v in row)
         back = from_json_dict(json.loads(json.dumps(data)))
         assert back.pair == s.pair
-        assert all((a == b).all() for a, b in zip(back.U, s.U))
+        assert all((a == b).all() for a, b in zip(dense(back), dense(s)))
 
     def test_write_verifies_first(self, tmp_path):
         s = construct((1, 1))

@@ -9,7 +9,6 @@ import pytest
 
 from pleijel.constants import gamma_bar_exact
 from pleijel.monotonicity import (
-    _term_ratio,
     c_ratio_lower_bound,
     inequality_suite,
     phi,
@@ -64,14 +63,16 @@ class TestTermRatio:
             direct = series_term((n, m), k) / series_term((n - 1, m), k)
             assert term_ratio((n, m), k) == pytest.approx(direct, rel=1e-12)
 
-    def test_scan_evaluates_the_public_formula(self):
-        # inequality_suite scans _term_ratio on a float array of k, the body of
-        # term_ratio; numpy's pow and Python's may differ in the last bit
-        np = pytest.importorskip("numpy")
-        ks = np.arange(0, 2001, dtype=np.float64)
-        for n, m in ((2, 1), (5, 3), (12, 12)):
-            want = [term_ratio((n, m), k) for k in range(2001)]
-            assert _term_ratio(n, m, ks).tolist() == pytest.approx(want, rel=1e-15, abs=0)
+    def test_log_derivative_is_the_exact_link(self):
+        # the suite proves d/dd log term_ratio = ((m+1)d + (n-2)(n+m)) / (d(d-1)(d+n-2))
+        # with d = 2k + n; a central difference of the public function must agree
+        h = 1e-4
+        for n, m, k in ((2, 1, 0.5), (5, 3, 2.0), (12, 12, 0.25), (3, 7, 40.0)):
+            d = 2 * k + n
+            exact = ((m + 1) * d + (n - 2) * (n + m)) / (d * (d - 1) * (d + n - 2))
+            slope = (math.log(term_ratio((n, m), k + h))
+                     - math.log(term_ratio((n, m), k - h))) / (4 * h)
+            assert slope == pytest.approx(exact, rel=1e-6)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -144,8 +145,7 @@ class TestInequalitySuite:
             "phi_upper_bound",
             "phi_closed_form_agreement",
             "phi_quadratic_nonpositive",
-            "term_ratio_nondecreasing",
-            "term_ratio_min_at_k0",
+            "term_ratio_increasing",
             "c_ratio_lower_bound_holds",
             "psi_heisenberg_bound",
             "psi_squared_bound",
@@ -166,7 +166,12 @@ class TestInequalitySuite:
 
     def test_passed_flag_is_consistent(self, reports):
         for r in reports:
-            assert r.passed == (r.max_observed <= r.threshold + 1e-12)
+            assert r.passed == (r.max_observed <= r.threshold)
+
+    def test_term_ratio_link_is_exact(self, reports):
+        (link,) = [r for r in reports if r.name == "term_ratio_increasing"]
+        assert link.passed and link.max_observed == -4 and link.threshold == 0
+        assert link.domain_scanned == "n >= 2, m >= 1, real k >= 0"
 
     def test_empirical_scan_is_labelled(self, reports):
         (emp,) = [r for r in reports if r.name == "gamma_tilde_decreasing_in_m_empirical"]

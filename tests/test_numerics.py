@@ -18,6 +18,7 @@ from pleijel.numerics import (
     round_half_away,
     sphere_area,
     zeta,
+    zeta_interval,
 )
 
 
@@ -173,6 +174,16 @@ class TestZeta:
     def test_decreasing_to_one(self):
         values = [zeta(s) for s in range(2, 20)]
         assert all(a > b > 1 for a, b in zip(values, values[1:]))
+
+    def test_interval_contains_the_true_value(self):
+        # even s <= 24 from the Bernoulli closed form, the rest by direct summation
+        mpmath = pytest.importorskip("mpmath")
+        for s in range(2, 31):
+            enc = zeta_interval(s)
+            with mpmath.workdps(40):
+                assert enc.lo <= mpmath.zeta(s) <= enc.hi, s
+            assert enc.hi - enc.lo < 1e-14 * enc.lo, s
+            assert zeta(s) == enc.mid
 
 
 class TestRounding:

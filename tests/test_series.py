@@ -239,7 +239,8 @@ class TestHurwitzKernel:
             SeriesValue(1.0, 0.5, 3)._replace(tail_bound=-1)
 
     def test_bernoulli_table(self):
-        # B_j from the recurrence sum_{k<=j} C(j+1, k) B_k = 0
+        # B_j from the recurrence sum_{k<=j} C(j+1, k) B_k = 0; the kernel's
+        # corrections and zeta_interval's even s both read this table
         B = [Fraction(1)]
         for j in range(1, 2 * len(_BERNOULLI) + 1):
             B.append(-sum(math.comb(j + 1, k) * B[k] for k in range(j)) / (j + 1))
