@@ -5,94 +5,21 @@ the sharp L^2 Sobolev constant, the Weyl eigenvalue-counting constant,
 the nodal-domain (Pleijel) bound gamma_tilde and its rational truncation
 bound gamma_bar, the Radon-Hurwitz admissibility classification of
 (n, m), and explicit integer matrix families realising the groups.
+
+Each library module lists its public names once, in its ``__all__``; the
+package exports exactly those.
 """
 
-from .admissibility import AdmissibilityVerdict, admissible, is_admissible, radon_hurwitz, shading_mask
-from .constants import (
-    ExceptionalSet,
-    exceptional_set,
-    gamma_bar,
-    gamma_bar_exact,
-    gamma_tilde,
-    gamma_tilde_interval,
-    gamma_tilde_product_form,
-    sobolev_constant,
-    sobolev_interval,
-    weyl_constant,
-    weyl_density_bruteforce,
-    weyl_interval,
-)
-from .core import DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable
-from .htype_algebra import (
-    GroupElement,
-    HTypeStructure,
-    Polynomial,
-    construct,
-    group_identity,
-    group_inverse,
-    group_mul,
-    sublaplacian_coefficients,
-)
-from .monotonicity import (
-    InequalityReport,
-    c_ratio_lower_bound,
-    inequality_suite,
-    phi,
-    psi,
-    term_ratio,
-)
-from .numerics import binomial, gamma_ratio_exact, log_gamma, round_half_away, sphere_area, zeta, zeta_interval
-from .series import SeriesValue, c_series, c_tail_bound, multiindex_count, series_term, series_term_exact
+from . import admissibility, constants, core, htype_algebra, monotonicity, numerics, series
+from .admissibility import *  # noqa: F403
+from .constants import *  # noqa: F403
+from .core import *  # noqa: F403
+from .htype_algebra import *  # noqa: F403
+from .monotonicity import *  # noqa: F403
+from .numerics import *  # noqa: F403
+from .series import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityVerdict",
-    "DimPair",
-    "Enclosure",
-    "ExceptionalSet",
-    "GroupElement",
-    "HTypeStructure",
-    "InadmissiblePair",
-    "InequalityReport",
-    "Polynomial",
-    "PrecisionUnreachable",
-    "SeriesValue",
-    "admissible",
-    "binomial",
-    "c_ratio_lower_bound",
-    "c_series",
-    "c_tail_bound",
-    "construct",
-    "exceptional_set",
-    "gamma_bar",
-    "gamma_bar_exact",
-    "gamma_ratio_exact",
-    "gamma_tilde",
-    "gamma_tilde_interval",
-    "gamma_tilde_product_form",
-    "group_identity",
-    "group_inverse",
-    "group_mul",
-    "inequality_suite",
-    "is_admissible",
-    "log_gamma",
-    "multiindex_count",
-    "phi",
-    "psi",
-    "radon_hurwitz",
-    "round_half_away",
-    "series_term",
-    "series_term_exact",
-    "shading_mask",
-    "sobolev_constant",
-    "sobolev_interval",
-    "sphere_area",
-    "sublaplacian_coefficients",
-    "term_ratio",
-    "weyl_constant",
-    "weyl_density_bruteforce",
-    "weyl_interval",
-    "zeta",
-    "zeta_interval",
-]
+__all__ = [*core.__all__, *admissibility.__all__, *numerics.__all__, *series.__all__,
+           *constants.__all__, *monotonicity.__all__, *htype_algebra.__all__]

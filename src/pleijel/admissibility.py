@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .core import DimPair, as_pair
 
-__all__ = ["AdmissibilityVerdict", "radon_hurwitz", "admissible", "is_admissible", "shading_mask"]
+__all__ = ["AdmissibilityVerdict", "radon_hurwitz", "admissible", "shading_mask"]
 
 
 def radon_hurwitz(N: int) -> int:
@@ -39,10 +39,6 @@ def admissible(pair) -> AdmissibilityVerdict:
     p = as_pair(pair)
     rho = radon_hurwitz(2 * p.n)
     return AdmissibilityVerdict(pair=p, admissible=p.m <= rho - 1, rho_2n=rho, max_m=rho - 1)
-
-
-def is_admissible(pair) -> bool:
-    return admissible(pair).admissible
 
 
 def shading_mask(n_max: int, m_max: int) -> list[list[bool]]:

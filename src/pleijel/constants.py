@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .admissibility import is_admissible
+from .admissibility import admissible
 from .core import DimPair, Enclosure, PrecisionUnreachable, as_pair
 from .numerics import _PI_HI, _PI_LO, _outward, log_gamma, sphere_area
 from .series import (
@@ -243,7 +243,7 @@ def exceptional_set(n_max: int, m_max: int, eps: float = 1e-8) -> ExceptionalSet
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
             p = DimPair(n, m)
-            if not is_admissible(p):
+            if not admissible(p).admissible:
                 continue
             low, high = gamma_tilde_interval(p, eps)
             if low >= 1.0:
@@ -266,7 +266,8 @@ def weyl_density_bruteforce(pair, lam: float, max_shells: int | None = None,
             = (lambda/(2K+n))^(n+m) / (n+m),
 
     so the density is omega_(m-1)/(2pi)^(n+m) times the shell sum of
-    multiindex_count(n, K) (lambda/(2K+n))^(n+m)/(n+m).  Shells are
+    C(K+n-1, K) (lambda/(2K+n))^(n+m)/(n+m), where C(K+n-1, K) counts the
+    multi-indices with |k| = K (stars and bars).  Shells are
     enumerated directly, independently of the c_series kernel: the sum
     stops at the first K >= _min_terms(n) whose series term is at most
     eps times the partial series sum, and the rest is enclosed by the
@@ -285,7 +286,7 @@ def weyl_density_bruteforce(pair, lam: float, max_shells: int | None = None,
     total = 0.0
     comp = 0.0
     for K in range(shells):
-        # multiindex_count(n, K) * (lam / (2K + n))^s / s
+        # (number of multi-indices with |k| = K) * (lam / (2K + n))^s / s
         shell = math.comb(K + n - 1, K) * (lam / (2 * K + n)) ** s / s
         y = shell - comp
         t = total + y

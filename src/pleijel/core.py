@@ -12,6 +12,8 @@ import math
 import numbers
 from typing import NamedTuple
 
+__all__ = ["DimPair", "Enclosure", "InadmissiblePair", "PrecisionUnreachable"]
+
 
 class PrecisionUnreachable(RuntimeError):
     """A certified error target cannot be met.

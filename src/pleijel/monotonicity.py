@@ -48,10 +48,8 @@ from .series import c_series
 
 __all__ = [
     "InequalityReport",
-    "phi",
     "phi_closed_form",
     "term_ratio",
-    "c_ratio_lower_bound",
     "psi",
     "psi_closed_form",
     "inequality_suite",
@@ -87,25 +85,8 @@ def _report(name: str, domain: str, max_observed: float, threshold: float,
     )
 
 
-def phi(pair, eps: float = 1e-8) -> float:
-    """gamma_tilde(n, m)/gamma_tilde(n-1, m) for n >= 2.
-
-    Evaluates both the direct quotient and the closed form and insists
-    they agree to 1e-8 relative before returning the quotient.
-    """
-    p = as_pair(pair)
-    if p.n < 2:
-        raise ValueError(f"phi needs n >= 2, got {p}")
-    quotient = gamma_tilde(p, eps / 8) / gamma_tilde((p.n - 1, p.m), eps / 8)
-    closed = phi_closed_form(p, eps / 8)
-    if abs(quotient - closed) > 1e-8 * quotient:
-        raise RuntimeError(
-            f"phi{p}: quotient {quotient!r} and closed form {closed!r} disagree"
-        )
-    return quotient
-
-
 def phi_closed_form(pair, eps: float = 1e-8) -> float:
+    """phi(n, m) = gamma_tilde(n, m)/gamma_tilde(n-1, m), n >= 2, by its closed form."""
     p = as_pair(pair)
     if p.n < 2:
         raise ValueError(f"phi needs n >= 2, got {p}")
@@ -137,12 +118,6 @@ def term_ratio(pair, k: int) -> float:
         raise ValueError(f"k must be >= 0, got {k}")
     n, d = p.n, 2 * k + p.n
     return (k + n - 1) / ((n - 1) * d) * (1 - 1 / d) ** (n + p.m - 1)
-
-
-def c_ratio_lower_bound(pair) -> float:
-    """Lower bound (1/n)(1 - 1/n)^(n+m-1) on c(n, m)/c(n-1, m); equals
-    term_ratio at k = 0."""
-    return term_ratio(pair, 0)
 
 
 def psi(pair) -> Fraction:
@@ -242,7 +217,7 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, eps: float = 1e-8) -> lis
             lo_here = c_series((n, m), eps, relative=True)
             hi_prev = c_series((n - 1, m), eps, relative=True)
             certified_low = lo_here.value / hi_prev.upper
-            worst_ratio = max(worst_ratio, c_ratio_lower_bound((n, m)) / certified_low)
+            worst_ratio = max(worst_ratio, term_ratio((n, m), 0) / certified_low)
     reports.append(
         _report("c_ratio_lower_bound_holds", phi_domain, worst_ratio, 1.0,
                 note="bound / certified ratio")

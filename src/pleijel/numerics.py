@@ -2,25 +2,25 @@
 
 All approximate values are binary64.  Quantities that blow up (such as
 Gamma(2n + m) for large n) are never formed directly on the approximate
-path; everything is assembled in the log domain.  Quantities that are
-rational (gamma ratios with integer argument difference, binomials) are
-computed exactly over arbitrary-precision integers.
+path; everything is assembled in the log domain.
 
 Half-integers are represented as Fraction with denominator 1 or 2; plain
 ints and exactly-half-integral floats are accepted and coerced.  The
-float bounds of pi and ``zeta_interval``, the checks' zeta oracle, live here.
+float bounds of pi and ``zeta_interval``, the checks' zeta oracle, live here,
+as does ``round_half_away``, the display rule of every printed value.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
 from .core import Enclosure
 from .series import _BERNOULLI, _ETA, _POW, _charge
+
+__all__ = ["log_gamma", "sphere_area", "zeta_interval", "zeta", "round_half_away"]
 
 LOG_PI = math.log(math.pi)
 
@@ -51,35 +51,6 @@ def log_gamma(q) -> float:
     if f <= 0:
         raise ValueError(f"log_gamma needs q > 0, got {q}")
     return math.lgamma(float(f))
-
-
-def gamma_ratio_exact(a, b) -> Fraction:
-    """Gamma(a)/Gamma(b) as an exact rational, for half-integers with a - b
-    an integer (the sqrt(pi) factors cancel and the ratio telescopes).
-    """
-    fa, fb = as_half_integer(a), as_half_integer(b)
-    if fa <= 0 or fb <= 0:
-        raise ValueError(f"gamma_ratio_exact needs positive arguments, got ({a}, {b})")
-    if (fa - fb).denominator != 1:
-        raise ValueError(
-            f"unsupported ratio: Gamma({a})/Gamma({b}) is irrational-over-rational "
-            "(a - b must be an integer)"
-        )
-    if fa < fb:
-        return 1 / gamma_ratio_exact(fb, fa)
-    # Gamma(a) = (a-1)(a-2)...(b) Gamma(b); with b = p/q each factor is (p + iq)/q
-    p, q = fb.numerator, fb.denominator
-    steps = int(fa - fb)
-    return Fraction(math.prod(range(p, p + steps * q, q)), q**steps)
-
-
-def binomial(p: int, q: int) -> int:
-    """Exact C(p, q); returns 0 when q > p (empty selection convention)."""
-    if p < 0 or q < 0:
-        raise ValueError(f"binomial needs nonnegative arguments, got ({p}, {q})")
-    if q > p:
-        return 0
-    return math.comb(p, q)
 
 
 def sphere_area(d: int) -> float:
@@ -136,20 +107,19 @@ def zeta(s: int) -> float:
 def round_half_away(value, decimals: int = 4) -> str:
     """Fixed-point decimal string, rounding halves away from zero.
 
-    Fractions are rounded exactly; floats via their exact binary value.
-    This is the display convention of the reference tables (0.72576 ->
-    "0.7258").
+    Any finite int, float or Fraction is rounded exactly, from its integer
+    ratio (a float's is its exact binary value).  This is the display
+    convention of the reference tables (0.72576 -> "0.7258").
     """
     if decimals < 0:
         raise ValueError("decimals must be >= 0")
-    if isinstance(value, Fraction):
-        sign = "-" if value < 0 else ""
-        scaled = abs(value) * 10**decimals
-        q, r = divmod(scaled.numerator, scaled.denominator)
-        if 2 * r >= scaled.denominator:
-            q += 1  # halves of the magnitude go up, i.e. away from zero
-        if decimals == 0:
-            return f"{sign}{q}"
-        return f"{sign}{q // 10**decimals}.{q % 10**decimals:0{decimals}d}"
-    d = Decimal(float(value)).quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP)
-    return format(d, "f")  # str() would switch to exponent form below 1e-6
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"cannot round {value!r}")
+    num, den = value.as_integer_ratio()
+    q, r = divmod(abs(num) * 10**decimals, den)
+    if 2 * r >= den:
+        q += 1  # halves of the magnitude go up, i.e. away from zero
+    sign = "-" if num < 0 else ""
+    if decimals == 0:
+        return f"{sign}{q}"
+    return f"{sign}{q // 10**decimals}.{q % 10**decimals:0{decimals}d}"

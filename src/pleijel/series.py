@@ -68,17 +68,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import DimPair, PrecisionUnreachable, as_pair
+from .core import PrecisionUnreachable, as_pair
 
-__all__ = [
-    "DimPair",
-    "SeriesValue",
-    "series_term",
-    "series_term_exact",
-    "c_series",
-    "c_tail_bound",
-    "multiindex_count",
-]
+__all__ = ["SeriesValue", "series_term", "c_series", "c_tail_bound"]
 
 _U = 2.0**-53  # unit roundoff of binary64
 _ETA = 2.0**-1074  # bound on the error of one rounding into the subnormal range
@@ -164,14 +156,6 @@ def _binomial_factor(n: int, k: int, d: int) -> float:
     for j in range(1, n):
         r *= (k + j) / (j * d)
     return r
-
-
-def series_term_exact(pair, k: int) -> Fraction:
-    """Summand as an exact rational (cross-check path for the float term)."""
-    p = as_pair(pair)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return Fraction(math.comb(k + p.n - 1, k), (2 * k + p.n) ** (p.n + p.m))
 
 
 @lru_cache(maxsize=None)
@@ -339,12 +323,3 @@ def c_tail_bound(pair, K: int) -> float:
     if K < max(p.n - 1, 2):
         raise ValueError(f"c_tail_bound{p} needs K >= max(n-1, 2) = {max(p.n - 1, 2)}, got {K}")
     return float(K - 1) ** (-p.m) / (math.factorial(p.n - 1) * 2 ** (p.m + 1) * p.m)
-
-
-def multiindex_count(n: int, K: int) -> int:
-    """Number of multi-indices in N_0^n with |k| = K (stars and bars)."""
-    if n < 1:
-        raise ValueError(f"multiindex_count needs n >= 1, got {n}")
-    if K < 0:
-        raise ValueError(f"multiindex_count needs K >= 0, got {K}")
-    return math.comb(K + n - 1, K)

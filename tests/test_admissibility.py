@@ -3,14 +3,16 @@ values and the grey pattern of the reference tables."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pleijel
 from pleijel import reference
-from pleijel.admissibility import admissible, is_admissible, radon_hurwitz, shading_mask
+from pleijel.admissibility import admissible, radon_hurwitz, shading_mask
 from pleijel.checks import CheckResult
 from pleijel.cli import TableSpec, _compute_cell
 from pleijel.core import DimPair, InadmissiblePair
@@ -31,6 +33,11 @@ _VALUE_TYPES = {
     "GroupElement": lambda: group_identity(construct((2, 3))),
     "SublaplacianCoefficients": lambda: sublaplacian_coefficients(construct((2, 3))),
 }
+
+
+#: the library modules whose ``__all__`` the package re-exports, in order
+_LIBRARY_MODULES = ("core", "admissibility", "numerics", "series", "constants", "monotonicity",
+                    "htype_algebra")
 
 
 class TestRadonHurwitz:
@@ -60,10 +67,10 @@ class TestRadonHurwitz:
 
 class TestAdmissible:
     def test_quoted_special_cases(self):
-        assert is_admissible((1, 1)) and not is_admissible((1, 2))
-        assert is_admissible((3, 1)) and not is_admissible((3, 2))
-        assert is_admissible((2, 3)) and not is_admissible((2, 4))
-        assert is_admissible((4, 7)) and not is_admissible((4, 8))
+        assert admissible((1, 1)).admissible and not admissible((1, 2)).admissible
+        assert admissible((3, 1)).admissible and not admissible((3, 2)).admissible
+        assert admissible((2, 3)).admissible and not admissible((2, 4)).admissible
+        assert admissible((4, 7)).admissible and not admissible((4, 8)).admissible
 
     def test_verdict_fields(self):
         v = admissible((4, 5))
@@ -74,12 +81,12 @@ class TestAdmissible:
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=2, max_value=24))
     def test_monotone_truncation(self, n, m):
         # admissible at m implies admissible at every smaller centre dimension
-        if is_admissible((n, m)):
-            assert all(is_admissible((n, mm)) for mm in range(1, m))
+        if admissible((n, m)).admissible:
+            assert all(admissible((n, mm)).admissible for mm in range(1, m))
 
     def test_m_equals_one_always_admissible(self):
         for n in range(1, 65):
-            assert is_admissible((n, 1))
+            assert admissible((n, 1)).admissible
 
 
 class TestShadingMask:
@@ -119,3 +126,24 @@ class TestCrossModule:
                 setattr(value, field, getattr(value, field))
         with pytest.raises(AttributeError):
             value.extra = None
+
+
+class TestPackageExports:
+    def test_all_is_the_modules_lists_each_name_once(self):
+        modules = [importlib.import_module(f"pleijel.{name}") for name in _LIBRARY_MODULES]
+        assert pleijel.__all__ == [name for module in modules for name in module.__all__]
+        assert len(set(pleijel.__all__)) == len(pleijel.__all__)
+
+    def test_every_name_resolves_to_its_module_object(self):
+        for module_name in _LIBRARY_MODULES:
+            module = importlib.import_module(f"pleijel.{module_name}")
+            for name in module.__all__:
+                assert getattr(pleijel, name) is getattr(module, name), (module_name, name)
+
+    @pytest.mark.parametrize("name", ["binomial", "gamma_ratio_exact", "multiindex_count",
+                                      "series_term_exact", "c_ratio_lower_bound", "phi",
+                                      "is_admissible"])
+    def test_deleted_wrappers_are_gone(self, name):
+        assert name not in pleijel.__all__ and not hasattr(pleijel, name)
+        for module_name in _LIBRARY_MODULES:
+            assert not hasattr(importlib.import_module(f"pleijel.{module_name}"), name)

@@ -521,6 +521,21 @@ print(json.dumps({"loaded": loaded, "after_import": after_import,
 """
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ("check", "all", "--no-timestamp"),
+        ("table", "c_series", "--n-max", "30", "--m-max", "30", "--format", "json"),
+    ])
+    def test_exit_one_and_quiet_stderr(self, argv):
+        proc = subprocess.Popen([sys.executable, "-m", "pleijel.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before anything is written
+        err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == 1, err
+        for marker in ("Traceback", "BrokenPipeError", "Exception ignored"):
+            assert marker not in err, err
+
+
 class TestImportPath:
     def test_value_table_exceptional_leave_numpy_unloaded(self, tmp_path):
         # `htype` included; every layer module still loads eagerly

@@ -33,12 +33,31 @@ from pleijel.constants import (
     weyl_interval,
 )
 from pleijel.core import DimPair, Enclosure, PrecisionUnreachable, as_pair
-from pleijel.numerics import gamma_ratio_exact, round_half_away, sphere_area, zeta
+from pleijel.numerics import log_gamma, round_half_away, sphere_area, zeta
 from pleijel import reference
-from pleijel.series import _integral_remainder, _min_terms, multiindex_count, series_term
+from pleijel.series import _integral_remainder, _min_terms, series_term
 from test_series import _hurwitz_oracle
 
 SOBOLEV_21_REFERENCE = 9.973934966328010133395
+
+
+def gamma_ratio_exact(a, b) -> Fraction:
+    """Gamma(a)/Gamma(b) as an exact rational, for positive half-integers with
+    a - b an integer (the sqrt(pi) factors cancel and the ratio telescopes).
+
+    The reference that ``gamma_bar_exact``'s integer form is compared against.
+    """
+    fa, fb = Fraction(a), Fraction(b)
+    if min(fa, fb) <= 0 or (2 * fa).denominator != 1 or (2 * fb).denominator != 1:
+        raise ValueError(f"gamma_ratio_exact needs positive half-integers, got ({a}, {b})")
+    if (fa - fb).denominator != 1:
+        raise ValueError(f"unsupported ratio: Gamma({a})/Gamma({b}) (a - b must be an integer)")
+    if fa < fb:
+        return 1 / gamma_ratio_exact(fb, fa)
+    # Gamma(a) = (a-1)(a-2)...(b) Gamma(b); with b = p/q each factor is (p + iq)/q
+    p, q = fb.numerator, fb.denominator
+    steps = int(fa - fb)
+    return Fraction(math.prod(range(p, p + steps * q, q)), q**steps)
 
 
 class TestSobolev:
@@ -109,6 +128,51 @@ class TestProductFormConsistency:
             g = gamma_tilde((n, m))
             dev = abs(g - gamma_tilde_product_form((n, m))) / g
             assert dev <= 1e-8, f"({n},{m}): {dev:.2e}"
+
+
+class TestGammaRatioExact:
+    def test_examples(self):
+        assert gamma_ratio_exact(3, 1) == 2
+        assert gamma_ratio_exact(Fraction(3, 2), Fraction(7, 2)) == Fraction(4, 15)
+        assert gamma_ratio_exact(10, 5) == 15120  # 9!/4!
+
+    def test_non_integer_difference_rejected(self):
+        with pytest.raises(ValueError, match="unsupported ratio"):
+            gamma_ratio_exact(Fraction(3, 2), 2)
+
+    def test_agrees_with_log_gamma(self):
+        for twice_b in range(1, 40):
+            for diff in range(-12, 13):
+                twice_a = twice_b + 2 * diff
+                if twice_a < 1 or twice_a > 120 or twice_b > 120:
+                    continue
+                a, b = Fraction(twice_a, 2), Fraction(twice_b, 2)
+                exact = gamma_ratio_exact(a, b)
+                via_log = math.exp(log_gamma(a) - log_gamma(b))
+                assert float(exact) == pytest.approx(via_log, rel=1e-10)
+
+    def test_inverse_pairs(self):
+        a, b = Fraction(61, 2), Fraction(5, 2)
+        assert gamma_ratio_exact(a, b) * gamma_ratio_exact(b, a) == 1
+
+    def test_equals_chained_fraction_product(self):
+        # the factor-by-factor product Gamma(a)/Gamma(b) = (a-1)(a-2)...(b)
+        def chained(a, b):
+            if a < b:
+                return 1 / chained(b, a)
+            out, x = Fraction(1), b
+            while x < a:
+                out *= x
+                x += 1
+            return out
+
+        for twice_b in range(1, 62):
+            for diff in range(-30, 31):
+                twice_a = twice_b + 2 * diff
+                if twice_a < 1:
+                    continue
+                a, b = Fraction(twice_a, 2), Fraction(twice_b, 2)
+                assert gamma_ratio_exact(a, b) == chained(a, b), (a, b)
 
 
 class TestGammaBar:
@@ -247,7 +311,7 @@ def _bruteforce_reference(pair, lam, max_shells=None, eps=1e-9) -> float:
                 best_bound=term if K >= kmin else math.inf,
                 terms_used=K,
             )
-        shell = multiindex_count(p.n, K) * (lam / (2 * K + p.n)) ** s / s
+        shell = math.comb(K + p.n - 1, K) * (lam / (2 * K + p.n)) ** s / s
         y = shell - comp
         t = total + y
         comp = (t - total) - y

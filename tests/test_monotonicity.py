@@ -7,11 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from pleijel.constants import gamma_bar_exact
+from pleijel.constants import gamma_bar_exact, gamma_tilde
 from pleijel.monotonicity import (
-    c_ratio_lower_bound,
     inequality_suite,
-    phi,
     phi_closed_form,
     psi,
     psi_closed_form,
@@ -20,27 +18,35 @@ from pleijel.monotonicity import (
 from pleijel.series import c_series, series_term
 
 
+def phi_quotient(pair) -> float:
+    """phi(n, m) as the direct quotient gamma_tilde(n, m)/gamma_tilde(n-1, m)."""
+    n, m = pair
+    return gamma_tilde((n, m), 1e-9) / gamma_tilde((n - 1, m), 1e-9)
+
+
 class TestPhi:
     def test_heisenberg_step_is_exactly_nine_sixteenths(self):
         # gamma_tilde(2,1)/gamma_tilde(1,1) = (18/pi^2)/(32/pi^2) = 9/16
-        assert phi((2, 1)) == pytest.approx(9 / 16, rel=1e-8)
+        assert phi_quotient((2, 1)) == pytest.approx(9 / 16, rel=1e-8)
+        assert phi_closed_form((2, 1)) == pytest.approx(9 / 16, rel=1e-8)
 
     def test_reference_cell_quotient(self):
         # quotient of the printed 4-decimal cells, so only ~4 digits agree
-        assert phi((4, 2)) == pytest.approx(0.4120 / 0.7141, abs=5e-4)
+        assert phi_quotient((4, 2)) == pytest.approx(0.4120 / 0.7141, abs=5e-4)
 
     def test_below_one_on_scan(self):
         for n in range(2, 9):
             for m in range(1, 9):
-                assert phi((n, m)) < 1
+                assert phi_quotient((n, m)) < 1
+                assert phi_closed_form((n, m)) < 1
 
     def test_closed_form_matches_quotient(self):
         for pair in ((2, 1), (3, 3), (5, 2), (9, 7)):
-            assert phi_closed_form(pair) == pytest.approx(phi(pair), rel=1e-8)
+            assert phi_closed_form(pair) == pytest.approx(phi_quotient(pair), rel=1e-8)
 
     def test_needs_n_at_least_two(self):
         with pytest.raises(ValueError):
-            phi((1, 1))
+            phi_closed_form((1, 1))
 
 
 class TestTermRatio:
@@ -82,18 +88,20 @@ class TestTermRatio:
 
 
 class TestCRatioLowerBound:
+    """term_ratio at k = 0, (1/n)(1 - 1/n)^(n+m-1), bounds c(n, m)/c(n-1, m) below."""
+
     def test_example_2_1(self):
         # bound 1/8; actual ratio (zeta(2)/8)/(pi^2/8) = 1/6
-        assert c_ratio_lower_bound((2, 1)) == pytest.approx(1 / 8, rel=1e-15)
+        assert term_ratio((2, 1), 0) == pytest.approx(1 / 8, rel=1e-15)
         actual = (
             c_series((2, 1), 1e-10 * series_term((2, 1), 0)).midpoint
             / c_series((1, 1), 1e-10 * series_term((1, 1), 0)).midpoint
         )
         assert actual == pytest.approx(1 / 6, rel=1e-9)
-        assert actual >= c_ratio_lower_bound((2, 1))
+        assert actual >= term_ratio((2, 1), 0)
 
     def test_example_3_2(self):
-        bound = c_ratio_lower_bound((3, 2))
+        bound = term_ratio((3, 2), 0)
         assert bound == pytest.approx((1 / 3) * (2 / 3) ** 4, rel=1e-14)
         actual = (
             c_series((3, 2), 1e-10 * series_term((3, 2), 0)).midpoint
@@ -104,7 +112,7 @@ class TestCRatioLowerBound:
     def test_always_below_one(self):
         for n in range(2, 15):
             for m in range(1, 15):
-                assert c_ratio_lower_bound((n, m)) < 1
+                assert term_ratio((n, m), 0) < 1
 
 
 class TestPsi:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,6 @@ from hypothesis import strategies as st
 
 from pleijel.numerics import (
     as_half_integer,
-    binomial,
-    gamma_ratio_exact,
     log_gamma,
     round_half_away,
     sphere_area,
@@ -68,78 +67,6 @@ class TestLogGamma:
         assert math.exp(log_gamma(q + 1) - log_gamma(q)) == pytest.approx(float(q), rel=1e-12)
 
 
-class TestGammaRatioExact:
-    def test_examples(self):
-        assert gamma_ratio_exact(3, 1) == 2
-        assert gamma_ratio_exact(Fraction(3, 2), Fraction(7, 2)) == Fraction(4, 15)
-        assert gamma_ratio_exact(10, 5) == 15120  # 9!/4!
-
-    def test_non_integer_difference_rejected(self):
-        with pytest.raises(ValueError, match="unsupported ratio"):
-            gamma_ratio_exact(Fraction(3, 2), 2)
-
-    def test_agrees_with_log_gamma(self):
-        for twice_b in range(1, 40):
-            for diff in range(-12, 13):
-                twice_a = twice_b + 2 * diff
-                if twice_a < 1 or twice_a > 120 or twice_b > 120:
-                    continue
-                a, b = Fraction(twice_a, 2), Fraction(twice_b, 2)
-                exact = gamma_ratio_exact(a, b)
-                via_log = math.exp(log_gamma(a) - log_gamma(b))
-                assert float(exact) == pytest.approx(via_log, rel=1e-10)
-
-    def test_inverse_pairs(self):
-        a, b = Fraction(61, 2), Fraction(5, 2)
-        assert gamma_ratio_exact(a, b) * gamma_ratio_exact(b, a) == 1
-
-    def test_equals_chained_fraction_product(self):
-        # the factor-by-factor product Gamma(a)/Gamma(b) = (a-1)(a-2)...(b)
-        def chained(a, b):
-            if a < b:
-                return 1 / chained(b, a)
-            out, x = Fraction(1), b
-            while x < a:
-                out *= x
-                x += 1
-            return out
-
-        for twice_b in range(1, 62):
-            for diff in range(-30, 31):
-                twice_a = twice_b + 2 * diff
-                if twice_a < 1:
-                    continue
-                a, b = Fraction(twice_a, 2), Fraction(twice_b, 2)
-                assert gamma_ratio_exact(a, b) == chained(a, b), (a, b)
-
-
-class TestBinomial:
-    def test_examples(self):
-        assert binomial(5, 2) == 10
-        assert binomial(8, 7) == 8
-        for k in range(20):
-            assert binomial(k, k) == 1  # the n = 1 series row
-
-    def test_above_diagonal_is_zero(self):
-        assert binomial(5, 7) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -2)
-
-    def test_pascal_rule_exhaustive(self):
-        for p in range(1, 201):
-            for q in range(1, p + 1):
-                assert binomial(p, q) == binomial(p - 1, q - 1) + binomial(p - 1, q)
-
-    @given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=400))
-    def test_symmetry(self, p, q):
-        if q <= p:
-            assert binomial(p, q) == binomial(p, p - q)
-
-
 class TestSphereArea:
     def test_low_dimensions(self):
         assert sphere_area(0) == pytest.approx(2.0, rel=1e-14)
@@ -186,6 +113,13 @@ class TestZeta:
             assert zeta(s) == enc.mid
 
 
+def half_away_reference(x: Fraction, decimals: int) -> str:
+    """The display rule from its definition: sign(x) floor(|x| 10^d + 1/2), d decimals."""
+    digits = str(math.floor(abs(x) * 10**decimals + Fraction(1, 2))).rjust(decimals + 1, "0")
+    body = f"{digits[:-decimals]}.{digits[-decimals:]}" if decimals else digits
+    return ("-" if x < 0 else "") + body
+
+
 class TestRounding:
     def test_half_away_from_zero(self):
         assert round_half_away(Fraction(2268, 3125), 4) == "0.7258"  # 0.72576
@@ -197,6 +131,8 @@ class TestRounding:
         assert round_half_away(Fraction(5, 10**5), 4) == "0.0001"  # 0.00005
         assert round_half_away(Fraction(12345, 10**5), 4) == "0.1235"
         assert round_half_away(Fraction(-5, 2), 0) == "-3"
+        assert round_half_away(0.125, 2) == "0.13"  # binary64 ties too
+        assert round_half_away(-2.5, 0) == "-3"
 
     def test_float_path(self):
         assert round_half_away(0.72576, 4) == "0.7258"
@@ -206,6 +142,27 @@ class TestRounding:
         assert round_half_away(Fraction(1, 3), 8) == "0.33333333"
         with pytest.raises(ValueError):
             round_half_away(1.0, -1)
+
+    def test_floats_follow_the_exact_rational_rule(self):
+        # random magnitudes, and k/2^j: exact at j <= d, a tie at j = d + 1, finer beyond
+        rng = random.Random(20240601)
+        for decimals in range(13):
+            values = [rng.choice((-1, 1)) * rng.random() * 10 ** rng.uniform(-15, 15)
+                      for _ in range(300)]
+            values += [rng.choice((-1, 1)) * rng.randrange(1, 2**40, 2) / 2**j
+                       for j in range(decimals + 3) for _ in range(20)]
+            for x in values:
+                assert round_half_away(x, decimals) == half_away_reference(Fraction(x), decimals), \
+                    (x, decimals)
+
+    def test_large_floats_print_their_exact_value(self):
+        assert round_half_away(1e30, 4) == f"{int(1e30)}.0000"
+        assert round_half_away(-2.0**200, 0) == str(-(2**200))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="cannot round"):
+            round_half_away(value, 4)
 
 
 class TestHalfIntegerCoercion:
