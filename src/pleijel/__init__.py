@@ -7,19 +7,47 @@ bound gamma_bar, the Radon-Hurwitz admissibility classification of
 (n, m), and explicit integer matrix families realising the groups.
 
 Each library module lists its public names once, in its ``__all__``; the
-package exports exactly those.
+package exports exactly those.  Importing the package runs none of them:
+every library module is registered in ``sys.modules`` as a lazy module
+(``importlib.util.LazyLoader``) and runs on its first attribute access,
+and each exported name is resolved from its module on first use.  So a
+CLI verb compiles and runs only the modules it calls.  ``cli`` is not
+registered, so that ``python -m pleijel.cli`` finds it unloaded.
 """
 
-from . import admissibility, constants, core, htype_algebra, monotonicity, numerics, series
-from .admissibility import *  # noqa: F403
-from .constants import *  # noqa: F403
-from .core import *  # noqa: F403
-from .htype_algebra import *  # noqa: F403
-from .monotonicity import *  # noqa: F403
-from .numerics import *  # noqa: F403
-from .series import *  # noqa: F403
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [*core.__all__, *admissibility.__all__, *numerics.__all__, *series.__all__,
-           *constants.__all__, *monotonicity.__all__, *htype_algebra.__all__]
+# the modules whose ``__all__`` the package exports, in this order
+_EXPORTING = ("core", "admissibility", "numerics", "series", "constants", "monotonicity",
+              "htype_algebra")
+
+for _name in (*_EXPORTING, "reference", "checks"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    sys.modules[_spec.name] = globals()[_name] = _module
+    _spec.loader.exec_module(_module)  # marks it lazy; it runs on first attribute access
+del _name, _spec, _module
+
+
+def __getattr__(name: str):
+    """The package's ``__all__``, or an export from its module; kept once found."""
+    modules = [globals()[module] for module in _EXPORTING]
+    if name == "__all__":
+        value = [export for module in modules for export in module.__all__]
+    else:
+        # `from pleijel import cli` asks for cli before importing it: that runs nothing
+        owner = None if name == "cli" else next(
+            (module for module in modules if name in module.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

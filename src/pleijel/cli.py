@@ -30,18 +30,17 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+# The library modules are called through their module attributes, looked up when
+# a verb runs: each verb then runs only the modules it calls (the package registers
+# them lazily), and a wrapped module attribute is the one called.
+from . import checks, constants, htype_algebra, numerics, series
 from .admissibility import admissible
-from .checks import SUITES, run_suites
-from .constants import (exceptional_set, gamma_bar_exact, gamma_tilde_interval,
-                        log_gamma_bar, sobolev_interval, weyl_interval)
 from .core import DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable
-from .htype_algebra import construct, write_json
-from .numerics import round_half_away
-from .series import c_series
 
 QUANTITIES = ("gamma_tilde", "gamma_bar", "sobolev", "weyl", "c_series")
 FORMATS = ("markdown", "csv", "json", "latex")
-SUITE_NAMES = (*SUITES, "all")
+# checks.SUITES, then "all", spelled out so that building the parser runs no checks
+SUITE_NAMES = ("tables", "consistency", "monotonicity", "admissibility", "algebra", "all")
 
 
 class TableSpec(NamedTuple):
@@ -66,15 +65,15 @@ class Cell(NamedTuple):
 
 
 def _c_enclosure(pair: DimPair, eps: float) -> Enclosure:
-    sv = c_series(pair, eps)  # eps is the absolute enclosure width here
+    sv = series.c_series(pair, eps)  # eps is the absolute enclosure width here
     return Enclosure(sv.value, sv.upper)
 
 
 # every quantity but the exact gamma_bar: (pair, eps) -> its certified enclosure
 _ENCLOSURES = {
-    "gamma_tilde": gamma_tilde_interval,
-    "sobolev": lambda pair, eps: sobolev_interval(pair),
-    "weyl": weyl_interval,
+    "gamma_tilde": lambda pair, eps: constants.gamma_tilde_interval(pair, eps),
+    "sobolev": lambda pair, eps: constants.sobolev_interval(pair),
+    "weyl": lambda pair, eps: constants.weyl_interval(pair, eps),
     "c_series": _c_enclosure,
 }
 
@@ -83,15 +82,16 @@ def _compute_cell(quantity: str, n: int, m: int, precision: int, eps: float) -> 
     pair = DimPair(n, m)
     adm = admissible(pair).admissible
     if quantity == "gamma_bar":
-        exact = gamma_bar_exact(pair)
-        return Cell(n=n, m=m, value=float(exact), display=round_half_away(exact, precision),
-                    error_bound=0.0, admissible=adm, exceeds_one=exact > 1, exact=exact)
+        exact = constants.gamma_bar_exact(pair)
+        return Cell(n=n, m=m, value=float(exact),
+                    display=numerics.round_half_away(exact, precision), error_bound=0.0,
+                    admissible=adm, exceeds_one=exact > 1, exact=exact)
     enc = _ENCLOSURES[quantity](pair, eps)
     if quantity != "c_series" and not enc.radius <= eps / 2 * abs(enc.mid):  # eps is relative
         raise PrecisionUnreachable(f"{quantity}({n},{m}) cannot be certified to relative "
                                    f"eps={eps:g} in binary64: its enclosure is {list(enc)}",
                                    best_bound=enc.radius, terms_used=0)
-    return Cell(n=n, m=m, value=enc.mid, display=round_half_away(enc.mid, precision),
+    return Cell(n=n, m=m, value=enc.mid, display=numerics.round_half_away(enc.mid, precision),
                 error_bound=enc.radius, admissible=adm, exceeds_one=enc.mid > 1.0)
 
 
@@ -224,7 +224,7 @@ def _cmd_value(args) -> int:
         # a/b in lowest terms has a or b of more than |log2(a/b)| bits: enough to
         # refuse before building it; 1e-9 q ln q covers log_gamma_bar's float error
         q = 2 * args.n + args.m
-        log = abs(log_gamma_bar(DimPair(args.n, args.m))) - 1e-9 * q * math.log(q)
+        log = abs(constants.log_gamma_bar(DimPair(args.n, args.m))) - 1e-9 * q * math.log(q)
         if _over_digit_limit(args, math.floor(log / math.log(2))):
             return 2
     cell = _compute_cell(args.quantity, args.n, args.m, args.precision, args.eps)
@@ -263,7 +263,7 @@ def _cmd_check(args) -> int:
     import json
 
     names = SUITE_NAMES[:-1] if args.suite == "all" else (args.suite,)
-    results = run_suites(names, eps=args.eps)
+    results = checks.run_suites(names, eps=args.eps)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}")
         for line in res.details:
@@ -284,7 +284,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_exceptional(args) -> int:
-    result = exceptional_set(args.n_max, args.m_max, args.eps)
+    result = constants.exceptional_set(args.n_max, args.m_max, args.eps)
     titles = (f"exceptional pairs (certified gamma_tilde >= 1) "
               f"for 1 <= n <= {args.n_max}, 1 <= m <= {args.m_max}:",
               "uncertain (certified interval straddles 1):" if result.uncertain
@@ -292,14 +292,14 @@ def _cmd_exceptional(args) -> int:
     for title, pairs in zip(titles, result):
         print(title)
         for p in pairs:
-            low, high = gamma_tilde_interval(p, args.eps)
+            low, high = constants.gamma_tilde_interval(p, args.eps)
             print(f"  {p}  gamma_tilde in [{low:.8f}, {high:.8f}]")
     return 0
 
 
 def _cmd_htype(args) -> int:
     try:
-        structure = construct((args.n, args.m))
+        structure = htype_algebra.construct((args.n, args.m))
     except InadmissiblePair as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -308,7 +308,7 @@ def _cmd_htype(args) -> int:
         print(f"error: htype({args.n},{args.m}) would write {entries} dense matrix entries, "
               "over the limit of 2^22", file=sys.stderr)
         return 2
-    write_json(structure, args.output)
+    htype_algebra.write_json(structure, args.output)
     print(f"wrote verified H-type structure ({args.n},{args.m}) to {args.output}")
     return 0
 

@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -139,6 +142,24 @@ class TestPackageExports:
             module = importlib.import_module(f"pleijel.{module_name}")
             for name in module.__all__:
                 assert getattr(pleijel, name) is getattr(module, name), (module_name, name)
+
+    def test_dir_lists_every_export(self):
+        assert set(pleijel.__all__) <= set(dir(pleijel))
+
+    def test_bare_import_runs_no_library_module(self):
+        # every library module is registered lazily and runs on first use
+        probe = ("import json, sys, types\n"
+                 "import pleijel\n"
+                 "names = [name for name in sys.modules if name.startswith('pleijel.')]\n"
+                 "print(json.dumps([sorted(names), [name for name in names\n"
+                 "                  if type(sys.modules[name]) is types.ModuleType]]))\n")
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        registered, ran = json.loads(result.stdout)
+        assert registered == sorted(f"pleijel.{name}" for name in (
+            *_LIBRARY_MODULES, "reference", "checks"))
+        assert ran == []
 
     @pytest.mark.parametrize("name", ["binomial", "gamma_ratio_exact", "multiindex_count",
                                       "series_term_exact", "c_ratio_lower_bound", "phi",

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from pleijel import reference
+from pleijel import checks, constants, reference, series
 from pleijel.checks import run_suite
-from pleijel.cli import QUANTITIES, TableSpec, main, render_table
+from pleijel.cli import QUANTITIES, SUITE_NAMES, TableSpec, main, render_table
 from pleijel.constants import gamma_tilde_interval
 
 
@@ -175,6 +175,27 @@ _TABLE_DIGESTS = {
 
 
 class TestTable:
+    @pytest.mark.parametrize("quantity, module, name", [
+        ("gamma_tilde", constants, "gamma_tilde_interval"),
+        ("sobolev", constants, "sobolev_interval"),
+        ("weyl", constants, "weyl_interval"),
+        ("c_series", series, "c_series"),
+    ])
+    def test_each_cell_calls_the_module_attribute(self, capsys, monkeypatch, quantity,
+                                                  module, name):
+        # the CLI looks its enclosure up when a cell is computed, so a wrapped
+        # module attribute (the benchmark's per-layer trace) sees every call
+        original, calls = getattr(module, name), []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        code, _, _ = run_cli(capsys, "table", quantity)
+        assert code == 0
+        assert len(calls) == 100
+
     def test_gamma_tilde_matches_reference(self, capsys):
         code, out, _ = run_cli(capsys, "table", "gamma_tilde", "--format", "csv")
         assert code == 0
@@ -290,6 +311,10 @@ _CHECK_ALL_TEXT = (Path(__file__).parent / "check_all_no_timestamp.txt").read_te
 
 
 class TestCheck:
+    def test_suite_names_are_the_suites_then_all(self):
+        # a literal in the CLI, so that building the parser does not run `checks`
+        assert SUITE_NAMES == (*checks.SUITES, "all")
+
     def test_single_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "check", "admissibility", "--no-timestamp")
         assert code == 0
@@ -489,6 +514,18 @@ class TestConsoleEntryPoint:
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "0.9375 (= 15/16)"
 
+    def test_module_invocation_warns_nothing(self):
+        # the package leaves cli unregistered, so runpy finds it unloaded and does
+        # not warn that it is already in sys.modules
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pleijel.cli", "value", "1", "1", "gamma_tilde"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+
     def test_subprocess_bad_args(self):
         result = subprocess.run(
             [sys.executable, "-m", "pleijel.cli", "table", "gamma_tilde", "--n-max", "99"],
@@ -506,7 +543,6 @@ before = set(sys.modules)  # whatever site loaded does not count
 import pleijel.cli
 added = set(sys.modules) - before
 import contextlib, io, json
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "pleijel")
 after_import = "numpy" in sys.modules
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
@@ -515,10 +551,34 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["exceptional"],
                  ["htype", "8", "8", sys.argv[1]]):
         codes.append(pleijel.cli.main(argv))
-print(json.dumps({"loaded": loaded, "after_import": after_import,
+print(json.dumps({"after_import": after_import,
                   "after_verbs": "numpy" in sys.modules, "codes": codes,
                   "stdlib_added": sorted(added & {"dataclasses", "inspect", "datetime", "json"})}))
 """
+
+# Run in a fresh interpreter: which pleijel modules are in sys.modules, and which
+# have run (a lazily registered module becomes a plain module when it runs), after
+# `import pleijel.cli` and after the verb given as JSON.
+_VERB_PROBE = """
+import contextlib, io, json, sys, types
+import pleijel.cli
+
+def ran():
+    return sorted(name.partition(".")[2] for name, module in sys.modules.items()
+                  if name.startswith("pleijel.") and type(module) is types.ModuleType)
+
+present = sorted(name.partition(".")[2] for name in sys.modules if name.startswith("pleijel."))
+after_import = ran()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = pleijel.cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"present": present, "after_import": after_import, "after_verb": ran(),
+                  "code": code}))
+"""
+
+_PACKAGE_MODULES = {"admissibility", "checks", "cli", "constants", "core", "htype_algebra",
+                    "monotonicity", "numerics", "reference", "series"}
+# the modules only `check` runs
+_SELF_CHECK_LAYERS = {"checks", "htype_algebra", "monotonicity", "reference"}
 
 
 class TestClosedStdout:
@@ -538,20 +598,49 @@ class TestClosedStdout:
 
 class TestImportPath:
     def test_value_table_exceptional_leave_numpy_unloaded(self, tmp_path):
-        # `htype` included; every layer module still loads eagerly
+        # `htype` included
         result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "h88.json")],
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         probe = json.loads(result.stdout)
-        assert probe["loaded"] == ["pleijel"] + [f"pleijel.{name}" for name in (
-            "admissibility", "checks", "cli", "constants", "core", "htype_algebra",
-            "monotonicity", "numerics", "reference", "series")]
         assert probe["codes"] == [0, 0, 0, 0]
         assert not probe["after_import"]
         assert not probe["after_verbs"]
         # the import itself adds none of these: dataclasses pulls in inspect, ast,
         # dis and tokenize; datetime and json are loaded by the verbs that use them
         assert probe["stdlib_added"] == []
+
+    @pytest.mark.parametrize("argv, unrun", [
+        (["value", "30", "1", "gamma_tilde"], _SELF_CHECK_LAYERS),
+        (["table", "weyl", "--format", "json"], _SELF_CHECK_LAYERS),
+        (["exceptional"], _SELF_CHECK_LAYERS),
+        (["htype", "8", "8", "h88.json"], {"checks", "monotonicity", "reference",
+                                            "constants", "numerics", "series"}),
+        (["check", "all", "--no-timestamp"], set()),
+    ], ids=["value", "table", "exceptional", "htype", "check"])
+    def test_each_verb_runs_only_the_modules_it_calls(self, tmp_path, argv, unrun):
+        argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+        result = subprocess.run([sys.executable, "-c", _VERB_PROBE, json.dumps(argv)],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        probe = json.loads(result.stdout)
+        assert probe["code"] == 0
+        # every module stays in sys.modules, where the benchmark's tracer finds it
+        assert probe["present"] == sorted(_PACKAGE_MODULES)
+        assert probe["after_import"] == ["admissibility", "cli", "core"]
+        assert probe["after_verb"] == sorted(_PACKAGE_MODULES - unrun)
+
+    def test_from_import_of_cli_runs_what_import_does(self):
+        # the import system asks the package for `cli` before importing it
+        probe = ("import sys, types\n"
+                 "from pleijel import cli\n"
+                 "print(*sorted(name for name, module in sys.modules.items()\n"
+                 "              if name.startswith('pleijel.')\n"
+                 "              and type(module) is types.ModuleType))\n")
+        result = subprocess.run([sys.executable, "-c", probe],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["pleijel.admissibility", "pleijel.cli", "pleijel.core"]
 
     def test_check_algebra_leaves_numpy_unloaded(self):
         # the extension search and the J_z check are integer work on signed permutations
