@@ -9,10 +9,14 @@ bound gamma_bar, the Radon-Hurwitz admissibility classification of
 Each library module lists its public names once, in its ``__all__``; the
 package exports exactly those.  Importing the package runs none of them:
 every library module is registered in ``sys.modules`` as a lazy module
-(``importlib.util.LazyLoader``) and runs on its first attribute access,
-and each exported name is resolved from its module on first use.  So a
-CLI verb compiles and runs only the modules it calls.  ``cli`` is not
-registered, so that ``python -m pleijel.cli`` finds it unloaded.
+(``importlib.util.LazyLoader``) and runs on its first attribute access.
+An exported name is resolved on first use by reading the ``__all__`` of
+each exporting module in turn, which runs every module up to the one
+that lists it: ``from pleijel import DimPair`` runs ``core`` alone, and
+``from pleijel import construct`` runs all seven.  A CLI verb imports
+from the modules directly, so it compiles and runs only the modules it
+calls.  ``cli`` is not registered, so that ``python -m pleijel.cli``
+finds it unloaded.
 """
 
 import importlib.util

@@ -9,7 +9,6 @@ pass/fail with human-readable details.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -39,7 +38,7 @@ from .htype_algebra import (
     verify_structure,
 )
 from .monotonicity import inequality_suite
-from .numerics import round_half_away, zeta_interval
+from .numerics import _PI_HI, _PI_LO, round_half_away, zeta_interval
 from .series import c_series
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
@@ -144,10 +143,11 @@ def check_consistency(eps: float = 1e-8) -> CheckResult:
                 failures.append(f"series/zeta oracle enclosures disjoint at ({n},{m})")
     notes.append("series vs zeta closed forms (n in 1..2, m in 1..10): enclosures overlap")
 
-    g11 = gamma_tilde((1, 1), 1e-10)
-    dev = abs(g11 - 32 / math.pi**2) / (32 / math.pi**2)
-    if dev > 1e-10:
-        failures.append(f"gamma_tilde(1,1) vs 32/pi^2: rel dev {dev:.2e}")
+    # gamma_tilde(1, 1) = 32/pi^2: its enclosure must meet [32/pi_hi^2, 32/pi_lo^2]
+    g11 = gamma_tilde_interval((1, 1), eps)
+    if not (Fraction(g11.lo) <= 32 / Fraction(*_PI_LO) ** 2
+            and 32 / Fraction(*_PI_HI) ** 2 <= Fraction(g11.hi)):
+        failures.append("gamma_tilde(1,1) enclosure misses 32/pi^2")
 
     # brute-force spectral density vs the Weyl constant, plus homogeneity
     for pair in ((1, 1), (2, 2), (3, 1)):

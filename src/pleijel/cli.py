@@ -15,7 +15,8 @@ A certified value the series cannot deliver (eps below the binary64
 rounding floor, a pair out of binary64 range, or a value that underflows
 binary64 so no relative eps holds) is refused with a one-line message on
 stderr and exit 2, as is an exact gamma_bar whose numerator or
-denominator may exceed the interpreter's integer-to-string digit limit.
+denominator may exceed the interpreter's integer-to-string digit limit,
+or a sobolev value with n + m > 10,000.
 
 Output is deterministic byte-for-byte; ``check`` carries a timestamp in
 its JSON trailer unless --no-timestamp is given.
@@ -38,6 +39,7 @@ from .admissibility import admissible
 from .core import DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable
 
 QUANTITIES = ("gamma_tilde", "gamma_bar", "sobolev", "weyl", "c_series")
+_SOBOLEV_MAX_S = 10_000  # `value` refuses sobolev above this n + m
 FORMATS = ("markdown", "csv", "json", "latex")
 # checks.SUITES, then "all", spelled out so that building the parser runs no checks
 SUITE_NAMES = ("tables", "consistency", "monotonicity", "admissibility", "algebra", "all")
@@ -220,6 +222,11 @@ def _over_digit_limit(args, bits: int) -> bool:
 
 
 def _cmd_value(args) -> int:
+    if args.quantity == "sobolev" and args.n + args.m > _SOBOLEV_MAX_S:
+        # sobolev_interval's integer work grows like s^1.6: 0.3-0.5 s at the limit
+        print(f"error: sobolev({args.n},{args.m}) needs n + m <= {_SOBOLEV_MAX_S}",
+              file=sys.stderr)
+        return 2
     if args.quantity == "gamma_bar":
         # a/b in lowest terms has a or b of more than |log2(a/b)| bits: enough to
         # refuse before building it; 1e-9 q ln q covers log_gamma_bar's float error

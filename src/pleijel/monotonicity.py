@@ -1,5 +1,5 @@
-"""Numerical verification of the monotonicity chain behind the
-exceptional-set classification, as a regression suite.
+"""The monotonicity chain behind the exceptional-set classification,
+decided exactly.
 
 Two directions:
 
@@ -19,20 +19,22 @@ Two directions:
 
   which increases in real k >= 0 (its log-derivative is a positive
   rational function of d = 2k + n, checked exactly for every n >= 2,
-  m >= 1).  Altogether phi <= 5/(2e) < 1 on the grid.
+  m >= 1).  Altogether phi <= 5/(2e) < 1, so gamma_tilde decreases in n.
 
 * in m (for gamma_bar): the quotient psi(n, m) = gb(n, m)/gb(n, m-1) is
   an exact rational; psi(1, m) <= 64/(27e), and for n >= 2 Wendel's
   gamma-ratio inequality gives, with l = n + m - 1 >= 3,
 
-      psi(n, m)^2 <= 4/e^2 (1 + 3/l - 3/l^2) <= 20/(3 e^2) < 1.
+      psi(n, m)^2 <= 4/e^2 (1 + 3/l - 3/l^2) <= 20/(3 e^2) < 1,
 
-These are theorems over the full range; this module re-checks the
-term_ratio link exactly and every other link on a finite grid, reporting
-the observed maxima, so any implementation regression (or transcription
-slip in a formula) trips a named report.
-The decrease of gamma_tilde in m is also scanned, but only as an
-empirical observation: it is not covered by the proved chain.
+  so gamma_bar decreases in m.
+
+These are theorems over the full range; this module checks the
+term_ratio link for every pair and every other link on a finite grid.
+Each verdict is decided once, exactly: on Fractions, on the certified
+ends of ``gamma_tilde_interval``, and against thresholds built from a
+rational upper bound on e, so each threshold is a lower bound on the
+true one.  Floats appear only in the displayed maxima.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .constants import gamma_bar_exact, gamma_tilde, gamma_tilde_interval
-from .core import Enclosure, as_pair
-from .numerics import log_gamma
+from .constants import _gamma_half, gamma_bar_exact, gamma_tilde_interval
+from .core import as_pair
 from .series import c_series
 
 __all__ = [
@@ -54,6 +55,10 @@ __all__ = [
     "psi_closed_form",
     "inequality_suite",
 ]
+
+# e < _E_HI: the Taylor series of e to k = 17, and 1/(17 17!) >= sum_{k >= 18} 1/k!
+_E_HI = (sum(Fraction(1, math.factorial(k)) for k in range(18))
+         + Fraction(1, 17 * math.factorial(17)))
 
 
 class InequalityReport(NamedTuple):
@@ -73,16 +78,16 @@ class InequalityReport(NamedTuple):
         return out + (f"  ({self.note})" if self.note else "")
 
 
-def _report(name: str, domain: str, max_observed: float, threshold: float,
-            note: str = "") -> InequalityReport:
-    return InequalityReport(
-        name=name,
-        domain_scanned=domain,
-        max_observed=max_observed,
-        threshold=threshold,
-        passed=max_observed <= threshold,
-        note=note,
-    )
+def _report(name: str, domain: str, worst, bound, note: str = "") -> InequalityReport:
+    """The verdict worst <= bound, decided on the exact values; floats are for display."""
+    return InequalityReport(name, domain, float(worst), float(bound), worst <= bound, note)
+
+
+def _phi_prefactor(n: int, m: int) -> Fraction:
+    """The rational factor of phi(n, m) in front of c(n-1, m)/c(n, m)."""
+    s = n + m
+    return Fraction((n - 1) ** (s - 1) * (s - 2) ** (s - 1) * s * (2 * n + m - 1),
+                    n**s * (s - 1) ** (s + 1))
 
 
 def phi_closed_form(pair, eps: float = 1e-8) -> float:
@@ -90,18 +95,9 @@ def phi_closed_form(pair, eps: float = 1e-8) -> float:
     p = as_pair(pair)
     if p.n < 2:
         raise ValueError(f"phi needs n >= 2, got {p}")
-    n, m = p.n, p.m
-    s = n + m
-    pref = (
-        Fraction(n - 1) ** (s - 1)
-        * Fraction(s - 2) ** (s - 1)
-        * s
-        * (2 * n + m - 1)
-        / (Fraction(n) ** s * Fraction(s - 1) ** (s + 1))
-    )
-    c_prev = c_series((n - 1, m), eps, relative=True).midpoint
-    c_here = c_series((n, m), eps, relative=True).midpoint
-    return float(pref) * c_prev / c_here
+    c_prev = c_series((p.n - 1, p.m), eps, relative=True).midpoint
+    c_here = c_series(p, eps, relative=True).midpoint
+    return float(_phi_prefactor(p.n, p.m)) * c_prev / c_here
 
 
 def term_ratio(pair, k: int) -> float:
@@ -128,33 +124,26 @@ def psi(pair) -> Fraction:
     return gamma_bar_exact(p) / gamma_bar_exact((p.n, p.m - 1))
 
 
-def psi_closed_form(pair) -> float:
-    """Gamma-function form of psi:
+def psi_closed_form(pair) -> Fraction:
+    """Gamma-function form of psi, as an exact rational:
 
     4 (n+m-2)^(n+m-1) (n+m) / (n+m-1)^(n+m+1)
         * Gamma(m/2)Gamma(n+m/2+1/2) / (Gamma(m/2-1/2)Gamma(n+m/2)).
+
+    One Gamma above and one below have half-integral arguments, so their
+    sqrt(pi) factors cancel.
     """
     p = as_pair(pair)
     if p.m < 2:
         raise ValueError(f"psi needs m >= 2, got {p}")
     n, m = p.n, p.m
     s = n + m
-    half = Fraction(1, 2)
-    log = (
-        math.log(4)
-        + (s - 1) * math.log(s - 2)
-        + math.log(s)
-        - (s + 1) * math.log(s - 1)
-        + log_gamma(Fraction(m, 2))
-        + log_gamma(n + Fraction(m, 2) + half)
-        - log_gamma(Fraction(m, 2) - half)
-        - log_gamma(n + Fraction(m, 2))
-    )
-    return math.exp(log)
+    g = [Fraction(*_gamma_half(q)) for q in (m, 2 * n + m + 1, m - 1, 2 * n + m)]
+    return Fraction(4 * (s - 2) ** (s - 1) * s, (s - 1) ** (s + 1)) * g[0] * g[1] / (g[2] * g[3])
 
 
 def inequality_suite(n_max: int = 12, m_max: int = 12, eps: float = 1e-8) -> list[InequalityReport]:
-    """Scan every inequality of the monotonicity chain on a finite grid.
+    """Decide every inequality of the monotonicity chain on a finite grid.
 
     All reports pass on the default grid; a failed report carries the
     offending maximum rather than raising.
@@ -162,27 +151,32 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, eps: float = 1e-8) -> lis
     if n_max < 2 or m_max < 2:
         raise ValueError("the suite needs n_max, m_max >= 2")
     reports: list[InequalityReport] = []
-    e = math.e
 
-    def interval(n: int, m: int) -> Enclosure:
-        return gamma_tilde_interval((n, m), eps)
-
-    # --- phi: value bound and quotient-vs-closed-form agreement ------------
-    phi_domain = f"2 <= n <= {n_max}, 1 <= m <= {m_max}"
-    phis = {}
-    worst_dev = 0.0
-    for n in range(2, n_max + 1):
+    # each certified gamma_tilde enclosure and each exact gamma_bar, once per pair;
+    # the combination chain reads row 4
+    lo, hi, gb = {}, {}, {}
+    for n in range(1, max(n_max, 4) + 1):
         for m in range(1, m_max + 1):
-            q = gamma_tilde((n, m), eps / 8) / gamma_tilde((n - 1, m), eps / 8)
-            phis[n, m] = q
-            worst_dev = max(worst_dev, abs(q - phi_closed_form((n, m), eps / 8)) / q)
-    reports.append(_report("phi_upper_bound", phi_domain, max(phis.values()), 5 / (2 * e)))
-    reports.append(_report("phi_closed_form_agreement", phi_domain, worst_dev, 1e-8))
+            g = gamma_tilde_interval((n, m), eps)
+            lo[n, m], hi[n, m] = Fraction(g.lo), Fraction(g.hi)
+            gb[n, m] = gamma_bar_exact((n, m))
+
+    # --- phi: certified bound, and the closed form's prefactor exactly ------
+    # 5/(2e) < 1, so the bound also shows gamma_tilde decreasing in n; the c(n, m)
+    # factors are the same on both sides of the closed form, so only its rational
+    # prefactor is compared, with gb(n,m) (n-1)^(n+m-1) / (gb(n-1,m) n^(n+m))
+    phi_domain = f"2 <= n <= {n_max}, 1 <= m <= {m_max}"
+    steps = [(n, m) for n in range(2, n_max + 1) for m in range(1, m_max + 1)]
+    worst = max(hi[n, m] / lo[n - 1, m] for n, m in steps)
+    reports.append(_report("phi_upper_bound", phi_domain, worst, 5 / (2 * _E_HI)))
+    worst = max(abs(_phi_prefactor(n, m) * gb[n - 1, m] * n ** (n + m)
+                    / (gb[n, m] * (n - 1) ** (n + m - 1)) - 1) for n, m in steps)
+    reports.append(_report("phi_closed_form_agreement", phi_domain, worst, 0))
 
     # --- the quadratic used to settle the phi bound ------------------------
-    quad_max = max(-1.5 * m * m - 4 * m + 5.5 for m in range(1, m_max + 1))
+    quad_max = max(Fraction(11 - 8 * m - 3 * m * m, 2) for m in range(1, m_max + 1))
     reports.append(
-        _report("phi_quadratic_nonpositive", f"1 <= m <= {m_max}", quad_max, 0.0,
+        _report("phi_quadratic_nonpositive", f"1 <= m <= {m_max}", quad_max, 0,
                 note="-(3/2)m^2 - 4m + 11/2 <= 0")
     )
 
@@ -205,87 +199,53 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, eps: float = 1e-8) -> lis
     corner = min(numerator(2, 2, 1), denominator(2, 2))
     reports.append(
         _report("term_ratio_increasing", "n >= 2, m >= 1, real k >= 0",
-                -corner if identity else math.inf, 0.0,
+                -corner if identity else math.inf, 0,
                 note="d/dd log term_ratio = ((m+1)d + (n-2)(n+m))/(d(d-1)(d+n-2)), "
                      "d = 2k+n, exactly; max = -min(numerator, denominator)")
     )
 
-    # --- c-ratio lower bound, with certified series intervals --------------
-    worst_ratio = 0.0
-    for n in range(2, n_max + 1):
-        for m in range(1, m_max + 1):
-            lo_here = c_series((n, m), eps, relative=True)
-            hi_prev = c_series((n - 1, m), eps, relative=True)
-            certified_low = lo_here.value / hi_prev.upper
-            worst_ratio = max(worst_ratio, term_ratio((n, m), 0) / certified_low)
+    # --- c-ratio lower bound: term_ratio at k = 0 times the certified ends --
+    worst = max(
+        Fraction((n - 1) ** (n + m - 1), n ** (n + m))
+        * Fraction(c_series((n - 1, m), eps, relative=True).upper)
+        / Fraction(c_series((n, m), eps, relative=True).value)
+        for n, m in steps)
     reports.append(
-        _report("c_ratio_lower_bound_holds", phi_domain, worst_ratio, 1.0,
+        _report("c_ratio_lower_bound_holds", phi_domain, worst, 1,
                 note="bound / certified ratio")
     )
 
-    # --- psi: exact rational bound checks -----------------------------------
-    psi1 = max(psi((1, m)) for m in range(2, m_max + 1))
+    # --- psi: exact rationals against thresholds at e's upper bound ---------
+    psis = {(n, m): psi((n, m)) for n in range(1, n_max + 1) for m in range(2, m_max + 1)}
     reports.append(
-        _report("psi_heisenberg_bound", f"n = 1, 2 <= m <= {m_max}", float(psi1), 64 / (27 * e))
+        _report("psi_heisenberg_bound", f"n = 1, 2 <= m <= {m_max}",
+                max(psis[1, m] for m in range(2, m_max + 1)), 64 / (27 * _E_HI))
     )
-    worst_sq = 0.0
-    worst_wendel = -math.inf
-    worst_closed_dev = 0.0
-    for n in range(2, n_max + 1):
-        for m in range(2, m_max + 1):
-            value = psi((n, m))
-            worst_sq = max(worst_sq, float(value) ** 2)
-            ell = n + m - 1  # >= 3
-            wendel = 4 / e**2 * (1 + 3 / ell - 3 / ell**2)
-            worst_wendel = max(worst_wendel, float(value) ** 2 - wendel)
-            worst_closed_dev = max(
-                worst_closed_dev, abs(float(value) - psi_closed_form((n, m))) / float(value)
-            )
     psi_domain = f"2 <= n <= {n_max}, 2 <= m <= {m_max}"
-    reports.append(_report("psi_squared_bound", psi_domain, worst_sq, 20 / (3 * e**2)))
+    wide = [(n, m) for n, m in psis if n >= 2]
+    reports.append(_report("psi_squared_bound", psi_domain,
+                           max(psis[p] ** 2 for p in wide), 20 / (3 * _E_HI**2)))
+
+    def wendel(l: int) -> Fraction:  # (4/e^2)(1 + 3/l - 3/l^2) at e's upper bound
+        return 4 / _E_HI**2 * Fraction(l * l + 3 * l - 3, l * l)
+
+    worst = max(psis[n, m] ** 2 - wendel(n + m - 1) for n, m in wide)
     reports.append(
-        _report("psi_squared_wendel_chain", psi_domain, worst_wendel, 0.0,
+        _report("psi_squared_wendel_chain", psi_domain, worst, 0,
                 note="psi^2 - (4/e^2)(1 + 3/l - 3/l^2), l = n+m-1")
     )
-    reports.append(_report("psi_closed_form_agreement", psi_domain, worst_closed_dev, 1e-12))
-
-    # --- monotonicity of the tables themselves -----------------------------
-    worst = max(interval(n, m).hi / interval(n - 1, m).lo
-                for m in range(1, m_max + 1) for n in range(2, n_max + 1))
-    reports.append(
-        _report("gamma_tilde_decreasing_in_n", phi_domain, worst, 1.0,
-                note="certified upper/lower quotient of consecutive rows")
-    )
-
-    worst_psi = max(
-        float(psi((n, m))) for n in range(1, n_max + 1) for m in range(2, m_max + 1)
-    )
-    reports.append(
-        _report("gamma_bar_decreasing_in_m",
-                f"1 <= n <= {n_max}, 2 <= m <= {m_max}", worst_psi, 1.0,
-                note="exact rational quotient of consecutive columns")
-    )
-
-    worst = max(interval(n, m).hi / interval(n, m - 1).lo
-                for n in range(1, n_max + 1) for m in range(2, m_max + 1))
-    reports.append(
-        _report("gamma_tilde_decreasing_in_m_empirical",
-                f"1 <= n <= {n_max}, 2 <= m <= {m_max}", worst, 1.0,
-                note="EMPIRICAL observation only; not covered by the proved chain")
-    )
+    worst = max(abs(psi_closed_form(p) / psis[p] - 1) for p in wide)
+    reports.append(_report("psi_closed_form_agreement", psi_domain, worst, 0))
 
     # --- the combination chain settling n >= 4, m >= 2 ----------------------
-    gb42 = gamma_bar_exact((4, 2))  # = 2268/3125
-    worst = 0.0
-    for m in range(2, m_max + 1):
-        g4, gbm = interval(4, m), gamma_bar_exact((4, m))
-        worst = max(worst, g4.hi / float(gbm))  # gamma_tilde(4, m) <= gamma_bar(4, m)
-        worst = max(worst, float(gbm / gb42))  # gamma_bar(4, m) <= gamma_bar(4, 2)
-        for n in range(5, n_max + 1):
-            worst = max(worst, interval(n, m).hi / g4.lo)  # gamma_tilde(n, m) <= gamma_tilde(4, m)
+    worst = max(
+        max(hi[4, m] / gb[4, m],  # gamma_tilde(4, m) <= gamma_bar(4, m)
+            gb[4, m] / gb[4, 2],  # gamma_bar(4, m) <= gamma_bar(4, 2) = 2268/3125
+            *(hi[n, m] / lo[4, m] for n in range(5, n_max + 1)))  # gt(n, m) <= gt(4, m)
+        for m in range(2, m_max + 1))
     reports.append(
         _report("combination_chain",
-                f"4 <= n <= {n_max}, 2 <= m <= {m_max}", worst, 1.0,
+                f"4 <= n <= {n_max}, 2 <= m <= {m_max}", worst, 1,
                 note="gamma_tilde(n,m) <= gamma_tilde(4,m) <= gamma_bar(4,m) <= 2268/3125")
     )
     return reports

@@ -148,6 +148,19 @@ class TestValue:
         assert err.startswith(f"error: gamma_bar({pair[0]},{pair[1]}) is exact")
         assert err.count("\n") == 1
 
+    def test_huge_sobolev_refused_at_once(self, capsys):
+        # sobolev_interval's integer work grows like (n+m)^1.6: refused before it runs
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "value", "1", "1000000", "sobolev")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: sobolev(1,1000000) needs n + m <= 10000\n"
+
+    def test_sobolev_at_the_limit_still_answers(self, capsys):
+        code, out, _ = run_cli(capsys, "value", "9999", "1", "sobolev")
+        assert code == 0
+        assert out.splitlines()[0] == "85411.7425"
+
 
 def _csv_cells(out: str) -> dict[tuple[int, int], list[str]]:
     lines = out.strip().splitlines()
@@ -371,6 +384,20 @@ class TestCheck:
         result = checks.check_consistency()
         assert not result.passed
         assert "series/zeta oracle enclosures disjoint at (1,1)" in result.details
+
+    def test_pi_squared_row_compares_enclosures(self, monkeypatch):
+        # gamma_tilde(1,1) shifted by 1e-13 relative no longer meets 32/pi^2
+        from pleijel import checks
+        from pleijel.constants import gamma_tilde_interval
+
+        def shifted(pair, eps=1e-8):
+            g = gamma_tilde_interval(pair, eps)
+            return g._replace(lo=g.lo * (1 + 1e-13), hi=g.hi * (1 + 1e-13))
+
+        monkeypatch.setattr(checks, "gamma_tilde_interval", shifted)
+        result = checks.check_consistency()
+        assert not result.passed
+        assert "gamma_tilde(1,1) enclosure misses 32/pi^2" in result.details
 
     def test_tables_suite_reports_errata(self, capsys):
         code, out, _ = run_cli(capsys, "check", "tables", "--no-timestamp")

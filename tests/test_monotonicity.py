@@ -159,9 +159,6 @@ class TestInequalitySuite:
             "psi_squared_bound",
             "psi_squared_wendel_chain",
             "psi_closed_form_agreement",
-            "gamma_tilde_decreasing_in_n",
-            "gamma_bar_decreasing_in_m",
-            "gamma_tilde_decreasing_in_m_empirical",
             "combination_chain",
         } <= names
 
@@ -181,9 +178,29 @@ class TestInequalitySuite:
         assert link.passed and link.max_observed == -4 and link.threshold == 0
         assert link.domain_scanned == "n >= 2, m >= 1, real k >= 0"
 
-    def test_empirical_scan_is_labelled(self, reports):
-        (emp,) = [r for r in reports if r.name == "gamma_tilde_decreasing_in_m_empirical"]
-        assert "EMPIRICAL" in emp.note
+    def test_phi_prefactor_is_compared_exactly(self, monkeypatch):
+        # a prefactor off by one part in 2^40 fails the agreement report
+        from pleijel import monotonicity
+
+        exact = monotonicity._phi_prefactor
+        monkeypatch.setattr(monotonicity, "_phi_prefactor",
+                            lambda n, m: exact(n, m) * (1 + Fraction(1, 2**40)))
+        by_name = {r.name: r for r in inequality_suite()}
+        assert not by_name["phi_closed_form_agreement"].passed
+
+    def test_psi_closed_form_is_compared_exactly(self, monkeypatch):
+        from pleijel import monotonicity
+
+        exact = monotonicity.psi_closed_form
+        monkeypatch.setattr(monotonicity, "psi_closed_form",
+                            lambda pair: exact(pair) * (1 + Fraction(1, 2**40)))
+        by_name = {r.name: r for r in inequality_suite()}
+        assert not by_name["psi_closed_form_agreement"].passed
+
+    def test_e_upper_bound_exceeds_e(self):
+        from pleijel.monotonicity import _E_HI
+
+        assert _E_HI > sum(Fraction(1, math.factorial(k)) for k in range(40))
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
