@@ -41,7 +41,7 @@ from .monotonicity import inequality_suite
 from .numerics import _PI_HI, _PI_LO, round_half_away, zeta_interval
 from .series import c_series
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
+__all__ = ["CheckResult", "SUITES", "run_suite"]
 
 
 class CheckResult(NamedTuple):
@@ -57,7 +57,7 @@ def _result(name: str, failures: list[str], notes: list[str]) -> CheckResult:
 
 # --------------------------------------------------------------------------
 
-def check_tables(eps: float = 1e-8) -> CheckResult:
+def check_tables() -> CheckResult:
     """Recompute both 10 x 10 reference tables cell-for-cell.
 
     Cells listed in the errata are compared against their corrected
@@ -70,7 +70,7 @@ def check_tables(eps: float = 1e-8) -> CheckResult:
     tilde_ref = reference.corrected(reference.GAMMA_TILDE_PRINTED, reference.GAMMA_TILDE_ERRATA)
     bar_ref = reference.corrected(reference.GAMMA_BAR_PRINTED, reference.GAMMA_BAR_ERRATA)
     for (n, m), want in sorted(tilde_ref.items()):
-        got = round_half_away(gamma_tilde((n, m), eps), 4)
+        got = round_half_away(gamma_tilde((n, m)), 4)
         if got != want:
             failures.append(f"gamma_tilde({n},{m}): computed {got}, reference {want}")
     for (n, m), want in sorted(bar_ref.items()):
@@ -87,23 +87,20 @@ def check_tables(eps: float = 1e-8) -> CheckResult:
             f"erratum: gamma_bar({n},{m}) prints {reference.GAMMA_BAR_PRINTED[n, m]} "
             f"in the source table but the exact rational gives {fixed}"
         )
-    # shading and red-highlight flags
-    mask = shading_mask(10, 10)
+    # red-highlight flags (check_admissibility compares the grey shading)
     for n, m in itertools.product(range(1, 11), range(1, 11)):
         printed_grey = (n, m) in reference.INADMISSIBLE_PRINTED
-        if mask[n - 1][m - 1] == printed_grey:  # mask True = admissible
-            failures.append(f"shading mismatch at ({n},{m})")
         red = not printed_grey and float(tilde_ref[n, m]) > 1
         if red != ((n, m) in reference.RED_PRINTED_GAMMA_TILDE):
             failures.append(f"red-flag mismatch in gamma_tilde table at ({n},{m})")
         red_bar = not printed_grey and float(bar_ref[n, m]) > 1
         if red_bar != ((n, m) in reference.RED_PRINTED_GAMMA_BAR):
             failures.append(f"red-flag mismatch in gamma_bar table at ({n},{m})")
-    notes.insert(0, "compared 200 table cells plus shading and red-highlight patterns")
+    notes.insert(0, "compared 200 table cells plus red-highlight patterns")
     return _result("tables", failures, notes)
 
 
-def check_consistency(eps: float = 1e-8) -> CheckResult:
+def check_consistency() -> CheckResult:
     """Cross-route identities tying the constants together."""
     failures: list[str] = []
     notes: list[str] = []
@@ -111,8 +108,8 @@ def check_consistency(eps: float = 1e-8) -> CheckResult:
     # closed form vs defining product (isolates the gamma/power algebra)
     worst = 0.0
     for n, m in itertools.product(range(1, 11), range(1, 11)):
-        g = gamma_tilde((n, m), eps)
-        dev = abs(g - gamma_tilde_product_form((n, m), eps)) / g
+        g = gamma_tilde((n, m))
+        dev = abs(g - gamma_tilde_product_form((n, m))) / g
         worst = max(worst, dev)
         if dev > 1e-8:
             failures.append(f"product-form mismatch at ({n},{m}): rel dev {dev:.2e}")
@@ -120,7 +117,7 @@ def check_consistency(eps: float = 1e-8) -> CheckResult:
 
     # first-term truncation dominates, strictly
     for n, m in itertools.product(range(1, 11), range(1, 11)):
-        if not gamma_tilde_interval((n, m), eps).hi < gamma_bar_exact((n, m)):
+        if not gamma_tilde_interval((n, m)).hi < gamma_bar_exact((n, m)):
             failures.append(f"gamma_bar does not dominate gamma_tilde at ({n},{m})")
 
     # exact rational vs log-domain evaluation of gamma_bar
@@ -138,20 +135,20 @@ def check_consistency(eps: float = 1e-8) -> CheckResult:
     for m in range(1, 11):
         z = zeta_interval(m + 1)
         for n, scale in ((1, 1 - Fraction(1, 2 ** (m + 1))), (2, Fraction(1, 2 ** (m + 2)))):
-            sv = c_series((n, m), 1e-10, relative=True)
+            sv = c_series((n, m))
             if not (sv.value <= scale * Fraction(z.hi) and scale * Fraction(z.lo) <= sv.upper):
                 failures.append(f"series/zeta oracle enclosures disjoint at ({n},{m})")
     notes.append("series vs zeta closed forms (n in 1..2, m in 1..10): enclosures overlap")
 
     # gamma_tilde(1, 1) = 32/pi^2: its enclosure must meet [32/pi_hi^2, 32/pi_lo^2]
-    g11 = gamma_tilde_interval((1, 1), eps)
+    g11 = gamma_tilde_interval((1, 1))
     if not (Fraction(g11.lo) <= 32 / Fraction(*_PI_LO) ** 2
             and 32 / Fraction(*_PI_HI) ** 2 <= Fraction(g11.hi)):
         failures.append("gamma_tilde(1,1) enclosure misses 32/pi^2")
 
     # brute-force spectral density vs the Weyl constant, plus homogeneity
     for pair in ((1, 1), (2, 2), (3, 1)):
-        w = weyl_constant(pair, 1e-9)
+        w = weyl_constant(pair)
         s = sum(pair)
         ratios = []
         for lam in (0.5, 1.0, 2.0, 8.0):
@@ -168,7 +165,7 @@ def check_consistency(eps: float = 1e-8) -> CheckResult:
     notes.append("brute-force shell-sum density agrees with weyl_constant on (1,1), (2,2), (3,1)")
 
     # the headline classification
-    exc = exceptional_set(10, 10, eps)
+    exc = exceptional_set(10, 10)
     want = [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2), DimPair(3, 1)]
     if sorted(exc.exceptional) != sorted(want):
         failures.append(f"exceptional set is {exc.exceptional}, expected {want}")
@@ -178,8 +175,8 @@ def check_consistency(eps: float = 1e-8) -> CheckResult:
     return _result("consistency", failures, notes)
 
 
-def check_monotonicity(n_max: int = 12, m_max: int = 12, eps: float = 1e-8) -> CheckResult:
-    reports = inequality_suite(n_max, m_max, eps)
+def check_monotonicity(n_max: int = 12, m_max: int = 12) -> CheckResult:
+    reports = inequality_suite(n_max, m_max)
     failures = [str(r) for r in reports if not r.passed]
     notes = [str(r) for r in reports if r.passed]
     return _result("monotonicity", failures, notes)
@@ -363,22 +360,18 @@ def check_algebra(seed: int = 2024, triples: int = 1000) -> CheckResult:
     return _result("algebra", failures, notes)
 
 
-# name -> suite(eps); admissibility and algebra take no eps.  The check_*
-# names are looked up at call time, so a wrapped module attribute is the one run.
+# name -> suite.  The check_* names are looked up at call time, so a wrapped
+# module attribute is the one run.
 SUITES = {
-    "tables": lambda eps: check_tables(eps),
-    "consistency": lambda eps: check_consistency(eps),
-    "monotonicity": lambda eps: check_monotonicity(eps=eps),
-    "admissibility": lambda eps: check_admissibility(),
-    "algebra": lambda eps: check_algebra(),
+    "tables": lambda: check_tables(),
+    "consistency": lambda: check_consistency(),
+    "monotonicity": lambda: check_monotonicity(),
+    "admissibility": lambda: check_admissibility(),
+    "algebra": lambda: check_algebra(),
 }
 
 
-def run_suite(name: str, eps: float = 1e-8) -> CheckResult:
+def run_suite(name: str) -> CheckResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](eps)
-
-
-def run_suites(names, eps: float = 1e-8) -> list[CheckResult]:
-    return [run_suite(name, eps) for name in names]
+    return SUITES[name]()

@@ -11,8 +11,11 @@ Verbs:
                              (exit 3 for inadmissible pairs, exit 2 over
                              2^22 dense matrix entries).
 
-A certified value the series cannot deliver (eps below the binary64
-rounding floor, a pair out of binary64 range, or a value that underflows
+``--eps`` exists on ``value`` and ``table`` only: the library computes
+each enclosure at the binary64 rounding floor, the same for every eps,
+and ``_compute_cell`` decides eps once, on the enclosure it prints.  A
+certified value that cannot be delivered (its printed enclosure wider
+than eps, a pair out of binary64 range, or a value that underflows
 binary64 so no relative eps holds) is refused with a one-line message on
 stderr and exit 2, as is an exact gamma_bar whose numerator or
 denominator may exceed the interpreter's integer-to-string digit limit,
@@ -66,16 +69,16 @@ class Cell(NamedTuple):
     exact: Fraction | None = None
 
 
-def _c_enclosure(pair: DimPair, eps: float) -> Enclosure:
-    sv = series.c_series(pair, eps)  # eps is the absolute enclosure width here
+def _c_enclosure(pair: DimPair) -> Enclosure:
+    sv = series.c_series(pair)
     return Enclosure(sv.value, sv.upper)
 
 
-# every quantity but the exact gamma_bar: (pair, eps) -> its certified enclosure
+# every quantity but the exact gamma_bar: pair -> its certified enclosure
 _ENCLOSURES = {
-    "gamma_tilde": lambda pair, eps: constants.gamma_tilde_interval(pair, eps),
-    "sobolev": lambda pair, eps: constants.sobolev_interval(pair),
-    "weyl": lambda pair, eps: constants.weyl_interval(pair, eps),
+    "gamma_tilde": lambda pair: constants.gamma_tilde_interval(pair),
+    "sobolev": lambda pair: constants.sobolev_interval(pair),
+    "weyl": lambda pair: constants.weyl_interval(pair),
     "c_series": _c_enclosure,
 }
 
@@ -88,10 +91,18 @@ def _compute_cell(quantity: str, n: int, m: int, precision: int, eps: float) -> 
         return Cell(n=n, m=m, value=float(exact),
                     display=numerics.round_half_away(exact, precision), error_bound=0.0,
                     admissible=adm, exceeds_one=exact > 1, exact=exact)
-    enc = _ENCLOSURES[quantity](pair, eps)
-    if quantity != "c_series" and not enc.radius <= eps / 2 * abs(enc.mid):  # eps is relative
-        raise PrecisionUnreachable(f"{quantity}({n},{m}) cannot be certified to relative "
-                                   f"eps={eps:g} in binary64: its enclosure is {list(enc)}",
+    enc = _ENCLOSURES[quantity](pair)
+    # eps bounds the printed width 2 * error_bound: absolute for c_series, relative to
+    # |value| elsewhere; decided exactly on the floats' integer ratios, since a float
+    # product could round across the bound (eps = inf counts as the largest float)
+    absolute = quantity == "c_series"
+    rn, rd = enc.radius.as_integer_ratio()
+    en, ed = min(eps, sys.float_info.max).as_integer_ratio()
+    mn, md = (1, 1) if absolute else abs(enc.mid).as_integer_ratio()
+    if not 2 * rn * ed * md <= en * mn * rd:  # 2 radius <= eps |mid|
+        raise PrecisionUnreachable(f"{quantity}({n},{m}) cannot be certified to "
+                                   f"{'absolute' if absolute else 'relative'} eps={eps:g} "
+                                   f"in binary64: its enclosure is {list(enc)}",
                                    best_bound=enc.radius, terms_used=0)
     return Cell(n=n, m=m, value=enc.mid, display=numerics.round_half_away(enc.mid, precision),
                 error_bound=enc.radius, admissible=adm, exceeds_one=enc.mid > 1.0)
@@ -270,7 +281,7 @@ def _cmd_check(args) -> int:
     import json
 
     names = SUITE_NAMES[:-1] if args.suite == "all" else (args.suite,)
-    results = checks.run_suites(names, eps=args.eps)
+    results = [checks.run_suite(name) for name in names]
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}")
         for line in res.details:
@@ -279,7 +290,6 @@ def _cmd_check(args) -> int:
         "suites": [
             {"name": r.name, "passed": r.passed, "details": list(r.details)} for r in results
         ],
-        "eps": args.eps,
         "passed": all(r.passed for r in results),
     }
     if not args.no_timestamp:
@@ -291,7 +301,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_exceptional(args) -> int:
-    result = constants.exceptional_set(args.n_max, args.m_max, args.eps)
+    result = constants.exceptional_set(args.n_max, args.m_max)
     titles = (f"exceptional pairs (certified gamma_tilde >= 1) "
               f"for 1 <= n <= {args.n_max}, 1 <= m <= {args.m_max}:",
               "uncertain (certified interval straddles 1):" if result.uncertain
@@ -299,7 +309,7 @@ def _cmd_exceptional(args) -> int:
     for title, pairs in zip(titles, result):
         print(title)
         for p in pairs:
-            low, high = constants.gamma_tilde_interval(p, args.eps)
+            low, high = constants.gamma_tilde_interval(p)
             print(f"  {p}  gamma_tilde in [{low:.8f}, {high:.8f}]")
     return 0
 
@@ -373,13 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the timestamp from the JSON trailer (deterministic output)")
-    add_eps(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("exceptional", help="classify pairs against the threshold 1")
     p.add_argument("--n-max", type=_POSITIVE, default=10)
     p.add_argument("--m-max", type=_POSITIVE, default=10)
-    add_eps(p)
     p.set_defaults(func=_cmd_exceptional)
 
     p = sub.add_parser("htype", help="export a verified H-type matrix family as JSON")

@@ -33,9 +33,11 @@ For Q = 2n + 2m the homogeneous dimension:
 Every non-exact constant is an ``Enclosure(lo, hi)`` built from exact
 rationals; the float views (``gamma_tilde``, ``weyl_constant``,
 ``sobolev_constant``) are its midpoints.  The series enclosure sits at
-the binary64 rounding floor (eps is only checked against it), the gamma
-factors are rational once the half-integer sqrt(pi) joins the pi power,
-and math.pi < pi < nextafter(math.pi, 4).  Each end is an integer
+the binary64 rounding floor, the same for every eps, so nothing here
+takes an eps: the CLI's ``--eps`` (on ``value`` and ``table`` only) is
+decided on the enclosure it prints.  The gamma factors are rational
+once the half-integer sqrt(pi) joins the pi power, and
+math.pi < pi < nextafter(math.pi, 4).  Each end is an integer
 quotient, correctly rounded by ``int / int`` and moved one ulp outward
 (W. Tucker, *Validated Numerics*, Princeton UP 2011), so floating-point
 noise can never flip a classification (is gamma_tilde >= 1?).
@@ -167,13 +169,13 @@ def sobolev_constant(pair) -> float:
     return sobolev_interval(pair).mid
 
 
-def weyl_interval(pair, eps: float = 1e-8) -> Enclosure:
+def weyl_interval(pair) -> Enclosure:
     """Certified enclosure of the eigenvalue-counting coefficient
     W = R_w c(n, m) pi^-k, with s = n + m, k = n + ceil(m/2) and the rational
-    R_w = 2 / (s 2^s Gamma(m/2)/sqrt(pi)^[m odd]); eps is relative, for the series.
+    R_w = 2 / (s 2^s Gamma(m/2)/sqrt(pi)^[m odd]).
     """
     p = as_pair(pair)
-    sv = c_series(p, eps, relative=True)
+    sv = c_series(p)
     s, k = p.n + p.m, p.n + (p.m + 1) // 2
     gn, gd = _gamma_half(p.m)
     num, den = 2 * gd, s * 2**s * gn
@@ -182,26 +184,26 @@ def weyl_interval(pair, eps: float = 1e-8) -> Enclosure:
                     (num * hn * _PI_LO[1] ** k, den * hd * _PI_LO[0] ** k))
 
 
-def weyl_constant(pair, eps: float = 1e-8) -> float:
+def weyl_constant(pair) -> float:
     """Eigenvalue-counting coefficient: the midpoint of ``weyl_interval``."""
-    return weyl_interval(pair, eps).mid
+    return weyl_interval(pair).mid
 
 
-def gamma_tilde_interval(pair, eps: float = 1e-8) -> Enclosure:
+def gamma_tilde_interval(pair) -> Enclosure:
     """Certified enclosure [low, high] of the nodal-domain bound: the exact
-    gamma_bar_exact / n^(n+m) over c(n, m); eps is relative, for the series.
+    gamma_bar_exact / n^(n+m) over c(n, m).
     """
     p = as_pair(pair)
-    sv = c_series(p, eps, relative=True)
+    sv = c_series(p)
     num, den = _gamma_bar_ratio(p)
     den *= p.n ** (p.n + p.m)
     (ln, ld), (hn, hd) = sv.upper.as_integer_ratio(), sv.value.as_integer_ratio()
     return _outward((num * ld, den * ln), (num * hd, den * hn))
 
 
-def gamma_tilde(pair, eps: float = 1e-8) -> float:
+def gamma_tilde(pair) -> float:
     """Nodal-domain bound: the midpoint of ``gamma_tilde_interval``."""
-    return gamma_tilde_interval(pair, eps).mid
+    return gamma_tilde_interval(pair).mid
 
 
 def _weyl_prefactor(p: DimPair) -> float:
@@ -209,7 +211,7 @@ def _weyl_prefactor(p: DimPair) -> float:
     return math.exp(math.log(sphere_area(p.m - 1)) - s * _LOG_TWO_PI - math.log(s))
 
 
-def gamma_tilde_product_form(pair, eps: float = 1e-8) -> float:
+def gamma_tilde_product_form(pair) -> float:
     """The defining product C^(-Q/2) W^-1, evaluated through the Sobolev
     and Weyl routes; agrees with gamma_tilde to ~1e-8 relative (the two
     paths share only the series value, so this isolates the gamma/power
@@ -217,7 +219,7 @@ def gamma_tilde_product_form(pair, eps: float = 1e-8) -> float:
     """
     p = as_pair(pair)
     s = p.n + p.m
-    sv = c_series(p, eps, relative=True)
+    sv = c_series(p)
     log_w = math.log(_weyl_prefactor(p)) + math.log(sv.midpoint)
     return math.exp(-s * math.log(sobolev_constant(p)) - log_w)
 
@@ -229,7 +231,7 @@ class ExceptionalSet(NamedTuple):
     uncertain: list[DimPair]  # certified interval straddles 1 (expected empty)
 
 
-def exceptional_set(n_max: int, m_max: int, eps: float = 1e-8) -> ExceptionalSet:
+def exceptional_set(n_max: int, m_max: int) -> ExceptionalSet:
     """Classify every admissible pair in the box [1, n_max] x [1, m_max].
 
     A pair is exceptional iff the certified lower end of its gamma_tilde
@@ -245,7 +247,7 @@ def exceptional_set(n_max: int, m_max: int, eps: float = 1e-8) -> ExceptionalSet
             p = DimPair(n, m)
             if not admissible(p).admissible:
                 continue
-            low, high = gamma_tilde_interval(p, eps)
+            low, high = gamma_tilde_interval(p)
             if low >= 1.0:
                 exceptional.append(p)
             elif high >= 1.0:

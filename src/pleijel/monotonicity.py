@@ -49,7 +49,6 @@ from .series import c_series
 
 __all__ = [
     "InequalityReport",
-    "phi_closed_form",
     "term_ratio",
     "psi",
     "psi_closed_form",
@@ -88,16 +87,6 @@ def _phi_prefactor(n: int, m: int) -> Fraction:
     s = n + m
     return Fraction((n - 1) ** (s - 1) * (s - 2) ** (s - 1) * s * (2 * n + m - 1),
                     n**s * (s - 1) ** (s + 1))
-
-
-def phi_closed_form(pair, eps: float = 1e-8) -> float:
-    """phi(n, m) = gamma_tilde(n, m)/gamma_tilde(n-1, m), n >= 2, by its closed form."""
-    p = as_pair(pair)
-    if p.n < 2:
-        raise ValueError(f"phi needs n >= 2, got {p}")
-    c_prev = c_series((p.n - 1, p.m), eps, relative=True).midpoint
-    c_here = c_series(p, eps, relative=True).midpoint
-    return float(_phi_prefactor(p.n, p.m)) * c_prev / c_here
 
 
 def term_ratio(pair, k: int) -> float:
@@ -142,7 +131,7 @@ def psi_closed_form(pair) -> Fraction:
     return Fraction(4 * (s - 2) ** (s - 1) * s, (s - 1) ** (s + 1)) * g[0] * g[1] / (g[2] * g[3])
 
 
-def inequality_suite(n_max: int = 12, m_max: int = 12, eps: float = 1e-8) -> list[InequalityReport]:
+def inequality_suite(n_max: int = 12, m_max: int = 12) -> list[InequalityReport]:
     """Decide every inequality of the monotonicity chain on a finite grid.
 
     All reports pass on the default grid; a failed report carries the
@@ -157,7 +146,7 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, eps: float = 1e-8) -> lis
     lo, hi, gb = {}, {}, {}
     for n in range(1, max(n_max, 4) + 1):
         for m in range(1, m_max + 1):
-            g = gamma_tilde_interval((n, m), eps)
+            g = gamma_tilde_interval((n, m))
             lo[n, m], hi[n, m] = Fraction(g.lo), Fraction(g.hi)
             gb[n, m] = gamma_bar_exact((n, m))
 
@@ -166,11 +155,11 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, eps: float = 1e-8) -> lis
     # factors are the same on both sides of the closed form, so only its rational
     # prefactor is compared, with gb(n,m) (n-1)^(n+m-1) / (gb(n-1,m) n^(n+m))
     phi_domain = f"2 <= n <= {n_max}, 1 <= m <= {m_max}"
-    steps = [(n, m) for n in range(2, n_max + 1) for m in range(1, m_max + 1)]
-    worst = max(hi[n, m] / lo[n - 1, m] for n, m in steps)
+    phi_pairs = [(n, m) for n in range(2, n_max + 1) for m in range(1, m_max + 1)]
+    worst = max(hi[n, m] / lo[n - 1, m] for n, m in phi_pairs)
     reports.append(_report("phi_upper_bound", phi_domain, worst, 5 / (2 * _E_HI)))
     worst = max(abs(_phi_prefactor(n, m) * gb[n - 1, m] * n ** (n + m)
-                    / (gb[n, m] * (n - 1) ** (n + m - 1)) - 1) for n, m in steps)
+                    / (gb[n, m] * (n - 1) ** (n + m - 1)) - 1) for n, m in phi_pairs)
     reports.append(_report("phi_closed_form_agreement", phi_domain, worst, 0))
 
     # --- the quadratic used to settle the phi bound ------------------------
@@ -207,9 +196,8 @@ def inequality_suite(n_max: int = 12, m_max: int = 12, eps: float = 1e-8) -> lis
     # --- c-ratio lower bound: term_ratio at k = 0 times the certified ends --
     worst = max(
         Fraction((n - 1) ** (n + m - 1), n ** (n + m))
-        * Fraction(c_series((n - 1, m), eps, relative=True).upper)
-        / Fraction(c_series((n, m), eps, relative=True).value)
-        for n, m in steps)
+        * Fraction(c_series((n - 1, m)).upper) / Fraction(c_series((n, m)).value)
+        for n, m in phi_pairs)
     reports.append(
         _report("c_ratio_lower_bound_holds", phi_domain, worst, 1,
                 note="bound / certified ratio")

@@ -169,7 +169,7 @@ def test_known_reference_errata():
     assert float(exact) == pytest.approx(1.5802469135802468, rel=1e-15)
     # gamma_tilde(9,10): certified interval excludes every value that could
     # round to the printed 0.0010
-    low, high = gamma_tilde_interval((9, 10), 1e-10)
+    low, high = gamma_tilde_interval((9, 10))
     assert high < 0.00095  # anything printing 0.0010 is at least 0.00095
     assert low <= Fraction("0.000897389516577124100793306") <= high  # independent 50-digit value
     _verdict(0, "reference-table errata pinned (2 cells)", True,
@@ -179,11 +179,11 @@ def test_known_reference_errata():
 def test_criterion_02_exceptional_set():
     """Exactly {(1,1), (2,1), (3,1), (2,2)} over 1 <= n, m <= 10, with
     certified intervals never straddling 1."""
-    result = exceptional_set(10, 10, 1e-8)
+    result = exceptional_set(10, 10)
     want = sorted([DimPair(1, 1), DimPair(2, 1), DimPair(3, 1), DimPair(2, 2)])
     straddlers = []
     for n, m in itertools.product(range(1, 11), range(1, 11)):
-        low, high = gamma_tilde_interval((n, m), 1e-8)
+        low, high = gamma_tilde_interval((n, m))
         if low < 1.0 <= high:
             straddlers.append((n, m))
     ok = result.exceptional == want and not result.uncertain and not straddlers
@@ -213,7 +213,7 @@ def test_criterion_04_oracle_equivalence():
         for n, oracle in ((1, (1 - 2.0 ** (-(m + 1))) * z), (2, 2.0 ** (-(m + 2)) * z)):
             value = c_series((n, m), 1e-10 * series_term((n, m), 0)).midpoint
             worst = max(worst, abs(value - oracle) / oracle)
-    g11_dev = abs(gamma_tilde((1, 1), 1e-10) - 32 / math.pi**2) / (32 / math.pi**2)
+    g11_dev = abs(gamma_tilde((1, 1)) - 32 / math.pi**2) / (32 / math.pi**2)
     ok = worst <= 1e-10 and g11_dev <= 1e-10
     _verdict(4, "zeta-oracle equivalence", ok,
              f"worst series dev {worst:.2e}; gamma_tilde(1,1) dev {g11_dev:.2e}")
@@ -237,7 +237,7 @@ def test_criterion_06_weyl_bruteforce_oracle():
     worst_hom = 0.0
     for pair in ((1, 1), (2, 2), (3, 1)):
         s = sum(pair)
-        w = weyl_constant(pair, 1e-9)
+        w = weyl_constant(pair)
         base = weyl_density_bruteforce(pair, 1.0)
         for lam in (0.5, 1.0, 2.0):
             value = weyl_density_bruteforce(pair, lam)
@@ -252,7 +252,7 @@ def test_criterion_06_weyl_bruteforce_oracle():
 
 def test_criterion_07_monotonicity_suite():
     t0 = time.perf_counter()
-    reports = inequality_suite(n_max=12, m_max=12, eps=1e-8)
+    reports = inequality_suite(n_max=12, m_max=12)
     elapsed = time.perf_counter() - t0
     failing = [r.name for r in reports if not r.passed]
     ok = not failing and elapsed < 30.0

@@ -163,7 +163,7 @@ class TestPackageExports:
 
     @pytest.mark.parametrize("name", ["binomial", "gamma_ratio_exact", "multiindex_count",
                                       "series_term_exact", "c_ratio_lower_bound", "phi",
-                                      "is_admissible"])
+                                      "is_admissible", "phi_closed_form"])
     def test_deleted_wrappers_are_gone(self, name):
         assert name not in pleijel.__all__ and not hasattr(pleijel, name)
         for module_name in _LIBRARY_MODULES:

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from pleijel import checks, constants, reference, series
 from pleijel.checks import run_suite
-from pleijel.cli import QUANTITIES, SUITE_NAMES, TableSpec, main, render_table
+from pleijel.cli import QUANTITIES, SUITE_NAMES, TableSpec, _compute_cell, main, render_table
 from pleijel.constants import gamma_tilde_interval
 
 
@@ -90,26 +92,67 @@ class TestValue:
                 assert_parser_refuses(capsys, *verb, "--precision", bad)
 
     def test_invalid_eps_exits_2(self, capsys):
-        for verb in (_VALUE, ("table", "gamma_tilde"), ("check", "all"), ("exceptional",)):
+        for verb in (_VALUE, ("table", "gamma_tilde")):
             for bad in ("0", "-1", "nan"):
                 assert_parser_refuses(capsys, *verb, "--eps", bad)
+        # check and exceptional take no eps: their enclosures are the same for every eps
+        for verb in (("check", "all"), ("exceptional",)):
+            with pytest.raises(SystemExit) as err:
+                main([*verb, "--eps", "1e-8"])
+            captured = capsys.readouterr()
+            assert err.value.code == 2 and captured.out == "", verb
+            assert "unrecognized arguments: --eps 1e-8" in captured.err, verb
 
     def test_malformed_number_names_its_type(self, capsys):
         with pytest.raises(SystemExit):
             main([*_VALUE, "--eps", "abc"])
         assert "argument --eps: invalid float value: 'abc'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ("value", "1", "1", "gamma_tilde", "--eps", "1e-18"),  # below the rounding floor
-        ("value", "200", "1", "gamma_tilde"),  # used to overflow
-        ("value", "150", "3", "gamma_tilde"),  # used to miss c ~ 1.9e-315
-        ("table", "weyl", "--eps", "1e-18"),
-        ("exceptional", "--eps", "1e-18"),
-    ])
-    def test_unreachable_refused_in_one_line(self, capsys, argv):
+    @pytest.mark.parametrize("argv, refusal", [
+        (("value", "1", "1", "gamma_tilde", "--eps", "1e-18"),  # below the rounding floor
+         "gamma_tilde(1,1) cannot be certified to relative eps=1e-18 in binary64"),
+        (("value", "200", "1", "gamma_tilde"), "c(200,1) is out of range"),  # used to overflow
+        (("value", "150", "3", "gamma_tilde"), "c(150,3) is out of range"),  # missed c ~ 1.9e-315
+        (("table", "weyl", "--eps", "1e-18"),
+         "weyl(1,1) cannot be certified to relative eps=1e-18 in binary64"),
+    ], ids=["argv0", "argv1", "argv2", "argv3"])
+    def test_unreachable_refused_in_one_line(self, capsys, argv, refusal):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: c(") and err.count("\n") == 1
+        assert err.startswith(f"error: {refusal}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("quantity", ["gamma_tilde", "sobolev", "weyl", "c_series"])
+    def test_eps_is_decided_on_the_printed_width(self, capsys, quantity):
+        # eps at the printed width 2 * error_bound (over |value| where eps is
+        # relative), rounded up to a float, is met; the float below it is refused
+        for n, m in ((1, 1), (1, 30), (2, 7), (4, 1), (7, 3), (13, 2), (30, 1), (30, 30)):
+            cell = _compute_cell(quantity, n, m, 4, 1.0)
+            width = 2 * Fraction(cell.error_bound)
+            if quantity != "c_series":
+                width /= abs(Fraction(cell.value))
+            eps = float(width)
+            if Fraction(eps) < width:
+                eps = math.nextafter(eps, math.inf)
+            argv = ("value", str(n), str(m), quantity, "--eps")
+            code, out, _ = run_cli(capsys, *argv, repr(eps))
+            assert code == 0 and f"value={cell.value!r} " in out, (n, m)
+            code, out, err = run_cli(capsys, *argv, repr(math.nextafter(eps, 0)))
+            assert code == 2 and out == "", (n, m)
+            assert err.startswith(f"error: {quantity}({n},{m}) cannot be certified to ")
+            assert err.count("\n") == 1
+
+    def test_infinite_eps_bounds_the_width_but_not_an_underflow(self, capsys):
+        code, out, _ = run_cli(capsys, "value", "1", "1", "gamma_tilde", "--eps", "inf")
+        assert code == 0 and out.startswith("3.2423\n")
+        code, out, err = run_cli(capsys, "value", "139", "1", "weyl", "--eps", "inf")
+        assert code == 2 and out == "" and err.startswith("error: weyl(139,1) cannot be certified")
+
+    def test_c_series_eps_between_tail_bound_and_printed_width_refused(self, capsys):
+        # c(1, 30) has tail_bound 5.218e-15, but value +- error_bound spans 5.33e-15
+        code, out, err = run_cli(capsys, "value", "1", "30", "c_series",
+                                 "--eps", "5.2180482157382365e-15")
+        assert code == 2 and out == ""
+        assert err.startswith("error: c_series(1,30) cannot be certified to absolute eps=")
 
     @pytest.mark.parametrize("pair", [("139", "1"), ("1", "3000")])
     def test_underflow_refused_not_printed_as_zero(self, capsys, pair):
@@ -351,26 +394,6 @@ class TestCheck:
         assert code == 0
         assert out == _CHECK_ALL_TEXT
 
-    def test_tight_eps_gives_the_same_verdicts(self, capsys):
-        # every suite asks c(n, m) for a relative eps, as `value` and `table` do
-        code, out, _ = run_cli(capsys, "check", "all", "--eps", "1e-12", "--no-timestamp")
-        assert code == 0
-        out = out.replace('{"eps": 1e-12, ', '{"eps": 1e-08, ', 1)
-        assert out == _CHECK_ALL_TEXT
-
-    def test_monotonicity_at_tight_eps(self, capsys):
-        _, default, _ = run_cli(capsys, "check", "monotonicity", "--no-timestamp")
-        code, out, _ = run_cli(capsys, "check", "monotonicity", "--eps", "1e-12",
-                               "--no-timestamp")
-        assert code == 0
-        assert out.splitlines()[:-1] == default.splitlines()[:-1]
-
-    def test_eps_below_the_rounding_floor_refused(self, capsys):
-        code, out, err = run_cli(capsys, "check", "monotonicity", "--eps", "1e-14",
-                                 "--no-timestamp")
-        assert code == 2 and out == ""
-        assert err.startswith("error: c(") and err.count("\n") == 1
-
     def test_zeta_rows_compare_enclosures(self, monkeypatch):
         # an oracle shifted by 1e-13 relative no longer overlaps the series enclosure
         from pleijel import checks
@@ -390,8 +413,8 @@ class TestCheck:
         from pleijel import checks
         from pleijel.constants import gamma_tilde_interval
 
-        def shifted(pair, eps=1e-8):
-            g = gamma_tilde_interval(pair, eps)
+        def shifted(pair):
+            g = gamma_tilde_interval(pair)
             return g._replace(lo=g.lo * (1 + 1e-13), hi=g.hi * (1 + 1e-13))
 
         monkeypatch.setattr(checks, "gamma_tilde_interval", shifted)
@@ -415,7 +438,7 @@ class TestCheck:
         assert "gamma_bar(1,3): computed 1.5802, reference 1.5803" in out
 
     def test_run_suite_dispatch(self):
-        assert run_suite("admissibility", eps=1e-3).passed  # eps is not used there
+        assert run_suite("admissibility").passed
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("everything")
 
@@ -441,7 +464,7 @@ class TestExceptional:
 
     def test_intervals_printed_match_library(self, capsys):
         _, out, _ = run_cli(capsys, "exceptional", "--n-max", "1", "--m-max", "1")
-        low, high = gamma_tilde_interval((1, 1), 1e-8)
+        low, high = gamma_tilde_interval((1, 1))
         assert f"[{low:.8f}, {high:.8f}]" in out
 
     def test_determinism(self, capsys):
@@ -716,7 +739,7 @@ import pleijel.cli
 codes, outputs = [], []
 for argv in (["value", "3", "2", "weyl"], ["table", "gamma_tilde", "--format", "json"],
              ["exceptional"], ["htype", "4", "7", sys.argv[1]], ["check", "all", "--no-timestamp"],
-             ["check", "monotonicity", "--eps", "1e-12", "--no-timestamp"]):
+             ["check", "monotonicity", "--no-timestamp"]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         codes.append(pleijel.cli.main(argv))
     outputs.append(out.getvalue())

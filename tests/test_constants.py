@@ -75,11 +75,11 @@ class TestSobolev:
 
 class TestWeyl:
     def test_heisenberg_value(self):
-        assert weyl_constant((1, 1), 1e-9) == pytest.approx(1 / 32, rel=1e-9)
+        assert weyl_constant((1, 1)) == pytest.approx(1 / 32, rel=1e-9)
 
     def test_composition_oracle_2_2(self):
         want = sphere_area(1) / (2 * math.pi) ** 4 / 4 * zeta(3) / 16
-        assert weyl_constant((2, 2), 1e-9) == pytest.approx(want, rel=1e-9)
+        assert weyl_constant((2, 2)) == pytest.approx(want, rel=1e-9)
 
     def test_positive(self):
         for n, m in itertools.product(range(1, 11), range(1, 11)):
@@ -89,12 +89,12 @@ class TestWeyl:
 class TestGammaTilde:
     def test_heisenberg_closed_form(self):
         want = 32 / math.pi**2
-        assert abs(gamma_tilde((1, 1), 1e-10) - want) <= 1e-10 * want
+        assert abs(gamma_tilde((1, 1)) - want) <= 1e-10 * want
 
     def test_n2_closed_form(self):
         # c(2,1) = zeta(2)/8 makes gamma_tilde(2,1) = 18/pi^2 exactly
         want = 18 / math.pi**2
-        assert abs(gamma_tilde((2, 1), 1e-10) - want) <= 1e-10 * want
+        assert abs(gamma_tilde((2, 1)) - want) <= 1e-10 * want
 
     def test_reference_cells(self):
         assert round_half_away(gamma_tilde((1, 1)), 4) == "3.2423"
@@ -108,8 +108,8 @@ class TestGammaTilde:
 
     def test_interval_brackets_point(self):
         for pair in ((1, 1), (3, 2), (10, 10), (20, 20)):
-            low, high = gamma_tilde_interval(pair, 1e-9)
-            point = gamma_tilde(pair, 1e-9)
+            low, high = gamma_tilde_interval(pair)
+            point = gamma_tilde(pair)
             assert low <= point <= high
             assert (high - low) / point <= 1e-9  # at most the series width asked for
 
@@ -117,7 +117,7 @@ class TestGammaTilde:
 class TestProductFormConsistency:
     def test_heisenberg(self):
         want = 32 / math.pi**2
-        assert gamma_tilde_product_form((1, 1), 1e-10) == pytest.approx(want, rel=1e-9)
+        assert gamma_tilde_product_form((1, 1)) == pytest.approx(want, rel=1e-9)
 
     def test_reference_spot_values(self):
         assert round_half_away(gamma_tilde_product_form((3, 1)), 4) == "1.0689"
@@ -221,7 +221,7 @@ class TestGammaBar:
 
 class TestExceptionalSet:
     def test_ten_by_ten(self):
-        result = exceptional_set(10, 10, 1e-8)
+        result = exceptional_set(10, 10)
         want = [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2), DimPair(3, 1)]
         assert result.exceptional == sorted(want)
         assert result.uncertain == []
@@ -236,7 +236,7 @@ class TestExceptionalSet:
 
     def test_no_admissible_interval_straddles_one(self):
         for n, m in itertools.product(range(1, 11), range(1, 11)):
-            low, high = gamma_tilde_interval((n, m), 1e-8)
+            low, high = gamma_tilde_interval((n, m))
             assert low >= 1.0 or high < 1.0
 
     def test_bad_bounds(self):
@@ -250,7 +250,7 @@ class TestWeylBruteForce:
 
     def test_matches_weyl_constant(self):
         for pair in ((1, 1), (2, 2), (3, 1)):
-            w = weyl_constant(pair, 1e-9)
+            w = weyl_constant(pair)
             s = sum(pair)
             for lam in (0.5, 1.0, 2.0):
                 got = weyl_density_bruteforce(pair, lam) / lam**s
@@ -323,17 +323,6 @@ def _bruteforce_reference(pair, lam, max_shells=None, eps=1e-9) -> float:
     return _weyl_prefactor(p) * s * total
 
 
-class TestErrorPropagation:
-    def test_unreachable_series_target_propagates(self):
-        # a 1e-18 relative target is below the binary64 rounding floor and
-        # must surface, not silently degrade
-        with pytest.raises(PrecisionUnreachable) as err:
-            gamma_tilde((1, 1), 1e-18)
-        assert 1e-18 < err.value.best_bound < 1e-13
-        with pytest.raises(PrecisionUnreachable):
-            weyl_constant((1, 1), 1e-18)
-
-
 _FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 
 
@@ -380,8 +369,8 @@ class TestEnclosuresContainOracle:
                 sphere = 2 * mpmath.power(mpmath.pi, mpmath.mpf(m) / 2) / mpmath.gamma(
                     mpmath.mpf(m) / 2)
                 want = sphere / mpmath.power(2 * mpmath.pi, s) / s * c.numerator / c.denominator
-                low, high = weyl_interval((n, m), 1e-12)
+                low, high = weyl_interval((n, m))
                 assert low <= _mp_fraction(want) <= high, (n, m)
                 # gamma_tilde is the exact gamma_bar_exact / n^s over c
-                low, high = gamma_tilde_interval((n, m), 1e-12)
+                low, high = gamma_tilde_interval((n, m))
                 assert low <= gamma_bar_exact((n, m)) / n**s / c <= high, (n, m)

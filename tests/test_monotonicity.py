@@ -9,8 +9,8 @@ import pytest
 
 from pleijel.constants import gamma_bar_exact, gamma_tilde
 from pleijel.monotonicity import (
+    _phi_prefactor,
     inequality_suite,
-    phi_closed_form,
     psi,
     psi_closed_form,
     term_ratio,
@@ -21,7 +21,13 @@ from pleijel.series import c_series, series_term
 def phi_quotient(pair) -> float:
     """phi(n, m) as the direct quotient gamma_tilde(n, m)/gamma_tilde(n-1, m)."""
     n, m = pair
-    return gamma_tilde((n, m), 1e-9) / gamma_tilde((n - 1, m), 1e-9)
+    return gamma_tilde((n, m)) / gamma_tilde((n - 1, m))
+
+
+def phi_closed_form(pair) -> float:
+    """phi(n, m) by its closed form: the rational prefactor times c(n-1, m)/c(n, m)."""
+    n, m = pair
+    return float(_phi_prefactor(n, m)) * c_series((n - 1, m)).midpoint / c_series(pair).midpoint
 
 
 class TestPhi:
@@ -43,10 +49,6 @@ class TestPhi:
     def test_closed_form_matches_quotient(self):
         for pair in ((2, 1), (3, 3), (5, 2), (9, 7)):
             assert phi_closed_form(pair) == pytest.approx(phi_quotient(pair), rel=1e-8)
-
-    def test_needs_n_at_least_two(self):
-        with pytest.raises(ValueError):
-            phi_closed_form((1, 1))
 
 
 class TestTermRatio:

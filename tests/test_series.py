@@ -210,6 +210,18 @@ class TestHurwitzKernel:
                 c_series(pair, 1e-8, relative=True)
             assert err.value.best_bound == math.inf
 
+    def test_default_eps_never_refuses_an_in_range_pair(self):
+        # the library reads every enclosure through c_series(p) at its default and
+        # leaves eps to the CLI, so the floor must stay under 1e-8 absolute on the
+        # range's edge: (1, 10^6) and, for each n, the largest m with (n+m) log2 n <= 1000
+        edge = [(1, 10**6)]
+        for n in range(2, 131):
+            m = math.floor(1000 / math.log2(n)) - n
+            assert (n + m) * math.log2(n) <= 1000 < (n + m + 1) * math.log2(n), n
+            edge.append((n, m))
+        for pair in edge:
+            c_series(pair)  # a refusal raises PrecisionUnreachable
+
     def test_pair_forms_share_one_cache_entry(self):
         c_series.cache_clear()
         _enclosure.cache_clear()
