@@ -9,7 +9,6 @@ pass/fail with human-readable details.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -28,11 +27,10 @@ from .constants import (
 from .core import DimPair
 from .htype_algebra import (
     GroupElement,
+    HTypeStructure,
     Polynomial,
     SignedPermutation,
     construct,
-    group_identity,
-    group_inverse,
     group_mul,
     sublaplacian_coefficients,
     verify_structure,
@@ -251,18 +249,23 @@ def _extensions(family, d: int):
     yield from search([-1] * d, [0] * d)
 
 
-def check_algebra(seed: int = 2024, triples: int = 1000) -> CheckResult:
+def _unit(i: int, size: int) -> tuple[int, ...]:
+    return tuple(int(k == i) for k in range(size))
+
+
+def check_algebra() -> CheckResult:
     failures: list[str] = []
     notes: list[str] = []
 
     # every admissible pair with 2n <= 16 carries an exact integer structure
-    built = 0
-    for n in range(1, 9):
-        max_m = radon_hurwitz(2 * n) - 1
+    top = {n: radon_hurwitz(2 * n) - 1 for n in range(1, 9)}
+    built: dict[tuple[int, int], HTypeStructure] = {}
+    for n, max_m in top.items():
         for m in range(1, max_m + 1):
             try:
-                verify_structure(construct((n, m)))
-                built += 1
+                s = construct((n, m))
+                verify_structure(s)
+                built[n, m] = s
             except Exception as exc:  # noqa: BLE001 - report, do not abort the suite
                 failures.append(f"construct({n},{m}) failed: {exc}")
         try:
@@ -270,53 +273,54 @@ def check_algebra(seed: int = 2024, triples: int = 1000) -> CheckResult:
             failures.append(f"construct({n},{max_m + 1}) unexpectedly succeeded")
         except ValueError:
             pass
-    notes.append(f"built and verified {built} structures with 2n <= 16 "
+    notes.append(f"built and verified {len(built)} structures with 2n <= 16 "
                  "(skew, orthogonal, anticommuting; exact integer arithmetic)")
 
-    # exact group algebra on random rational triples
-    rng = random.Random(seed)
-    s = construct((2, 3))
+    # the group law on a basis, at m = 1 and at the maximal m: u o v = u + v,
+    # plus <U^(j) e_i, e_k>/2 = signs[k]/2 (where perm[k] == i) in t_j when
+    # u = (e_i, 0) and v = (e_k, 0).  The correction is bilinear in (x, xi),
+    # so this fixes the law everywhere; any bilinear correction makes it
+    # associative, with negation as the inverse.
+    products = 0
+    wrong: list[str] = []
+    for (n, m), s in built.items():
+        if m not in (1, top[n]):
+            continue
+        d, dt = s.dim_x, s.dim_t
+        basis = ([GroupElement(_unit(i, d), (0,) * dt) for i in range(d)]
+                 + [GroupElement((0,) * d, _unit(j, dt)) for j in range(dt)])
+        bad = 0
+        for i, u in enumerate(basis):
+            for k, v in enumerate(basis):
+                x = tuple([a + b for a, b in zip(u.x, v.x)])  # lists: see group_mul
+                t = tuple([a + b for a, b in zip(u.t, v.t)])
+                if i < d and k < d:
+                    t = tuple([Fraction(P.signs[k], 2) if P.perm[k] == i else 0
+                               for P in s.family])
+                bad += group_mul(s, u, v) != GroupElement(x, t)
+        products += len(basis) ** 2
+        if bad:
+            wrong.append(f"{bad} at ({n},{m})")
+    # group_mul's t_j reads family[j] only, so a prefix of a checked family is covered
+    prefixes = [(n, m) for n, m in built if 1 < m < top[n] and (n, top[n]) in built]
+    not_prefix = [f"({n},{m})" for n, m in prefixes
+                  if built[n, m].family != built[n, top[n]].family[:m]]
+    if wrong:
+        failures.append(f"group law wrong on basis products: {', '.join(wrong)}")
+    if not_prefix:
+        failures.append(f"family not a prefix of the maximal one at {' '.join(not_prefix)}")
+    if not (wrong or not_prefix):
+        notes.append(f"group law exact on {products} basis products at m = 1 and maximal m; "
+                     f"the {len(prefixes)} other families are prefixes")
 
-    def rand_element() -> GroupElement:
-        """Coordinates a/b, a uniform in -40..40 and b in 1..12, from one uniform
-        r in [0, 972^7), 972 = 81 * 12: r's base-972 digits are independent and
-        uniform, and a digit q is the pair a = q // 12 - 40, b = q % 12 + 1."""
-        r = rng.randrange(972 ** (s.dim_x + s.dim_t))
-        coords = []
-        for _ in range(s.dim_x + s.dim_t):
-            r, q = divmod(r, 972)
-            coords.append(Fraction(q // 12 - 40, q % 12 + 1))
-        return GroupElement(x=tuple(coords[:s.dim_x]), t=tuple(coords[s.dim_x:]))
-
-    ident = group_identity(s)
-    bad = skewed = 0
-    for _ in range(triples):
-        a, b, c = rand_element(), rand_element(), rand_element()
-        ab = group_mul(s, a, b)
-        if group_mul(s, ab, c) != group_mul(s, a, group_mul(s, b, c)):
-            bad += 1
-        if group_mul(s, a, ident) != a or group_mul(s, a, group_inverse(a)) != ident:
-            bad += 1
-        # every bilinear correction makes an associative law with these
-        # inverses; the commutator t(ab) - t(ba) = <U x, xi> pins the 1/2
-        ba = group_mul(s, b, a)
-        if any(u - v != sum(xi * sign * a.x[p] for xi, p, sign in zip(b.x, P.perm, P.signs))
-               for u, v, P in zip(ab.t, ba.t, s.family)):
-            skewed += 1
-    if bad:
-        failures.append(f"group law failed exact associativity/identity on {bad} triples")
-    else:
-        notes.append(f"group law exactly associative with exact inverses on {triples} "
-                     "random rational triples at (2,3)")
-    if skewed:
-        failures.append(f"group commutator differs from <U x, xi> on {skewed} pairs")
-
-    # J_z^T J_z = |z|^2 I (anticommutation), exactly on random integer z
+    # J_z^T J_z = |z|^2 I (anticommutation), exactly: both sides are quadratic
+    # in z, so z = e_j and e_j + e_l (j < l) fix the identity for every z
     s47 = construct((4, 7))
     d = s47.dim_x
+    zs = [tuple(int(k in js) for k in range(s47.dim_t))
+          for r in (1, 2) for js in itertools.combinations(range(s47.dim_t), r)]
     off = 0
-    for _ in range(100):
-        z = [rng.randint(-40, 40) for _ in range(s47.dim_t)]
+    for z in zs:
         J = [[0] * d for _ in range(d)]
         for zj, P in zip(z, s47.family):
             for row, p, sign in zip(J, P.perm, P.signs):
@@ -326,19 +330,21 @@ def check_algebra(seed: int = 2024, triples: int = 1000) -> CheckResult:
                for k in range(d) for l in range(d)):
             off += 1
     if off:
-        failures.append(f"J_z^T J_z != |z|^2 I on {off} of 100 random integer z at (4,7)")
+        failures.append(f"J_z^T J_z != |z|^2 I on {off} of {len(zs)} z at (4,7)")
     else:
-        notes.append("J_z^T J_z = |z|^2 I exactly on 100 random integer z at (4,7)")
+        notes.append(f"J_z^T J_z = |z|^2 I exactly on the {len(zs)} z = e_j, e_j + e_l "
+                     "at (4,7), hence on all z")
 
     # Hurwitz-Radon maximality: no skew signed permutation extends a maximal family
-    extended = [2 * n for n in range(1, 9) if next(
-        _extensions(construct((n, radon_hurwitz(2 * n) - 1)).family, 2 * n), None)]
+    extended = [2 * n for n, max_m in top.items()
+                if next(_extensions(construct((n, max_m)).family, 2 * n), None)]
     if extended:
         failures.append(f"maximal family extended by a skew signed permutation at 2n = {extended}")
     else:
         notes.append("no skew signed permutation extends a maximal family (exhaustive, 2n <= 16)")
 
     # sublaplacian on polynomial test functions, exactly
+    s = construct((2, 3))
     sub = sublaplacian_coefficients(s)
     nv = sub.nvars
     x1 = Polynomial.variable(0, nv)

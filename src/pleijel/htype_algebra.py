@@ -41,7 +41,6 @@ test functions.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Sized
 from fractions import Fraction
@@ -223,39 +222,16 @@ def group_mul(s: HTypeStructure, a: GroupElement, b: GroupElement) -> GroupEleme
     """(x, t) o (xi, tau) with the half-commutator correction <U x, xi>/2."""
     _check_dims(s, a)
     _check_dims(s, b)
-    if all(isinstance(v, (int, Fraction)) for v in (*a.x, *b.x, *a.t, *b.t)):
-        return _group_mul_exact(s.family, a, b)
-    x = tuple(xa + xb for xa, xb in zip(a.x, b.x))
+    # tuple() of a generator allocates a guessed size and resizes it, so freed
+    # results of the final size pile up unused on CPython's tuple free list;
+    # tuple() of a list allocates the exact size and reuses them
+    x = tuple([xa + xb for xa, xb in zip(a.x, b.x)])
     t = []
     for j, P in enumerate(s.family):
         # <U x, xi> = sum_i xi_i signs[i] x_perm[i]: d terms
         corr = sum(xi * (sign * a.x[p]) for xi, p, sign in zip(b.x, P.perm, P.signs))
         half = Fraction(1, 2) if isinstance(corr, (int, Fraction)) else 0.5
         t.append(a.t[j] + b.t[j] + half * corr)
-    return GroupElement(x=x, t=tuple(t))
-
-
-def _group_mul_exact(family, a: GroupElement, b: GroupElement) -> GroupElement:
-    """group_mul on int and Fraction coordinates, in integer numerators.
-
-    With L the lcm of the x denominators, x = X / L and xi = Xi / L, so
-    <U x, xi>/2 = <U X, Xi> / (2 L^2) and each output coordinate is one
-    Fraction; an x coordinate stays an int when both summands are.
-    """
-    L = math.lcm(*(v.denominator for v in (*a.x, *b.x)))
-    X = [v.numerator * (L // v.denominator) for v in a.x]
-    Xi = [v.numerator * (L // v.denominator) for v in b.x]
-    x = tuple(
-        xa + xb if isinstance(xa, int) and isinstance(xb, int) else Fraction(na + nb, L)
-        for xa, xb, na, nb in zip(a.x, b.x, X, Xi)
-    )
-    D = 2 * L * L
-    t = []
-    for ta, tb, P in zip(a.t, b.t, family):
-        corr = sum(xi * sign * X[p] for xi, p, sign in zip(Xi, P.perm, P.signs))
-        da, db = ta.denominator, tb.denominator
-        t.append(Fraction((ta.numerator * db + tb.numerator * da) * D + corr * da * db,
-                          da * db * D))
     return GroupElement(x=x, t=tuple(t))
 
 

@@ -101,7 +101,7 @@ _DENSE_PAIRS += [(16, 9), (32, 11)]
 
 def _group_mul_reference(s, a: GroupElement, b: GroupElement) -> GroupElement:
     """group_mul as one generic loop over the coordinates, whatever their
-    type: the reference for its integer-numerator branch."""
+    type: the reference for its values and types."""
     x = tuple(xa + xb for xa, xb in zip(a.x, b.x))
     t = []
     for j, P in enumerate(s.family):
@@ -256,16 +256,29 @@ class TestGroupLaw:
 
     def test_check_algebra_sees_a_dropped_half(self, monkeypatch):
         # (x, t) o (xi, tau) = (x + xi, t + tau + <U x, xi>) is associative with
-        # the same inverses; only the commutator check can tell it apart
+        # the same inverses; only the basis products pin the 1/2
         def without_half(s, a, b):
             ab = group_mul(s, a, b)
             return ab._replace(t=tuple(2 * u - ta - tb for u, ta, tb in zip(ab.t, a.t, b.t)))
 
         monkeypatch.setattr(checks, "group_mul", without_half)
-        result = checks.check_algebra(triples=20)
+        result = checks.check_algebra()
         assert not result.passed
-        assert "group commutator differs from <U x, xi> on 20 pairs" in result.details
-        assert any(note.startswith("group law exactly associative") for note in result.details)
+        assert any(line.startswith("group law wrong on basis products:")
+                   and "at (2,3)" in line for line in result.details)
+        assert not any(line.startswith("group law exact") for line in result.details)
+
+    def test_check_algebra_sees_a_transposed_bracket(self, monkeypatch):
+        # <U xi, x> in place of <U x, xi>: the opposite group, associative too
+        def transposed(s, a, b):
+            return group_mul(s, b, a)._replace(x=tuple(u + v for u, v in zip(a.x, b.x)))
+
+        monkeypatch.setattr(checks, "group_mul", transposed)
+        result = checks.check_algebra()
+        assert not result.passed
+        assert any(line.startswith("group law wrong on basis products:")
+                   and "at (8,8)" in line for line in result.details)
+        assert not any(line.startswith("group law exact") for line in result.details)
 
     def test_dimension_mismatch(self):
         s = construct((1, 1))
@@ -335,11 +348,27 @@ class TestExtensions:
             return HTypeStructure(DimPair(6, 2), s.family[:2]) if s.pair == (6, 3) else s
 
         monkeypatch.setattr(checks, "construct", drop_at_12)
-        result = checks.check_algebra(triples=20)
+        result = checks.check_algebra()
         assert not result.passed
         assert result.details[-1] == (
             "maximal family extended by a skew signed permutation at 2n = [12]")
         assert not any(line.startswith("no skew signed permutation") for line in result.details)
+
+    def test_check_algebra_sees_a_family_that_is_not_a_prefix(self, monkeypatch):
+        # members 0 and 4 of the maximal (4, 7) family: a valid (4, 2) structure,
+        # but not the one the basis products at (4, 7) cover
+        def skip_at_4_2(pair):
+            s = construct(pair)
+            if s.pair != (4, 2):
+                return s
+            family = construct((4, 7)).family
+            return HTypeStructure(s.pair, (family[0], family[4]))
+
+        monkeypatch.setattr(checks, "construct", skip_at_4_2)
+        result = checks.check_algebra()
+        assert not result.passed
+        assert "family not a prefix of the maximal one at (4,2)" in result.details
+        assert not any(line.startswith("group law exact") for line in result.details)
 
 
 class TestJz:
@@ -375,6 +404,18 @@ class TestJz:
         s = construct((2, 3))
         with pytest.raises(ValueError):
             jz_map(s, np.ones(2))
+
+    def test_check_algebra_sees_one_commuting_pair(self, monkeypatch):
+        # U^(7) replaced by U^(6) at (4, 7): of the 28 z, only e_6 + e_7 sees it
+        def repeat_at_4_7(pair):
+            s = construct(pair)
+            return s._replace(family=s.family[:6] + s.family[5:6]) if s.pair == (4, 7) else s
+
+        monkeypatch.setattr(checks, "construct", repeat_at_4_7)
+        result = checks.check_algebra()
+        assert not result.passed
+        assert "J_z^T J_z != |z|^2 I on 1 of 28 z at (4,7)" in result.details
+        assert not any(line.startswith("J_z^T J_z = |z|^2 I") for line in result.details)
 
 
 @pytest.fixture(scope="module")
