@@ -23,7 +23,7 @@ For Q = 2n + 2m the homogeneous dimension:
   Everything in front of 1/c is an exact rational (the gamma ratio
   telescopes), so gamma_tilde is computed as exact-rational / certified
   series value and inherits a certified enclosure.  The independent
-  product-form evaluation through sobolev_constant and weyl_constant is
+  product-form enclosure through sobolev_interval and weyl_interval is
   kept as a consistency check (``gamma_tilde_product_form``).
 
 * ``gamma_bar`` -- the rational upper bound obtained by keeping only the
@@ -50,8 +50,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .admissibility import admissible
-from .core import DimPair, Enclosure, PrecisionUnreachable, as_pair
+from .admissibility import radon_hurwitz
+from .core import DimPair, Enclosure, as_pair
 from .numerics import _PI_HI, _PI_LO, _outward, log_gamma, sphere_area
 from .series import (
     _integral_remainder,
@@ -211,17 +211,22 @@ def _weyl_prefactor(p: DimPair) -> float:
     return math.exp(math.log(sphere_area(p.m - 1)) - s * _LOG_TWO_PI - math.log(s))
 
 
-def gamma_tilde_product_form(pair) -> float:
-    """The defining product C^(-Q/2) W^-1, evaluated through the Sobolev
-    and Weyl routes; agrees with gamma_tilde to ~1e-8 relative (the two
-    paths share only the series value, so this isolates the gamma/power
-    algebra).
+def gamma_tilde_product_form(pair) -> Enclosure:
+    """Certified enclosure of the defining product C^(-Q/2) W^-1,
+    [1/(C_hi^s W_hi), 1/(C_lo^s W_lo)] with s = n + m, built exactly from
+    ``sobolev_interval`` and ``weyl_interval``.  The two routes share only
+    the series value, so its overlap with ``gamma_tilde_interval``
+    isolates the gamma/power algebra.  Where W's lower end underflows to
+    0 or below, the upper end is infinite.
     """
     p = as_pair(pair)
     s = p.n + p.m
-    sv = c_series(p)
-    log_w = math.log(_weyl_prefactor(p)) + math.log(sv.midpoint)
-    return math.exp(-s * math.log(sobolev_constant(p)) - log_w)
+    c, w = sobolev_interval(p), weyl_interval(p)
+    lo = 1 / (Fraction(c.hi) ** s * Fraction(w.hi))
+    if w.lo <= 0:
+        return Enclosure(math.nextafter(float(lo), -math.inf), math.inf)
+    hi = 1 / (Fraction(c.lo) ** s * Fraction(w.lo))
+    return _outward(lo.as_integer_ratio(), hi.as_integer_ratio())
 
 
 class ExceptionalSet(NamedTuple):
@@ -243,10 +248,9 @@ def exceptional_set(n_max: int, m_max: int) -> ExceptionalSet:
     exceptional: list[DimPair] = []
     uncertain: list[DimPair] = []
     for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
+        # the admissible m are 1..rho(2n) - 1, so a tall box costs nothing extra
+        for m in range(1, min(m_max, radon_hurwitz(2 * n) - 1) + 1):
             p = DimPair(n, m)
-            if not admissible(p).admissible:
-                continue
             low, high = gamma_tilde_interval(p)
             if low >= 1.0:
                 exceptional.append(p)
@@ -255,8 +259,10 @@ def exceptional_set(n_max: int, m_max: int) -> ExceptionalSet:
     return ExceptionalSet(sorted(exceptional), sorted(uncertain))
 
 
-def weyl_density_bruteforce(pair, lam: float, max_shells: int | None = None,
-                            eps: float = 1e-9) -> float:
+_BRUTEFORCE_EPS = 1e-9  # the shell sum stops at a term <= this times its partial sum
+
+
+def weyl_density_bruteforce(pair, lam: float) -> float:
     """On-diagonal spectral density 1(-Delta < lambda) rebuilt from first
     principles, as a cross-check of ``weyl_constant``.
 
@@ -272,19 +278,18 @@ def weyl_density_bruteforce(pair, lam: float, max_shells: int | None = None,
     multi-indices with |k| = K (stars and bars).  Shells are
     enumerated directly, independently of the c_series kernel: the sum
     stops at the first K >= _min_terms(n) whose series term is at most
-    eps times the partial series sum, and the rest is enclosed by the
+    1e-9 times the partial series sum, and the rest is enclosed by the
     integral bracket (the shell sum *is* the series, restructured); the
     bracket midpoint is used.
 
     Equals weyl_constant(pair) * lambda^(n+m) up to the combined
-    certified error.  Raises PrecisionUnreachable if ``max_shells`` shells
-    do not reach that stop rule.
+    certified error.
     """
     p = as_pair(pair)
     if not 0 < lam < math.inf:
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
     n, s = p.n, p.n + p.m
-    shells, remainder = _bruteforce_shells(n, p.m, eps, max_shells)
+    shells, remainder = _bruteforce_shells(n, p.m)
     total = 0.0
     comp = 0.0
     for K in range(shells):
@@ -300,7 +305,7 @@ def weyl_density_bruteforce(pair, lam: float, max_shells: int | None = None,
 
 
 @lru_cache(maxsize=16)
-def _bruteforce_shells(n: int, m: int, eps: float, max_shells: int | None) -> tuple[int, float]:
+def _bruteforce_shells(n: int, m: int) -> tuple[int, float]:
     """The lambda-free part of weyl_density_bruteforce: the number of shells
     summed before the stop rule holds, and the integral bracket of the
     series from there on."""
@@ -309,14 +314,8 @@ def _bruteforce_shells(n: int, m: int, eps: float, max_shells: int | None) -> tu
     K = 0
     while True:
         term = _summand(n, m, K)
-        if K >= kmin and term <= eps * partial:
+        if K >= kmin and term <= _BRUTEFORCE_EPS * partial:
             break
-        if max_shells is not None and K >= max_shells:
-            raise PrecisionUnreachable(
-                f"max_shells={max_shells} insufficient for eps={eps:g} at {DimPair(n, m)}",
-                best_bound=term if K >= kmin else math.inf,
-                terms_used=K,
-            )
         partial += term
         K += 1
     return K, _integral_remainder((n, m), K) + term / 2

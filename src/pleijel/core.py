@@ -19,10 +19,9 @@ class PrecisionUnreachable(RuntimeError):
     """A certified error target cannot be met.
 
     Raised when eps lies below the binary64 rounding floor of the
-    enclosure, when a pair is out of binary64 range (best_bound is then
-    inf), or when a direct-summation oracle runs out of shells.  Carries
-    the best bound that *was* achieved so callers can decide whether to
-    accept it.
+    enclosure, or when a pair is out of binary64 range (best_bound is then
+    inf).  Carries the best bound that *was* achieved so callers can
+    decide whether to accept it.
     """
 
     def __init__(self, message: str, best_bound: float, terms_used: int):
@@ -70,10 +69,6 @@ class DimPair(_DimPairFields):
     @classmethod
     def _make(cls, iterable):  # _replace builds through _make: validate there too
         return cls(*iterable)
-
-    @property
-    def homogeneous_dimension(self) -> int:
-        return 2 * (self.n + self.m)
 
     def __str__(self) -> str:
         return f"({self.n},{self.m})"

@@ -31,12 +31,11 @@ The group law on R^(2n) x R^m is
     (x, t) o (xi, tau) = (x + xi, ..., t_j + tau_j + <U^(j) x, xi>/2, ...)
 
 with one central coordinate per matrix; it is evaluated in exact rational
-arithmetic whenever the inputs are rational.  The sublaplacian symbol
+arithmetic whenever the inputs are rational.  The sublaplacian
 
     Delta = Delta_x + |x|^2/4 Delta_t + sum_j <U^(j) x, grad_x> d_(t_j)
 
-is exposed as exact coefficient data that can be applied to polynomial
-test functions.
+is applied by ``sublaplacian`` to polynomial test functions, exactly.
 """
 
 from __future__ import annotations
@@ -55,13 +54,10 @@ __all__ = [
     "HTypeStructure",
     "GroupElement",
     "Polynomial",
-    "SublaplacianCoefficients",
     "construct",
     "verify_structure",
     "group_mul",
-    "group_identity",
-    "group_inverse",
-    "sublaplacian_coefficients",
+    "sublaplacian",
     "to_json_dict",
     "from_json_dict",
     "write_json",
@@ -235,15 +231,6 @@ def group_mul(s: HTypeStructure, a: GroupElement, b: GroupElement) -> GroupEleme
     return GroupElement(x=x, t=tuple(t))
 
 
-def group_identity(s: HTypeStructure) -> GroupElement:
-    return GroupElement(x=(0,) * s.dim_x, t=(0,) * s.dim_t)
-
-
-def group_inverse(g: GroupElement) -> GroupElement:
-    # <U x, -x> = 0 by skew-symmetry, so negation inverts
-    return GroupElement(x=tuple(-v for v in g.x), t=tuple(-v for v in g.t))
-
-
 # --------------------------------------------------------------------------
 # exact polynomials, for applying the sublaplacian to test functions
 
@@ -306,9 +293,6 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.nvars == other.nvars \
             and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "Polynomial(0)"
@@ -316,53 +300,37 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-class SublaplacianCoefficients(NamedTuple):
-    """Second-order symbol of the sublaplacian, in exact form.
+def sublaplacian(s: HTypeStructure, u: Polynomial) -> Polynomial:
+    """Apply the sublaplacian of ``s`` to a polynomial u in (x, t), exactly.
 
     Variables are ordered x_1..x_(2n), t_1..t_m.  The symbol consists of
     the identity block on x-derivatives, the weight |x|^2/4 on
     t-derivatives, and per central direction the linear vector field
     x -> U^(j) x paired with d/dt_j.
     """
-
-    structure: HTypeStructure
-    t_weight: Polynomial
-    mixed: tuple[SignedPermutation, ...]
-
-    @property
-    def nvars(self) -> int:
-        return self.structure.dim_x + self.structure.dim_t
-
-    def apply(self, u: Polynomial) -> Polynomial:
-        """Apply the sublaplacian to a polynomial in (x, t), exactly."""
-        if u.nvars != self.nvars:
-            raise ValueError(f"polynomial must have {self.nvars} variables")
-        dx = self.structure.dim_x
-        out = Polynomial(self.nvars)
-        for i in range(dx):
-            out = out + u.diff(i).diff(i)
-        lap_t = Polynomial(self.nvars)
-        for j in range(self.structure.dim_t):
-            lap_t = lap_t + u.diff(dx + j).diff(dx + j)
-        if not lap_t.is_zero():
-            out = out + self.t_weight * lap_t
-        for j, P in enumerate(self.mixed):
-            du = u.diff(dx + j)
-            if du.is_zero():
-                continue
-            for i, (p, sign) in enumerate(zip(P.perm, P.signs)):
-                di = du.diff(i)
-                if not di.is_zero():  # (U^(j) x)_i = sign * x_p, one monomial
-                    out = out + Polynomial.variable(p, self.nvars).scale(sign) * di
-        return out
-
-
-def sublaplacian_coefficients(s: HTypeStructure) -> SublaplacianCoefficients:
-    nvars = s.dim_x + s.dim_t
-    weight = {tuple(2 if v == i else 0 for v in range(nvars)): Fraction(1, 4)
-              for i in range(s.dim_x)}  # |x|^2 / 4
-    return SublaplacianCoefficients(structure=s, t_weight=Polynomial(nvars, weight),
-                                    mixed=s.family)
+    dx = s.dim_x
+    nvars = dx + s.dim_t
+    if u.nvars != nvars:
+        raise ValueError(f"polynomial must have {nvars} variables")
+    out = Polynomial(nvars)
+    for i in range(dx):
+        out = out + u.diff(i).diff(i)
+    lap_t = Polynomial(nvars)
+    for j in range(s.dim_t):
+        lap_t = lap_t + u.diff(dx + j).diff(dx + j)
+    if not lap_t.is_zero():
+        weight = {tuple(2 if v == i else 0 for v in range(nvars)): Fraction(1, 4)
+                  for i in range(dx)}  # |x|^2 / 4
+        out = out + Polynomial(nvars, weight) * lap_t
+    for j, P in enumerate(s.family):
+        du = u.diff(dx + j)
+        if du.is_zero():
+            continue
+        for i, (p, sign) in enumerate(zip(P.perm, P.signs)):
+            di = du.diff(i)
+            if not di.is_zero():  # (U^(j) x)_i = sign * x_p, one monomial
+                out = out + Polynomial.variable(p, nvars).scale(sign) * di
+    return out
 
 
 # --------------------------------------------------------------------------

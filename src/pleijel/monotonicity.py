@@ -13,7 +13,8 @@ Two directions:
       / (n^(n+m) (n+m-1)^(n+m+1)) * c(n-1, m)/c(n, m),
 
   and c(n, m)/c(n-1, m) is bounded below by the k = 0 value of the
-  termwise quotient
+  termwise quotient of the two series, written here as notation (no
+  function computes it; the reports decide its properties exactly)
 
       term_ratio(n, m, k) = 1/(n-1) * (k+n-1)/(2k+n) * (1 - 1/(2k+n))^(n+m-1),
 
@@ -30,7 +31,7 @@ Two directions:
   so gamma_bar decreases in m.
 
 These are theorems over the full range; this module checks the
-term_ratio link for every pair and every other link on a finite grid.
+term_ratio link for every pair and every other link on the 12 x 12 grid.
 Each verdict is decided once, exactly: on Fractions, on the certified
 ends of ``gamma_tilde_interval``, and against thresholds built from a
 rational upper bound on e, so each threshold is a lower bound on the
@@ -49,7 +50,6 @@ from .series import c_series
 
 __all__ = [
     "InequalityReport",
-    "term_ratio",
     "psi",
     "psi_closed_form",
     "inequality_suite",
@@ -89,22 +89,6 @@ def _phi_prefactor(n: int, m: int) -> Fraction:
                     n**s * (s - 1) ** (s + 1))
 
 
-def term_ratio(pair, k: int) -> float:
-    """Quotient of the k-th series term at (n, m) to the k-th at (n-1, m):
-
-        1/(n-1) * (k+n-1)/(2k+n) * (1 - 1/(2k+n))^(n+m-1).
-
-    Nondecreasing in k, hence minimised at k = 0.
-    """
-    p = as_pair(pair)
-    if p.n < 2:
-        raise ValueError(f"term_ratio needs n >= 2, got {p}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    n, d = p.n, 2 * k + p.n
-    return (k + n - 1) / ((n - 1) * d) * (1 - 1 / d) ** (n + p.m - 1)
-
-
 def psi(pair) -> Fraction:
     """gamma_bar(n, m)/gamma_bar(n, m-1) for m >= 2, as an exact rational."""
     p = as_pair(pair)
@@ -131,20 +115,18 @@ def psi_closed_form(pair) -> Fraction:
     return Fraction(4 * (s - 2) ** (s - 1) * s, (s - 1) ** (s + 1)) * g[0] * g[1] / (g[2] * g[3])
 
 
-def inequality_suite(n_max: int = 12, m_max: int = 12) -> list[InequalityReport]:
-    """Decide every inequality of the monotonicity chain on a finite grid.
+def inequality_suite() -> list[InequalityReport]:
+    """Decide every inequality of the monotonicity chain on the 12 x 12 grid.
 
-    All reports pass on the default grid; a failed report carries the
-    offending maximum rather than raising.
+    All reports pass; a failed report carries the offending maximum
+    rather than raising.
     """
-    if n_max < 2 or m_max < 2:
-        raise ValueError("the suite needs n_max, m_max >= 2")
+    n_max = m_max = 12
     reports: list[InequalityReport] = []
 
-    # each certified gamma_tilde enclosure and each exact gamma_bar, once per pair;
-    # the combination chain reads row 4
+    # each certified gamma_tilde enclosure and each exact gamma_bar, once per pair
     lo, hi, gb = {}, {}, {}
-    for n in range(1, max(n_max, 4) + 1):
+    for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
             g = gamma_tilde_interval((n, m))
             lo[n, m], hi[n, m] = Fraction(g.lo), Fraction(g.hi)

@@ -70,7 +70,7 @@ from typing import NamedTuple
 
 from .core import PrecisionUnreachable, as_pair
 
-__all__ = ["SeriesValue", "series_term", "c_series", "c_tail_bound"]
+__all__ = ["SeriesValue", "c_series", "c_tail_bound"]
 
 _U = 2.0**-53  # unit roundoff of binary64
 _ETA = 2.0**-1074  # bound on the error of one rounding into the subnormal range
@@ -131,21 +131,13 @@ class SeriesValue(_SeriesValueFields):
         return self.value + self.tail_bound
 
 
-def series_term(pair, k: int) -> float:
-    """Summand C(k+n-1, k) / (2k+n)^(n+m) as a float.
+def _summand(n: int, m: int, k: int) -> float:
+    """Summand C(k+n-1, k) / (2k+n)^(n+m) as a float, for n, m >= 1 and k >= 0.
 
     Evaluated as prod_{j<n} (k+j)/(j(2k+n)) * (2k+n)^-(m+1): the partial
     products stay O(1), so nothing overflows for any k, and the relative
     error is <= ~2n machine epsilons (far inside 1e-13).
     """
-    p = as_pair(pair)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return _summand(p.n, p.m, k)
-
-
-def _summand(n: int, m: int, k: int) -> float:
-    """series_term on a validated pair and k >= 0."""
     d = 2 * k + n
     return _binomial_factor(n, k, d) * float(d) ** (-(m + 1))
 

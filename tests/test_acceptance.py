@@ -41,9 +41,9 @@ from pleijel.numerics import round_half_away, zeta
 from pleijel.series import (
     _integral_remainder,
     _min_terms,
+    _summand,
     c_series,
     c_tail_bound,
-    series_term,
 )
 
 
@@ -211,7 +211,7 @@ def test_criterion_04_oracle_equivalence():
     for m in range(1, 11):
         z = zeta(m + 1)
         for n, oracle in ((1, (1 - 2.0 ** (-(m + 1))) * z), (2, 2.0 ** (-(m + 2)) * z)):
-            value = c_series((n, m), 1e-10 * series_term((n, m), 0)).midpoint
+            value = c_series((n, m), 1e-10 * _summand(n, m, 0)).midpoint
             worst = max(worst, abs(value - oracle) / oracle)
     g11_dev = abs(gamma_tilde((1, 1)) - 32 / math.pi**2) / (32 / math.pi**2)
     ok = worst <= 1e-10 and g11_dev <= 1e-10
@@ -223,13 +223,17 @@ def test_criterion_04_oracle_equivalence():
 
 def test_criterion_05_closed_form_vs_product_form():
     worst = 0.0
+    disjoint = []
     for n, m in itertools.product(range(1, 11), range(1, 11)):
-        g = gamma_tilde((n, m))
-        worst = max(worst, abs(g - gamma_tilde_product_form((n, m))) / g)
-    ok = worst <= 1e-8
+        g, product = gamma_tilde_interval((n, m)), gamma_tilde_product_form((n, m))
+        worst = max(worst, abs(g.mid - product.mid) / g.mid)
+        if not (g.lo <= product.hi and product.lo <= g.hi):
+            disjoint.append((n, m))
+    ok = worst <= 1e-8 and not disjoint
     _verdict(5, "gamma_tilde closed form vs (sobolev)^(-Q/2)/weyl", ok,
-             f"worst rel dev {worst:.2e} over n, m <= 10")
+             f"worst rel dev {worst:.2e} over n, m <= 10; disjoint enclosures at {disjoint}")
     assert worst <= 1e-8
+    assert not disjoint
 
 
 def test_criterion_06_weyl_bruteforce_oracle():
@@ -252,7 +256,7 @@ def test_criterion_06_weyl_bruteforce_oracle():
 
 def test_criterion_07_monotonicity_suite():
     t0 = time.perf_counter()
-    reports = inequality_suite(n_max=12, m_max=12)
+    reports = inequality_suite()
     elapsed = time.perf_counter() - t0
     failing = [r.name for r in reports if not r.passed]
     ok = not failing and elapsed < 30.0
@@ -339,4 +343,4 @@ def _remainder_upper(n: int, m: int, K: int, extra: int = 10**6) -> float:
     vals = d ** (-(m + 1.0))
     for j in range(1, n):
         vals *= (ks + j) / (j * d)
-    return float(np.sum(vals)) + _integral_remainder((n, m), far) + series_term((n, m), far)
+    return float(np.sum(vals)) + _integral_remainder((n, m), far) + _summand(n, m, far)

@@ -467,6 +467,13 @@ class TestExceptional:
         low, high = gamma_tilde_interval((1, 1))
         assert f"[{low:.8f}, {high:.8f}]" in out
 
+    def test_tall_box_answers_at_once(self, capsys):
+        # only m <= rho(2n) - 1 is admissible, so the box's height costs nothing
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "exceptional", "--n-max", "1", "--m-max", "10000000")
+        assert code == 0 and time.perf_counter() - start < 1
+        assert out.count("gamma_tilde in [") == 1 and "(1,1)" in out
+
     def test_determinism(self, capsys):
         _, a, _ = run_cli(capsys, "exceptional")
         _, b, _ = run_cli(capsys, "exceptional")

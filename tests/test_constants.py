@@ -32,10 +32,10 @@ from pleijel.constants import (
     weyl_density_bruteforce,
     weyl_interval,
 )
-from pleijel.core import DimPair, Enclosure, PrecisionUnreachable, as_pair
+from pleijel.core import DimPair, Enclosure, as_pair
 from pleijel.numerics import log_gamma, round_half_away, sphere_area, zeta
 from pleijel import reference
-from pleijel.series import _integral_remainder, _min_terms, series_term
+from pleijel.series import _integral_remainder, _min_terms, _summand
 from test_series import _hurwitz_oracle
 
 SOBOLEV_21_REFERENCE = 9.973934966328010133395
@@ -117,17 +117,25 @@ class TestGammaTilde:
 class TestProductFormConsistency:
     def test_heisenberg(self):
         want = 32 / math.pi**2
-        assert gamma_tilde_product_form((1, 1)) == pytest.approx(want, rel=1e-9)
+        assert gamma_tilde_product_form((1, 1)).mid == pytest.approx(want, rel=1e-9)
 
     def test_reference_spot_values(self):
-        assert round_half_away(gamma_tilde_product_form((3, 1)), 4) == "1.0689"
-        assert round_half_away(gamma_tilde_product_form((10, 10)), 4) == "0.0005"
+        assert round_half_away(gamma_tilde_product_form((3, 1)).mid, 4) == "1.0689"
+        assert round_half_away(gamma_tilde_product_form((10, 10)).mid, 4) == "0.0005"
 
     def test_agrees_with_closed_form_everywhere(self):
         for n, m in itertools.product(range(1, 11), range(1, 11)):
-            g = gamma_tilde((n, m))
-            dev = abs(g - gamma_tilde_product_form((n, m))) / g
+            g, product = gamma_tilde_interval((n, m)), gamma_tilde_product_form((n, m))
+            assert g.lo <= product.hi and product.lo <= g.hi, (n, m)
+            assert product.hi - product.lo <= 1e-13 * product.lo, (n, m)
+            dev = abs(g.mid - product.mid) / g.mid
             assert dev <= 1e-8, f"({n},{m}): {dev:.2e}"
+
+    def test_underflowing_weyl_leaves_the_upper_end_open(self):
+        # W(139, 1) is below the subnormal range: its enclosure straddles 0
+        assert weyl_interval((139, 1)).lo <= 0
+        product = gamma_tilde_product_form((139, 1))
+        assert 0 < product.lo <= gamma_tilde_interval((139, 1)).lo and product.hi == math.inf
 
 
 class TestGammaRatioExact:
@@ -265,10 +273,6 @@ class TestWeylBruteForce:
             spread = (max(ratios) - min(ratios)) / ratios[0]
             assert spread <= 1e-9
 
-    def test_insufficient_cutoff_raises(self):
-        with pytest.raises(PrecisionUnreachable):
-            weyl_density_bruteforce((1, 1), 1.0, max_shells=50)
-
     def test_bad_lambda(self):
         for lam in (0.0, -1.0, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -281,19 +285,8 @@ class TestWeylBruteForce:
             got = weyl_density_bruteforce(pair, lam)
             assert got.hex() == _bruteforce_reference(pair, lam).hex(), lam
 
-    @pytest.mark.parametrize("max_shells", [10, 50, 1000])
-    def test_max_shells_refusal_unchanged(self, max_shells):
-        # 10 stops before _min_terms(1) = 16, so its best bound is infinite
-        with pytest.raises(PrecisionUnreachable) as got:
-            weyl_density_bruteforce((1, 1), 1.0, max_shells=max_shells)
-        with pytest.raises(PrecisionUnreachable) as want:
-            _bruteforce_reference((1, 1), 1.0, max_shells=max_shells)
-        assert str(got.value) == str(want.value)
-        assert got.value.terms_used == want.value.terms_used == max_shells
-        assert got.value.best_bound == want.value.best_bound
 
-
-def _bruteforce_reference(pair, lam, max_shells=None, eps=1e-9) -> float:
+def _bruteforce_reference(pair, lam) -> float:
     """weyl_density_bruteforce as one loop over the shells, each term and
     count computed in place: the reference for its hoisted form."""
     p = as_pair(pair)
@@ -302,15 +295,9 @@ def _bruteforce_reference(pair, lam, max_shells=None, eps=1e-9) -> float:
     total = comp = partial = 0.0
     K = 0
     while True:
-        term = series_term(p, K)
-        if K >= kmin and term <= eps * partial:
+        term = _summand(p.n, p.m, K)
+        if K >= kmin and term <= 1e-9 * partial:
             break
-        if max_shells is not None and K >= max_shells:
-            raise PrecisionUnreachable(
-                f"max_shells={max_shells} insufficient for eps={eps:g} at {p}",
-                best_bound=term if K >= kmin else math.inf,
-                terms_used=K,
-            )
         shell = math.comb(K + p.n - 1, K) * (lam / (2 * K + p.n)) ** s / s
         y = shell - comp
         t = total + y

@@ -26,10 +26,8 @@ from pleijel.htype_algebra import (
     _QMUL,
     construct,
     from_json_dict,
-    group_identity,
-    group_inverse,
     group_mul,
-    sublaplacian_coefficients,
+    sublaplacian,
     to_json_dict,
     verify_structure,
     write_json,
@@ -121,6 +119,15 @@ def rational_element(s, rng, span=30, max_den=10) -> GroupElement:
     return GroupElement(x=x, t=t)
 
 
+def identity(s) -> GroupElement:
+    return GroupElement(x=(0,) * s.dim_x, t=(0,) * s.dim_t)
+
+
+def inverse(g: GroupElement) -> GroupElement:
+    # <U x, -x> = 0 by skew-symmetry, so negation inverts
+    return GroupElement(x=tuple(-v for v in g.x), t=tuple(-v for v in g.t))
+
+
 class TestConstruct:
     def test_heisenberg_plane(self):
         s = construct((1, 1))
@@ -191,13 +198,13 @@ class TestGroupLaw:
     def test_identity_and_inverse(self):
         s = construct((2, 2))
         rng = random.Random(7)
-        e = group_identity(s)
+        e = identity(s)
         for _ in range(50):
             a = rational_element(s, rng)
             assert group_mul(s, a, e) == a
             assert group_mul(s, e, a) == a
-            assert group_mul(s, a, group_inverse(a)) == e
-            assert group_mul(s, group_inverse(a), a) == e
+            assert group_mul(s, a, inverse(a)) == e
+            assert group_mul(s, inverse(a), a) == e
 
     def test_associativity_exact_on_1000_random_rational_triples(self):
         s = construct((2, 3))
@@ -248,10 +255,10 @@ class TestGroupLaw:
             return GroupElement(x=tuple(coord() for _ in range(s.dim_x)),
                                 t=tuple(coord() for _ in range(s.dim_t)))
 
-        e = group_identity(s)
+        e = identity(s)
         for _ in range(100):
             a, b = element(), element()
-            for u, v in ((a, b), (b, a), (a, e), (e, a), (e, e), (a, group_inverse(a))):
+            for u, v in ((a, b), (b, a), (a, e), (e, a), (e, e), (a, inverse(a))):
                 assert _typed(group_mul(s, u, v)) == _typed(_group_mul_reference(s, u, v))
 
     def test_check_algebra_sees_a_dropped_half(self, monkeypatch):
@@ -283,7 +290,7 @@ class TestGroupLaw:
     def test_dimension_mismatch(self):
         s = construct((1, 1))
         with pytest.raises(ValueError):
-            group_mul(s, GroupElement(x=(1, 2, 3), t=(0,)), group_identity(s))
+            group_mul(s, GroupElement(x=(1, 2, 3), t=(0,)), identity(s))
 
     @given(st.lists(st.fractions(max_denominator=8), min_size=6, max_size=6),
            st.lists(st.fractions(max_denominator=8), min_size=6, max_size=6))
@@ -293,8 +300,8 @@ class TestGroupLaw:
         a = GroupElement(x=tuple(xs[:4]), t=tuple(xs[4:]))
         b = GroupElement(x=tuple(ys[:4]), t=tuple(ys[4:]))
         # (a o b)^-1 = b^-1 o a^-1, exactly
-        lhs = group_inverse(group_mul(s, a, b))
-        rhs = group_mul(s, group_inverse(b), group_inverse(a))
+        lhs = inverse(group_mul(s, a, b))
+        rhs = group_mul(s, inverse(b), inverse(a))
         assert lhs == rhs
 
 
@@ -421,29 +428,26 @@ class TestJz:
 @pytest.fixture(scope="module")
 def setup():
     s = construct((2, 2))
-    return s, sublaplacian_coefficients(s)
+    return s, s.dim_x + s.dim_t
 
 
 class TestSublaplacian:
     def test_linear_functions_are_harmonic(self, setup):
-        s, sub = setup
-        nv = sub.nvars
-        assert sub.apply(Polynomial.variable(0, nv)).is_zero()  # x_1
-        assert sub.apply(Polynomial.variable(s.dim_x, nv)).is_zero()  # t_1
+        s, nv = setup
+        assert sublaplacian(s, Polynomial.variable(0, nv)).is_zero()  # x_1
+        assert sublaplacian(s, Polynomial.variable(s.dim_x, nv)).is_zero()  # t_1
 
     def test_norm_squared(self, setup):
-        s, sub = setup
-        nv = sub.nvars
+        s, nv = setup
         norm_sq = Polynomial(nv)
         for i in range(s.dim_x):
             v = Polynomial.variable(i, nv)
             norm_sq = norm_sq + v * v
         # Delta_x |x|^2 = 2 * dim x = 4n; all other pieces vanish
-        assert sub.apply(norm_sq) == Polynomial.constant(4 * s.pair.n, nv)
+        assert sublaplacian(s, norm_sq) == Polynomial.constant(4 * s.pair.n, nv)
 
     def test_mixed_term(self, setup):
-        s, sub = setup
-        nv = sub.nvars
+        s, nv = setup
         x1 = Polynomial.variable(0, nv)
         t1 = Polynomial.variable(s.dim_x, nv)
         rows = dense(s)[0].tolist()
@@ -451,20 +455,22 @@ class TestSublaplacian:
             tuple(1 if v == l else 0 for v in range(nv)): rows[0][l]
             for l in range(s.dim_x) if rows[0][l]
         })
-        assert sub.apply(x1 * t1) == expected  # (U^(1) x)_1, symbolically
+        assert sublaplacian(s, x1 * t1) == expected  # (U^(1) x)_1, symbolically
 
     def test_central_quadratic_picks_up_the_weight(self, setup):
-        s, sub = setup
-        nv = sub.nvars
+        s, nv = setup
         t1 = Polynomial.variable(s.dim_x, nv)
-        got = sub.apply(t1 * t1)  # = 2 * |x|^2/4 = |x|^2/2
-        want = sub.t_weight.scale(2)
+        got = sublaplacian(s, t1 * t1)  # = 2 * |x|^2/4 = |x|^2/2
+        want = Polynomial(nv)
+        for i in range(s.dim_x):
+            v = Polynomial.variable(i, nv)
+            want = want + (v * v).scale(Fraction(1, 2))
         assert got == want
 
     def test_variable_count_enforced(self, setup):
-        _, sub = setup
+        s, _ = setup
         with pytest.raises(ValueError):
-            sub.apply(Polynomial.variable(0, 2))
+            sublaplacian(s, Polynomial.variable(0, 2))
 
 
 class TestPolynomial:
