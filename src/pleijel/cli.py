@@ -38,7 +38,7 @@ from typing import NamedTuple
 # a verb runs: each verb then runs only the modules it calls (the package registers
 # them lazily), and a wrapped module attribute is the one called.
 from . import checks, constants, htype_algebra, numerics, series
-from .admissibility import admissible
+from .admissibility import admissible, shading_mask
 from .core import DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable
 
 QUANTITIES = ("gamma_tilde", "gamma_bar", "sobolev", "weyl", "c_series")
@@ -58,14 +58,13 @@ class TableSpec(NamedTuple):
     annotations: bool = True
 
 
-class Cell(NamedTuple):
+class Cell(NamedTuple):  # admissibility is the table's shading_mask
     n: int
     m: int
     value: float
     display: str
     error_bound: float
-    admissible: bool
-    exceeds_one: bool
+    exceeds_one: bool  # certified: the exact value, or the enclosure's lower end, is > 1
     exact: Fraction | None = None
 
 
@@ -85,27 +84,27 @@ _ENCLOSURES = {
 
 def _compute_cell(quantity: str, n: int, m: int, precision: int, eps: float) -> Cell:
     pair = DimPair(n, m)
-    adm = admissible(pair).admissible
     if quantity == "gamma_bar":
         exact = constants.gamma_bar_exact(pair)
         return Cell(n=n, m=m, value=float(exact),
                     display=numerics.round_half_away(exact, precision), error_bound=0.0,
-                    admissible=adm, exceeds_one=exact > 1, exact=exact)
+                    exceeds_one=exact > 1, exact=exact)
     enc = _ENCLOSURES[quantity](pair)
+    mid, radius = enc.mid, enc.radius
     # eps bounds the printed width 2 * error_bound: absolute for c_series, relative to
     # |value| elsewhere; decided exactly on the floats' integer ratios, since a float
     # product could round across the bound (eps = inf counts as the largest float)
     absolute = quantity == "c_series"
-    rn, rd = enc.radius.as_integer_ratio()
+    rn, rd = radius.as_integer_ratio()
     en, ed = min(eps, sys.float_info.max).as_integer_ratio()
-    mn, md = (1, 1) if absolute else abs(enc.mid).as_integer_ratio()
+    mn, md = (1, 1) if absolute else abs(mid).as_integer_ratio()
     if not 2 * rn * ed * md <= en * mn * rd:  # 2 radius <= eps |mid|
         raise PrecisionUnreachable(f"{quantity}({n},{m}) cannot be certified to "
                                    f"{'absolute' if absolute else 'relative'} eps={eps:g} "
                                    f"in binary64: its enclosure is {list(enc)}",
-                                   best_bound=enc.radius, terms_used=0)
-    return Cell(n=n, m=m, value=enc.mid, display=numerics.round_half_away(enc.mid, precision),
-                error_bound=enc.radius, admissible=adm, exceeds_one=enc.mid > 1.0)
+                                   best_bound=radius, terms_used=0)
+    return Cell(n=n, m=m, value=mid, display=numerics.round_half_away(mid, precision),
+                error_bound=radius, exceeds_one=enc.lo > 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -117,13 +116,14 @@ def _annotated_rows(spec: TableSpec, cells: dict[tuple[int, int], Cell],
     above 1 is put in the ``exceeds`` template, an inadmissible one in the
     ``inadmissible`` template."""
     rows = []
+    mask = shading_mask(spec.n_max, spec.m_max)
     for n in range(1, spec.n_max + 1):
         row = [str(n)]
         for m in range(1, spec.m_max + 1):
             c = cells[n, m]
             text = c.display
             if spec.annotations:
-                if not c.admissible:
+                if not mask[n - 1][m - 1]:
                     text = inadmissible.format(text)
                 elif c.exceeds_one:
                     text = exceeds.format(text)
@@ -146,40 +146,37 @@ def _render_markdown(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str
 
 def _render_csv(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
     lines = ["n,m,value,error_bound,admissible"]
+    mask = shading_mask(spec.n_max, spec.m_max)
     for n in range(1, spec.n_max + 1):
         for m in range(1, spec.m_max + 1):
             c = cells[n, m]
-            lines.append(
-                f"{n},{m},{c.display},{c.error_bound:.3e},{str(c.admissible).lower()}"
-            )
+            lines.append(f"{n},{m},{c.display},{c.error_bound:.3e},"
+                         f"{str(mask[n - 1][m - 1]).lower()}")
     return "\n".join(lines) + "\n"
 
 
 def _render_json(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
+    # json.dumps(payload, indent=1) byte for byte (json indents in pure Python): the
+    # floats are json's own text from one call of its C encoder (eps inf: Infinity),
+    # and the strings are names and digits, which json leaves as they are
     import json
 
-    payload = {
-        "quantity": spec.quantity,
-        "n_max": spec.n_max,
-        "m_max": spec.m_max,
-        "precision": spec.precision,
-        "eps": spec.eps,
-        "cells": [
-            {
-                "n": c.n,
-                "m": c.m,
-                "value": c.value,
-                "display": c.display,
-                "error_bound": c.error_bound,
-                "admissible": c.admissible,
-                "exceeds_one": c.exceeds_one,
-                **({"exact": f"{c.exact.numerator}/{c.exact.denominator}"}
-                   if c.exact is not None else {}),
-            }
-            for (_, _), c in sorted(cells.items())
-        ],
-    }
-    return json.dumps(payload, indent=1) + "\n"
+    ordered = [cells[key] for key in sorted(cells)]
+    floats = json.dumps([spec.eps, *(x for c in ordered for x in (c.value, c.error_bound))])
+    eps, *floats = floats[1:-1].split(", ")
+    mask = shading_mask(spec.n_max, spec.m_max)
+    objects = []
+    for c, value, error_bound in zip(ordered, floats[::2], floats[1::2]):
+        exact = ("" if c.exact is None else
+                 f',\n   "exact": "{c.exact.numerator}/{c.exact.denominator}"')
+        objects.append(
+            f'  {{\n   "n": {c.n},\n   "m": {c.m},\n   "value": {value},\n'
+            f'   "display": "{c.display}",\n   "error_bound": {error_bound},\n'
+            f'   "admissible": {str(mask[c.n - 1][c.m - 1]).lower()},\n'
+            f'   "exceeds_one": {str(c.exceeds_one).lower()}{exact}\n  }}')
+    return (f'{{\n "quantity": "{spec.quantity}",\n "n_max": {spec.n_max},\n'
+            f' "m_max": {spec.m_max},\n "precision": {spec.precision},\n "eps": {eps},\n'
+            f' "cells": [\n' + ",\n".join(objects) + "\n ]\n}\n")
 
 
 def _render_latex(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
@@ -246,19 +243,20 @@ def _cmd_value(args) -> int:
         if _over_digit_limit(args, math.floor(log / math.log(2))):
             return 2
     cell = _compute_cell(args.quantity, args.n, args.m, args.precision, args.eps)
+    adm = admissible(DimPair(args.n, args.m)).admissible
     line = cell.display
     if cell.exact is not None:
         if _over_digit_limit(args, max(cell.exact.numerator.bit_length(),
                                        cell.exact.denominator.bit_length())):
             return 2
         line += f" (= {cell.exact.numerator}/{cell.exact.denominator})"
-    if not cell.admissible:
+    if not adm:
         line += " [inadmissible: no H-type group]"
     print(line)
     print(
         f"# quantity={args.quantity} n={args.n} m={args.m} "
         f"value={cell.value!r} error_bound={cell.error_bound:.3e} "
-        f"admissible={'yes' if cell.admissible else 'no'}"
+        f"admissible={'yes' if adm else 'no'}"
     )
     return 0
 

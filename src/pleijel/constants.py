@@ -130,18 +130,21 @@ def _gamma_half(q: int) -> tuple[int, int]:
     return math.factorial(2 * k), 4**k * math.factorial(k)
 
 
-def _root(num: int, den: int, s: int, up: bool) -> float:
-    """The smallest float x with x^s >= num/den (up), or the largest with
-    x^s <= num/den (not up); each candidate is compared exactly over integers."""
+@lru_cache(maxsize=None)
+def _pi_powers(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    # the float bounds of pi to the k-th power, each as (numerator, denominator)
+    return ((_PI_LO[0] ** k, _PI_LO[1] ** k), (_PI_HI[0] ** k, _PI_HI[1] ** k))
+
+
+def _root(x: float, num: int, den: int, s: int, up: bool) -> float:
+    """The smallest float with x^s >= num/den (up), or the largest with x^s <= num/den,
+    searched from x; each candidate is compared exactly over integers."""
     def holds(x: float) -> bool:
         a, b = x.as_integer_ratio()  # b is a power of two
         lhs, rhs = a**s * den, num << (b.bit_length() - 1) * s
         return lhs >= rhs if up else lhs <= rhs
 
     outward, inward = (math.inf, 0.0) if up else (0.0, math.inf)
-    x = math.exp((math.log(num) - math.log(den)) / s)
-    a, b = x.as_integer_ratio()
-    x *= (num * b**s / (a**s * den)) ** (1 / s)  # one Newton step: now within ~2 ulps
     while not holds(x):
         x = math.nextafter(x, outward)
     while holds(y := math.nextafter(x, inward)):
@@ -154,14 +157,21 @@ def sobolev_interval(pair) -> Enclosure:
     C^s = R pi^k with s = n + m, k = n + ceil(m/2) and the rational
     R = 4^n n^s (s-1)^s (Gamma(n+m/2)/sqrt(pi)^[m odd]) / (2n+m-1)!; the
     ends are the outward float s-th roots of R pi^k at the two pi bounds.
+    The upper target exceeds the lower one by (pi_hi/pi_lo)^k, a few ulps,
+    so the upper root's search starts one ulp above the lower root.
     """
     p = as_pair(pair)
     s, k = p.n + p.m, p.n + (p.m + 1) // 2
     gn, gd = _gamma_half(2 * p.n + p.m)
     num = 4**p.n * p.n**s * (s - 1) ** s * gn
     den = gd * math.factorial(2 * p.n + p.m - 1)
-    return Enclosure(_root(num * _PI_LO[0] ** k, den * _PI_LO[1] ** k, s, up=False),
-                     _root(num * _PI_HI[0] ** k, den * _PI_HI[1] ** k, s, up=True))
+    (ln, ld), (hn, hd) = _pi_powers(k)
+    ln, ld, hn, hd = num * ln, den * ld, num * hn, den * hd  # R pi^k at the two bounds
+    x = math.exp((math.log(ln) - math.log(ld)) / s)
+    a, b = x.as_integer_ratio()
+    x *= (ln * b**s / (a**s * ld)) ** (1 / s)  # one Newton step: now within ~2 ulps
+    lo = _root(x, ln, ld, s, up=False)
+    return Enclosure(lo, _root(math.nextafter(lo, math.inf), hn, hd, s, up=True))
 
 
 def sobolev_constant(pair) -> float:
@@ -180,8 +190,8 @@ def weyl_interval(pair) -> Enclosure:
     gn, gd = _gamma_half(p.m)
     num, den = 2 * gd, s * 2**s * gn
     (ln, ld), (hn, hd) = sv.value.as_integer_ratio(), sv.upper.as_integer_ratio()
-    return _outward((num * ln * _PI_HI[1] ** k, den * ld * _PI_HI[0] ** k),
-                    (num * hn * _PI_LO[1] ** k, den * hd * _PI_LO[0] ** k))
+    (pln, pld), (phn, phd) = _pi_powers(k)
+    return _outward((num * ln * phd, den * ld * phn), (num * hn * pld, den * hd * pln))
 
 
 def weyl_constant(pair) -> float:
@@ -239,9 +249,12 @@ class ExceptionalSet(NamedTuple):
 def exceptional_set(n_max: int, m_max: int) -> ExceptionalSet:
     """Classify every admissible pair in the box [1, n_max] x [1, m_max].
 
-    A pair is exceptional iff the certified lower end of its gamma_tilde
-    interval is >= 1, safe iff the upper end is < 1; anything straddling
-    the threshold is reported separately rather than silently decided.
+    A pair whose exact gamma_bar is < 1 is safe, since gamma_tilde <
+    gamma_bar (c exceeds its k = 0 term); this needs no series, so it also
+    decides pairs past the series' range.  Any other pair is exceptional iff
+    the certified lower end of its gamma_tilde interval is >= 1, safe iff
+    the upper end is < 1; anything straddling the threshold is reported
+    separately rather than silently decided.
     """
     if n_max < 1 or m_max < 1:
         raise ValueError(f"need n_max, m_max >= 1, got ({n_max}, {m_max})")
@@ -251,6 +264,9 @@ def exceptional_set(n_max: int, m_max: int) -> ExceptionalSet:
         # the admissible m are 1..rho(2n) - 1, so a tall box costs nothing extra
         for m in range(1, min(m_max, radon_hurwitz(2 * n) - 1) + 1):
             p = DimPair(n, m)
+            num, den = _gamma_bar_ratio(p)
+            if num < den:
+                continue
             low, high = gamma_tilde_interval(p)
             if low >= 1.0:
                 exceptional.append(p)

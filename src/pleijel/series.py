@@ -6,8 +6,8 @@ Every emitted value comes with a proven enclosure.  ``c_series`` splits
 the series at K = ``_min_terms(n)`` >= n^2/2, past the summand's peak:
 
 * the head, k < K, is summed over Python floats in binary64
-  (``_head_factors``, shared by every m, times (2k+n)^-(m+1) from libm's
-  pow, then the correctly rounded ``math.fsum``);
+  (prod_{j<n} (k+j)/(j(2k+n)) times (2k+n)^-(m+1) from libm's pow, then
+  the correctly rounded ``math.fsum``);
 
 * the tail is a finite combination of Hurwitz zeta values.  With
   u = 2k + n, C(k+n-1, k) = 2^(1-n)/(n-1)! * sum_i b_i u^i, where b_i are
@@ -36,6 +36,11 @@ is below 1e-3 of that budget.  The enclosure is therefore the same for
 every eps, at the rounding floor (a few 1e-15 relative for n, m <= 30),
 and eps is only checked against it: a target below the floor is refused
 at once with ``PrecisionUnreachable``.
+
+What does not depend on m -- K, U = 2K + n, the head's products, the
+tail's t_i = b_i / U^(n-1-i), t_i/2 and |t_i/2|, 1/(2^(n-1) (n-1)!) and
+1/U^2 -- is computed once per row n (``_row``); each m then runs the
+float operations of a computation from scratch, in the same order.
 
 Pairs with (n+m) log2 n > 1000 are refused as well: their k = 0 term
 n^-(n+m), a lower bound on c(n, m), nears the subnormal range, where
@@ -66,6 +71,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import mul
 from typing import NamedTuple
 
 from .core import PrecisionUnreachable, as_pair
@@ -188,13 +195,16 @@ def _min_terms(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _head_factors(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """d = 2k + n and prod_{j<n} (k+j)/(j d), for the head k < _min_terms(n).
-
-    A head term is this product times d^-(m+1), so every m shares it.
-    """
-    d = [2 * k + n for k in range(_min_terms(n))]
-    return tuple(map(float, d)), tuple(_binomial_factor(n, k, dk) for k, dk in enumerate(d))
+def _row(n: int) -> tuple:
+    """Row n's share of every m: K, d, r, U, t, t/2, |t/2|, 1/(2^(n-1) (n-1)!), 1/U^2."""
+    K = _min_terms(n)
+    U = 2 * K + n
+    # one correctly rounded integer division each; |t_i| <= 1 because U >= n^2
+    t = tuple(b / U ** (n - 1 - i) for i, b in enumerate(_shifted_numerator_coeffs(n)))
+    half = tuple(0.5 * ti for ti in t)
+    return (K, tuple(float(2 * k + n) for k in range(K)),
+            tuple(_binomial_factor(n, k, 2 * k + n) for k in range(K)), U, t, half,
+            tuple(map(abs, half)), 1 / (2 ** (n - 1) * math.factorial(n - 1)), 1 / (U * U))
 
 
 def _charge(k: int, x: float) -> float:
@@ -219,36 +229,30 @@ def _enclosure(n: int, m: int) -> SeriesValue:
             best_bound=math.inf,
             terms_used=0,
         )
-    K = _min_terms(n)
+    K, d, r, U, t, half, half_magnitudes, inv_norm, inv_u2 = _row(n)
 
     # Head: a term goes through 2(n-1) roundings, pow and a product; fsum
     # adds one.  Its factors (k+j)/(j(2k+n)) and d^-(m+1) are <= 1, so
     # subnormal errors do not grow.
-    d, r = _head_factors(n)
-    e = -(m + 1.0)
-    head = math.fsum([x * dk ** e for x, dk in zip(r, d)])
+    head = math.fsum(map(mul, r, map(pow, d, repeat(-(m + 1.0)))))
     k_head = 2 * (n - 1) + _POW + 2
     head_error = _charge(k_head, head) + K * k_head * _ETA
 
     # Tail, scaled by U^(s_i): b_i U^-s_i = t_i U^-(m+1), and 2^-s zeta(s, U/2)
-    # = U^-s (U/(2(s-1)) + 1/2 + sum_j beta_j (s)_(2j-1) U^(1-2j)).  Each
-    # t_i = b_i / U^(n-1-i) is one correctly rounded integer division, and
-    # |t_i| <= 1 because U >= n^2.
-    U = 2 * K + n
-    t = [b / U ** (n - 1 - i) for i, b in enumerate(_shifted_numerator_coeffs(n))]
-    s = [float(n + m - i) for i in range(n)]  # s_i = n + m - i
-    scale = 1 / (2 ** (n - 1) * math.factorial(n - 1)) * float(U) ** -(m + 1)
+    # = U^-s (U/(2(s-1)) + 1/2 + sum_j beta_j (s)_(2j-1) U^(1-2j)), with
+    # s_i = n + m - i, so 2(s_i - 1) runs over the even 2(n+m-1) .. 2m.
+    scale = inv_norm * float(U) ** -(m + 1)
     # roundings: 5 in t U/(2(s-1)), 2 in t/2
-    parts = [ti * (U / (2 * (si - 1))) for ti, si in zip(t, s)] + [0.5 * ti for ti in t]
-    magnitudes = [abs(x) for x in parts]
-    em = [_BETA1 * si / U for si in s]  # correction 1 per i, 4 roundings
-    inv_u2 = 1 / (U * U)
+    parts = list(map(mul, t, map(U.__truediv__, range(2 * (n + m - 1), 2 * m - 1, -2))))
+    magnitudes = [*map(abs, parts), *half_magnitudes]
+    parts += half
+    em = [_BETA1 * si / U for si in range(n + m, m, -1)]  # correction 1 per i, 4 roundings
     p = 0
     while True:
         # t * em is the first omitted correction: 9p + 6 roundings, each
         # correction adding 9 (4 in the rising-factorial step, 3 in the ratio, 2 products)
-        correction = [ti * ei for ti, ei in zip(t, em)]
-        correction_magnitudes = [abs(x) for x in correction]
+        correction = list(map(mul, t, em))
+        correction_magnitudes = list(map(abs, correction))
         omitted = math.fsum(correction_magnitudes)
         truncation = scale * omitted
         truncation += (_charge(9 * p + _POW + 10, truncation)
@@ -262,7 +266,8 @@ def _enclosure(n: int, m: int) -> SeriesValue:
         parts += correction
         magnitudes += correction_magnitudes
         ratio = _EM_RATIO[p] * inv_u2
-        em = [ei * ((si + (2 * p + 1)) * (si + (2 * p + 2))) * ratio for ei, si in zip(em, s)]
+        em = [ei * (si * (si + 1)) * ratio
+              for ei, si in zip(em, range(n + m + 2 * p + 1, m + 2 * p + 1, -1))]
         p += 1
 
     center = head + scale * math.fsum(parts)

@@ -2,9 +2,10 @@
 
 The tracer wraps ``series.c_series`` and the ``checks.check_*`` suites,
 reads ``c_series.cache_info()``, ``SeriesValue.terms_used``/``tail_bound``
-and the ``eps``/``relative`` parameter names; these tests fail if the
-package stops offering them to a traced ``value``, ``exceptional`` or
-``check`` op.
+and the ``eps``/``relative`` parameter names, and clears every functools
+cache it finds in the package's modules before each op; these tests fail
+if the package stops offering them to a traced ``value``, ``exceptional``
+or ``check`` op, or keeps a cache where the tracer cannot clear it.
 """
 
 from __future__ import annotations
@@ -50,3 +51,15 @@ def test_traced_exceptional_op_counts_the_series_kernel(tracer):
 def test_traced_check_op_times_its_suite(tracer):
     metrics = _traced(tracer, "check", "tables", "--no-timestamp")
     assert metrics["checks.tables.s"] > 0
+
+
+def test_tracer_clears_every_series_and_constants_cache(tracer):
+    # a cache the tracer misses would carry one op's work into the next: the
+    # traced ops must stay as cold as a fresh process
+    from pleijel import constants, series
+
+    cleared = {id(cache) for cache in tracer.caches}
+    for module in (series, constants):
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_clear"):
+                assert id(obj) in cleared, f"{module.__name__}.{name}"

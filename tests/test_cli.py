@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from pleijel import checks, constants, reference, series
+from pleijel.admissibility import admissible
 from pleijel.checks import run_suite
 from pleijel.cli import QUANTITIES, SUITE_NAMES, TableSpec, _compute_cell, main, render_table
 from pleijel.constants import gamma_tilde_interval
@@ -229,6 +230,46 @@ _TABLE_DIGESTS = {
     ("c_series", "latex"): "645d6b2237360881457ccd75273820f04cbf930ed1fe05059f4ef83525678c4d",
 }
 
+#: sha256 of the 30 x 30 grid outputs (4 decimals, eps 1e-8, annotated); the json
+#: c_series table is the one with a cell, (1, 30), whose enclosure straddles 1
+_GRID_DIGESTS = {
+    ("gamma_tilde", "json"): "2ffcca6be7c8f9aaabd28548254d22542273e6c827862585433683a651a22c75",
+    ("gamma_bar", "json"): "85411cdbc3c064f0e05a7e2c633bbe9d8e6e683659f454d74a98e60e91441846",
+    ("sobolev", "json"): "0ef5cfab0a9a955426d894955191ffedbf255b178ca5caf1afef891a157928d0",
+    ("weyl", "json"): "82099b01c5aa83862e06ee53a5aec88621bf1875a2e1f2d9781cc307f08d9599",
+    ("c_series", "json"): "4d30e0fbdebf46deb6c5c76175f3f6034c5a3d13ccff372fa1ecd1460d06ac18",
+    ("gamma_tilde", "csv"): "e7b7d437711f5e028fa58b03e17cc281e65b1152a8394fd5bc77d3ea69a1d10a",
+    ("gamma_tilde", "latex"): "0495a4020fb49f2695963fe644e8deff12e2e843c94280be2954e368aa96cf00",
+}
+_EXCEPTIONAL_30_DIGEST = "915d4d4b2531392b0ad4c5f105d985b9c4b373115234f266130ad25e55666976"
+
+
+def _json_payload(spec: TableSpec) -> dict:
+    """The table json.dumps(..., indent=1) would print, built from the cells."""
+    cells = [_compute_cell(spec.quantity, n, m, spec.precision, spec.eps)
+             for n in range(1, spec.n_max + 1) for m in range(1, spec.m_max + 1)]
+    return {
+        "quantity": spec.quantity,
+        "n_max": spec.n_max,
+        "m_max": spec.m_max,
+        "precision": spec.precision,
+        "eps": spec.eps,
+        "cells": [
+            {
+                "n": c.n,
+                "m": c.m,
+                "value": c.value,
+                "display": c.display,
+                "error_bound": c.error_bound,
+                "admissible": admissible((c.n, c.m)).admissible,
+                "exceeds_one": c.exceeds_one,
+                **({"exact": f"{c.exact.numerator}/{c.exact.denominator}"}
+                   if c.exact is not None else {}),
+            }
+            for c in cells
+        ],
+    }
+
 
 class TestTable:
     @pytest.mark.parametrize("quantity, module, name", [
@@ -301,13 +342,11 @@ class TestTable:
         payload = json.loads(out1)
         assert payload["quantity"] == "gamma_tilde"
         assert len(payload["cells"]) == 16
-        from pleijel.cli import _compute_cell
-
         for cell in payload["cells"]:
             fresh = _compute_cell("gamma_tilde", cell["n"], cell["m"], 4, 1e-8)
             assert cell["value"] == fresh.value  # exact float round trip
             assert cell["display"] == fresh.display
-            assert cell["admissible"] == fresh.admissible
+            assert cell["admissible"] == admissible((cell["n"], cell["m"])).admissible
 
     def test_json_carries_exact_rationals_for_gamma_bar(self, capsys):
         _, out, _ = run_cli(capsys, "table", "gamma_bar", "--format", "json",
@@ -355,6 +394,33 @@ class TestTable:
         # a change to the numerics that moves a displayed digit fails here
         text = render_table(TableSpec(quantity, fmt=fmt))
         assert hashlib.sha256(text.encode()).hexdigest() == _TABLE_DIGESTS[quantity, fmt]
+
+    @pytest.mark.parametrize("quantity, fmt", sorted(_GRID_DIGESTS))
+    def test_grid_bytes_pinned(self, quantity, fmt):
+        text = render_table(TableSpec(quantity, n_max=30, m_max=30, fmt=fmt))
+        assert hashlib.sha256(text.encode()).hexdigest() == _GRID_DIGESTS[quantity, fmt]
+
+    @pytest.mark.parametrize("spec", [
+        TableSpec("c_series", n_max=30, m_max=30, eps=math.inf),
+        TableSpec("gamma_bar", n_max=30, m_max=30, eps=1e-300),
+        TableSpec("weyl", n_max=12, m_max=12, precision=12),
+        TableSpec("gamma_tilde", annotations=False),
+        TableSpec("sobolev", n_max=1, m_max=1),
+    ], ids=["eps-inf", "gamma_bar-exact-eps-1e-300", "precision-12", "no-annotations",
+            "one-cell"])
+    def test_json_is_json_dumps_indent_one(self, spec):
+        # the text json.dumps writes, byte for byte: json's own float text (an
+        # infinite eps is Infinity, where repr would print inf) and its layout
+        text = render_table(spec._replace(fmt="json"))
+        assert text == json.dumps(_json_payload(spec), indent=1) + "\n"
+
+    def test_exceeds_one_only_when_certified(self):
+        # c(1, 30) is enclosed in [0.999999999999999, 1.0000000000000042]: its
+        # midpoint is above 1, but the enclosure does not prove it
+        cell = _compute_cell("c_series", 1, 30, 4, 1e-8)
+        assert cell.value > 1 and not cell.exceeds_one
+        for n, m in ((1, 1), (2, 1), (3, 1)):
+            assert _compute_cell("gamma_tilde", n, m, 4, 1e-8).exceeds_one
 
     def test_determinism_markdown(self, capsys):
         _, a, _ = run_cli(capsys, "table", "gamma_tilde", "--n-max", "5", "--m-max", "5")
@@ -473,6 +539,17 @@ class TestExceptional:
         code, out, _ = run_cli(capsys, "exceptional", "--n-max", "1", "--m-max", "10000000")
         assert code == 0 and time.perf_counter() - start < 1
         assert out.count("gamma_tilde in [") == 1 and "(1,1)" in out
+
+    def test_grid_bytes_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "exceptional", "--n-max", "30", "--m-max", "30")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == _EXCEPTIONAL_30_DIGEST
+
+    def test_past_the_series_range(self, capsys):
+        # c(140, 1) is out of binary64 range; its exact gamma_bar < 1 classifies it safe
+        code, tall, _ = run_cli(capsys, "exceptional", "--n-max", "140", "--m-max", "1")
+        _, short, _ = run_cli(capsys, "exceptional", "--n-max", "139", "--m-max", "1")
+        assert code == 0
+        assert tall.splitlines()[1:] == short.splitlines()[1:]
 
     def test_determinism(self, capsys):
         _, a, _ = run_cli(capsys, "exceptional")

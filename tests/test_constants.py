@@ -32,9 +32,9 @@ from pleijel.constants import (
     weyl_density_bruteforce,
     weyl_interval,
 )
-from pleijel.core import DimPair, Enclosure, as_pair
+from pleijel.core import DimPair, Enclosure, PrecisionUnreachable, as_pair
 from pleijel.numerics import log_gamma, round_half_away, sphere_area, zeta
-from pleijel import reference
+from pleijel import constants, reference
 from pleijel.series import _integral_remainder, _min_terms, _summand
 from test_series import _hurwitz_oracle
 
@@ -250,6 +250,28 @@ class TestExceptionalSet:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             exceptional_set(0, 5)
+
+    def test_past_the_series_range_decided_by_gamma_bar(self, monkeypatch):
+        # c(140, 1) is out of binary64 range; gamma_tilde < gamma_bar < 1 makes it safe
+        with pytest.raises(PrecisionUnreachable):
+            gamma_tilde_interval((140, 1))
+        assert gamma_bar_exact((140, 1)) < 1
+        assert exceptional_set(140, 1) == exceptional_set(139, 1)
+        # a refused pair that gamma_bar cannot decide is refused, not classified
+        ratio = constants._gamma_bar_ratio
+        monkeypatch.setattr(constants, "_gamma_bar_ratio",
+                            lambda pair: (1, 1) if pair == (140, 1) else ratio(pair))
+        with pytest.raises(PrecisionUnreachable):
+            exceptional_set(140, 1)
+
+    def test_gamma_bar_below_one_decides_without_the_series(self, monkeypatch):
+        # every pair the series is asked about has gamma_bar >= 1
+        asked = []
+        monkeypatch.setattr(constants, "gamma_tilde_interval",
+                            lambda pair: asked.append(pair) or gamma_tilde_interval(pair))
+        assert exceptional_set(30, 30) == (
+            [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2), DimPair(3, 1)], [])
+        assert asked and all(gamma_bar_exact(pair) >= 1 for pair in asked)
 
 
 class TestWeylBruteForce:

@@ -12,6 +12,7 @@ bracket); closed forms used as oracles:
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -42,7 +43,7 @@ C31_REFERENCE = 0.02737781481649722160101
 def _term_block(n: int, m: int, k0: int, k1: int) -> np.ndarray:
     """Vectorised ``_summand`` for k in [k0, k1); same arithmetic as the scalar.
 
-    The direct-summation oracle of these tests; the kernel uses ``_head_factors``.
+    The direct-summation oracle of these tests; the kernel shares its factors per row.
     """
     k = np.arange(k0, k1, dtype=np.float64)
     d = 2.0 * k + n
@@ -50,6 +51,10 @@ def _term_block(n: int, m: int, k0: int, k1: int) -> np.ndarray:
     for j in range(1, n):
         r *= (k + j) / (j * d)
     return r
+
+
+#: the range's edge: (1, 10^6) and, for each n, the largest m with (n+m) log2 n <= 1000
+_EDGE = [(1, 10**6)] + [(n, math.floor(1000 / math.log2(n)) - n) for n in range(2, 131)]
 
 
 def odd_zeta(s: int) -> float:
@@ -209,14 +214,22 @@ class TestHurwitzKernel:
     def test_default_eps_never_refuses_an_in_range_pair(self):
         # the library reads every enclosure through c_series(p) at its default and
         # leaves eps to the CLI, so the floor must stay under 1e-8 absolute on the
-        # range's edge: (1, 10^6) and, for each n, the largest m with (n+m) log2 n <= 1000
-        edge = [(1, 10**6)]
-        for n in range(2, 131):
-            m = math.floor(1000 / math.log2(n)) - n
-            assert (n + m) * math.log2(n) <= 1000 < (n + m + 1) * math.log2(n), n
-            edge.append((n, m))
-        for pair in edge:
-            c_series(pair)  # a refusal raises PrecisionUnreachable
+        # range's edge
+        for n, m in _EDGE:
+            if n > 1:
+                assert (n + m) * math.log2(n) <= 1000 < (n + m + 1) * math.log2(n), n
+            c_series((n, m))  # a refusal raises PrecisionUnreachable
+
+    def test_enclosures_bit_pinned(self):
+        # every (lo, hi) on the 30 x 30 grid and the range's edge, bit for bit: a
+        # change to the kernel that moves any enclosure end by one ulp fails here
+        grid = [(n, m) for n in range(1, 31) for m in range(1, 31)]
+        digest = hashlib.sha256()
+        for pair in grid + _EDGE:
+            sv = c_series(pair)
+            digest.update(f"{sv.value.hex()} {sv.upper.hex()}\n".encode())
+        assert digest.hexdigest() == (
+            "67c3add3ba7b0f7a62bf1ec4d7328a3d561db48325c929d31aeb473c76602643")
 
     def test_pair_forms_share_one_cache_entry(self):
         c_series.cache_clear()
