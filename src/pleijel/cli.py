@@ -31,8 +31,7 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 # The library modules are called through their module attributes, looked up when
 # a verb runs: each verb then runs only the modules it calls (the package registers
@@ -40,6 +39,9 @@ from typing import NamedTuple
 from . import checks, constants, htype_algebra, numerics, series
 from .admissibility import admissible, shading_mask
 from .core import DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 QUANTITIES = ("gamma_tilde", "gamma_bar", "sobolev", "weyl", "c_series")
 _SOBOLEV_MAX_S = 10_000  # `value` refuses sobolev above this n + m
@@ -155,27 +157,30 @@ def _render_csv(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
-    # json.dumps(payload, indent=1) byte for byte (json indents in pure Python): the
-    # floats are json's own text from one call of its C encoder (eps inf: Infinity),
-    # and the strings are names and digits, which json leaves as they are
-    import json
+def _json_float(x: float) -> str:
+    # json's text for a float: its repr, and json's names for the non-finite
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
+
+def _render_json(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
+    # json.dumps(payload, indent=1) byte for byte, written directly (json indents in
+    # pure Python); the strings are names and digits, which json leaves as they are
     ordered = [cells[key] for key in sorted(cells)]
-    floats = json.dumps([spec.eps, *(x for c in ordered for x in (c.value, c.error_bound))])
-    eps, *floats = floats[1:-1].split(", ")
     mask = shading_mask(spec.n_max, spec.m_max)
     objects = []
-    for c, value, error_bound in zip(ordered, floats[::2], floats[1::2]):
+    for c in ordered:
         exact = ("" if c.exact is None else
                  f',\n   "exact": "{c.exact.numerator}/{c.exact.denominator}"')
         objects.append(
-            f'  {{\n   "n": {c.n},\n   "m": {c.m},\n   "value": {value},\n'
-            f'   "display": "{c.display}",\n   "error_bound": {error_bound},\n'
+            f'  {{\n   "n": {c.n},\n   "m": {c.m},\n   "value": {_json_float(c.value)},\n'
+            f'   "display": "{c.display}",\n   "error_bound": {_json_float(c.error_bound)},\n'
             f'   "admissible": {str(mask[c.n - 1][c.m - 1]).lower()},\n'
             f'   "exceeds_one": {str(c.exceeds_one).lower()}{exact}\n  }}')
     return (f'{{\n "quantity": "{spec.quantity}",\n "n_max": {spec.n_max},\n'
-            f' "m_max": {spec.m_max},\n "precision": {spec.precision},\n "eps": {eps},\n'
+            f' "m_max": {spec.m_max},\n "precision": {spec.precision},\n'
+            f' "eps": {_json_float(spec.eps)},\n'
             f' "cells": [\n' + ",\n".join(objects) + "\n ]\n}\n")
 
 
@@ -231,7 +236,7 @@ def _over_digit_limit(args, bits: int) -> bool:
 
 def _cmd_value(args) -> int:
     if args.quantity == "sobolev" and args.n + args.m > _SOBOLEV_MAX_S:
-        # sobolev_interval's integer work grows like s^1.6: 0.3-0.5 s at the limit
+        # sobolev_interval's integer work grows like s^1.6: 0.3-0.8 s at the limit
         print(f"error: sobolev({args.n},{args.m}) needs n + m <= {_SOBOLEV_MAX_S}",
               file=sys.stderr)
         return 2

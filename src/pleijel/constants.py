@@ -46,9 +46,8 @@ noise can never flip a classification (is gamma_tilde >= 1?).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .admissibility import radon_hurwitz
 from .core import DimPair, Enclosure, as_pair
@@ -59,6 +58,9 @@ from .series import (
     _summand,
     c_series,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ExceptionalSet",
@@ -99,12 +101,16 @@ def gamma_bar_exact(pair) -> Fraction:
 
     built over integers and normalised once.
     """
+    from fractions import Fraction  # loaded only where one is built
+
     return Fraction(*_gamma_bar_ratio(as_pair(pair)))
 
 
 def log_gamma_bar(pair) -> float:
     """ln gamma_bar in binary64: six terms, each at most about (2n+m) ln(2n+m)
     in size and accurate to 1e-14 relative (``log_gamma``)."""
+    from fractions import Fraction
+
     p = as_pair(pair)
     s = p.n + p.m
     return (
@@ -132,16 +138,21 @@ def _gamma_half(q: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _pi_powers(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    # the float bounds of pi to the k-th power, each as (numerator, denominator)
-    return ((_PI_LO[0] ** k, _PI_LO[1] ** k), (_PI_HI[0] ** k, _PI_HI[1] ** k))
+    # the float bounds of pi to the k-th power, each as (numerator, e) over 2^e
+    return tuple((num**k, (den.bit_length() - 1) * k) for num, den in (_PI_LO, _PI_HI))
 
 
-def _root(x: float, num: int, den: int, s: int, up: bool) -> float:
-    """The smallest float with x^s >= num/den (up), or the largest with x^s <= num/den,
-    searched from x; each candidate is compared exactly over integers."""
+def _root(x: float, num: int, den: int, e: int, s: int, up: bool) -> float:
+    """The smallest float with x^s >= num/(den 2^e) (up), or the largest with
+    x^s <= num/(den 2^e), searched from x; each candidate is compared exactly over
+    integers, the powers of two as one shift."""
     def holds(x: float) -> bool:
         a, b = x.as_integer_ratio()  # b is a power of two
-        lhs, rhs = a**s * den, num << (b.bit_length() - 1) * s
+        lhs, rhs, shift = a**s * den, num, (b.bit_length() - 1) * s - e
+        if shift >= 0:
+            rhs <<= shift
+        else:
+            lhs <<= -shift
         return lhs >= rhs if up else lhs <= rhs
 
     outward, inward = (math.inf, 0.0) if up else (0.0, math.inf)
@@ -165,13 +176,16 @@ def sobolev_interval(pair) -> Enclosure:
     gn, gd = _gamma_half(2 * p.n + p.m)
     num = 4**p.n * p.n**s * (s - 1) ** s * gn
     den = gd * math.factorial(2 * p.n + p.m - 1)
-    (ln, ld), (hn, hd) = _pi_powers(k)
-    ln, ld, hn, hd = num * ln, den * ld, num * hn, den * hd  # R pi^k at the two bounds
-    x = math.exp((math.log(ln) - math.log(ld)) / s)
+    twos = (den & -den).bit_length() - 1
+    den >>= twos  # R pi^k at a pi bound is num pi_num^k / (den 2^(twos + e))
+    (pl, el), (ph, eh) = _pi_powers(k)
+    ln, el, hn, eh = num * pl, twos + el, num * ph, twos + eh
+    x = math.exp((math.log(ln) - math.log(den) - el * math.log(2)) / s)
     a, b = x.as_integer_ratio()
-    x *= (ln * b**s / (a**s * ld)) ** (1 / s)  # one Newton step: now within ~2 ulps
-    lo = _root(x, ln, ld, s, up=False)
-    return Enclosure(lo, _root(math.nextafter(lo, math.inf), hn, hd, s, up=True))
+    shift = (b.bit_length() - 1) * s - el  # one Newton step: now within ~2 ulps
+    x *= ((ln << max(shift, 0)) / ((a**s * den) << max(-shift, 0))) ** (1 / s)
+    lo = _root(x, ln, den, el, s, up=False)
+    return Enclosure(lo, _root(math.nextafter(lo, math.inf), hn, den, eh, s, up=True))
 
 
 def sobolev_constant(pair) -> float:
@@ -190,8 +204,8 @@ def weyl_interval(pair) -> Enclosure:
     gn, gd = _gamma_half(p.m)
     num, den = 2 * gd, s * 2**s * gn
     (ln, ld), (hn, hd) = sv.value.as_integer_ratio(), sv.upper.as_integer_ratio()
-    (pln, pld), (phn, phd) = _pi_powers(k)
-    return _outward((num * ln * phd, den * ld * phn), (num * hn * pld, den * hd * pln))
+    (pl, el), (ph, eh) = _pi_powers(k)
+    return _outward((num * ln << eh, den * ld * ph), (num * hn << el, den * hd * pl))
 
 
 def weyl_constant(pair) -> float:
@@ -229,6 +243,8 @@ def gamma_tilde_product_form(pair) -> Enclosure:
     isolates the gamma/power algebra.  Where W's lower end underflows to
     0 or below, the upper end is infinite.
     """
+    from fractions import Fraction
+
     p = as_pair(pair)
     s = p.n + p.m
     c, w = sobolev_interval(p), weyl_interval(p)

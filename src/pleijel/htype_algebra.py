@@ -364,10 +364,18 @@ def from_json_dict(data: dict) -> HTypeStructure:
 
 
 def write_json(s: HTypeStructure, path) -> None:
-    """Re-verify and serialise; never writes an unverified structure."""
-    import json
+    """Re-verify and serialise; never writes an unverified structure.
 
+    Writes the text of ``json.dump(to_json_dict(s), fh, indent=1)`` and a
+    newline, one matrix at a time (json indents in pure Python).
+    """
     verify_structure(s)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(s), fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{\n "n": {s.pair.n},\n "m": {s.pair.m},\n "U": [')
+        separator = "\n"
+        for P in s.family:
+            rows = ",\n".join("   [\n" + ",\n".join(f"    {v}" for v in row) + "\n   ]"
+                              for row in P.rows())
+            fh.write(f"{separator}  [\n{rows}\n  ]")
+            separator = ",\n"
+        fh.write("\n ]\n}\n")

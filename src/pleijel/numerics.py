@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .core import Enclosure
 from .series import _BERNOULLI, _ETA, _POW, _charge
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["log_gamma", "sphere_area", "zeta_interval", "zeta", "round_half_away"]
 
@@ -27,6 +30,8 @@ LOG_PI = math.log(math.pi)
 
 def as_half_integer(q) -> Fraction:
     """Coerce q to an exact half-integer Fraction; reject anything else."""
+    from fractions import Fraction  # loaded only where one is built
+
     if isinstance(q, numbers.Integral):
         return Fraction(int(q))
     if isinstance(q, Fraction):
@@ -57,6 +62,8 @@ def sphere_area(d: int) -> float:
     """Surface measure of the unit d-sphere: 2 pi^((d+1)/2) / Gamma((d+1)/2)."""
     if d < 0:
         raise ValueError(f"sphere_area needs d >= 0, got {d}")
+    from fractions import Fraction
+
     h = Fraction(d + 1, 2)
     return math.exp(math.log(2) + float(h) * LOG_PI - log_gamma(h))
 
@@ -91,6 +98,8 @@ def zeta_interval(s: int) -> Enclosure:
         num, den = abs(num) * 2 ** (s - 1), den * math.factorial(s)
         return _outward((num * _PI_LO[0] ** s, den * _PI_LO[1] ** s),
                         (num * _PI_HI[0] ** s, den * _PI_HI[1] ** s))
+    from fractions import Fraction
+
     N = math.ceil(2e14 ** (1 / s)) + 2  # bracket width ~ N^-s
     head = math.fsum(j ** -float(s) for j in map(float, range(1, N)))
     error = Fraction(_charge(_POW + 1, head) + (_POW + 1) * N * _ETA)

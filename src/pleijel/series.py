@@ -3,11 +3,12 @@
     c(n, m) = sum_{k >= 0} C(k+n-1, k) / (2k+n)^(n+m).
 
 Every emitted value comes with a proven enclosure.  ``c_series`` splits
-the series at K = ``_min_terms(n)`` >= n^2/2, past the summand's peak:
+the series at K = ``_split(n)`` = max(16, n, floor(n^(3/2)) + 1):
 
-* the head, k < K, is summed over Python floats in binary64
-  (prod_{j<n} (k+j)/(j(2k+n)) times (2k+n)^-(m+1) from libm's pow, then
-  the correctly rounded ``math.fsum``);
+* the head, k < K, is summed over Python floats in binary64.  Each term
+  is C(k+n-1, n-1) / (2k+n)^(n-1), built from exact integers and rounded
+  once by a correctly rounded ``int / int``, times (2k+n)^-(m+1) from
+  libm's pow; the correctly rounded ``math.fsum`` adds them;
 
 * the tail is a finite combination of Hurwitz zeta values.  With
   u = 2k + n, C(k+n-1, k) = 2^(1-n)/(n-1)! * sum_i b_i u^i, where b_i are
@@ -21,11 +22,19 @@ the series at K = ``_min_terms(n)`` >= n^2/2, past the summand's peak:
       zeta(s, a) = a^(1-s)/(s-1) + a^(-s)/2
                    + sum_{j=1..p} B_2j/(2j)! (s)_(2j-1) a^(1-s-2j) + R_p.
 
-  u^-s is completely monotone, so R_p has the sign of the first omitted
-  correction and is at most that term in size (DLMF 2.10(i), 25.11;
-  F. Johansson, Numer. Algorithms 69 (2015), arXiv:1309.2877).  The
-  bound is charged with |b_i|.  Past the peak u >= n^2, so the signed
-  b_i u^i barely cancel.
+  u^-s is completely monotone, so at any a > 0, R_p has the sign of the
+  first omitted correction and is at most that term in size (DLMF
+  2.10(i), 25.11; F. Johansson, Numer. Algorithms 69 (2015),
+  arXiv:1309.2877).  The bound is charged with |b_i|, so it holds at any
+  split; the split only sets how far the signed b_i u^i cancel.
+
+The tail is scaled by U = 2K + n: b_i U^-s_i = t_i U^-(m+1), with
+t_i = b_i / U^(n-1-i).  The shifts 2j - n of the numerator's factors
+come in pairs +-c, so b_i = 0 unless r = (n-1-i)/2 is a whole number,
+and then |b_i| is the r-th elementary symmetric polynomial of the c^2,
+at most S^r / r! with S = sum c^2 = n(n-1)(n-2)/6.  U > 2 n^(3/2) gives
+U^2 > 4 n^3 > 24 S, so |t_i| <= 24^-r / r! <= 1, with equality only at
+the leading t_(n-1) = 1: no tail quantity exceeds the head's scale.
 
 Rounding is bounded a priori, per pair (N. J. Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 3-4): a
@@ -33,14 +42,14 @@ computed quantity that went through k roundings is charged gamma_k, a
 pow() counts as 4 ulps, and every rounding that may land in the
 subnormal range adds 2^-1074.  p grows until the Euler-Maclaurin bound
 is below 1e-3 of that budget.  The enclosure is therefore the same for
-every eps, at the rounding floor (a few 1e-15 relative for n, m <= 30),
-and eps is only checked against it: a target below the floor is refused
-at once with ``PrecisionUnreachable``.
+every eps, at the rounding floor (about 1e-14 relative or less for
+n, m <= 30), and eps is only checked against it: a target below the
+floor is refused at once with ``PrecisionUnreachable``.
 
-What does not depend on m -- K, U = 2K + n, the head's products, the
-tail's t_i = b_i / U^(n-1-i), t_i/2 and |t_i/2|, 1/(2^(n-1) (n-1)!) and
-1/U^2 -- is computed once per row n (``_row``); each m then runs the
-float operations of a computation from scratch, in the same order.
+What does not depend on m -- K, U, the head's factors, the tail's t_i,
+t_i/2 and |t_i/2|, 1/(2^(n-1) (n-1)!) and 1/U^2 -- is computed once per
+row n (``_row``); each m then runs the float operations of a
+computation from scratch, in the same order.
 
 Pairs with (n+m) log2 n > 1000 are refused as well: their k = 0 term
 n^-(n+m), a lower bound on c(n, m), nears the subnormal range, where
@@ -57,7 +66,7 @@ kernel:
 
 * ``_integral_remainder`` -- the summand extends to the real function
   f(x) = prod_{j<n}(x+j) / ((n-1)! (2x+n)^(n+m)), which is nonincreasing
-  for x >= n^2/2.  For K past that point
+  for x >= n^2/2 (``_min_terms``).  For K past that point
 
       I(K) <= sum_{k >= K} f(k) <= I(K) + f(K),
 
@@ -69,7 +78,6 @@ kernel:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
@@ -94,10 +102,10 @@ _BERNOULLI = (
 def _em_ratios() -> tuple[float, ...]:
     # in U = 2a scaling, correction j of 2^-s zeta(s, a) is beta_j (s)_(2j-1) U^(-s-2j+1)
     # with beta_j = B_2j 2^(2j-1) / (2j)!; consecutive corrections differ by
-    # beta_(j+1)/beta_j (s+2j-1)(s+2j) / U^2
-    beta = [Fraction(num, den) * 2 ** (2 * j - 1) / math.factorial(2 * j)
-            for j, (num, den) in enumerate(_BERNOULLI, start=1)]
-    return tuple(float(b1 / b0) for b0, b1 in zip(beta, beta[1:]))
+    # beta_(j+1)/beta_j (s+2j-1)(s+2j) / U^2, and beta_(j+1)/beta_j =
+    # 4 B_(2j+2) / (B_2j (2j+1)(2j+2)): one correctly rounded int / int each
+    return tuple(4 * n1 * d0 / (d1 * n0 * (2 * j + 1) * (2 * j + 2))
+                 for j, ((n0, d0), (n1, d1)) in enumerate(zip(_BERNOULLI, _BERNOULLI[1:]), 1))
 
 
 _EM_RATIO = _em_ratios()
@@ -146,15 +154,10 @@ def _summand(n: int, m: int, k: int) -> float:
     error is <= ~2n machine epsilons (far inside 1e-13).
     """
     d = 2 * k + n
-    return _binomial_factor(n, k, d) * float(d) ** (-(m + 1))
-
-
-def _binomial_factor(n: int, k: int, d: int) -> float:
-    """prod_{j<n} (k+j)/(j d): exact integers in, one correctly rounded division each."""
     r = 1.0
     for j in range(1, n):
         r *= (k + j) / (j * d)
-    return r
+    return r * float(d) ** (-(m + 1))
 
 
 @lru_cache(maxsize=None)
@@ -189,21 +192,36 @@ def _integral_remainder(pair, K: int) -> float:
 
 
 def _min_terms(n: int) -> int:
-    # past the summand's peak (k >= n^2/2 makes it nonincreasing), plus the
-    # fixed floor that avoids spuriously early exits at small n
+    # past the summand's peak (k >= n^2/2 makes it nonincreasing), as the integral
+    # bracket of the direct-summation oracles needs, plus a floor of 16
     return max(16, n, n * n // 2 + 1)
+
+
+def _split(n: int) -> int:
+    # the kernel's head length: U = 2K + n > 2 n^(3/2) keeps every |t_i| <= 1
+    return max(16, n, math.isqrt(n**3) + 1)
+
+
+def _head_factors(n: int, K: int) -> tuple[float, ...]:
+    """C(k+n-1, n-1) / (2k+n)^(n-1) for k < K: exact integers, one correctly
+    rounded int / int each."""
+    factors = []
+    binomial = 1  # C(k+n-1, n-1)
+    for k in range(K):
+        factors.append(binomial / (2 * k + n) ** (n - 1))
+        binomial = binomial * (k + n) // (k + 1)
+    return tuple(factors)
 
 
 @lru_cache(maxsize=None)
 def _row(n: int) -> tuple:
     """Row n's share of every m: K, d, r, U, t, t/2, |t/2|, 1/(2^(n-1) (n-1)!), 1/U^2."""
-    K = _min_terms(n)
+    K = _split(n)
     U = 2 * K + n
-    # one correctly rounded integer division each; |t_i| <= 1 because U >= n^2
+    # one correctly rounded integer division each; |t_i| <= 1 (module docstring)
     t = tuple(b / U ** (n - 1 - i) for i, b in enumerate(_shifted_numerator_coeffs(n)))
     half = tuple(0.5 * ti for ti in t)
-    return (K, tuple(float(2 * k + n) for k in range(K)),
-            tuple(_binomial_factor(n, k, 2 * k + n) for k in range(K)), U, t, half,
+    return (K, tuple(float(2 * k + n) for k in range(K)), _head_factors(n, K), U, t, half,
             tuple(map(abs, half)), 1 / (2 ** (n - 1) * math.factorial(n - 1)), 1 / (U * U))
 
 
@@ -231,11 +249,11 @@ def _enclosure(n: int, m: int) -> SeriesValue:
         )
     K, d, r, U, t, half, half_magnitudes, inv_norm, inv_u2 = _row(n)
 
-    # Head: a term goes through 2(n-1) roundings, pow and a product; fsum
-    # adds one.  Its factors (k+j)/(j(2k+n)) and d^-(m+1) are <= 1, so
+    # Head: a term goes through one rounding (its factor's int / int, none
+    # at n = 1), pow and a product; fsum adds one.  Its factors are <= 1, so
     # subnormal errors do not grow.
     head = math.fsum(map(mul, r, map(pow, d, repeat(-(m + 1.0)))))
-    k_head = 2 * (n - 1) + _POW + 2
+    k_head = min(1, n - 1) + _POW + 2
     head_error = _charge(k_head, head) + K * k_head * _ETA
 
     # Tail, scaled by U^(s_i): b_i U^-s_i = t_i U^-(m+1), and 2^-s zeta(s, U/2)

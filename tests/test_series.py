@@ -31,6 +31,9 @@ from pleijel.series import (
     _enclosure,
     _integral_remainder,
     _min_terms,
+    _row,
+    _shifted_numerator_coeffs,
+    _split,
     _summand,
     c_series,
     c_tail_bound,
@@ -146,7 +149,7 @@ class TestCSeries:
             p = DimPair(*pair)
             sv = c_series(p, 1e-9 * _summand(*p, 0))
             assert sv.tail_bound <= 1e-9 * _summand(*p, 0)
-            assert sv.terms_used >= _min_terms(p.n)
+            assert sv.terms_used == _split(p.n)
 
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -229,7 +232,35 @@ class TestHurwitzKernel:
             sv = c_series(pair)
             digest.update(f"{sv.value.hex()} {sv.upper.hex()}\n".encode())
         assert digest.hexdigest() == (
-            "67c3add3ba7b0f7a62bf1ec4d7328a3d561db48325c929d31aeb473c76602643")
+            "2d7d3f44417f9dfcadb16a529eb04ca53aec6b45ed33b20490dd8d06becdecaf")
+
+    def test_relative_width_on_30x30(self):
+        # the one-rounding head keeps every enclosure within 1.1e-14 of its value
+        for n, m in itertools.product(range(1, 31), range(1, 31)):
+            sv = c_series((n, m))
+            assert sv.tail_bound <= 1.1e-14 * sv.value, (n, m)
+
+    @pytest.mark.parametrize("n", [*range(1, 31), 31, 47, 64, 89, 101, 128, 130, 139])
+    def test_head_factors_are_correctly_rounded(self, n):
+        # each head factor is C(k+n-1, n-1) / (2k+n)^(n-1) rounded once, bit for bit
+        K, d, r = _row(n)[:3]
+        assert K == _split(n) == len(d) == len(r)
+        for k, factor in enumerate(r):
+            assert d[k] == 2 * k + n
+            assert factor == float(Fraction(math.comb(k + n - 1, n - 1), (2 * k + n) ** (n - 1)))
+
+    def test_scaled_tail_coefficients_at_most_one(self):
+        # the premise of the module docstring, exactly: b_i = 0 unless r = (n-1-i)/2 is
+        # whole, and then |b_i| <= U^(2r) / (24^r r!), since U > 2 n^(3/2); the
+        # computed t_i = b_i / U^(n-1-i) are therefore <= 1, the leading one exactly 1
+        for n in range(1, 140):  # every n with an in-range pair
+            U = _row(n)[3]
+            assert U == 2 * _split(n) + n and U * U > 4 * n**3
+            for i, b in enumerate(_shifted_numerator_coeffs(n)):
+                r, odd = divmod(n - 1 - i, 2)
+                assert b == 0 if odd else abs(b) * 24**r * math.factorial(r) <= U ** (2 * r)
+            t = _row(n)[4]
+            assert t[-1] == 1.0 and max(map(abs, t)) == 1.0, n
 
     def test_pair_forms_share_one_cache_entry(self):
         c_series.cache_clear()
