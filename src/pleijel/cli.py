@@ -318,17 +318,17 @@ def _cmd_exceptional(args) -> int:
 
 
 def _cmd_htype(args) -> int:
-    try:
-        structure = htype_algebra.construct((args.n, args.m))
-    except InadmissiblePair as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # both refusals come before the family is built, whose cost grows with n
+    verdict = admissible((args.n, args.m))
+    if not verdict.admissible:
+        print(f"error: {InadmissiblePair(verdict.pair, verdict.rho_2n)}", file=sys.stderr)
         return 3
     entries = args.m * (2 * args.n) ** 2  # htype 1024 1 (29 MB of JSON) is the largest m = 1
     if entries > 1 << 22:
         print(f"error: htype({args.n},{args.m}) would write {entries} dense matrix entries, "
               "over the limit of 2^22", file=sys.stderr)
         return 2
-    htype_algebra.write_json(structure, args.output)
+    htype_algebra.write_json(htype_algebra.construct(verdict.pair), args.output)
     print(f"wrote verified H-type structure ({args.n},{args.m}) to {args.output}")
     return 0
 

@@ -2,7 +2,7 @@
 
 For Q = 2n + 2m the homogeneous dimension:
 
-* ``sobolev_constant`` -- sharp constant of the L^2 Sobolev inequality,
+* ``sobolev_interval`` -- the sharp L^2 Sobolev constant, enclosed,
 
       C = 4^(n/(n+m)) n (n+m-1) pi^((2n+m)/(2n+2m))
           (Gamma(n+m/2)/Gamma(2n+m))^(1/(n+m)).
@@ -31,11 +31,11 @@ For Q = 2n + 2m the homogeneous dimension:
   via ``gamma_bar_exact``.
 
 Every non-exact constant is an ``Enclosure(lo, hi)`` built from exact
-rationals; the float views (``gamma_tilde``, ``weyl_constant``,
-``sobolev_constant``) are its midpoints.  The series enclosure sits at
-the binary64 rounding floor, the same for every eps, so nothing here
-takes an eps: the CLI's ``--eps`` (on ``value`` and ``table`` only) is
-decided on the enclosure it prints.  The gamma factors are rational
+rationals; the float views (``gamma_tilde``, ``weyl_constant``) are its
+midpoints.  The series enclosure sits at the binary64 rounding floor,
+the same for every eps, so nothing here takes an eps: the CLI's
+``--eps`` (on ``value`` and ``table`` only) is decided on the enclosure
+it prints.  The gamma factors are rational
 once the half-integer sqrt(pi) joins the pi power, and
 math.pi < pi < nextafter(math.pi, 4).  Each end is an integer
 quotient, correctly rounded by ``int / int`` and moved one ulp outward
@@ -64,7 +64,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ExceptionalSet",
-    "sobolev_constant",
     "sobolev_interval",
     "weyl_constant",
     "weyl_interval",
@@ -188,11 +187,6 @@ def sobolev_interval(pair) -> Enclosure:
     return Enclosure(lo, _root(math.nextafter(lo, math.inf), hn, den, eh, s, up=True))
 
 
-def sobolev_constant(pair) -> float:
-    """Sharp L^2 Sobolev constant: the midpoint of ``sobolev_interval``."""
-    return sobolev_interval(pair).mid
-
-
 def weyl_interval(pair) -> Enclosure:
     """Certified enclosure of the eigenvalue-counting coefficient
     W = R_w c(n, m) pi^-k, with s = n + m, k = n + ceil(m/2) and the rational
@@ -265,11 +259,13 @@ class ExceptionalSet(NamedTuple):
 def exceptional_set(n_max: int, m_max: int) -> ExceptionalSet:
     """Classify every admissible pair in the box [1, n_max] x [1, m_max].
 
-    A pair whose exact gamma_bar is < 1 is safe, since gamma_tilde <
-    gamma_bar (c exceeds its k = 0 term); this needs no series, so it also
-    decides pairs past the series' range.  Any other pair is exceptional iff
-    the certified lower end of its gamma_tilde interval is >= 1, safe iff
-    the upper end is < 1; anything straddling the threshold is reported
+    gamma_tilde < gamma_bar (c exceeds its k = 0 term), and the exact
+    gamma_bar decreases in n and in m (``monotonicity``), so a row stops at
+    its first gamma_bar < 1, and the walk at the first row where that is
+    m = 1 (n = 7): any box costs about a dozen exact gamma_bar and at most
+    11 series evaluations.  A pair before the stop is exceptional iff the
+    certified lower end of its gamma_tilde interval is >= 1, safe iff the
+    upper end is < 1; anything straddling the threshold is reported
     separately rather than silently decided.
     """
     if n_max < 1 or m_max < 1:
@@ -282,13 +278,15 @@ def exceptional_set(n_max: int, m_max: int) -> ExceptionalSet:
             p = DimPair(n, m)
             num, den = _gamma_bar_ratio(p)
             if num < den:
-                continue
+                break
             low, high = gamma_tilde_interval(p)
             if low >= 1.0:
                 exceptional.append(p)
             elif high >= 1.0:
                 uncertain.append(p)
-    return ExceptionalSet(sorted(exceptional), sorted(uncertain))
+        if m == 1 and num < den:
+            break
+    return ExceptionalSet(exceptional, uncertain)
 
 
 _BRUTEFORCE_EPS = 1e-9  # the shell sum stops at a term <= this times its partial sum

@@ -1,41 +1,42 @@
-"""The monotonicity chain behind the exceptional-set classification,
+"""The monotonicity links behind the exceptional-set classification,
 decided exactly.
 
-Two directions:
+With s = n + m, gamma_tilde = gamma_bar / (n^s c(n, m)) < gamma_bar, since c
+exceeds its k = 0 term n^-s, and two elementary links make {gamma_bar >= 1}
+a down-set:
 
-* in n (for gamma_tilde): the quotient
+* in n: gamma_bar(n, m)/gamma_bar(n-1, m) = X = s (2n+m-1) (s-2)^(s-1) / (s-1)^(s+1).
+  (1 - 1/k)^k < 1/e and 2n + m - 1 <= 2s - 2 give X < 2s/(e(s-1)), and
+  2s/(s-1) <= 8/3 < e for s >= 4.  The one pair left, (2, 1), has X = 3/4.
+* in m: psi = gamma_bar(n, m)/gamma_bar(n, m-1) = 2 X Pi with
+  Pi = prod_{j<n} (m-1+2j)/(m+2j).  a(a+2) <= (a+1)^2 telescopes to
+  Pi^2 <= (m-1)/(2n+m-1), and (2n+m-1)(m-1) = (s-1)^2 - n^2, so
+  psi < 2s/(e(s-1)) as well.  The one pair left, (1, 2), has psi = 9/16.
 
-      phi(n, m) = gamma_tilde(n, m) / gamma_tilde(n-1, m)
+Four exact rationals below 1 fix the down-set's edge: gamma_bar(7, 1) =
+737280/823543, gamma_bar(4, 2) = 2268/3125, gamma_bar(2, 3) = 15/16 and
+gamma_bar(1, 5) = 13824/15625.  It holds 11 pairs, (1..6, 1), (1..3, 2),
+(1, 3) and (1, 4), and ``constants.exceptional_set`` asks the series about
+none outside it.
 
-  has the closed form
-
-      (n-1)^(n+m-1) (n+m-2)^(n+m-1) (n+m) (2n+m-1)
-      / (n^(n+m) (n+m-1)^(n+m+1)) * c(n-1, m)/c(n, m),
-
-  and c(n, m)/c(n-1, m) is bounded below by the k = 0 value of the
-  termwise quotient of the two series, written here as notation (no
-  function computes it; the reports decide its properties exactly)
+The paper's lemmas, reproduced (no classification rests on them): gamma_tilde
+itself decreases in n.  phi(n, m) = gamma_tilde(n, m)/gamma_tilde(n-1, m) is
+(n-1)^(s-1)/n^s * X * c(n-1, m)/c(n, m), and c(n, m)/c(n-1, m) is bounded
+below by the k = 0 value of the termwise quotient of the two series (notation
+only; the reports decide its properties exactly)
 
       term_ratio(n, m, k) = 1/(n-1) * (k+n-1)/(2k+n) * (1 - 1/(2k+n))^(n+m-1),
 
-  which increases in real k >= 0 (its log-derivative is a positive
-  rational function of d = 2k + n, checked exactly for every n >= 2,
-  m >= 1).  Altogether phi <= 5/(2e) < 1, so gamma_tilde decreases in n.
+which increases in real k >= 0: its log-derivative is a positive rational
+function of d = 2k + n.  Altogether phi <= 5/(2e) < 1.
 
-* in m (for gamma_bar): the quotient psi(n, m) = gb(n, m)/gb(n, m-1) is
-  an exact rational; psi(1, m) <= 64/(27e), and for n >= 2 Wendel's
-  gamma-ratio inequality gives, with l = n + m - 1 >= 3,
-
-      psi(n, m)^2 <= 4/e^2 (1 + 3/l - 3/l^2) <= 20/(3 e^2) < 1,
-
-  so gamma_bar decreases in m.
-
-These are theorems over the full range; this module checks the
-term_ratio link for every pair and every other link on the 12 x 12 grid.
-Each verdict is decided once, exactly: on Fractions, on the certified
-ends of ``gamma_tilde_interval``, and against thresholds built from a
-rational upper bound on e, so each threshold is a lower bound on the
-true one.  Floats appear only in the displayed maxima.
+Each verdict is decided once, exactly: the quotient identities on the
+12 x 12 grid against ``gamma_bar_exact``, each polynomial identity on a grid
+that fixes its degrees, phi on the certified ends of
+``gamma_tilde_interval``.  e enters as two rationals: the partial sum
+_E_LO < e, so 8/3 < _E_LO proves 8/3 < e, and _E_HI > e, so phi's
+threshold 5/(2 _E_HI) is below the true one.  Floats appear only in the
+displayed maxima.
 """
 
 from __future__ import annotations
@@ -44,17 +45,14 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .constants import _gamma_half, gamma_bar_exact, gamma_tilde_interval
+from .constants import gamma_bar_exact, gamma_tilde_interval
 from .core import as_pair
 from .series import c_series
 
-__all__ = [
-    "InequalityReport",
-    "psi",
-    "psi_closed_form",
-    "inequality_suite",
-]
+__all__ = ["InequalityReport", "psi", "inequality_suite"]
 
+# e > _E_LO: a partial sum of sum_k 1/k!, whose terms are all positive
+_E_LO = sum(Fraction(1, math.factorial(k)) for k in range(10))
 # e < _E_HI: the Taylor series of e to k = 17, and 1/(17 17!) >= sum_{k >= 18} 1/k!
 _E_HI = (sum(Fraction(1, math.factorial(k)) for k in range(18))
          + Fraction(1, 17 * math.factorial(17)))
@@ -97,26 +95,19 @@ def psi(pair) -> Fraction:
     return gamma_bar_exact(p) / gamma_bar_exact((p.n, p.m - 1))
 
 
-def psi_closed_form(pair) -> Fraction:
-    """Gamma-function form of psi, as an exact rational:
-
-    4 (n+m-2)^(n+m-1) (n+m) / (n+m-1)^(n+m+1)
-        * Gamma(m/2)Gamma(n+m/2+1/2) / (Gamma(m/2-1/2)Gamma(n+m/2)).
-
-    One Gamma above and one below have half-integral arguments, so their
-    sqrt(pi) factors cancel.
-    """
-    p = as_pair(pair)
-    if p.m < 2:
-        raise ValueError(f"psi needs m >= 2, got {p}")
-    n, m = p.n, p.m
+def _n_quotient(n: int, m: int) -> Fraction:
+    """X(n, m) = gamma_bar(n, m)/gamma_bar(n-1, m) in closed form."""
     s = n + m
-    g = [Fraction(*_gamma_half(q)) for q in (m, 2 * n + m + 1, m - 1, 2 * n + m)]
-    return Fraction(4 * (s - 2) ** (s - 1) * s, (s - 1) ** (s + 1)) * g[0] * g[1] / (g[2] * g[3])
+    return Fraction(s * (2 * n + m - 1) * (s - 2) ** (s - 1), (s - 1) ** (s + 1))
+
+
+def _pi_product(n: int, m: int) -> Fraction:
+    """Pi(n, m) = prod_{j<n} (m-1+2j)/(m+2j), the factor of psi beside 2 X(n, m)."""
+    return Fraction(math.prod(range(m - 1, m + 2 * n - 1, 2)), math.prod(range(m, m + 2 * n, 2)))
 
 
 def inequality_suite() -> list[InequalityReport]:
-    """Decide every inequality of the monotonicity chain on the 12 x 12 grid.
+    """Decide the paper's phi chain and both links of the gamma_bar down-set.
 
     All reports pass; a failed report carries the offending maximum
     rather than raising.
@@ -132,6 +123,7 @@ def inequality_suite() -> list[InequalityReport]:
             lo[n, m], hi[n, m] = Fraction(g.lo), Fraction(g.hi)
             gb[n, m] = gamma_bar_exact((n, m))
 
+    # the paper's lemmas, reproduced: the phi chain, which no classification rests on
     # --- phi: certified bound, and the closed form's prefactor exactly ------
     # 5/(2e) < 1, so the bound also shows gamma_tilde decreasing in n; the c(n, m)
     # factors are the same on both sides of the closed form, so only its rational
@@ -185,37 +177,41 @@ def inequality_suite() -> list[InequalityReport]:
                 note="bound / certified ratio")
     )
 
-    # --- psi: exact rationals against thresholds at e's upper bound ---------
-    psis = {(n, m): psi((n, m)) for n in range(1, n_max + 1) for m in range(2, m_max + 1)}
+    # --- the gamma_bar down-set: two links, each by its identity and e ------
+    # 2s/(s-1) <= 8/3 < _E_LO < e for s >= 4 bounds both quotients below 1 there
     reports.append(
-        _report("psi_heisenberg_bound", f"n = 1, 2 <= m <= {m_max}",
-                max(psis[1, m] for m in range(2, m_max + 1)), 64 / (27 * _E_HI))
+        _report("e_lower_bound", "sum_{k<10} 1/k! < e", _E_LO,
+                sum(Fraction(1, math.factorial(k)) for k in range(10)),
+                note="_E_LO against the partial sum")
     )
-    psi_domain = f"2 <= n <= {n_max}, 2 <= m <= {m_max}"
-    wide = [(n, m) for n, m in psis if n >= 2]
-    reports.append(_report("psi_squared_bound", psi_domain,
-                           max(psis[p] ** 2 for p in wide), 20 / (3 * _E_HI**2)))
-
-    def wendel(l: int) -> Fraction:  # (4/e^2)(1 + 3/l - 3/l^2) at e's upper bound
-        return 4 / _E_HI**2 * Fraction(l * l + 3 * l - 3, l * l)
-
-    worst = max(psis[n, m] ** 2 - wendel(n + m - 1) for n, m in wide)
+    worst = max(abs(_n_quotient(n, m) * gb[n - 1, m] / gb[n, m] - 1) for n, m in phi_pairs)
     reports.append(
-        _report("psi_squared_wendel_chain", psi_domain, worst, 0,
-                note="psi^2 - (4/e^2)(1 + 3/l - 3/l^2), l = n+m-1")
+        _report("gamma_bar_n_quotient", phi_domain, worst, 0,
+                note="gamma_bar(n,m)/gamma_bar(n-1,m) = X = s(2n+m-1)(s-2)^(s-1)/(s-1)^(s+1)")
     )
-    worst = max(abs(psi_closed_form(p) / psis[p] - 1) for p in wide)
-    reports.append(_report("psi_closed_form_agreement", psi_domain, worst, 0))
-
-    # --- the combination chain settling n >= 4, m >= 2 ----------------------
-    worst = max(
-        max(hi[4, m] / gb[4, m],  # gamma_tilde(4, m) <= gamma_bar(4, m)
-            gb[4, m] / gb[4, 2],  # gamma_bar(4, m) <= gamma_bar(4, 2) = 2268/3125
-            *(hi[n, m] / lo[4, m] for n in range(5, n_max + 1)))  # gt(n, m) <= gt(4, m)
-        for m in range(2, m_max + 1))
     reports.append(
-        _report("combination_chain",
-                f"4 <= n <= {n_max}, 2 <= m <= {m_max}", worst, 1,
-                note="gamma_tilde(n,m) <= gamma_tilde(4,m) <= gamma_bar(4,m) <= 2268/3125")
+        _report("gamma_bar_decreasing_in_n", "n >= 2, m >= 1",
+                max(Fraction(8, 3) / _E_LO, _n_quotient(2, 1)), 1,
+                note="X < 2s/(e(s-1)) <= 8/(3e) for s >= 4; X(2,1) = 3/4")
+    )
+    psi_domain = f"1 <= n <= {n_max}, 2 <= m <= {m_max}"
+    worst = max(abs(2 * _n_quotient(n, m) * _pi_product(n, m) / psi((n, m)) - 1)
+                for n in range(1, n_max + 1) for m in range(2, m_max + 1))
+    reports.append(
+        _report("gamma_bar_m_quotient", psi_domain, worst, 0,
+                note="psi = 2 X Pi, Pi = prod_{j<n} (m-1+2j)/(m+2j)")
+    )
+    # degree 2 in n and in m, so a 3 x 3 grid proves it
+    worst = max(abs((2 * n + m - 1) * (m - 1) - (n + m - 1) ** 2 + n * n)
+                for n in (1, 2, 3) for m in (2, 3, 4))
+    reports.append(
+        _report("psi_square_identity", "n >= 1, m >= 2", worst, 0,
+                note="(2n+m-1)(m-1) = (s-1)^2 - n^2, exactly on a 3 x 3 grid")
+    )
+    reports.append(
+        _report("gamma_bar_decreasing_in_m", "n >= 1, m >= 2",
+                max(Fraction(8, 3) / _E_LO, 2 * _n_quotient(1, 2) * _pi_product(1, 2)), 1,
+                note="psi^2 <= 4 X^2 (m-1)/(2n+m-1) < (2s/(e(s-1)))^2 "
+                     "<= (8/(3e))^2 for s >= 4; psi(1,2) = 9/16")
     )
     return reports

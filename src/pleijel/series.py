@@ -162,15 +162,16 @@ def _summand(n: int, m: int, k: int) -> float:
 
 @lru_cache(maxsize=None)
 def _shifted_numerator_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients b_i with prod_{j=1}^{n-1} (u + 2j - n) = sum b_i u^i."""
-    coeffs = [1]
-    for j in range(1, n):
-        shift = 2 * j - n
-        nxt = [0] * (len(coeffs) + 1)
-        for i, a in enumerate(coeffs):
-            nxt[i] += a * shift
-            nxt[i + 1] += a
-        coeffs = nxt
+    """Integer coefficients b_i with prod_{j=1}^{n-1} (u + 2j - n) = sum b_i u^i.
+
+    The shifts pair up as +-c, so the product is prod (u^2 - c^2) over
+    c = n-2, n-4, ... > 0, multiplied out in v = u^2, times u when n is even.
+    """
+    q = [1]  # coefficients in v
+    for c in range(n - 2, 0, -2):
+        q = [a - c * c * b for a, b in zip([0, *q], [*q, 0])]
+    coeffs = [0] * n
+    coeffs[1 - n % 2::2] = q
     return tuple(coeffs)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pleijel import checks, constants, reference, series
+from pleijel import checks, constants, htype_algebra, reference, series
 from pleijel.admissibility import admissible
 from pleijel.checks import run_suite
 from pleijel.cli import QUANTITIES, SUITE_NAMES, TableSpec, _compute_cell, main, render_table
@@ -553,6 +553,17 @@ class TestExceptional:
         assert code == 0
         assert tall.splitlines()[1:] == short.splitlines()[1:]
 
+    def test_huge_box_answers_at_once(self, capsys):
+        # the walk stops at the edge of the down-set {gamma_bar >= 1}, whatever the box
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "pleijel.cli", "exceptional",
+             "--n-max", "1000000000", "--m-max", "1000000000"],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0 and time.perf_counter() - start < 0.5
+        _, default, _ = run_cli(capsys, "exceptional")
+        assert result.stdout.splitlines()[1:] == default.splitlines()[1:]
+
     def test_determinism(self, capsys):
         _, a, _ = run_cli(capsys, "exceptional")
         _, b, _ = run_cli(capsys, "exceptional")
@@ -629,6 +640,23 @@ class TestHType:
         assert code == 2 and out == ""
         assert err.startswith(f"error: htype({pair[0]},{pair[1]}) would write")
         assert err.count("\n") == 1
+        assert not out_file.exists()
+
+    def test_refusals_come_before_the_family_is_built(self, capsys, tmp_path, monkeypatch):
+        # both refusals read n and m alone; building these families would take gigabytes
+        def unbuilt(pair):
+            raise AssertionError(f"construct{pair} was called")
+
+        monkeypatch.setattr(htype_algebra, "construct", unbuilt)
+        out_file = tmp_path / "big.json"
+        code, out, err = run_cli(capsys, "htype", "1000000000", "1", str(out_file))
+        assert code == 2 and out == ""
+        assert err == ("error: htype(1000000000,1) would write 4000000000000000000 dense "
+                       "matrix entries, over the limit of 2^22\n")
+        code, out, err = run_cli(capsys, "htype", "1000000001", "2", str(out_file))
+        assert code == 3 and out == ""
+        assert err == ("error: no H-type group with (n, m) = (1000000001, 2): "
+                       "rho(2n) = rho(2000000002) = 2 allows at most m = 1\n")
         assert not out_file.exists()
 
     def test_inadmissible_refused_before_the_size(self, capsys, tmp_path):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pleijel.admissibility import radon_hurwitz
 from pleijel.constants import (
     _weyl_prefactor,
     exceptional_set,
@@ -26,7 +27,6 @@ from pleijel.constants import (
     gamma_tilde_interval,
     gamma_tilde_product_form,
     log_gamma_bar,
-    sobolev_constant,
     sobolev_interval,
     weyl_constant,
     weyl_density_bruteforce,
@@ -63,14 +63,18 @@ def gamma_ratio_exact(a, b) -> Fraction:
 class TestSobolev:
     def test_heisenberg_base_case_is_pi(self):
         # 2 pi^(3/4) (Gamma(3/2)/Gamma(3))^(1/2) = pi by hand
-        assert sobolev_constant((1, 1)) == pytest.approx(math.pi, rel=1e-12)
+        g = sobolev_interval((1, 1))
+        assert g.lo <= math.pi <= g.hi
+        assert g.mid == pytest.approx(math.pi, rel=1e-12)
 
     def test_frozen_high_precision_value(self):
-        assert sobolev_constant((2, 1)) == pytest.approx(SOBOLEV_21_REFERENCE, rel=1e-12)
+        g = sobolev_interval((2, 1))
+        assert g.lo <= SOBOLEV_21_REFERENCE <= g.hi
+        assert g.mid == pytest.approx(SOBOLEV_21_REFERENCE, rel=1e-12)
 
     def test_positive_on_grid(self):
         for n, m in itertools.product(range(1, 21), range(1, 21)):
-            assert sobolev_constant((n, m)) > 0
+            assert sobolev_interval((n, m)).lo > 0
 
 
 class TestWeyl:
@@ -257,10 +261,11 @@ class TestExceptionalSet:
             gamma_tilde_interval((140, 1))
         assert gamma_bar_exact((140, 1)) < 1
         assert exceptional_set(140, 1) == exceptional_set(139, 1)
-        # a refused pair that gamma_bar cannot decide is refused, not classified
+        # a refused pair that gamma_bar cannot decide is refused, not classified:
+        # with gamma_bar >= 1 all down the column m = 1, the walk reaches (140, 1)
         ratio = constants._gamma_bar_ratio
         monkeypatch.setattr(constants, "_gamma_bar_ratio",
-                            lambda pair: (1, 1) if pair == (140, 1) else ratio(pair))
+                            lambda pair: (1, 1) if pair.m == 1 else ratio(pair))
         with pytest.raises(PrecisionUnreachable):
             exceptional_set(140, 1)
 
@@ -272,6 +277,30 @@ class TestExceptionalSet:
         assert exceptional_set(30, 30) == (
             [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2), DimPair(3, 1)], [])
         assert asked and all(gamma_bar_exact(pair) >= 1 for pair in asked)
+
+    def test_staircase_equals_a_full_box_scan(self):
+        # the reference classifies every admissible pair of 40 x 40 by its certified
+        # gamma_tilde, which lies under the exact gamma_bar; each box is a sub-box
+        verdict = {}
+        for n in range(1, 41):
+            for m in range(1, min(40, radon_hurwitz(2 * n) - 1) + 1):
+                low, high = gamma_tilde_interval((n, m))
+                assert high < gamma_bar_exact((n, m))
+                verdict[n, m] = "exceptional" if low >= 1 else "uncertain" if high >= 1 else ""
+        for n_max, m_max in itertools.product(range(1, 41), repeat=2):
+            box = [p for p in sorted(verdict) if p[0] <= n_max and p[1] <= m_max]
+            assert exceptional_set(n_max, m_max) == tuple(
+                [p for p in box if verdict[p] == kind] for kind in ("exceptional", "uncertain")
+            ), (n_max, m_max)
+
+    def test_any_box_asks_the_series_inside_the_down_set_only(self, monkeypatch):
+        # the admissible pairs of the 11-pair down-set {gamma_bar >= 1}, and no others
+        asked = []
+        monkeypatch.setattr(constants, "gamma_tilde_interval",
+                            lambda pair: asked.append(pair) or gamma_tilde_interval(pair))
+        assert exceptional_set(10**9, 10**9) == (
+            [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2), DimPair(3, 1)], [])
+        assert asked == [(1, 1), (2, 1), (2, 2), (3, 1), (4, 1), (5, 1), (6, 1)]
 
 
 class TestWeylBruteForce:

@@ -9,10 +9,11 @@ import pytest
 
 from pleijel.constants import gamma_bar_exact, gamma_tilde
 from pleijel.monotonicity import (
+    _n_quotient,
     _phi_prefactor,
+    _pi_product,
     inequality_suite,
     psi,
-    psi_closed_form,
 )
 from pleijel.series import _summand, c_series
 
@@ -132,8 +133,13 @@ class TestPsi:
                 assert psi((n, m)) < 1
 
     def test_closed_form_agreement(self):
-        for pair in ((1, 2), (2, 5), (7, 3), (12, 12)):
-            assert psi_closed_form(pair) == pytest.approx(float(psi(pair)), rel=1e-12)
+        # psi = 2 X Pi exactly, here off the suite's 12 x 12 grid too
+        for n, m in ((1, 2), (2, 5), (7, 3), (12, 12), (13, 2), (20, 9)):
+            assert psi((n, m)) == 2 * _n_quotient(n, m) * _pi_product(n, m)
+
+    def test_gamma_bar_n_quotient_off_the_grid(self):
+        for n, m in ((2, 1), (13, 1), (20, 9), (7, 30)):
+            assert gamma_bar_exact((n, m)) / gamma_bar_exact((n - 1, m)) == _n_quotient(n, m)
 
     def test_needs_m_at_least_two(self):
         with pytest.raises(ValueError):
@@ -158,19 +164,24 @@ class TestInequalitySuite:
             "phi_quadratic_nonpositive",
             "term_ratio_increasing",
             "c_ratio_lower_bound_holds",
-            "psi_heisenberg_bound",
-            "psi_squared_bound",
-            "psi_squared_wendel_chain",
-            "psi_closed_form_agreement",
-            "combination_chain",
-        } <= names
+            "e_lower_bound",
+            "gamma_bar_n_quotient",
+            "gamma_bar_decreasing_in_n",
+            "gamma_bar_m_quotient",
+            "psi_square_identity",
+            "gamma_bar_decreasing_in_m",
+        } == names
 
     def test_thresholds_are_the_stated_bounds(self, reports):
         by_name = {r.name: r for r in reports}
         e = math.e
         assert by_name["phi_upper_bound"].threshold == pytest.approx(5 / (2 * e))
-        assert by_name["psi_heisenberg_bound"].threshold == pytest.approx(64 / (27 * e))
-        assert by_name["psi_squared_bound"].threshold == pytest.approx(20 / (3 * e**2))
+        assert by_name["e_lower_bound"].threshold == pytest.approx(e, rel=1e-6)
+        assert by_name["e_lower_bound"].threshold < e
+        for link in ("gamma_bar_decreasing_in_n", "gamma_bar_decreasing_in_m"):
+            # 8/(3e) at e's lower bound, above X(2,1) = 3/4 and psi(1,2) = 9/16
+            assert by_name[link].threshold == 1
+            assert by_name[link].max_observed == pytest.approx(8 / (3 * e), rel=1e-6)
 
     def test_passed_flag_is_consistent(self, reports):
         for r in reports:
@@ -191,14 +202,30 @@ class TestInequalitySuite:
         by_name = {r.name: r for r in inequality_suite()}
         assert not by_name["phi_closed_form_agreement"].passed
 
-    def test_psi_closed_form_is_compared_exactly(self, monkeypatch):
+    @pytest.mark.parametrize("name, failing", [
+        ("_n_quotient", {"gamma_bar_n_quotient", "gamma_bar_m_quotient"}),
+        ("_pi_product", {"gamma_bar_m_quotient"}),
+    ], ids=["X", "Pi"])
+    def test_quotient_identities_are_compared_exactly(self, monkeypatch, name, failing):
+        # X or Pi off by one part in 2^40 fails each identity that uses it
         from pleijel import monotonicity
 
-        exact = monotonicity.psi_closed_form
-        monkeypatch.setattr(monotonicity, "psi_closed_form",
-                            lambda pair: exact(pair) * (1 + Fraction(1, 2**40)))
-        by_name = {r.name: r for r in inequality_suite()}
-        assert not by_name["psi_closed_form_agreement"].passed
+        exact = getattr(monotonicity, name)
+        monkeypatch.setattr(monotonicity, name,
+                            lambda n, m: exact(n, m) * (1 + Fraction(1, 2**40)))
+        assert {r.name for r in inequality_suite() if not r.passed} == failing
+
+    def test_e_lower_bound_is_compared_exactly(self, monkeypatch):
+        from pleijel import monotonicity
+
+        monkeypatch.setattr(monotonicity, "_E_LO",
+                            monotonicity._E_LO * (1 + Fraction(1, 2**40)))
+        assert {r.name for r in inequality_suite() if not r.passed} == {"e_lower_bound"}
+
+    def test_e_lower_bound_is_below_e(self):
+        from pleijel.monotonicity import _E_LO
+
+        assert Fraction(8, 3) < _E_LO < Fraction(math.e)
 
     def test_e_upper_bound_exceeds_e(self):
         from pleijel.monotonicity import _E_HI

@@ -262,6 +262,16 @@ class TestHurwitzKernel:
             t = _row(n)[4]
             assert t[-1] == 1.0 and max(map(abs, t)) == 1.0, n
 
+    def test_numerator_coefficients_equal_the_one_factor_product(self):
+        # the kernel multiplies the factors out in pairs u^2 - c^2; the plain
+        # product of the n - 1 factors u + 2j - n must give the same integers
+        for n in range(1, 201):
+            coeffs = [1]
+            for j in range(1, n):
+                coeffs = [a * (2 * j - n) + b for a, b in zip([*coeffs, 0], [0, *coeffs])]
+            got = _shifted_numerator_coeffs(n)
+            assert got == tuple(coeffs) and all(type(b) is int for b in got), n
+
     def test_pair_forms_share_one_cache_entry(self):
         c_series.cache_clear()
         _enclosure.cache_clear()
