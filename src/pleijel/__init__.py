@@ -13,10 +13,11 @@ every library module is registered in ``sys.modules`` as a lazy module
 An exported name is resolved on first use by reading the ``__all__`` of
 each exporting module in turn, which runs every module up to the one
 that lists it: ``from pleijel import DimPair`` runs ``core`` alone, and
-``from pleijel import construct`` runs all seven.  A CLI verb imports
-from the modules directly, so it compiles and runs only the modules it
-calls.  ``cli`` is not registered, so that ``python -m pleijel.cli``
-finds it unloaded.
+``from pleijel import zeta`` runs all eight; ``oracles`` comes last.  A
+CLI verb imports from the modules directly, so it compiles and runs only
+the modules it calls: ``oracles`` (what only ``check`` and the tests call)
+under ``check``, ``render`` (the table formats) under ``table``.  ``cli``
+is not registered, so that ``python -m pleijel.cli`` finds it unloaded.
 """
 
 import importlib.util
@@ -26,9 +27,9 @@ __version__ = "0.1.0"
 
 # the modules whose ``__all__`` the package exports, in this order
 _EXPORTING = ("core", "admissibility", "numerics", "series", "constants", "monotonicity",
-              "htype_algebra")
+              "htype_algebra", "oracles")
 
-for _name in (*_EXPORTING, "reference", "checks"):
+for _name in (*_EXPORTING, "reference", "checks", "render"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)

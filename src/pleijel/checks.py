@@ -14,28 +14,21 @@ from typing import NamedTuple
 
 from . import reference
 from .admissibility import admissible, radon_hurwitz, shading_mask
-from .constants import (
-    exceptional_set,
+from .constants import exceptional_set, gamma_bar_exact, gamma_tilde_interval
+from .core import DimPair
+from .htype_algebra import GroupElement, HTypeStructure, SignedPermutation, construct, group_mul
+from .monotonicity import inequality_suite
+from .numerics import _PI_HI, _PI_LO, round_half_away
+from .oracles import (
+    Polynomial,
     gamma_bar,
-    gamma_bar_exact,
     gamma_tilde,
-    gamma_tilde_interval,
     gamma_tilde_product_form,
+    sublaplacian,
     weyl_constant,
     weyl_density_bruteforce,
+    zeta_interval,
 )
-from .core import DimPair
-from .htype_algebra import (
-    GroupElement,
-    HTypeStructure,
-    Polynomial,
-    SignedPermutation,
-    construct,
-    group_mul,
-    sublaplacian,
-)
-from .monotonicity import inequality_suite
-from .numerics import _PI_HI, _PI_LO, round_half_away, zeta_interval
 from .series import c_series
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]

@@ -7,14 +7,14 @@ For Q = 2n + 2m the homogeneous dimension:
       C = 4^(n/(n+m)) n (n+m-1) pi^((2n+m)/(2n+2m))
           (Gamma(n+m/2)/Gamma(2n+m))^(1/(n+m)).
 
-* ``weyl_constant`` -- coefficient W in the eigenvalue-counting
+* ``weyl_interval`` -- coefficient W in the eigenvalue-counting
   asymptotics N(lambda) ~ W |Omega| lambda^(Q/2),
 
       W = omega_(m-1) / (2 pi)^(n+m) * c(n,m) / (n+m),
 
   with c(n, m) the certified series from the series module.
 
-* ``gamma_tilde`` -- the nodal-domain (Pleijel) bound C^(-Q/2) W^-1,
+* ``gamma_tilde_interval`` -- the nodal-domain (Pleijel) bound C^(-Q/2) W^-1,
   which collapses algebraically to
 
       2^-(n-m+1) (n+m) / (n^(n+m) (n+m-1)^(n+m))
@@ -24,15 +24,15 @@ For Q = 2n + 2m the homogeneous dimension:
   telescopes), so gamma_tilde is computed as exact-rational / certified
   series value and inherits a certified enclosure.  The independent
   product-form enclosure through sobolev_interval and weyl_interval is
-  kept as a consistency check (``gamma_tilde_product_form``).
+  a consistency check (``oracles.gamma_tilde_product_form``).
 
-* ``gamma_bar`` -- the rational upper bound obtained by keeping only the
-  k = 0 term of the series, i.e. replacing 1/c by n^(n+m).  Exact value
-  via ``gamma_bar_exact``.
+* ``gamma_bar_exact`` -- the rational upper bound obtained by keeping only
+  the k = 0 term of the series, i.e. replacing 1/c by n^(n+m); its
+  logarithm in binary64 via ``log_gamma_bar``.
 
 Every non-exact constant is an ``Enclosure(lo, hi)`` built from exact
-rationals; the float views (``gamma_tilde``, ``weyl_constant``) are its
-midpoints.  The series enclosure sits at the binary64 rounding floor,
+rationals; the float views (``oracles.gamma_tilde``, ``oracles.weyl_constant``)
+are its midpoints.  The series enclosure sits at the binary64 rounding floor,
 the same for every eps, so nothing here takes an eps: the CLI's
 ``--eps`` (on ``value`` and ``table`` only) is decided on the enclosure
 it prints.  The gamma factors are rational
@@ -51,13 +51,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .admissibility import radon_hurwitz
 from .core import DimPair, Enclosure, as_pair
-from .numerics import _PI_HI, _PI_LO, _outward, log_gamma, sphere_area
-from .series import (
-    _integral_remainder,
-    _min_terms,
-    _summand,
-    c_series,
-)
+from .numerics import _PI_HI, _PI_LO, _outward, log_gamma
+from .series import c_series
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -65,19 +60,12 @@ if TYPE_CHECKING:
 __all__ = [
     "ExceptionalSet",
     "sobolev_interval",
-    "weyl_constant",
     "weyl_interval",
-    "gamma_tilde",
     "gamma_tilde_interval",
-    "gamma_tilde_product_form",
-    "gamma_bar",
     "gamma_bar_exact",
     "log_gamma_bar",
     "exceptional_set",
-    "weyl_density_bruteforce",
 ]
-
-_LOG_TWO_PI = math.log(2 * math.pi)
 
 
 def _gamma_bar_ratio(p: DimPair) -> tuple[int, int]:
@@ -120,11 +108,6 @@ def log_gamma_bar(pair) -> float:
         + log_gamma(2 * p.n + p.m)
         - log_gamma(Fraction(p.m, 2) + p.n)
     )
-
-
-def gamma_bar(pair) -> float:
-    """Log-domain binary64 evaluation of the truncation bound."""
-    return math.exp(log_gamma_bar(pair))
 
 
 def _gamma_half(q: int) -> tuple[int, int]:
@@ -202,11 +185,6 @@ def weyl_interval(pair) -> Enclosure:
     return _outward((num * ln << eh, den * ld * ph), (num * hn << el, den * hd * pl))
 
 
-def weyl_constant(pair) -> float:
-    """Eigenvalue-counting coefficient: the midpoint of ``weyl_interval``."""
-    return weyl_interval(pair).mid
-
-
 def gamma_tilde_interval(pair) -> Enclosure:
     """Certified enclosure [low, high] of the nodal-domain bound: the exact
     gamma_bar_exact / n^(n+m) over c(n, m).
@@ -217,36 +195,6 @@ def gamma_tilde_interval(pair) -> Enclosure:
     den *= p.n ** (p.n + p.m)
     (ln, ld), (hn, hd) = sv.upper.as_integer_ratio(), sv.value.as_integer_ratio()
     return _outward((num * ld, den * ln), (num * hd, den * hn))
-
-
-def gamma_tilde(pair) -> float:
-    """Nodal-domain bound: the midpoint of ``gamma_tilde_interval``."""
-    return gamma_tilde_interval(pair).mid
-
-
-def _weyl_prefactor(p: DimPair) -> float:
-    s = p.n + p.m
-    return math.exp(math.log(sphere_area(p.m - 1)) - s * _LOG_TWO_PI - math.log(s))
-
-
-def gamma_tilde_product_form(pair) -> Enclosure:
-    """Certified enclosure of the defining product C^(-Q/2) W^-1,
-    [1/(C_hi^s W_hi), 1/(C_lo^s W_lo)] with s = n + m, built exactly from
-    ``sobolev_interval`` and ``weyl_interval``.  The two routes share only
-    the series value, so its overlap with ``gamma_tilde_interval``
-    isolates the gamma/power algebra.  Where W's lower end underflows to
-    0 or below, the upper end is infinite.
-    """
-    from fractions import Fraction
-
-    p = as_pair(pair)
-    s = p.n + p.m
-    c, w = sobolev_interval(p), weyl_interval(p)
-    lo = 1 / (Fraction(c.hi) ** s * Fraction(w.hi))
-    if w.lo <= 0:
-        return Enclosure(math.nextafter(float(lo), -math.inf), math.inf)
-    hi = 1 / (Fraction(c.lo) ** s * Fraction(w.lo))
-    return _outward(lo.as_integer_ratio(), hi.as_integer_ratio())
 
 
 class ExceptionalSet(NamedTuple):
@@ -287,65 +235,3 @@ def exceptional_set(n_max: int, m_max: int) -> ExceptionalSet:
         if m == 1 and num < den:
             break
     return ExceptionalSet(exceptional, uncertain)
-
-
-_BRUTEFORCE_EPS = 1e-9  # the shell sum stops at a term <= this times its partial sum
-
-
-def weyl_density_bruteforce(pair, lam: float) -> float:
-    """On-diagonal spectral density 1(-Delta < lambda) rebuilt from first
-    principles, as a cross-check of ``weyl_constant``.
-
-    The fibrewise diagonalisation gives Landau levels |tau|(2|k| + n) over
-    multi-indices k in N_0^n; for each shell |k| = K the radial tau
-    integral is exact:
-
-        int_0^inf tau^(n+m-1) 1(tau (2K+n) < lambda) dtau
-            = (lambda/(2K+n))^(n+m) / (n+m),
-
-    so the density is omega_(m-1)/(2pi)^(n+m) times the shell sum of
-    C(K+n-1, K) (lambda/(2K+n))^(n+m)/(n+m), where C(K+n-1, K) counts the
-    multi-indices with |k| = K (stars and bars).  Shells are
-    enumerated directly, independently of the c_series kernel: the sum
-    stops at the first K >= _min_terms(n) whose series term is at most
-    1e-9 times the partial series sum, and the rest is enclosed by the
-    integral bracket (the shell sum *is* the series, restructured); the
-    bracket midpoint is used.
-
-    Equals weyl_constant(pair) * lambda^(n+m) up to the combined
-    certified error.
-    """
-    p = as_pair(pair)
-    if not 0 < lam < math.inf:
-        raise ValueError(f"lambda must be finite and > 0, got {lam}")
-    n, s = p.n, p.n + p.m
-    shells, remainder = _bruteforce_shells(n, p.m)
-    total = 0.0
-    comp = 0.0
-    for K in range(shells):
-        # (number of multi-indices with |k| = K) * (lam / (2K + n))^s / s
-        shell = math.comb(K + n - 1, K) * (lam / (2 * K + n)) ** s / s
-        y = shell - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    total += lam**s * remainder / s
-    # omega_(m-1)/(2pi)^(n+m) * total; _weyl_prefactor carries an extra 1/s
-    return _weyl_prefactor(p) * s * total
-
-
-@lru_cache(maxsize=16)
-def _bruteforce_shells(n: int, m: int) -> tuple[int, float]:
-    """The lambda-free part of weyl_density_bruteforce: the number of shells
-    summed before the stop rule holds, and the integral bracket of the
-    series from there on."""
-    kmin = _min_terms(n)
-    partial = 0.0  # the series' partial sum, for the stop rule
-    K = 0
-    while True:
-        term = _summand(n, m, K)
-        if K >= kmin and term <= _BRUTEFORCE_EPS * partial:
-            break
-        partial += term
-        K += 1
-    return K, _integral_remainder((n, m), K) + term / 2

@@ -1,5 +1,4 @@
-"""Explicit H-type structures: the defining matrices, the group law, and
-the sublaplacian symbol.
+"""Explicit H-type structures: the defining matrices and the group law.
 
 An H-type structure on R^(2n) x R^m is a family U^(1..m) of 2n x 2n
 matrices that are skew-symmetric, orthogonal, and pairwise anticommuting.
@@ -31,18 +30,15 @@ The group law on R^(2n) x R^m is
     (x, t) o (xi, tau) = (x + xi, ..., t_j + tau_j + <U^(j) x, xi>/2, ...)
 
 with one central coordinate per matrix; it is evaluated in exact rational
-arithmetic whenever the inputs are rational.  The sublaplacian
-
-    Delta = Delta_x + |x|^2/4 Delta_t + sum_j <U^(j) x, grad_x> d_(t_j)
-
-is applied by ``sublaplacian`` to polynomial test functions, exactly.
+arithmetic whenever the inputs are rational.  The sublaplacian, applied to
+polynomial test functions, and the JSON reader are oracles
+(``oracles.sublaplacian``, ``oracles.from_json_dict``): ``htype`` builds,
+verifies and writes, and loads ``fractions`` nowhere on that path.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Sized
-from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -53,13 +49,10 @@ __all__ = [
     "SignedPermutation",
     "HTypeStructure",
     "GroupElement",
-    "Polynomial",
     "construct",
     "verify_structure",
     "group_mul",
-    "sublaplacian",
     "to_json_dict",
-    "from_json_dict",
     "write_json",
 ]
 
@@ -216,6 +209,8 @@ def _check_dims(s: HTypeStructure, g: GroupElement) -> None:
 
 def group_mul(s: HTypeStructure, a: GroupElement, b: GroupElement) -> GroupElement:
     """(x, t) o (xi, tau) with the half-commutator correction <U x, xi>/2."""
+    from fractions import Fraction  # loaded only where the group law runs
+
     _check_dims(s, a)
     _check_dims(s, b)
     # tuple() of a generator allocates a guessed size and resizes it, so freed
@@ -232,135 +227,10 @@ def group_mul(s: HTypeStructure, a: GroupElement, b: GroupElement) -> GroupEleme
 
 
 # --------------------------------------------------------------------------
-# exact polynomials, for applying the sublaplacian to test functions
-
-class Polynomial:
-    """Sparse exact polynomial in nvars variables (Fraction coefficients)."""
-
-    __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars: int, coeffs: dict | None = None):
-        self.nvars = nvars
-        self.coeffs: dict[tuple[int, ...], Fraction] = {}
-        for mono, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c:
-                self.coeffs[tuple(mono)] = c
-
-    @classmethod
-    def variable(cls, i: int, nvars: int) -> "Polynomial":
-        mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {mono: Fraction(1)})
-
-    @classmethod
-    def constant(cls, value, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.nvars != other.nvars:
-            raise ValueError("variable-count mismatch")
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return Polynomial(self.nvars, out)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.nvars != other.nvars:
-            raise ValueError("variable-count mismatch")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, out)
-
-    def scale(self, value) -> "Polynomial":
-        v = Fraction(value)
-        return Polynomial(self.nvars, {m: c * v for m, c in self.coeffs.items()})
-
-    def diff(self, i: int) -> "Polynomial":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for mono, c in self.coeffs.items():
-            if mono[i]:
-                lowered = tuple(e - 1 if j == i else e for j, e in enumerate(mono))
-                out[lowered] = out.get(lowered, Fraction(0)) + c * mono[i]
-        return Polynomial(self.nvars, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.nvars == other.nvars \
-            and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "Polynomial(0)"
-        bits = [f"{c}*{mono}" for mono, c in sorted(self.coeffs.items())]
-        return "Polynomial(" + " + ".join(bits) + ")"
-
-
-def sublaplacian(s: HTypeStructure, u: Polynomial) -> Polynomial:
-    """Apply the sublaplacian of ``s`` to a polynomial u in (x, t), exactly.
-
-    Variables are ordered x_1..x_(2n), t_1..t_m.  The symbol consists of
-    the identity block on x-derivatives, the weight |x|^2/4 on
-    t-derivatives, and per central direction the linear vector field
-    x -> U^(j) x paired with d/dt_j.
-    """
-    dx = s.dim_x
-    nvars = dx + s.dim_t
-    if u.nvars != nvars:
-        raise ValueError(f"polynomial must have {nvars} variables")
-    out = Polynomial(nvars)
-    for i in range(dx):
-        out = out + u.diff(i).diff(i)
-    lap_t = Polynomial(nvars)
-    for j in range(s.dim_t):
-        lap_t = lap_t + u.diff(dx + j).diff(dx + j)
-    if not lap_t.is_zero():
-        weight = {tuple(2 if v == i else 0 for v in range(nvars)): Fraction(1, 4)
-                  for i in range(dx)}  # |x|^2 / 4
-        out = out + Polynomial(nvars, weight) * lap_t
-    for j, P in enumerate(s.family):
-        du = u.diff(dx + j)
-        if du.is_zero():
-            continue
-        for i, (p, sign) in enumerate(zip(P.perm, P.signs)):
-            di = du.diff(i)
-            if not di.is_zero():  # (U^(j) x)_i = sign * x_p, one monomial
-                out = out + Polynomial.variable(p, nvars).scale(sign) * di
-    return out
-
-
-# --------------------------------------------------------------------------
 # JSON export: {"n": int, "m": int, "U": [[[int]]]}
 
 def to_json_dict(s: HTypeStructure) -> dict:
     return {"n": s.pair.n, "m": s.pair.m, "U": [P.rows() for P in s.family]}
-
-
-def _from_rows(idx: int, rows, d: int) -> SignedPermutation:
-    """Dense rows as a signed permutation; raises on shape, entries, skew, orthogonal."""
-    if not (isinstance(rows, Sized) and len(rows) == d
-            and all(isinstance(row, Sized) and len(row) == d for row in rows)):
-        raise ValueError(f"U^({idx}) is not a {d} x {d} matrix")
-    if not all(v in (-1, 0, 1) for row in rows for v in row):
-        raise ValueError(f"U^({idx}) has entries outside {{-1, 0, 1}}")
-    if any(rows[i][k] != -rows[k][i] for i in range(d) for k in range(d)):
-        raise ValueError(f"U^({idx}) is not skew-symmetric")
-    if any(sum(v * v for v in row) != 1 for row in rows):  # rows of norm 1: one entry each
-        raise ValueError(f"U^({idx}) is not orthogonal")
-    perm = tuple(k for row in rows for k, v in enumerate(row) if v)
-    return SignedPermutation(perm, tuple(int(rows[i][k]) for i, k in enumerate(perm)))
-
-
-def from_json_dict(data: dict) -> HTypeStructure:
-    pair = DimPair(int(data["n"]), int(data["m"]))
-    family = tuple(_from_rows(idx, U, 2 * pair.n) for idx, U in enumerate(data["U"], 1))
-    s = HTypeStructure(pair=pair, family=family)
-    verify_structure(s)
-    return s
 
 
 def write_json(s: HTypeStructure, path) -> None:

@@ -80,13 +80,6 @@ def _report(name: str, domain: str, worst, bound, note: str = "") -> InequalityR
     return InequalityReport(name, domain, float(worst), float(bound), worst <= bound, note)
 
 
-def _phi_prefactor(n: int, m: int) -> Fraction:
-    """The rational factor of phi(n, m) in front of c(n-1, m)/c(n, m)."""
-    s = n + m
-    return Fraction((n - 1) ** (s - 1) * (s - 2) ** (s - 1) * s * (2 * n + m - 1),
-                    n**s * (s - 1) ** (s + 1))
-
-
 def psi(pair) -> Fraction:
     """gamma_bar(n, m)/gamma_bar(n, m-1) for m >= 2, as an exact rational."""
     p = as_pair(pair)
@@ -124,17 +117,14 @@ def inequality_suite() -> list[InequalityReport]:
             gb[n, m] = gamma_bar_exact((n, m))
 
     # the paper's lemmas, reproduced: the phi chain, which no classification rests on
-    # --- phi: certified bound, and the closed form's prefactor exactly ------
-    # 5/(2e) < 1, so the bound also shows gamma_tilde decreasing in n; the c(n, m)
-    # factors are the same on both sides of the closed form, so only its rational
-    # prefactor is compared, with gb(n,m) (n-1)^(n+m-1) / (gb(n-1,m) n^(n+m))
+    # --- phi: certified bound ----------------------------------------------
+    # 5/(2e) < 1, so the bound also shows gamma_tilde decreasing in n.  The closed
+    # form's rational prefactor is (n-1)^(s-1)/n^s X(n, m), whose X is decided
+    # exactly below (gamma_bar_n_quotient)
     phi_domain = f"2 <= n <= {n_max}, 1 <= m <= {m_max}"
     phi_pairs = [(n, m) for n in range(2, n_max + 1) for m in range(1, m_max + 1)]
     worst = max(hi[n, m] / lo[n - 1, m] for n, m in phi_pairs)
     reports.append(_report("phi_upper_bound", phi_domain, worst, 5 / (2 * _E_HI)))
-    worst = max(abs(_phi_prefactor(n, m) * gb[n - 1, m] * n ** (n + m)
-                    / (gb[n, m] * (n - 1) ** (n + m - 1)) - 1) for n, m in phi_pairs)
-    reports.append(_report("phi_closed_form_agreement", phi_domain, worst, 0))
 
     # --- the quadratic used to settle the phi bound ------------------------
     quad_max = max(Fraction(11 - 8 * m - 3 * m * m, 2) for m in range(1, m_max + 1))

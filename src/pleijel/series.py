@@ -55,24 +55,13 @@ Pairs with (n+m) log2 n > 1000 are refused as well: their k = 0 term
 n^-(n+m), a lower bound on c(n, m), nears the subnormal range, where
 binary64 loses relative accuracy.
 
-Two more remainder bounds serve the oracles and callers outside the
-kernel:
-
-* ``c_tail_bound`` -- the coarse closed bound
-  (K-1)^-m / ((n-1)! 2^(m+1) m), valid for K >= max(n-1, 2).  It follows
-  from C(k+n-1, k) <= (k+n-1)^(n-1)/(n-1)! and k+n-1 <= 2k for k >= n-1,
-  which squeeze the summand below k^-(m+1)/((n-1)! 2^(m+1)); an integral
-  comparison finishes.
-
-* ``_integral_remainder`` -- the summand extends to the real function
-  f(x) = prod_{j<n}(x+j) / ((n-1)! (2x+n)^(n+m)), which is nonincreasing
-  for x >= n^2/2 (``_min_terms``).  For K past that point
-
-      I(K) <= sum_{k >= K} f(k) <= I(K) + f(K),
-
-  where I(K) = int_K^inf f is evaluated in closed form.  The direct-
-  summation oracles (``weyl_density_bruteforce`` and the tests) use this
-  bracket.
+One more remainder bound serves callers outside the kernel:
+``c_tail_bound``, the coarse closed bound (K-1)^-m / ((n-1)! 2^(m+1) m),
+valid for K >= max(n-1, 2).  It follows from
+C(k+n-1, k) <= (k+n-1)^(n-1)/(n-1)! and k+n-1 <= 2k for k >= n-1, which
+squeeze the summand below k^-(m+1)/((n-1)! 2^(m+1)); an integral
+comparison finishes.  The direct summations of the oracles bracket the
+remainder by its integral instead (``oracles._integral_remainder``).
 """
 
 from __future__ import annotations
@@ -146,20 +135,6 @@ class SeriesValue(_SeriesValueFields):
         return self.value + self.tail_bound
 
 
-def _summand(n: int, m: int, k: int) -> float:
-    """Summand C(k+n-1, k) / (2k+n)^(n+m) as a float, for n, m >= 1 and k >= 0.
-
-    Evaluated as prod_{j<n} (k+j)/(j(2k+n)) * (2k+n)^-(m+1): the partial
-    products stay O(1), so nothing overflows for any k, and the relative
-    error is <= ~2n machine epsilons (far inside 1e-13).
-    """
-    d = 2 * k + n
-    r = 1.0
-    for j in range(1, n):
-        r *= (k + j) / (j * d)
-    return r * float(d) ** (-(m + 1))
-
-
 @lru_cache(maxsize=None)
 def _shifted_numerator_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients b_i with prod_{j=1}^{n-1} (u + 2j - n) = sum b_i u^i.
@@ -173,29 +148,6 @@ def _shifted_numerator_coeffs(n: int) -> tuple[int, ...]:
     coeffs = [0] * n
     coeffs[1 - n % 2::2] = q
     return tuple(coeffs)
-
-
-def _integral_remainder(pair, K: int) -> float:
-    """Closed form of int_K^inf f(x) dx for the real-extended summand f.
-
-    With u = 2x + n the numerator polynomial becomes
-    2^-(n-1) * sum_i b_i u^i, and each power integrates to
-    U^(i-n-m+1)/(n+m-i-1) with U = 2K + n.  Valid (as a remainder lower
-    bound) only where f is nonincreasing, i.e. K >= n^2/2.
-    """
-    p = as_pair(pair)
-    U = float(2 * K + p.n)
-    total = 0.0
-    for i, b in enumerate(_shifted_numerator_coeffs(p.n)):
-        decay = p.n + p.m - i - 1  # >= m >= 1
-        total += b * U ** (-decay) / decay
-    return total / (2**p.n * math.factorial(p.n - 1))
-
-
-def _min_terms(n: int) -> int:
-    # past the summand's peak (k >= n^2/2 makes it nonincreasing), as the integral
-    # bracket of the direct-summation oracles needs, plus a floor of 16
-    return max(16, n, n * n // 2 + 1)
 
 
 def _split(n: int) -> int:
@@ -331,11 +283,14 @@ c_series.cache_clear = _enclosure.cache_clear
 def c_tail_bound(pair, K: int) -> float:
     """Coarse proven bound on sum_{k >= K} of the summand.
 
-    Equals (K-1)^-m / ((n-1)! 2^(m+1) m); requires K >= max(n-1, 2) so
-    that both the binomial squeeze and the integral comparison apply.
-    Strictly decreasing in K.
+    The exact (K-1)^-m / ((n-1)! 2^(m+1) m) as one correctly rounded
+    integer quotient, moved one ulp up, so it is at least the exact bound
+    (0 where that underflows becomes the smallest subnormal); requires
+    K >= max(n-1, 2) so that both the binomial squeeze and the integral
+    comparison apply.  Nonincreasing in K.
     """
     p = as_pair(pair)
     if K < max(p.n - 1, 2):
         raise ValueError(f"c_tail_bound{p} needs K >= max(n-1, 2) = {max(p.n - 1, 2)}, got {K}")
-    return float(K - 1) ** (-p.m) / (math.factorial(p.n - 1) * 2 ** (p.m + 1) * p.m)
+    den = (K - 1) ** p.m * math.factorial(p.n - 1) * 2 ** (p.m + 1) * p.m
+    return math.nextafter(1 / den, math.inf)

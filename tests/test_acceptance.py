@@ -25,26 +25,22 @@ import pytest
 from pleijel import reference
 from pleijel.admissibility import radon_hurwitz, shading_mask
 from pleijel.cli import TableSpec, _compute_cell, render_table
-from pleijel.constants import (
-    exceptional_set,
-    gamma_bar_exact,
-    gamma_tilde,
-    gamma_tilde_interval,
-    gamma_tilde_product_form,
-    weyl_constant,
-    weyl_density_bruteforce,
-)
+from pleijel.constants import exceptional_set, gamma_bar_exact, gamma_tilde_interval
 from pleijel.core import DimPair
 from pleijel.htype_algebra import construct, group_mul, verify_structure
 from pleijel.monotonicity import inequality_suite
-from pleijel.numerics import round_half_away, zeta
-from pleijel.series import (
+from pleijel.numerics import round_half_away
+from pleijel.oracles import (
     _integral_remainder,
     _min_terms,
     _summand,
-    c_series,
-    c_tail_bound,
+    gamma_tilde,
+    gamma_tilde_product_form,
+    weyl_constant,
+    weyl_density_bruteforce,
+    zeta,
 )
+from pleijel.series import c_series, c_tail_bound
 
 
 def _verdict(num: int, title: str, ok: bool, detail: str = "") -> None:

@@ -19,8 +19,9 @@ from pleijel.admissibility import admissible, radon_hurwitz, shading_mask
 from pleijel.checks import CheckResult
 from pleijel.cli import TableSpec, _compute_cell
 from pleijel.core import DimPair, InadmissiblePair
-from pleijel.htype_algebra import GroupElement, Polynomial, construct
+from pleijel.htype_algebra import GroupElement, construct
 from pleijel.monotonicity import InequalityReport
+from pleijel.oracles import Polynomial
 from pleijel.series import c_series
 
 #: one instance of each of the package's value types (NamedTuples)
@@ -39,7 +40,7 @@ _VALUE_TYPES = {
 
 #: the library modules whose ``__all__`` the package re-exports, in order
 _LIBRARY_MODULES = ("core", "admissibility", "numerics", "series", "constants", "monotonicity",
-                    "htype_algebra")
+                    "htype_algebra", "oracles")
 
 
 class TestRadonHurwitz:
@@ -157,7 +158,7 @@ class TestPackageExports:
         assert result.returncode == 0, result.stderr
         registered, ran = json.loads(result.stdout)
         assert registered == sorted(f"pleijel.{name}" for name in (
-            *_LIBRARY_MODULES, "reference", "checks"))
+            *_LIBRARY_MODULES, "reference", "checks", "render"))
         assert ran == []
 
     @pytest.mark.parametrize("name", ["binomial", "gamma_ratio_exact", "multiindex_count",

@@ -465,7 +465,7 @@ class TestCheck:
     def test_zeta_rows_compare_enclosures(self, monkeypatch):
         # an oracle shifted by 1e-13 relative no longer overlaps the series enclosure
         from pleijel import checks
-        from pleijel.numerics import zeta_interval
+        from pleijel.oracles import zeta_interval
 
         def shifted(s):
             z = zeta_interval(s)
@@ -712,10 +712,9 @@ codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["value", "30", "1", "gamma_tilde"], ["value", "3", "4", "weyl"],
                  ["table", "weyl", "--n-max", "30", "--m-max", "30", "--format", "json"],
-                 ["exceptional"]):
+                 ["exceptional"], ["htype", "8", "8", sys.argv[1]]):
         codes.append(pleijel.cli.main(argv))
     by_verbs = set(sys.modules) - before
-    codes.append(pleijel.cli.main(["htype", "8", "8", sys.argv[1]]))
 import json
 print(json.dumps({"after_import": after_import,
                   "after_verbs": "numpy" in sys.modules, "codes": codes,
@@ -726,7 +725,7 @@ print(json.dumps({"after_import": after_import,
 
 # Run in a fresh interpreter: which pleijel modules are in sys.modules, and which
 # have run (a lazily registered module becomes a plain module when it runs), after
-# `import pleijel.cli` and after the verb given as JSON.
+# `import pleijel.cli` and after the verb given as JSON; and whether numpy was loaded.
 _VERB_PROBE = """
 import contextlib, io, json, sys, types
 import pleijel.cli
@@ -740,13 +739,13 @@ after_import = ran()
 with contextlib.redirect_stdout(io.StringIO()):
     code = pleijel.cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"present": present, "after_import": after_import, "after_verb": ran(),
-                  "code": code}))
+                  "code": code, "numpy": "numpy" in sys.modules}))
 """
 
 _PACKAGE_MODULES = {"admissibility", "checks", "cli", "constants", "core", "htype_algebra",
-                    "monotonicity", "numerics", "reference", "series"}
+                    "monotonicity", "numerics", "oracles", "reference", "render", "series"}
 # the modules only `check` runs
-_SELF_CHECK_LAYERS = {"checks", "htype_algebra", "monotonicity", "reference"}
+_SELF_CHECK_LAYERS = {"checks", "htype_algebra", "monotonicity", "oracles", "reference"}
 
 
 class TestClosedStdout:
@@ -766,7 +765,7 @@ class TestClosedStdout:
 
 class TestImportPath:
     def test_value_table_exceptional_leave_numpy_unloaded(self, tmp_path):
-        # `htype` included
+        # and `htype`: the five verbs load no numpy, and no fractions, decimal or json
         result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "h88.json")],
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
@@ -778,17 +777,19 @@ class TestImportPath:
         # dis and tokenize, and fractions pulls in decimal; datetime, json and
         # fractions are loaded by the verbs that use them
         assert probe["stdlib_added"] == []
-        # value of a non-gamma_bar quantity, a json table and exceptional build no
-        # Fraction and write their JSON text themselves
+        # value of a non-gamma_bar quantity, a json table, exceptional and htype
+        # build no Fraction and write their JSON text themselves
         assert probe["stdlib_by_verbs"] == []
 
     @pytest.mark.parametrize("argv, unrun", [
-        (["value", "30", "1", "gamma_tilde"], _SELF_CHECK_LAYERS),
+        (["value", "30", "1", "gamma_tilde"], _SELF_CHECK_LAYERS | {"render"}),
         (["table", "weyl", "--format", "json"], _SELF_CHECK_LAYERS),
-        (["exceptional"], _SELF_CHECK_LAYERS),
-        (["htype", "8", "8", "h88.json"], {"checks", "monotonicity", "reference",
-                                            "constants", "numerics", "series"}),
-        (["check", "all", "--no-timestamp"], set()),
+        (["exceptional"], _SELF_CHECK_LAYERS | {"render"}),
+        (["htype", "8", "8", "h88.json"], {"checks", "monotonicity", "oracles", "reference",
+                                            "render", "constants", "numerics", "series"}),
+        # the zeta oracle sums over Python floats, the term-ratio link is exact, and
+        # the algebra suite is integer work on signed permutations: no numpy
+        (["check", "all", "--no-timestamp"], {"render"}),
     ], ids=["value", "table", "exceptional", "htype", "check"])
     def test_each_verb_runs_only_the_modules_it_calls(self, tmp_path, argv, unrun):
         argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
@@ -801,6 +802,7 @@ class TestImportPath:
         assert probe["present"] == sorted(_PACKAGE_MODULES)
         assert probe["after_import"] == ["admissibility", "cli", "core"]
         assert probe["after_verb"] == sorted(_PACKAGE_MODULES - unrun)
+        assert not probe["numpy"]
 
     def test_from_import_of_cli_runs_what_import_does(self):
         # the import system asks the package for `cli` before importing it
@@ -813,30 +815,6 @@ class TestImportPath:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["pleijel.admissibility", "pleijel.cli", "pleijel.core"]
-
-    def test_check_algebra_leaves_numpy_unloaded(self):
-        # the extension search and the J_z check are integer work on signed permutations
-        probe = ("import contextlib, io, sys\n"
-                 "import pleijel.cli\n"
-                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                 "    code = pleijel.cli.main(['check', 'algebra', '--no-timestamp'])\n"
-                 "print(code, 'numpy' in sys.modules)\n")
-        result = subprocess.run([sys.executable, "-c", probe],
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["0", "False"]
-
-    def test_check_all_leaves_numpy_unloaded(self):
-        # the zeta oracle sums over Python floats and the term-ratio link is exact
-        probe = ("import contextlib, io, sys\n"
-                 "import pleijel.cli\n"
-                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                 "    code = pleijel.cli.main(['check', 'all', '--no-timestamp'])\n"
-                 "print(code, 'numpy' in sys.modules)\n")
-        result = subprocess.run([sys.executable, "-c", probe],
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["0", "False"]
 
     def test_every_verb_runs_where_numpy_cannot_be_imported(self, tmp_path):
         # stands in for an install without numpy: the import system refuses it

@@ -19,23 +19,29 @@ from hypothesis import strategies as st
 
 from pleijel.admissibility import radon_hurwitz
 from pleijel.constants import (
-    _weyl_prefactor,
     exceptional_set,
-    gamma_bar,
     gamma_bar_exact,
-    gamma_tilde,
     gamma_tilde_interval,
-    gamma_tilde_product_form,
     log_gamma_bar,
     sobolev_interval,
-    weyl_constant,
-    weyl_density_bruteforce,
     weyl_interval,
 )
 from pleijel.core import DimPair, Enclosure, PrecisionUnreachable, as_pair
-from pleijel.numerics import log_gamma, round_half_away, sphere_area, zeta
+from pleijel.numerics import log_gamma, round_half_away
 from pleijel import constants, reference
-from pleijel.series import _integral_remainder, _min_terms, _summand
+from pleijel.oracles import (
+    _integral_remainder,
+    _min_terms,
+    _summand,
+    _weyl_prefactor,
+    gamma_bar,
+    gamma_tilde,
+    gamma_tilde_product_form,
+    sphere_area,
+    weyl_constant,
+    weyl_density_bruteforce,
+    zeta,
+)
 from test_series import _hurwitz_oracle
 
 SOBOLEV_21_REFERENCE = 9.973934966328010133395

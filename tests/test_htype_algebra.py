@@ -21,17 +21,15 @@ from pleijel.core import DimPair, InadmissiblePair
 from pleijel.htype_algebra import (
     GroupElement,
     HTypeStructure,
-    Polynomial,
     SignedPermutation,
     _QMUL,
     construct,
-    from_json_dict,
     group_mul,
-    sublaplacian,
     to_json_dict,
     verify_structure,
     write_json,
 )
+from pleijel.oracles import Polynomial, from_json_dict, sublaplacian
 
 
 def dense(s: HTypeStructure) -> tuple[np.ndarray, ...]:

@@ -7,15 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from pleijel.constants import gamma_bar_exact, gamma_tilde
-from pleijel.monotonicity import (
-    _n_quotient,
-    _phi_prefactor,
-    _pi_product,
-    inequality_suite,
-    psi,
-)
-from pleijel.series import _summand, c_series
+from pleijel import monotonicity
+from pleijel.constants import gamma_bar_exact
+from pleijel.monotonicity import _n_quotient, _pi_product, inequality_suite, psi
+from pleijel.oracles import _summand, gamma_tilde
+from pleijel.series import c_series
 
 
 def term_ratio(pair, k: float) -> float:
@@ -33,9 +29,11 @@ def phi_quotient(pair) -> float:
 
 
 def phi_closed_form(pair) -> float:
-    """phi(n, m) by its closed form: the rational prefactor times c(n-1, m)/c(n, m)."""
+    """phi(n, m) by its closed form: the rational prefactor (n-1)^(s-1)/n^s X(n, m),
+    s = n + m, times c(n-1, m)/c(n, m).  X is looked up when called."""
     n, m = pair
-    return float(_phi_prefactor(n, m)) * c_series((n - 1, m)).midpoint / c_series(pair).midpoint
+    prefactor = Fraction((n - 1) ** (n + m - 1), n ** (n + m)) * monotonicity._n_quotient(n, m)
+    return float(prefactor) * c_series((n - 1, m)).midpoint / c_series(pair).midpoint
 
 
 class TestPhi:
@@ -160,7 +158,6 @@ class TestInequalitySuite:
         names = {r.name for r in reports}
         assert {
             "phi_upper_bound",
-            "phi_closed_form_agreement",
             "phi_quadratic_nonpositive",
             "term_ratio_increasing",
             "c_ratio_lower_bound_holds",
@@ -192,32 +189,22 @@ class TestInequalitySuite:
         assert link.passed and link.max_observed == -4 and link.threshold == 0
         assert link.domain_scanned == "n >= 2, m >= 1, real k >= 0"
 
-    def test_phi_prefactor_is_compared_exactly(self, monkeypatch):
-        # a prefactor off by one part in 2^40 fails the agreement report
-        from pleijel import monotonicity
-
-        exact = monotonicity._phi_prefactor
-        monkeypatch.setattr(monotonicity, "_phi_prefactor",
-                            lambda n, m: exact(n, m) * (1 + Fraction(1, 2**40)))
-        by_name = {r.name: r for r in inequality_suite()}
-        assert not by_name["phi_closed_form_agreement"].passed
-
     @pytest.mark.parametrize("name, failing", [
         ("_n_quotient", {"gamma_bar_n_quotient", "gamma_bar_m_quotient"}),
         ("_pi_product", {"gamma_bar_m_quotient"}),
     ], ids=["X", "Pi"])
     def test_quotient_identities_are_compared_exactly(self, monkeypatch, name, failing):
-        # X or Pi off by one part in 2^40 fails each identity that uses it
-        from pleijel import monotonicity
-
+        # X or Pi off by one part in 2^40 fails each identity that uses it.  X is
+        # also phi's closed-form prefactor over (n-1)^(s-1)/n^s, so a prefactor
+        # off by as much moves phi_closed_form and fails gamma_bar_n_quotient
         exact = getattr(monotonicity, name)
+        phi = phi_closed_form((3, 2))
         monkeypatch.setattr(monotonicity, name,
                             lambda n, m: exact(n, m) * (1 + Fraction(1, 2**40)))
         assert {r.name for r in inequality_suite() if not r.passed} == failing
+        assert (phi_closed_form((3, 2)) != phi) == (name == "_n_quotient")
 
     def test_e_lower_bound_is_compared_exactly(self, monkeypatch):
-        from pleijel import monotonicity
-
         monkeypatch.setattr(monotonicity, "_E_LO",
                             monotonicity._E_LO * (1 + Fraction(1, 2**40)))
         assert {r.name for r in inequality_suite() if not r.passed} == {"e_lower_bound"}

@@ -11,14 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pleijel.numerics import (
-    as_half_integer,
-    log_gamma,
-    round_half_away,
-    sphere_area,
-    zeta,
-    zeta_interval,
-)
+from pleijel.numerics import as_half_integer, log_gamma, round_half_away
+from pleijel.oracles import sphere_area, zeta, zeta_interval
 
 
 def exact_log_gamma(q: Fraction) -> float:

@@ -24,17 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pleijel.core import DimPair, PrecisionUnreachable, as_pair
-from pleijel.numerics import zeta
+from pleijel.oracles import _integral_remainder, _min_terms, _summand, zeta
 from pleijel.series import (
     _BERNOULLI,
     SeriesValue,
     _enclosure,
-    _integral_remainder,
-    _min_terms,
     _row,
     _shifted_numerator_coeffs,
     _split,
-    _summand,
     c_series,
     c_tail_bound,
 )
@@ -362,6 +359,18 @@ class TestTailBound:
         with pytest.raises(ValueError):
             c_tail_bound((5, 1), 3)  # needs K >= n - 1 = 4
         assert c_tail_bound((5, 1), 4) > 0
+
+    def test_rounds_the_exact_rational_up(self):
+        # (K-1)^-m / ((n-1)! 2^(m+1) m) correctly rounded, then one ulp up: at least
+        # the exact bound.  A float power over an int fell below it at about half
+        # these points (at (3, 1), K = 52, for one) and overflowed at (200, 1)
+        points = [((n, m), K) for n in range(1, 40) for m in range(1, 40)
+                  for K in sorted({max(n - 1, 2), 7, 52, 1000}) if K >= max(n - 1, 2)]
+        for (n, m), K in [*points, ((200, 1), 300)]:
+            exact = Fraction(1, (K - 1) ** m * math.factorial(n - 1) * 2 ** (m + 1) * m)
+            bound = c_tail_bound((n, m), K)
+            assert Fraction(bound) >= exact, (n, m, K)
+            assert bound == math.nextafter(float(exact), math.inf), (n, m, K)
 
     def test_dominates_true_remainder_on_grid(self):
         for n, m in [(1, 1), (1, 3), (2, 1), (2, 3), (3, 2), (4, 1), (5, 5)]:
