@@ -8,33 +8,54 @@ bound gamma_bar, the Radon-Hurwitz admissibility classification of
 
 Each library module lists its public names once, in its ``__all__``; the
 package exports exactly those.  Importing the package runs none of them:
-every library module is registered in ``sys.modules`` as a lazy module
-(``importlib.util.LazyLoader``) and runs on its first attribute access.
-An exported name is resolved on first use by reading the ``__all__`` of
-each exporting module in turn, which runs every module up to the one
-that lists it: ``from pleijel import DimPair`` runs ``core`` alone, and
-``from pleijel import zeta`` runs all eight; ``oracles`` comes last.  A
-CLI verb imports from the modules directly, so it compiles and runs only
-the modules it calls: ``oracles`` (what only ``check`` and the tests call)
-under ``check``, ``render`` (the table formats) under ``table``.  ``cli``
-is not registered, so that ``python -m pleijel.cli`` finds it unloaded.
+every library module is registered in ``sys.modules`` as a lazy module and
+runs on its first attribute access (``__dict__`` included), under one lock,
+so a thread that finds a module running waits until it has run.  An
+exported name is resolved on first use by reading the ``__all__`` of each
+exporting module in turn, which runs every module up to the one that lists
+it: ``from pleijel import DimPair`` runs ``core`` alone, and
+``from pleijel import zeta_interval`` runs all eight; ``oracles`` comes
+last.  A CLI verb imports from the modules directly, so it compiles and
+runs only the modules it calls: ``oracles`` (what only ``check`` and the
+tests call) under ``check``, ``render`` (the table formats) under
+``table``.  ``cli`` is not registered, so that ``python -m pleijel.cli``
+finds it unloaded.
 """
 
 import importlib.util
 import sys
+import threading
+import types
 
 __version__ = "0.1.0"
 
 # the modules whose ``__all__`` the package exports, in this order
 _EXPORTING = ("core", "admissibility", "numerics", "series", "constants", "monotonicity",
               "htype_algebra", "oracles")
+_LOCK = threading.RLock()
+
+
+class _LazyModule(types.ModuleType):
+    """A registered module not yet run: the first attribute access runs it under
+    the lock, then makes it a plain module.  Its own run, and the runs it imports,
+    re-enter the lock and read the module as it stands, as an import cycle would."""
+
+    def __getattribute__(self, attr):
+        get = types.ModuleType.__getattribute__
+        spec = get(self, "__spec__")
+        with _LOCK:
+            if spec.loader_state is None:  # unused by the source loader: marks the run
+                spec.loader_state = "run"
+                spec.loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return get(self, attr)
+
 
 for _name in (*_EXPORTING, "reference", "checks", "render"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)
+    _module.__class__ = _LazyModule
     sys.modules[_spec.name] = globals()[_name] = _module
-    _spec.loader.exec_module(_module)  # marks it lazy; it runs on first attribute access
 del _name, _spec, _module
 
 

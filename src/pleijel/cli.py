@@ -9,7 +9,8 @@ Verbs:
                              Pleijel threshold 1;
 * ``htype N M OUT.json``  -- write a verified H-type matrix family
                              (exit 3 for inadmissible pairs, exit 2 over
-                             2^22 dense matrix entries).
+                             2^22 dense matrix entries or where OUT.json
+                             cannot be written).
 
 ``--eps`` exists on ``value`` and ``table`` only: the library computes
 each enclosure at the binary64 rounding floor, the same for every eps,
@@ -19,7 +20,7 @@ than eps, a pair out of binary64 range, or a value that underflows
 binary64 so no relative eps holds) is refused with a one-line message on
 stderr and exit 2, as is an exact gamma_bar whose numerator or
 denominator may exceed the interpreter's integer-to-string digit limit,
-or a sobolev value with n + m > 10,000.
+or a sobolev, weyl or gamma_tilde value with n + m > 10,000.
 
 Output is deterministic byte-for-byte; ``check`` carries a timestamp in
 its JSON trailer unless --no-timestamp is given.
@@ -44,7 +45,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 QUANTITIES = ("gamma_tilde", "gamma_bar", "sobolev", "weyl", "c_series")
-_SOBOLEV_MAX_S = 10_000  # `value` refuses sobolev above this n + m
+_MAX_S = 10_000  # `value` refuses sobolev, weyl and gamma_tilde above this n + m
 FORMATS = ("markdown", "csv", "json", "latex")
 # checks.SUITES, then "all", spelled out so that building the parser runs no checks
 SUITE_NAMES = ("tables", "consistency", "monotonicity", "admissibility", "algebra", "all")
@@ -138,9 +139,11 @@ def _over_digit_limit(args, bits: int) -> bool:
 
 
 def _cmd_value(args) -> int:
-    if args.quantity == "sobolev" and args.n + args.m > _SOBOLEV_MAX_S:
-        # sobolev_interval's integer work grows like s^1.6: 0.3-0.8 s at the limit
-        print(f"error: sobolev({args.n},{args.m}) needs n + m <= {_SOBOLEV_MAX_S}",
+    if args.quantity in ("sobolev", "weyl", "gamma_tilde") and args.n + args.m > _MAX_S:
+        # sobolev_interval's integer work grows like s^1.6: 0.3-0.8 s at the limit.
+        # weyl and gamma_tilde past it are certain refusals: n >= 2 is out of the
+        # series' range ((n+m) log2 n > 1000), and at n = 1 the value underflows
+        print(f"error: {args.quantity}({args.n},{args.m}) needs n + m <= {_MAX_S}",
               file=sys.stderr)
         return 2
     if args.quantity == "gamma_bar":
@@ -231,7 +234,11 @@ def _cmd_htype(args) -> int:
         print(f"error: htype({args.n},{args.m}) would write {entries} dense matrix entries, "
               "over the limit of 2^22", file=sys.stderr)
         return 2
-    htype_algebra.write_json(htype_algebra.construct(verdict.pair), args.output)
+    try:
+        htype_algebra.write_json(htype_algebra.construct(verdict.pair), args.output)
+    except OSError as exc:  # the family is built and verified; the path is refused
+        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return 2
     print(f"wrote verified H-type structure ({args.n},{args.m}) to {args.output}")
     return 0
 

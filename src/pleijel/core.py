@@ -9,7 +9,7 @@ dimension is Q = 2n + 2m.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from typing import NamedTuple
 
 __all__ = ["DimPair", "Enclosure", "InadmissiblePair", "PrecisionUnreachable"]
@@ -75,13 +75,13 @@ class DimPair(_DimPairFields):
 
 
 def as_pair(pair) -> DimPair:
-    """Coerce a DimPair or an (n, m) tuple of any ``numbers.Integral`` to DimPair."""
+    """Coerce a DimPair or an (n, m) tuple of integers (``operator.index``) to DimPair."""
     if isinstance(pair, DimPair):
         return pair
     n, m = pair
-    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (n, m)):
+    if isinstance(n, bool) or isinstance(m, bool):  # operator.index(True) is 1
         raise TypeError(f"n, m must be integers, got ({n!r}, {m!r})")
-    return DimPair(int(n), int(m))
+    return DimPair(operator.index(n), operator.index(m))
 
 
 class Enclosure(NamedTuple):

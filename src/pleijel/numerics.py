@@ -1,57 +1,17 @@
-"""Special-function primitives shared by the rest of the package.
+"""Numeric primitives shared by the rest of the package.
 
-All approximate values are binary64.  Quantities that blow up (such as
-Gamma(2n + m) for large n) are never formed directly on the approximate
-path; everything is assembled in the log domain.
-
-Half-integers are represented as Fraction with denominator 1 or 2; plain
-ints and exactly-half-integral floats are accepted and coerced.  The
-float bounds of pi live here, as does ``round_half_away``, the display
+The float bounds of pi live here, with ``_outward``, which rounds an exact
+quotient of integers one ulp outward, and ``round_half_away``, the display
 rule of every printed value.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from typing import TYPE_CHECKING
 
 from .core import Enclosure
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-__all__ = ["log_gamma", "round_half_away"]
-
-
-def as_half_integer(q) -> Fraction:
-    """Coerce q to an exact half-integer Fraction; reject anything else."""
-    from fractions import Fraction  # loaded only where one is built
-
-    if isinstance(q, numbers.Integral):
-        return Fraction(int(q))
-    if isinstance(q, Fraction):
-        f = q
-    elif isinstance(q, float):
-        f = Fraction(q)
-    else:
-        raise TypeError(f"not a half-integer: {q!r}")
-    if (2 * f).denominator != 1:
-        raise ValueError(f"not a half-integer: {q!r}")
-    return f
-
-
-def log_gamma(q) -> float:
-    """Natural log of Gamma(q) for a positive half-integer q.
-
-    Relative accuracy 1e-14 against max(1, |ln Gamma(q)|); delegated to
-    math.lgamma, which is well within that on half-integral arguments
-    (validated against the exact factorial forms in the test-suite).
-    """
-    f = as_half_integer(q)
-    if f <= 0:
-        raise ValueError(f"log_gamma needs q > 0, got {q}")
-    return math.lgamma(float(f))
+__all__ = ["round_half_away"]
 
 
 # math.pi < pi < nextafter(math.pi, 4), as (numerator, denominator)

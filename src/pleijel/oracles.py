@@ -1,17 +1,16 @@
 """The oracles: what only ``check`` and the tests call.
 
-Each name here re-derives, or views as a float, something the production
-modules compute, by an independent route:
+Each name here re-derives something the production modules compute, by
+an independent route:
 
 * ``gamma_tilde_product_form`` -- the defining product C^(-Q/2) W^-1,
   enclosed from ``sobolev_interval`` and ``weyl_interval``;
 * ``weyl_density_bruteforce`` -- the spectral density rebuilt shell by
   shell, with the series pieces it sums (``_summand``, ``_min_terms``,
   ``_integral_remainder``);
-* the float views ``gamma_bar``, ``weyl_constant`` and ``gamma_tilde``, and
-  ``sphere_area``;
-* ``zeta_interval`` and ``zeta`` -- Riemann zeta without the series'
-  Euler-Maclaurin code;
+* ``sphere_area`` -- the area of the unit sphere, a factor of that density;
+* ``zeta_interval`` -- Riemann zeta without the series' Euler-Maclaurin
+  code;
 * ``Polynomial`` and ``sublaplacian`` -- the sublaplacian applied to exact
   polynomial test functions;
 * ``from_json_dict`` -- an ``htype`` file read back and re-verified.
@@ -28,21 +27,17 @@ from collections.abc import Sized
 from fractions import Fraction
 from functools import lru_cache
 
-from .constants import gamma_tilde_interval, log_gamma_bar, sobolev_interval, weyl_interval
+from .constants import sobolev_interval, weyl_interval
 from .core import DimPair, Enclosure, as_pair
 from .htype_algebra import HTypeStructure, SignedPermutation, verify_structure
-from .numerics import _PI_HI, _PI_LO, _outward, log_gamma
+from .numerics import _PI_HI, _PI_LO, _outward
 from .series import _BERNOULLI, _ETA, _POW, _charge, _shifted_numerator_coeffs
 
 __all__ = [
-    "gamma_bar",
-    "weyl_constant",
-    "gamma_tilde",
     "gamma_tilde_product_form",
     "weyl_density_bruteforce",
     "sphere_area",
     "zeta_interval",
-    "zeta",
     "Polynomial",
     "sublaplacian",
     "from_json_dict",
@@ -53,30 +48,7 @@ _LOG_TWO_PI = math.log(2 * math.pi)
 
 
 # --------------------------------------------------------------------------
-# float views of the constants
-
-def gamma_bar(pair) -> float:
-    """Log-domain binary64 evaluation of the truncation bound."""
-    return math.exp(log_gamma_bar(pair))
-
-
-def weyl_constant(pair) -> float:
-    """Eigenvalue-counting coefficient: the midpoint of ``weyl_interval``."""
-    return weyl_interval(pair).mid
-
-
-def gamma_tilde(pair) -> float:
-    """Nodal-domain bound: the midpoint of ``gamma_tilde_interval``."""
-    return gamma_tilde_interval(pair).mid
-
-
-def sphere_area(d: int) -> float:
-    """Surface measure of the unit d-sphere: 2 pi^((d+1)/2) / Gamma((d+1)/2)."""
-    if d < 0:
-        raise ValueError(f"sphere_area needs d >= 0, got {d}")
-    h = Fraction(d + 1, 2)
-    return math.exp(math.log(2) + float(h) * LOG_PI - log_gamma(h))
-
+# the defining product
 
 def gamma_tilde_product_form(pair) -> Enclosure:
     """Certified enclosure of the defining product C^(-Q/2) W^-1,
@@ -141,6 +113,14 @@ def _min_terms(n: int) -> int:
     return max(16, n, n * n // 2 + 1)
 
 
+def sphere_area(d: int) -> float:
+    """Surface measure of the unit d-sphere: 2 pi^((d+1)/2) / Gamma((d+1)/2)."""
+    if d < 0:
+        raise ValueError(f"sphere_area needs d >= 0, got {d}")
+    h = (d + 1) / 2
+    return math.exp(math.log(2) + h * LOG_PI - math.lgamma(h))
+
+
 def _weyl_prefactor(p: DimPair) -> float:
     s = p.n + p.m
     return math.exp(math.log(sphere_area(p.m - 1)) - s * _LOG_TWO_PI - math.log(s))
@@ -151,7 +131,7 @@ _BRUTEFORCE_EPS = 1e-9  # the shell sum stops at a term <= this times its partia
 
 def weyl_density_bruteforce(pair, lam: float) -> float:
     """On-diagonal spectral density 1(-Delta < lambda) rebuilt from first
-    principles, as a cross-check of ``weyl_constant``.
+    principles, as a cross-check of ``weyl_interval``.
 
     The fibrewise diagonalisation gives Landau levels |tau|(2|k| + n) over
     multi-indices k in N_0^n; for each shell |k| = K the radial tau
@@ -169,7 +149,7 @@ def weyl_density_bruteforce(pair, lam: float) -> float:
     integral bracket (the shell sum *is* the series, restructured); the
     bracket midpoint is used.
 
-    Equals weyl_constant(pair) * lambda^(n+m) up to the combined
+    Equals weyl_interval(pair).mid * lambda^(n+m) up to the combined
     certified error.
     """
     p = as_pair(pair)
@@ -236,11 +216,6 @@ def zeta_interval(s: int) -> Enclosure:
     lo = Fraction(head) - error + Fraction(1, (s - 1) * N ** (s - 1))
     hi = Fraction(head) + error + Fraction(1, (s - 1) * (N - 1) ** (s - 1))
     return _outward(lo.as_integer_ratio(), hi.as_integer_ratio())
-
-
-def zeta(s: int) -> float:
-    """Riemann zeta at an integer s >= 2: the midpoint of ``zeta_interval``."""
-    return zeta_interval(s).mid
 
 
 # --------------------------------------------------------------------------

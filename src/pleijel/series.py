@@ -127,10 +127,6 @@ class SeriesValue(_SeriesValueFields):
         return cls(*iterable)
 
     @property
-    def midpoint(self) -> float:
-        return self.value + self.tail_bound / 2
-
-    @property
     def upper(self) -> float:
         return self.value + self.tail_bound
 

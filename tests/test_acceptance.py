@@ -25,7 +25,8 @@ import pytest
 from pleijel import reference
 from pleijel.admissibility import radon_hurwitz, shading_mask
 from pleijel.cli import TableSpec, _compute_cell, render_table
-from pleijel.constants import exceptional_set, gamma_bar_exact, gamma_tilde_interval
+from pleijel.constants import (exceptional_set, gamma_bar_exact, gamma_tilde_interval,
+                               weyl_interval)
 from pleijel.core import DimPair
 from pleijel.htype_algebra import construct, group_mul, verify_structure
 from pleijel.monotonicity import inequality_suite
@@ -34,13 +35,12 @@ from pleijel.oracles import (
     _integral_remainder,
     _min_terms,
     _summand,
-    gamma_tilde,
     gamma_tilde_product_form,
-    weyl_constant,
     weyl_density_bruteforce,
-    zeta,
+    zeta_interval,
 )
 from pleijel.series import c_series, c_tail_bound
+from test_series import _mid
 
 
 def _verdict(num: int, title: str, ok: bool, detail: str = "") -> None:
@@ -205,11 +205,11 @@ def test_criterion_04_oracle_equivalence():
     relative); gamma_tilde(1,1) = 32/pi^2 within 1e-10."""
     worst = 0.0
     for m in range(1, 11):
-        z = zeta(m + 1)
+        z = zeta_interval(m + 1).mid
         for n, oracle in ((1, (1 - 2.0 ** (-(m + 1))) * z), (2, 2.0 ** (-(m + 2)) * z)):
-            value = c_series((n, m), 1e-10 * _summand(n, m, 0)).midpoint
+            value = _mid(c_series((n, m), 1e-10 * _summand(n, m, 0)))
             worst = max(worst, abs(value - oracle) / oracle)
-    g11_dev = abs(gamma_tilde((1, 1)) - 32 / math.pi**2) / (32 / math.pi**2)
+    g11_dev = abs(gamma_tilde_interval((1, 1)).mid - 32 / math.pi**2) / (32 / math.pi**2)
     ok = worst <= 1e-10 and g11_dev <= 1e-10
     _verdict(4, "zeta-oracle equivalence", ok,
              f"worst series dev {worst:.2e}; gamma_tilde(1,1) dev {g11_dev:.2e}")
@@ -237,7 +237,7 @@ def test_criterion_06_weyl_bruteforce_oracle():
     worst_hom = 0.0
     for pair in ((1, 1), (2, 2), (3, 1)):
         s = sum(pair)
-        w = weyl_constant(pair)
+        w = weyl_interval(pair).mid
         base = weyl_density_bruteforce(pair, 1.0)
         for lam in (0.5, 1.0, 2.0):
             value = weyl_density_bruteforce(pair, lam)

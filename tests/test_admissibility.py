@@ -22,7 +22,7 @@ from pleijel.core import DimPair, InadmissiblePair
 from pleijel.htype_algebra import GroupElement, construct
 from pleijel.monotonicity import InequalityReport
 from pleijel.oracles import Polynomial
-from pleijel.series import c_series
+from pleijel.series import SeriesValue, c_series
 
 #: one instance of each of the package's value types (NamedTuples)
 _VALUE_TYPES = {
@@ -151,21 +151,49 @@ class TestPackageExports:
         probe = ("import json, sys, types\n"
                  "import pleijel\n"
                  "names = [name for name in sys.modules if name.startswith('pleijel.')]\n"
-                 "print(json.dumps([sorted(names), [name for name in names\n"
-                 "                  if type(sys.modules[name]) is types.ModuleType]]))\n")
+                 "ran = [name for name in names if type(sys.modules[name]) is types.ModuleType]\n"
+                 "# vars() reads __dict__, which runs the module as any attribute does\n"
+                 "print(json.dumps([sorted(names), ran, 'c_series' in vars(pleijel.series)]))\n")
         result = subprocess.run([sys.executable, "-c", probe],
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
-        registered, ran = json.loads(result.stdout)
+        registered, ran, read = json.loads(result.stdout)
         assert registered == sorted(f"pleijel.{name}" for name in (
             *_LIBRARY_MODULES, "reference", "checks", "render"))
         assert ran == []
+        assert read
+
+    def test_first_use_from_many_threads_sees_each_module_run(self):
+        # eight threads ask a fresh process's lazy `constants` for one name at once:
+        # each must wait for the module to finish running, in every run
+        probe = ("import sys, threading\n"
+                 "import pleijel\n"
+                 "from pleijel import constants\n"
+                 "sys.setswitchinterval(1e-6)\n"
+                 "barrier, errors = threading.Barrier(8), []\n"
+                 "def work():\n"
+                 "    barrier.wait()\n"
+                 "    try:\n"
+                 "        constants.gamma_tilde_interval((2, 1))\n"
+                 "    except AttributeError as exc:\n"
+                 "        errors.append(repr(exc))\n"
+                 "threads = [threading.Thread(target=work) for _ in range(8)]\n"
+                 "for t in threads: t.start()\n"
+                 "for t in threads: t.join(60)\n"
+                 "print(sum(t.is_alive() for t in threads), len(errors), *errors[:1])\n")
+        runs = [subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True) for _ in range(4)]
+        for run in runs:
+            out, err = run.communicate(timeout=120)
+            assert run.returncode == 0 and out == "0 0\n", (out, err)
 
     @pytest.mark.parametrize("name", ["binomial", "gamma_ratio_exact", "multiindex_count",
                                       "series_term_exact", "c_ratio_lower_bound", "phi",
                                       "is_admissible", "phi_closed_form", "term_ratio",
                                       "series_term", "group_identity", "group_inverse",
-                                      "SublaplacianCoefficients", "sublaplacian_coefficients"])
+                                      "SublaplacianCoefficients", "sublaplacian_coefficients",
+                                      "gamma_tilde", "weyl_constant", "gamma_bar", "zeta",
+                                      "log_gamma", "as_half_integer"])
     def test_deleted_wrappers_are_gone(self, name):
         assert name not in pleijel.__all__ and not hasattr(pleijel, name)
         for module_name in _LIBRARY_MODULES:
@@ -174,3 +202,4 @@ class TestPackageExports:
     def test_deleted_members_are_gone(self):
         assert not hasattr(DimPair(3, 2), "homogeneous_dimension")
         assert Polynomial.__hash__ is None  # __eq__ without __hash__: unhashable
+        assert not hasattr(SeriesValue, "midpoint")  # Enclosure(value, upper).mid

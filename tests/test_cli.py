@@ -200,6 +200,25 @@ class TestValue:
         assert code == 2 and out == ""
         assert err == "error: sobolev(1,1000000) needs n + m <= 10000\n"
 
+    @pytest.mark.parametrize("quantity", ["weyl", "gamma_tilde"])
+    def test_huge_weyl_and_gamma_tilde_refused_at_once(self, capsys, quantity):
+        # past n + m = 10,000 the refusal is certain: out of the series' range for
+        # n >= 2, an underflow at n = 1; the exact work was 20-60 s at m = 10^6
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "value", "1", "1000000", quantity)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: {quantity}(1,1000000) needs n + m <= 10000\n"
+
+    @pytest.mark.parametrize("pair", [(1, 9999), (2, 9998), (9999, 1)])
+    def test_below_the_limit_weyl_and_gamma_tilde_still_refuse_as_before(self, capsys, pair):
+        # the kernel's own refusals at n + m = 10,000 are kept
+        for quantity in ("weyl", "gamma_tilde"):
+            code, out, err = run_cli(capsys, "value", *map(str, pair), quantity)
+            assert code == 2 and out == "", quantity
+            assert err.startswith("error: ") and "needs n + m" not in err, quantity
+            assert err.count("\n") == 1
+
     def test_sobolev_at_the_limit_still_answers(self, capsys):
         code, out, _ = run_cli(capsys, "value", "9999", "1", "sobolev")
         assert code == 0
@@ -659,6 +678,14 @@ class TestHType:
                        "rho(2n) = rho(2000000002) = 2 allows at most m = 1\n")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("where, reason", [("missing/h.json", "No such file or directory"),
+                                                ("", "Is a directory")])
+    def test_unwritable_output_refused_in_one_line(self, capsys, tmp_path, where, reason):
+        out_file = tmp_path / where
+        code, out, err = run_cli(capsys, "htype", "2", "1", str(out_file))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {out_file}: {reason}\n"
+
     def test_inadmissible_refused_before_the_size(self, capsys, tmp_path):
         out_file = tmp_path / "nope.json"
         code, _, err = run_cli(capsys, "htype", "5001", "2", str(out_file))
@@ -739,7 +766,8 @@ after_import = ran()
 with contextlib.redirect_stdout(io.StringIO()):
     code = pleijel.cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"present": present, "after_import": after_import, "after_verb": ran(),
-                  "code": code, "numpy": "numpy" in sys.modules}))
+                  "code": code, "numpy": "numpy" in sys.modules,
+                  "numbers": "numbers" in sys.modules}))
 """
 
 _PACKAGE_MODULES = {"admissibility", "checks", "cli", "constants", "core", "htype_algebra",
@@ -803,6 +831,8 @@ class TestImportPath:
         assert probe["after_import"] == ["admissibility", "cli", "core"]
         assert probe["after_verb"] == sorted(_PACKAGE_MODULES - unrun)
         assert not probe["numpy"]
+        # only `check` builds a Fraction (fractions imports numbers) or runs oracles
+        assert probe["numbers"] == (argv[0] == "check")
 
     def test_from_import_of_cli_runs_what_import_does(self):
         # the import system asks the package for `cli` before importing it

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,24 +28,26 @@ from pleijel.constants import (
     weyl_interval,
 )
 from pleijel.core import DimPair, Enclosure, PrecisionUnreachable, as_pair
-from pleijel.numerics import log_gamma, round_half_away
+from pleijel.numerics import round_half_away
 from pleijel import constants, reference
 from pleijel.oracles import (
     _integral_remainder,
     _min_terms,
     _summand,
     _weyl_prefactor,
-    gamma_bar,
-    gamma_tilde,
     gamma_tilde_product_form,
     sphere_area,
-    weyl_constant,
     weyl_density_bruteforce,
-    zeta,
+    zeta_interval,
 )
 from test_series import _hurwitz_oracle
 
 SOBOLEV_21_REFERENCE = 9.973934966328010133395
+
+_RNG = random.Random(20261019)
+#: n and m log-uniform in [1, 10^15]
+_LOG_UNIFORM_PAIRS = [(int(10 ** _RNG.uniform(0, 15)), int(10 ** _RNG.uniform(0, 15)))
+                      for _ in range(500)]
 
 
 def gamma_ratio_exact(a, b) -> Fraction:
@@ -85,41 +88,41 @@ class TestSobolev:
 
 class TestWeyl:
     def test_heisenberg_value(self):
-        assert weyl_constant((1, 1)) == pytest.approx(1 / 32, rel=1e-9)
+        assert weyl_interval((1, 1)).mid == pytest.approx(1 / 32, rel=1e-9)
 
     def test_composition_oracle_2_2(self):
-        want = sphere_area(1) / (2 * math.pi) ** 4 / 4 * zeta(3) / 16
-        assert weyl_constant((2, 2)) == pytest.approx(want, rel=1e-9)
+        want = sphere_area(1) / (2 * math.pi) ** 4 / 4 * zeta_interval(3).mid / 16
+        assert weyl_interval((2, 2)).mid == pytest.approx(want, rel=1e-9)
 
     def test_positive(self):
         for n, m in itertools.product(range(1, 11), range(1, 11)):
-            assert weyl_constant((n, m)) > 0
+            assert weyl_interval((n, m)).mid > 0
 
 
 class TestGammaTilde:
     def test_heisenberg_closed_form(self):
         want = 32 / math.pi**2
-        assert abs(gamma_tilde((1, 1)) - want) <= 1e-10 * want
+        assert abs(gamma_tilde_interval((1, 1)).mid - want) <= 1e-10 * want
 
     def test_n2_closed_form(self):
         # c(2,1) = zeta(2)/8 makes gamma_tilde(2,1) = 18/pi^2 exactly
         want = 18 / math.pi**2
-        assert abs(gamma_tilde((2, 1)) - want) <= 1e-10 * want
+        assert abs(gamma_tilde_interval((2, 1)).mid - want) <= 1e-10 * want
 
     def test_reference_cells(self):
-        assert round_half_away(gamma_tilde((1, 1)), 4) == "3.2423"
-        assert round_half_away(gamma_tilde((2, 2)), 4) == "1.2325"
-        assert round_half_away(gamma_tilde((4, 2)), 4) == "0.4120"
+        assert round_half_away(gamma_tilde_interval((1, 1)).mid, 4) == "3.2423"
+        assert round_half_away(gamma_tilde_interval((2, 2)).mid, 4) == "1.2325"
+        assert round_half_away(gamma_tilde_interval((4, 2)).mid, 4) == "0.4120"
 
     def test_heisenberg_column_matches_reference(self):
         for n in range(1, 11):
             want = reference.GAMMA_TILDE_PRINTED[n, 1]
-            assert round_half_away(gamma_tilde((n, 1)), 4) == want
+            assert round_half_away(gamma_tilde_interval((n, 1)).mid, 4) == want
 
     def test_interval_brackets_point(self):
         for pair in ((1, 1), (3, 2), (10, 10), (20, 20)):
             low, high = gamma_tilde_interval(pair)
-            point = gamma_tilde(pair)
+            point = gamma_tilde_interval(pair).mid
             assert low <= point <= high
             assert (high - low) / point <= 1e-9  # at most the series width asked for
 
@@ -158,7 +161,7 @@ class TestGammaRatioExact:
         with pytest.raises(ValueError, match="unsupported ratio"):
             gamma_ratio_exact(Fraction(3, 2), 2)
 
-    def test_agrees_with_log_gamma(self):
+    def test_agrees_with_log_gamma(self):  # math.lgamma
         for twice_b in range(1, 40):
             for diff in range(-12, 13):
                 twice_a = twice_b + 2 * diff
@@ -166,7 +169,7 @@ class TestGammaRatioExact:
                     continue
                 a, b = Fraction(twice_a, 2), Fraction(twice_b, 2)
                 exact = gamma_ratio_exact(a, b)
-                via_log = math.exp(log_gamma(a) - log_gamma(b))
+                via_log = math.exp(math.lgamma(twice_a / 2) - math.lgamma(twice_b / 2))
                 assert float(exact) == pytest.approx(via_log, rel=1e-10)
 
     def test_inverse_pairs(self):
@@ -216,7 +219,22 @@ class TestGammaBar:
     def test_log_domain_matches_exact(self):
         for n, m in itertools.product(range(1, 21), range(1, 21)):
             exact = float(gamma_bar_exact((n, m)))
-            assert gamma_bar((n, m)) == pytest.approx(exact, rel=1e-12)
+            assert math.exp(log_gamma_bar((n, m))) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("pairs", [
+        list(itertools.product(range(1, 61), repeat=2)),
+        _LOG_UNIFORM_PAIRS,
+        [(3, 2**53 + 1)],
+    ], ids=["n,m<=60", "random-to-1e15", "witness"])
+    def test_log_bit_identical_to_the_fraction_form(self, pairs):
+        # each lgamma argument is rounded once, as float() of the Fraction did
+        for n, m in pairs:
+            assert log_gamma_bar((n, m)).hex() == _log_gamma_bar_reference(n, m).hex(), (n, m)
+
+    def test_half_integer_argument_rounded_once(self):
+        # at the witness, n + m/2 rounds twice and moves ln Gamma by 64
+        n, m = 3, 2**53 + 1
+        assert math.lgamma(n + m / 2) - math.lgamma((2 * n + m) / 2) == -64.0
 
     @pytest.mark.parametrize("pair", [(1, 1), (4, 2), (30, 30), (2000, 1), (1, 3000), (700, 900)])
     def test_log_within_the_refusal_margin(self, pair):
@@ -315,7 +333,7 @@ class TestWeylBruteForce:
 
     def test_matches_weyl_constant(self):
         for pair in ((1, 1), (2, 2), (3, 1)):
-            w = weyl_constant(pair)
+            w = weyl_interval(pair).mid
             s = sum(pair)
             for lam in (0.5, 1.0, 2.0):
                 got = weyl_density_bruteforce(pair, lam) / lam**s
@@ -341,6 +359,20 @@ class TestWeylBruteForce:
         for lam in (0.5, 1.0, 2.0, 8.0):
             got = weyl_density_bruteforce(pair, lam)
             assert got.hex() == _bruteforce_reference(pair, lam).hex(), lam
+
+
+def _log_gamma_bar_reference(n: int, m: int) -> float:
+    """log_gamma_bar as it was built: each lgamma argument a Fraction half-integer
+    converted by float(), the reference for its int / int form."""
+    s = n + m
+    return (
+        (m - n - 1) * math.log(2)
+        + math.log(s)
+        - s * math.log(s - 1)
+        + math.lgamma(float(Fraction(m, 2)))
+        + math.lgamma(float(Fraction(2 * n + m)))
+        - math.lgamma(float(Fraction(m, 2) + n))
+    )
 
 
 def _bruteforce_reference(pair, lam) -> float:
