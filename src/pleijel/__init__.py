@@ -17,7 +17,8 @@ it: ``from pleijel import DimPair`` runs ``core`` alone, and
 ``from pleijel import zeta_interval`` runs all eight; ``oracles`` comes
 last.  A CLI verb imports from the modules directly, so it compiles and
 runs only the modules it calls: ``oracles`` (what only ``check`` and the
-tests call) under ``check``, ``render`` (the table formats) under
+tests call) under ``check``, ``cells`` (the cells of ``value`` and
+``table``) under those two, ``render`` (the table formats) under
 ``table``.  ``cli`` is not registered, so that ``python -m pleijel.cli``
 finds it unloaded.
 """
@@ -51,7 +52,7 @@ class _LazyModule(types.ModuleType):
         return get(self, attr)
 
 
-for _name in (*_EXPORTING, "reference", "checks", "render"):
+for _name in (*_EXPORTING, "reference", "checks", "render", "cells"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _module = importlib.util.module_from_spec(_spec)
     _module.__class__ = _LazyModule

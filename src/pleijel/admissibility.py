@@ -11,8 +11,6 @@ reference tables cell-for-cell: odd n admits only m = 1 (rho(2 odd) = 2),
 n in {2, 6, 10} admit m <= 3, n = 4 admits m <= 7, n = 8 admits m <= 8.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .core import DimPair, as_pair

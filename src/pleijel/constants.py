@@ -50,7 +50,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .admissibility import radon_hurwitz
-from .core import DimPair, Enclosure, as_pair
+from .core import DimPair, Enclosure, PrecisionUnreachable, as_pair
 from .numerics import _PI_HI, _PI_LO, _outward
 from .series import c_series
 
@@ -98,17 +98,24 @@ def log_gamma_bar(pair) -> float:
     in size and accurate to 1e-14 relative.  Each lgamma argument is one
     correctly rounded int / int (n + m/2 would round twice), and math.lgamma
     is within 1e-14 at half-integers (checked against exact factorials in the
-    tests)."""
+    tests).  A pair whose terms leave the float range (2n + m past about
+    10^305) raises PrecisionUnreachable with an infinite ``best_bound``."""
     p = as_pair(pair)
     s, q = p.n + p.m, 2 * p.n + p.m
-    return (
-        (p.m - p.n - 1) * math.log(2)
-        + math.log(s)
-        - s * math.log(s - 1)
-        + math.lgamma(p.m / 2)
-        + math.lgamma(q)
-        - math.lgamma(q / 2)
-    )
+    try:
+        log = ((p.m - p.n - 1) * math.log(2)
+               + math.log(s)
+               - s * math.log(s - 1)
+               + math.lgamma(p.m / 2)
+               + math.lgamma(q)
+               - math.lgamma(q / 2))
+    except OverflowError:  # an integer or an lgamma past the largest float
+        log = math.inf
+    if not math.isfinite(log):
+        raise PrecisionUnreachable(f"gamma_bar{p} is out of range: the terms of its "
+                                   "logarithm overflow binary64",
+                                   best_bound=math.inf, terms_used=0)
+    return log
 
 
 def _gamma_half(q: int) -> tuple[int, int]:

@@ -6,8 +6,6 @@ horizontal layer and m the dimension of the centre.  The homogeneous
 dimension is Q = 2n + 2m.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from typing import NamedTuple

@@ -36,8 +36,6 @@ polynomial test functions, and the JSON reader are oracles
 verifies and writes, and loads ``fractions`` nowhere on that path.
 """
 
-from __future__ import annotations
-
 import operator
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -64,14 +62,14 @@ class SignedPermutation(NamedTuple):
     signs: tuple[int, ...]
 
     @classmethod
-    def identity(cls, d: int) -> SignedPermutation:
+    def identity(cls, d: int) -> "SignedPermutation":
         return cls(tuple(range(d)), (1,) * d)
 
-    def __matmul__(self, other: SignedPermutation) -> SignedPermutation:
+    def __matmul__(self, other: "SignedPermutation") -> "SignedPermutation":
         return SignedPermutation(tuple(other.perm[p] for p in self.perm),
                                  tuple(s * other.signs[p] for p, s in zip(self.perm, self.signs)))
 
-    def kron(self, other: SignedPermutation) -> SignedPermutation:
+    def kron(self, other: "SignedPermutation") -> "SignedPermutation":
         b = len(other.perm)
         return SignedPermutation(tuple(p * b + q for p in self.perm for q in other.perm),
                                  tuple(s * t for s in self.signs for t in other.signs))
@@ -81,7 +79,7 @@ class SignedPermutation(NamedTuple):
         p, s = self.perm, self.signs
         return all(p[p[i]] == i and s[p[i]] == -s[i] for i in range(len(p)))
 
-    def anticommutes(self, other: SignedPermutation) -> bool:
+    def anticommutes(self, other: "SignedPermutation") -> bool:
         """U V = -V U: the two perms commute and the products' signs are opposite."""
         p, s, q, t = self.perm, self.signs, other.perm, other.signs
         return all(q[p[i]] == p[q[i]] and s[i] * t[p[i]] == -t[i] * s[q[i]]
@@ -217,12 +215,17 @@ def group_mul(s: HTypeStructure, a: GroupElement, b: GroupElement) -> GroupEleme
     # results of the final size pile up unused on CPython's tuple free list;
     # tuple() of a list allocates the exact size and reuses them
     x = tuple([xa + xb for xa, xb in zip(a.x, b.x)])
+    rational = (int, Fraction)
     t = []
     for j, P in enumerate(s.family):
         # <U x, xi> = sum_i xi_i signs[i] x_perm[i]: d terms
         corr = sum(xi * (sign * a.x[p]) for xi, p, sign in zip(b.x, P.perm, P.signs))
-        half = Fraction(1, 2) if isinstance(corr, (int, Fraction)) else 0.5
-        t.append(a.t[j] + b.t[j] + half * corr)
+        ta, tb = a.t[j], b.t[j]
+        if isinstance(corr, rational) and isinstance(ta, rational) and isinstance(tb, rational):
+            # the Fraction ta + tb + corr/2, built once
+            t.append(Fraction(2 * (ta + tb) + corr, 2))
+        else:
+            t.append(ta + tb + (Fraction(1, 2) if isinstance(corr, rational) else 0.5) * corr)
     return GroupElement(x=x, t=tuple(t))
 
 

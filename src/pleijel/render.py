@@ -1,8 +1,7 @@
 """Table rendering: the cells of one ``table`` run in markdown, csv, json or latex.
 
 Only the ``table`` verb runs this module; the cells come from
-``cli._compute_cell``.  It does not import ``cli``, which runs as
-``__main__`` under ``python -m pleijel.cli``.
+``cells._compute_cell``, which imports this module.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import TYPE_CHECKING
 from .admissibility import shading_mask
 
 if TYPE_CHECKING:
-    from .cli import Cell, TableSpec
+    from .cells import Cell, TableSpec
 
 
 def _annotated_rows(spec: TableSpec, cells: dict[tuple[int, int], Cell],

@@ -47,13 +47,16 @@ n, m <= 30), and eps is only checked against it: a target below the
 floor is refused at once with ``PrecisionUnreachable``.
 
 What does not depend on m -- K, U, the head's factors, the tail's t_i,
-t_i/2 and |t_i/2|, 1/(2^(n-1) (n-1)!) and 1/U^2 -- is computed once per
-row n (``_row``); each m then runs the float operations of a
-computation from scratch, in the same order.
+t_i/2 and |t_i/2| at the i = n-1, n-3, ... (the others are 0),
+1/(2^(n-1) (n-1)!) and 1/U^2 -- is computed once per row n (``_row``);
+each m then runs the float operations of a computation from scratch, in
+the same order, less the exact zeros of the other i.
 
 Pairs with (n+m) log2 n > 1000 are refused as well: their k = 0 term
 n^-(n+m), a lower bound on c(n, m), nears the subnormal range, where
-binary64 loses relative accuracy.
+binary64 loses relative accuracy.  So are the pairs whose float
+evaluation overflows (n + m past the largest float, or n = 1 with m
+past about 10^306).
 
 One more remainder bound serves callers outside the kernel:
 ``c_tail_bound``, the coarse closed bound (K-1)^-m / ((n-1)! 2^(m+1) m),
@@ -164,11 +167,16 @@ def _head_factors(n: int, K: int) -> tuple[float, ...]:
 
 @lru_cache(maxsize=None)
 def _row(n: int) -> tuple:
-    """Row n's share of every m: K, d, r, U, t, t/2, |t/2|, 1/(2^(n-1) (n-1)!), 1/U^2."""
+    """Row n's share of every m: K, d, r, U, t, t/2, |t/2|, 1/(2^(n-1) (n-1)!), 1/U^2.
+
+    t, t/2 and |t/2| hold the i = n-1, n-3, ... only, in rising i: b_i = 0
+    for the other i (module docstring).
+    """
     K = _split(n)
     U = 2 * K + n
     # one correctly rounded integer division each; |t_i| <= 1 (module docstring)
-    t = tuple(b / U ** (n - 1 - i) for i, b in enumerate(_shifted_numerator_coeffs(n)))
+    b = _shifted_numerator_coeffs(n)
+    t = tuple(b[i] / U ** (n - 1 - i) for i in range((n - 1) % 2, n, 2))
     half = tuple(0.5 * ti for ti in t)
     return (K, tuple(float(2 * k + n) for k in range(K)), _head_factors(n, K), U, t, half,
             tuple(map(abs, half)), 1 / (2 ** (n - 1) * math.factorial(n - 1)), 1 / (U * U))
@@ -187,15 +195,21 @@ def _charge(k: int, x: float) -> float:
 
 @lru_cache(maxsize=None)
 def _enclosure(n: int, m: int) -> SeriesValue:
-    """c(n, m) enclosed at the binary64 rounding floor (see the module docstring)."""
-    score = (n + m) * math.log2(n)
-    if score > _MAX_SCORE:
-        raise PrecisionUnreachable(
-            f"c({n},{m}) is out of range: (n+m) log2 n = {score:.0f} > {_MAX_SCORE}, "
-            "so c nears the binary64 subnormal range",
-            best_bound=math.inf,
-            terms_used=0,
-        )
+    """c(n, m) enclosed at the binary64 rounding floor (see the module docstring),
+    or PrecisionUnreachable for a pair out of binary64 range."""
+    try:
+        score = (n + m) * math.log2(n)
+        if score <= _MAX_SCORE:
+            return _evaluate(n, m)
+        why = (f"(n+m) log2 n = {score:.0f} > {_MAX_SCORE}, "
+               "so c nears the binary64 subnormal range")
+    except OverflowError:  # n + m, or at n = 1 a power of it, past the largest float
+        why = "its evaluation overflows binary64"
+    raise PrecisionUnreachable(f"c({n},{m}) is out of range: {why}",
+                               best_bound=math.inf, terms_used=0)
+
+
+def _evaluate(n: int, m: int) -> SeriesValue:
     K, d, r, U, t, half, half_magnitudes, inv_norm, inv_u2 = _row(n)
 
     # Head: a term goes through one rounding (its factor's int / int, none
@@ -207,13 +221,15 @@ def _enclosure(n: int, m: int) -> SeriesValue:
 
     # Tail, scaled by U^(s_i): b_i U^-s_i = t_i U^-(m+1), and 2^-s zeta(s, U/2)
     # = U^-s (U/(2(s-1)) + 1/2 + sum_j beta_j (s)_(2j-1) U^(1-2j)), with
-    # s_i = n + m - i, so 2(s_i - 1) runs over the even 2(n+m-1) .. 2m.
+    # s_i = n + m - i.  The i of t step by 2 up to n - 1, so s_i steps by 2 from
+    # top = s of the first down to m + 1, and 2(s_i - 1) by 4 from 2(top - 1) to 2m.
     scale = inv_norm * float(U) ** -(m + 1)
+    top = n + m - (n - 1) % 2
     # roundings: 5 in t U/(2(s-1)), 2 in t/2
-    parts = list(map(mul, t, map(U.__truediv__, range(2 * (n + m - 1), 2 * m - 1, -2))))
+    parts = list(map(mul, t, map(U.__truediv__, range(2 * (top - 1), 2 * m - 1, -4))))
     magnitudes = [*map(abs, parts), *half_magnitudes]
     parts += half
-    em = [_BETA1 * si / U for si in range(n + m, m, -1)]  # correction 1 per i, 4 roundings
+    em = [_BETA1 * si / U for si in range(top, m, -2)]  # correction 1 per i, 4 roundings
     p = 0
     while True:
         # t * em is the first omitted correction: 9p + 6 roundings, each
@@ -234,7 +250,7 @@ def _enclosure(n: int, m: int) -> SeriesValue:
         magnitudes += correction_magnitudes
         ratio = _EM_RATIO[p] * inv_u2
         em = [ei * (si * (si + 1)) * ratio
-              for ei, si in zip(em, range(n + m + 2 * p + 1, m + 2 * p + 1, -1))]
+              for ei, si in zip(em, range(top + 2 * p + 1, m + 2 * p + 1, -2))]
         p += 1
 
     center = head + scale * math.fsum(parts)
@@ -253,8 +269,8 @@ def c_series(pair, eps: float = 1e-8, relative: bool = False) -> SeriesValue:
     bound.  The enclosure is the same for every eps, at the rounding
     floor, and cached per pair; a target below it raises
     PrecisionUnreachable at once, with the floor width as ``best_bound``.
-    So does a pair out of binary64 range ((n+m) log2 n > 1000), with an
-    infinite ``best_bound``.
+    So does a pair out of binary64 range ((n+m) log2 n > 1000, or a
+    float evaluation that overflows), with an infinite ``best_bound``.
     """
     p = as_pair(pair)
     if not eps > 0:

@@ -24,7 +24,7 @@ import pytest
 
 from pleijel import reference
 from pleijel.admissibility import radon_hurwitz, shading_mask
-from pleijel.cli import TableSpec, _compute_cell, render_table
+from pleijel.cells import TableSpec, _compute_cell, render_table
 from pleijel.constants import (exceptional_set, gamma_bar_exact, gamma_tilde_interval,
                                weyl_interval)
 from pleijel.core import DimPair

@@ -17,7 +17,7 @@ import pleijel
 from pleijel import reference
 from pleijel.admissibility import admissible, radon_hurwitz, shading_mask
 from pleijel.checks import CheckResult
-from pleijel.cli import TableSpec, _compute_cell
+from pleijel.cells import TableSpec, _compute_cell
 from pleijel.core import DimPair, InadmissiblePair
 from pleijel.htype_algebra import GroupElement, construct
 from pleijel.monotonicity import InequalityReport
@@ -159,7 +159,7 @@ class TestPackageExports:
         assert result.returncode == 0, result.stderr
         registered, ran, read = json.loads(result.stdout)
         assert registered == sorted(f"pleijel.{name}" for name in (
-            *_LIBRARY_MODULES, "reference", "checks", "render"))
+            *_LIBRARY_MODULES, "reference", "checks", "render", "cells"))
         assert ran == []
         assert read
 

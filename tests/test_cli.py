@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -17,7 +18,8 @@ import pytest
 from pleijel import checks, constants, htype_algebra, reference, series
 from pleijel.admissibility import admissible
 from pleijel.checks import run_suite
-from pleijel.cli import QUANTITIES, SUITE_NAMES, TableSpec, _compute_cell, main, render_table
+from pleijel.cells import TableSpec, _compute_cell, render_table
+from pleijel.cli import QUANTITIES, SUITE_NAMES, VERBS, build_parser, main
 from pleijel.constants import gamma_tilde_interval
 
 
@@ -37,6 +39,7 @@ def assert_parser_refuses(capsys, *argv):
 
 
 _VALUE = ("value", "1", "1", "gamma_tilde")
+_HUGE = str(10**309)  # past the largest float, 1.8e308
 
 
 class TestValue:
@@ -116,7 +119,12 @@ class TestValue:
         (("value", "150", "3", "gamma_tilde"), "c(150,3) is out of range"),  # missed c ~ 1.9e-315
         (("table", "weyl", "--eps", "1e-18"),
          "weyl(1,1) cannot be certified to relative eps=1e-18 in binary64"),
-    ], ids=["argv0", "argv1", "argv2", "argv3"])
+        # pairs past the float range used to end in an OverflowError traceback
+        (("value", _HUGE, "1", "gamma_bar"), f"gamma_bar({_HUGE},1) is out of range"),
+        (("value", _HUGE, "1", "c_series"), f"c({_HUGE},1) is out of range"),
+        (("value", "1", _HUGE, "c_series"), f"c(1,{_HUGE}) is out of range"),
+        (("value", "1", _HUGE, "gamma_bar"), f"gamma_bar(1,{_HUGE}) is out of range"),
+    ], ids=[f"argv{i}" for i in range(8)])
     def test_unreachable_refused_in_one_line(self, capsys, argv, refusal):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -693,6 +701,38 @@ class TestHType:
         assert not out_file.exists()
 
 
+def _exit_code(parse, argv) -> int:
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestParser:
+    def test_bytes_pinned(self, capsys, monkeypatch):
+        # usage, help and error texts with their exit codes: main builds only the
+        # parser of the verb argv names, and prints what the parser of all five verbs
+        # prints, and what it printed when every argv built all five (recorded under
+        # CPython 3.11); argparse wraps at COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        records = json.loads((Path(__file__).parent / "parser_output.json").read_text())
+        for record in records:
+            argv = record["argv"]
+            got = (_exit_code(main, argv), *capsys.readouterr())
+            assert got == (_exit_code(build_parser().parse_args, argv), *capsys.readouterr()), argv
+            if sys.version_info[:2] == (3, 11):
+                assert got == (record["code"], record["stdout"], record["stderr"]), argv
+
+    @pytest.mark.parametrize("verb, built", [
+        *((verb, [verb]) for verb in VERBS),
+        (None, list(VERBS)), ("-h", list(VERBS)), ("valu", list(VERBS)),
+    ])
+    def test_builds_the_verb_named(self, verb, built):
+        (sub,) = (action for action in build_parser(verb)._actions
+                  if isinstance(action, argparse._SubParsersAction))
+        assert list(sub.choices) == built
+
+
 class TestConsoleEntryPoint:
     def test_subprocess_invocation(self, tmp_path):
         # the installed entry point and module invocation agree
@@ -770,8 +810,9 @@ print(json.dumps({"present": present, "after_import": after_import, "after_verb"
                   "numbers": "numbers" in sys.modules}))
 """
 
-_PACKAGE_MODULES = {"admissibility", "checks", "cli", "constants", "core", "htype_algebra",
-                    "monotonicity", "numerics", "oracles", "reference", "render", "series"}
+_PACKAGE_MODULES = {"admissibility", "cells", "checks", "cli", "constants", "core",
+                    "htype_algebra", "monotonicity", "numerics", "oracles", "reference", "render",
+                    "series"}
 # the modules only `check` runs
 _SELF_CHECK_LAYERS = {"checks", "htype_algebra", "monotonicity", "oracles", "reference"}
 
@@ -812,12 +853,14 @@ class TestImportPath:
     @pytest.mark.parametrize("argv, unrun", [
         (["value", "30", "1", "gamma_tilde"], _SELF_CHECK_LAYERS | {"render"}),
         (["table", "weyl", "--format", "json"], _SELF_CHECK_LAYERS),
-        (["exceptional"], _SELF_CHECK_LAYERS | {"render"}),
+        # only `value` and `table` run `cells`, the cell path
+        (["exceptional"], _SELF_CHECK_LAYERS | {"render", "cells"}),
         (["htype", "8", "8", "h88.json"], {"checks", "monotonicity", "oracles", "reference",
-                                            "render", "constants", "numerics", "series"}),
+                                            "render", "constants", "numerics", "series",
+                                            "cells"}),
         # the zeta oracle sums over Python floats, the term-ratio link is exact, and
         # the algebra suite is integer work on signed permutations: no numpy
-        (["check", "all", "--no-timestamp"], {"render"}),
+        (["check", "all", "--no-timestamp"], {"render", "cells"}),
     ], ids=["value", "table", "exceptional", "htype", "check"])
     def test_each_verb_runs_only_the_modules_it_calls(self, tmp_path, argv, unrun):
         argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
@@ -830,6 +873,7 @@ class TestImportPath:
         assert probe["present"] == sorted(_PACKAGE_MODULES)
         assert probe["after_import"] == ["admissibility", "cli", "core"]
         assert probe["after_verb"] == sorted(_PACKAGE_MODULES - unrun)
+        assert ("cells" in probe["after_verb"]) == (argv[0] in ("value", "table"))
         assert not probe["numpy"]
         # only `check` builds a Fraction (fractions imports numbers) or runs oracles
         assert probe["numbers"] == (argv[0] == "check")

@@ -245,6 +245,14 @@ class TestGammaBar:
         err = abs(log_gamma_bar(pair) - (math.log(exact.numerator) - math.log(exact.denominator)))
         assert err <= 1e-12 * q * math.log(q)
 
+    @pytest.mark.parametrize("pair", [(10**309, 1), (1, 10**309), (1, 10**307), (10**307, 1)])
+    def test_log_out_of_the_float_range_refused(self, pair):
+        # an int past the largest float, or an lgamma that overflows, used to
+        # escape as OverflowError
+        with pytest.raises(PrecisionUnreachable, match="out of range") as err:
+            log_gamma_bar(pair)
+        assert err.value.best_bound == math.inf
+
     def test_dominates_gamma_tilde_strictly(self):
         for n, m in itertools.product(range(1, 11), range(1, 11)):
             assert gamma_tilde_interval((n, m)).hi < gamma_bar_exact((n, m))

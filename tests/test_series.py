@@ -210,8 +210,9 @@ class TestHurwitzKernel:
         assert Fraction(sv.value) <= _hurwitz_oracle(n, m) <= Fraction(sv.upper)
 
     def test_out_of_range_pairs_refused(self):
-        # (200, 1) used to overflow, (150, 3) to miss the true c ~ 1.9e-315
-        for pair in ((200, 1), (150, 3)):
+        # (200, 1) used to overflow, (150, 3) to miss the true c ~ 1.9e-315; the
+        # last three raised OverflowError from the range score or the kernel's floats
+        for pair in ((200, 1), (150, 3), (10**309, 1), (1, 10**309), (1, 10**307)):
             with pytest.raises(PrecisionUnreachable) as err:
                 c_series(pair, 1e-8, relative=True)
             assert err.value.best_bound == math.inf
