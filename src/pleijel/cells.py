@@ -17,14 +17,11 @@ cell is computed, so a wrapped module attribute is the one called.
 
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import constants, numerics, render, series
 from .admissibility import admissible
 from .core import DimPair, Enclosure, PrecisionUnreachable
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 _MAX_S = 10_000  # `value` refuses sobolev, weyl and gamma_tilde above this n + m
 
@@ -39,6 +36,16 @@ class TableSpec(NamedTuple):
     annotations: bool = True
 
 
+class Ratio(NamedTuple):
+    """An exact rational in lowest terms, built without ``fractions``."""
+
+    numerator: int
+    denominator: int
+
+    def as_integer_ratio(self) -> tuple[int, int]:  # what round_half_away reads
+        return self.numerator, self.denominator
+
+
 class Cell(NamedTuple):  # admissibility is the table's shading_mask
     n: int
     m: int
@@ -46,7 +53,7 @@ class Cell(NamedTuple):  # admissibility is the table's shading_mask
     display: str
     error_bound: float
     exceeds_one: bool  # certified: the exact value, or the enclosure's lower end, is > 1
-    exact: "Fraction | None" = None
+    exact: Ratio | None = None
 
 
 def _c_enclosure(pair: DimPair) -> Enclosure:
@@ -66,10 +73,13 @@ _ENCLOSURES = {
 def _compute_cell(quantity: str, n: int, m: int, precision: int, eps: float) -> Cell:
     pair = DimPair(n, m)
     if quantity == "gamma_bar":
-        exact = constants.gamma_bar_exact(pair)
-        return Cell(n=n, m=m, value=float(exact),
+        # gamma_bar_exact's Fraction, without importing fractions (and decimal)
+        num, den = constants._gamma_bar_ratio(pair)
+        common = math.gcd(num, den)
+        exact = Ratio(num // common, den // common)
+        return Cell(n=n, m=m, value=exact.numerator / exact.denominator,
                     display=numerics.round_half_away(exact, precision), error_bound=0.0,
-                    exceeds_one=exact > 1, exact=exact)
+                    exceeds_one=num > den, exact=exact)
     enc = _ENCLOSURES[quantity](pair)
     mid, radius = enc.mid, enc.radius
     # eps bounds the printed width 2 * error_bound: absolute for c_series, relative to

@@ -6,8 +6,6 @@ brute-force spectral counting, exact matrix arithmetic) and reports
 pass/fail with human-readable details.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction
@@ -207,31 +205,44 @@ def _extensions(family, d: int):
     forces mu(mu(i)) = i and a_mu(i) = -a_i; M U = -U M forces
     mu(p(i)) = p(mu(i)) and a_p(i) = -a_i u_mu(i) u_i.  Every index of a
     complete assignment has had its rules applied, so it is a solution.
+
+    Both conditions are linear in M, so M is a solution exactly when -M
+    is, and for d >= 1 the two differ at a_0.  The search therefore fixes
+    a_0 = +1 at the root and yields each solution found together with its
+    negation: every solution once, from half the tree.  Assignments are
+    recorded on one trail and undone from it when a branch is left.
     """
-    def settle(mu: list[int], a: list[int], i: int, j: int, sign: int) -> bool:
+    mu, a = [-1] * d, [0] * d
+    trail: list[int] = []  # the indices assigned, in order
+
+    def settle(i: int, j: int, sign: int) -> bool:
         todo = [(i, j, sign)]
         while todo:
             i, j, sign = todo.pop()
             if mu[i] >= 0:
-                if (mu[i], a[i]) != (j, sign):
+                if mu[i] != j or a[i] != sign:
                     return False
                 continue
             mu[i], a[i] = j, sign
+            trail.append(i)
             todo.append((j, i, -sign))
             todo += [(p[i], p[j], -sign * u[j] * u[i]) for p, u in family]
         return True
 
-    def search(mu: list[int], a: list[int]):
+    def search(signs: tuple[int, ...]):
         if -1 not in mu:
             yield SignedPermutation(tuple(mu), tuple(a))
+            yield SignedPermutation(tuple(mu), tuple([-sign for sign in a]))
             return
         i = mu.index(-1)  # mu(j) = i for a set j would have set mu(i): mu(i) is open
-        for j, sign in itertools.product([j for j in range(i + 1, d) if mu[j] < 0], (1, -1)):
-            branch, signs = list(mu), list(a)
-            if settle(branch, signs, i, j, sign):
-                yield from search(branch, signs)
+        for j, sign in itertools.product([j for j in range(i + 1, d) if mu[j] < 0], signs):
+            mark = len(trail)
+            if settle(i, j, sign):
+                yield from search((1, -1))
+            while len(trail) > mark:  # a[i] is read only where mu[i] is set
+                mu[trail.pop()] = -1
 
-    yield from search([-1] * d, [0] * d)
+    yield from search((1,))
 
 
 def _unit(i: int, size: int) -> tuple[int, ...]:

@@ -25,8 +25,6 @@ Output is deterministic byte-for-byte; ``check`` carries a timestamp in
 its JSON trailer unless --no-timestamp is given.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys

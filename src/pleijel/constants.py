@@ -43,16 +43,16 @@ correctly rounded by ``int / int`` and moved one ulp outward (W. Tucker,
 flip a classification (is gamma_tilde >= 1?).
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
+# series is called through its module attribute: gamma_bar and sobolev never
+# run it (the package registers it lazily), and a wrapped c_series is the one called
+from . import series
 from .admissibility import radon_hurwitz
 from .core import DimPair, Enclosure, PrecisionUnreachable, as_pair
 from .numerics import _PI_HI, _PI_LO, _outward
-from .series import c_series
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -75,7 +75,7 @@ def _gamma_bar_ratio(p: DimPair) -> tuple[int, int]:
     return num, (s - 1) ** s * math.prod(range(p.m, p.m + 2 * p.n, 2))
 
 
-def gamma_bar_exact(pair) -> Fraction:
+def gamma_bar_exact(pair) -> "Fraction":
     """First-term truncation bound as an exact rational:
 
     2^-(n-m+1) (n+m)/(n+m-1)^(n+m) * Gamma(m/2)Gamma(2n+m)/Gamma(n+m/2).
@@ -184,7 +184,7 @@ def weyl_interval(pair) -> Enclosure:
     R_w = 2 / (s 2^s Gamma(m/2)/sqrt(pi)^[m odd]).
     """
     p = as_pair(pair)
-    sv = c_series(p)
+    sv = series.c_series(p)
     s, k = p.n + p.m, p.n + (p.m + 1) // 2
     gn, gd = _gamma_half(p.m)
     num, den = 2 * gd, s * 2**s * gn
@@ -198,7 +198,7 @@ def gamma_tilde_interval(pair) -> Enclosure:
     gamma_bar_exact / n^(n+m) over c(n, m).
     """
     p = as_pair(pair)
-    sv = c_series(p)
+    sv = series.c_series(p)
     num, den = _gamma_bar_ratio(p)
     den *= p.n ** (p.n + p.m)
     (ln, ld), (hn, hd) = sv.upper.as_integer_ratio(), sv.value.as_integer_ratio()

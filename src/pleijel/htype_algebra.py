@@ -218,8 +218,10 @@ def group_mul(s: HTypeStructure, a: GroupElement, b: GroupElement) -> GroupEleme
     rational = (int, Fraction)
     t = []
     for j, P in enumerate(s.family):
-        # <U x, xi> = sum_i xi_i signs[i] x_perm[i]: d terms
-        corr = sum(xi * (sign * a.x[p]) for xi, p, sign in zip(b.x, P.perm, P.signs))
+        # <U x, xi> = sum_i xi_i (signs[i] x_perm[i]) in index order: d >= 2
+        # terms, so the getter returns a tuple
+        x_perm = operator.itemgetter(*P.perm)(a.x)
+        corr = sum(map(operator.mul, b.x, map(operator.mul, P.signs, x_perm)))
         ta, tb = a.t[j], b.t[j]
         if isinstance(corr, rational) and isinstance(ta, rational) and isinstance(tb, rational):
             # the Fraction ta + tb + corr/2, built once

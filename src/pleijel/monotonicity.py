@@ -39,8 +39,6 @@ threshold 5/(2 _E_HI) is below the true one.  Floats appear only in the
 displayed maxima.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import NamedTuple

@@ -5,8 +5,6 @@ quotient of integers one ulp outward, and ``round_half_away``, the display
 rule of every printed value.
 """
 
-from __future__ import annotations
-
 import math
 
 from .core import Enclosure
@@ -28,9 +26,9 @@ def _outward(lo: tuple[int, int], hi: tuple[int, int]) -> Enclosure:
 def round_half_away(value, decimals: int = 4) -> str:
     """Fixed-point decimal string, rounding halves away from zero.
 
-    Any finite int, float or Fraction is rounded exactly, from its integer
-    ratio (a float's is its exact binary value).  This is the display
-    convention of the reference tables (0.72576 -> "0.7258").
+    Any finite int, float, Fraction or ``cells.Ratio`` is rounded exactly,
+    from its integer ratio (a float's is its exact binary value).  This is
+    the display convention of the reference tables (0.72576 -> "0.7258").
     """
     if decimals < 0:
         raise ValueError("decimals must be >= 0")

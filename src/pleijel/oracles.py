@@ -7,7 +7,8 @@ an independent route:
   enclosed from ``sobolev_interval`` and ``weyl_interval``;
 * ``weyl_density_bruteforce`` -- the spectral density rebuilt shell by
   shell, with the series pieces it sums (``_summand``, ``_min_terms``,
-  ``_integral_remainder``);
+  ``_integral_remainder``): each pair's shell counts and stop are built
+  once, and each lambda's shells are added by one ``math.fsum``;
 * ``sphere_area`` -- the area of the unit sphere, a factor of that density;
 * ``zeta_interval`` -- Riemann zeta without the series' Euler-Maclaurin
   code;
@@ -19,13 +20,14 @@ Of the package's modules only ``checks`` imports this one, so ``value``,
 ``table``, ``exceptional`` and ``htype`` neither compile nor run it.
 """
 
-from __future__ import annotations
-
 import math
 import numbers
+from array import array
 from collections.abc import Sized
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, compress, count, islice, repeat, tee
+from operator import le, mul, truediv
 
 from .constants import sobolev_interval, weyl_interval
 from .core import DimPair, Enclosure, as_pair
@@ -147,7 +149,10 @@ def weyl_density_bruteforce(pair, lam: float) -> float:
     stops at the first K >= _min_terms(n) whose series term is at most
     1e-9 times the partial series sum, and the rest is enclosed by the
     integral bracket (the shell sum *is* the series, restructured); the
-    bracket midpoint is used.
+    bracket midpoint is used.  The counts and the stop are lambda-free and
+    built once per pair (``_bruteforce_shells``); each lambda divides,
+    powers and scales its own shells, and ``math.fsum`` adds them with one
+    rounding (J. R. Shewchuk, Discrete Comput. Geom. 18 (1997)).
 
     Equals weyl_interval(pair).mid * lambda^(n+m) up to the combined
     certified error.
@@ -156,36 +161,46 @@ def weyl_density_bruteforce(pair, lam: float) -> float:
     if not 0 < lam < math.inf:
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
     n, s = p.n, p.n + p.m
-    shells, remainder = _bruteforce_shells(n, p.m)
-    total = 0.0
-    comp = 0.0
-    for K in range(shells):
-        # (number of multi-indices with |k| = K) * (lam / (2K + n))^s / s
-        shell = math.comb(K + n - 1, K) * (lam / (2 * K + n)) ** s / s
-        y = shell - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    counts, remainder = _bruteforce_shells(n, p.m)
+    # (number of multi-indices with |k| = K) * (lam / (2K + n))^s / s, per shell, as
+    # many as there are counts; 2K + n and s as the floats the divisions and the power
+    # convert them to (a float counter adds integers exactly below 2^53)
+    levels = map(truediv, repeat(lam), count(float(n), 2.0))
+    sf = float(s)
+    total = math.fsum(map(truediv, map(mul, counts, map(pow, levels, repeat(sf))), repeat(sf)))
     total += lam**s * remainder / s
     # omega_(m-1)/(2pi)^(n+m) * total; _weyl_prefactor carries an extra 1/s
     return _weyl_prefactor(p) * s * total
 
 
+def _summands(n: int, m: int):
+    """``_summand(n, m, k)`` for k = 0, 1, 2, ...: the same float operations
+    in the same order, each step a ``map`` over unbounded counters."""
+    r = repeat(1.0)
+    for j in range(1, n):  # (k + j) / (j (2k + n))
+        r = map(mul, r, map(truediv, count(j), count(j * n, 2 * j)))
+    return map(mul, r, map(pow, count(float(n), 2.0), repeat(-(m + 1))))
+
+
 @lru_cache(maxsize=16)
-def _bruteforce_shells(n: int, m: int) -> tuple[int, float]:
-    """The lambda-free part of weyl_density_bruteforce: the number of shells
-    summed before the stop rule holds, and the integral bracket of the
-    series from there on."""
+def _bruteforce_shells(n: int, m: int) -> tuple[array, float]:
+    """The lambda-free part of weyl_density_bruteforce: the count
+    C(K+n-1, K) of each shell summed before the stop rule holds, and the
+    integral bracket of the series from there on.  The stop is the first
+    K >= _min_terms(n) whose summand is at most 1e-9 times the running
+    float sum of the summands before it, found without a Python-level loop.
+    Each count is kept as the binary64 its product with a float converts it
+    to (exact below 2^53: the three pairs ``check`` runs stay under 2^30),
+    8 bytes a shell."""
     kmin = _min_terms(n)
-    partial = 0.0  # the series' partial sum, for the stop rule
-    K = 0
-    while True:
-        term = _summand(n, m, K)
-        if K >= kmin and term <= _BRUTEFORCE_EPS * partial:
-            break
-        partial += term
-        K += 1
-    return K, _integral_remainder((n, m), K) + term / 2
+    terms, ahead = tee(_summands(n, m))
+    partials = accumulate(ahead, initial=0.0)  # the sum before each term
+    stops = map(le, terms, map(mul, repeat(_BRUTEFORCE_EPS), partials))
+    K = next(compress(count(kmin), islice(stops, kmin, None)))
+    counts = repeat(1, K)  # C(K+n-1, K) is the sum over k <= K of C(k+n-2, k)
+    for _ in range(n - 1):
+        counts = accumulate(counts)
+    return array("d", counts), _integral_remainder((n, m), K) + _summand(n, m, K) / 2
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +226,7 @@ def zeta_interval(s: int) -> Enclosure:
         return _outward((num * _PI_LO[0] ** s, den * _PI_LO[1] ** s),
                         (num * _PI_HI[0] ** s, den * _PI_HI[1] ** s))
     N = math.ceil(2e14 ** (1 / s)) + 2  # bracket width ~ N^-s
-    head = math.fsum(j ** -float(s) for j in map(float, range(1, N)))
+    head = math.fsum(map(pow, map(float, range(1, N)), repeat(-float(s))))
     error = Fraction(_charge(_POW + 1, head) + (_POW + 1) * N * _ETA)
     lo = Fraction(head) - error + Fraction(1, (s - 1) * N ** (s - 1))
     hi = Fraction(head) + error + Fraction(1, (s - 1) * (N - 1) ** (s - 1))

@@ -21,8 +21,6 @@ the 198 consistent cells and against the corrected digits for these two,
 reporting the errata explicitly.
 """
 
-from __future__ import annotations
-
 _GAMMA_TILDE_ROWS = """
 3.2423 2.1392 1.5574 1.1666 0.8835 0.6718 0.5115 0.3893 0.2960 0.2248
 1.8238 1.2325 0.8662 0.6221 0.4530 0.3329 0.2462 0.1828 0.1361 0.1015

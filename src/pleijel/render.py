@@ -4,8 +4,6 @@ Only the ``table`` verb runs this module; the cells come from
 ``cells._compute_cell``, which imports this module.
 """
 
-from __future__ import annotations
-
 import math
 from typing import TYPE_CHECKING
 
@@ -15,7 +13,7 @@ if TYPE_CHECKING:
     from .cells import Cell, TableSpec
 
 
-def _annotated_rows(spec: TableSpec, cells: dict[tuple[int, int], Cell],
+def _annotated_rows(spec: "TableSpec", cells: "dict[tuple[int, int], Cell]",
                     exceeds: str, inadmissible: str) -> list[list[str]]:
     """Rows [n, display(n, 1), ...]; with annotations on, an admissible cell
     above 1 is put in the ``exceeds`` template, an inadmissible one in the
@@ -37,7 +35,7 @@ def _annotated_rows(spec: TableSpec, cells: dict[tuple[int, int], Cell],
     return rows
 
 
-def _render_markdown(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
+def _render_markdown(spec: "TableSpec", cells: "dict[tuple[int, int], Cell]") -> str:
     lines = [f"quantity: {spec.quantity} ({spec.precision} decimals; eps {spec.eps:g})", ""]
     header = "| n/m | " + " | ".join(str(m) for m in range(1, spec.m_max + 1)) + " |"
     rule = "|" + "---|" * (spec.m_max + 1)
@@ -49,7 +47,7 @@ def _render_markdown(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
+def _render_csv(spec: "TableSpec", cells: "dict[tuple[int, int], Cell]") -> str:
     lines = ["n,m,value,error_bound,admissible"]
     mask = shading_mask(spec.n_max, spec.m_max)
     for n in range(1, spec.n_max + 1):
@@ -67,7 +65,7 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _render_json(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
+def _render_json(spec: "TableSpec", cells: "dict[tuple[int, int], Cell]") -> str:
     # json.dumps(payload, indent=1) byte for byte, written directly (json indents in
     # pure Python); the strings are names and digits, which json leaves as they are
     ordered = [cells[key] for key in sorted(cells)]
@@ -87,7 +85,7 @@ def _render_json(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
             f' "cells": [\n' + ",\n".join(objects) + "\n ]\n}\n")
 
 
-def _render_latex(spec: TableSpec, cells: dict[tuple[int, int], Cell]) -> str:
+def _render_latex(spec: "TableSpec", cells: "dict[tuple[int, int], Cell]") -> str:
     cols = "|c|" + "c|" * spec.m_max
     lines = [
         f"% {spec.quantity}, {spec.precision} decimals",

@@ -67,8 +67,6 @@ comparison finishes.  The direct summations of the oracles bracket the
 remainder by its integral instead (``oracles._integral_remainder``).
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from itertools import repeat

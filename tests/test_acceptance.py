@@ -68,8 +68,9 @@ def _reference_tables() -> dict[str, tuple[dict, dict]]:
 
 def _enclosure(cell) -> tuple[Fraction, Fraction]:
     """Exact ends of the cell's certified enclosure value +- error_bound."""
-    if cell.exact is not None:
-        return cell.exact, cell.exact
+    if cell.exact is not None:  # a lowest-terms (numerator, denominator) pair
+        exact = Fraction(*cell.exact)
+        return exact, exact
     value, err = Fraction(cell.value), Fraction(cell.error_bound)
     return value - err, value + err
 

@@ -503,6 +503,36 @@ class TestCheck:
         assert not result.passed
         assert "series/zeta oracle enclosures disjoint at (1,1)" in result.details
 
+    def test_bruteforce_row_sees_a_shifted_weyl_constant(self, monkeypatch):
+        # the Weyl constant shifted by 1e-6 relative is 10x past the 1e-7 gate
+        from pleijel import checks
+        from pleijel.constants import weyl_interval
+
+        def shifted(pair):
+            w = weyl_interval(pair)
+            return w._replace(lo=w.lo * (1 + 1e-6), hi=w.hi * (1 + 1e-6))
+
+        monkeypatch.setattr(checks, "weyl_interval", shifted)
+        result = checks.check_consistency()
+        assert not result.passed
+        assert any(line.startswith("brute-force Weyl mismatch at (1, 1), lambda=0.5: rel dev")
+                   for line in result.details)
+        assert not any(line.startswith("brute-force homogeneity") for line in result.details)
+
+    def test_bruteforce_row_sees_a_lambda_dependent_density(self, monkeypatch):
+        # a factor 1 + 1e-8 lambda spreads the ratios over 0.5..8 by 7.5e-8, past the
+        # 1e-9 homogeneity gate, while lambda <= 2 stays inside the 1e-7 Weyl gate
+        from pleijel import checks
+        from pleijel.oracles import weyl_density_bruteforce
+
+        monkeypatch.setattr(checks, "weyl_density_bruteforce",
+                            lambda pair, lam: weyl_density_bruteforce(pair, lam) * (1 + 1e-8 * lam))
+        result = checks.check_consistency()
+        assert not result.passed
+        assert any(line.startswith("brute-force homogeneity broken at (1, 1): spread")
+                   for line in result.details)
+        assert not any(line.startswith("brute-force Weyl mismatch") for line in result.details)
+
     def test_pi_squared_row_compares_enclosures(self, monkeypatch):
         # gamma_tilde(1,1) shifted by 1e-13 relative no longer meets 32/pi^2
         from pleijel import checks
@@ -779,6 +809,7 @@ codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["value", "30", "1", "gamma_tilde"], ["value", "3", "4", "weyl"],
                  ["table", "weyl", "--n-max", "30", "--m-max", "30", "--format", "json"],
+                 ["value", "7", "3", "gamma_bar"], ["table", "gamma_bar", "--format", "json"],
                  ["exceptional"], ["htype", "8", "8", sys.argv[1]]):
         codes.append(pleijel.cli.main(argv))
     by_verbs = set(sys.modules) - before
@@ -792,7 +823,8 @@ print(json.dumps({"after_import": after_import,
 
 # Run in a fresh interpreter: which pleijel modules are in sys.modules, and which
 # have run (a lazily registered module becomes a plain module when it runs), after
-# `import pleijel.cli` and after the verb given as JSON; and whether numpy was loaded.
+# `import pleijel.cli` and after the verb given as JSON; and whether numpy, numbers
+# and __future__ were loaded.
 _VERB_PROBE = """
 import contextlib, io, json, sys, types
 import pleijel.cli
@@ -807,7 +839,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = pleijel.cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"present": present, "after_import": after_import, "after_verb": ran(),
                   "code": code, "numpy": "numpy" in sys.modules,
-                  "numbers": "numbers" in sys.modules}))
+                  "numbers": "numbers" in sys.modules, "future": "__future__" in sys.modules}))
 """
 
 _PACKAGE_MODULES = {"admissibility", "cells", "checks", "cli", "constants", "core",
@@ -839,20 +871,25 @@ class TestImportPath:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         probe = json.loads(result.stdout)
-        assert probe["codes"] == [0, 0, 0, 0, 0]
+        assert probe["codes"] == [0] * 7
         assert not probe["after_import"]
         assert not probe["after_verbs"]
         # the import itself adds none of these: dataclasses pulls in inspect, ast,
         # dis and tokenize, and fractions pulls in decimal; datetime, json and
         # fractions are loaded by the verbs that use them
         assert probe["stdlib_added"] == []
-        # value of a non-gamma_bar quantity, a json table, exceptional and htype
-        # build no Fraction and write their JSON text themselves
+        # value, a json table, exceptional and htype build no Fraction (gamma_bar's
+        # exact cell is a lowest-terms integer pair) and write their JSON text themselves
         assert probe["stdlib_by_verbs"] == []
 
     @pytest.mark.parametrize("argv, unrun", [
         (["value", "30", "1", "gamma_tilde"], _SELF_CHECK_LAYERS | {"render"}),
         (["table", "weyl", "--format", "json"], _SELF_CHECK_LAYERS),
+        # gamma_bar is exact and sobolev a root of an exact rational: no series
+        (["value", "7", "3", "gamma_bar"], _SELF_CHECK_LAYERS | {"render", "series"}),
+        (["value", "7", "3", "sobolev"], _SELF_CHECK_LAYERS | {"render", "series"}),
+        (["table", "gamma_bar", "--format", "json"], _SELF_CHECK_LAYERS | {"series"}),
+        (["table", "sobolev"], _SELF_CHECK_LAYERS | {"series"}),
         # only `value` and `table` run `cells`, the cell path
         (["exceptional"], _SELF_CHECK_LAYERS | {"render", "cells"}),
         (["htype", "8", "8", "h88.json"], {"checks", "monotonicity", "oracles", "reference",
@@ -861,7 +898,8 @@ class TestImportPath:
         # the zeta oracle sums over Python floats, the term-ratio link is exact, and
         # the algebra suite is integer work on signed permutations: no numpy
         (["check", "all", "--no-timestamp"], {"render", "cells"}),
-    ], ids=["value", "table", "exceptional", "htype", "check"])
+    ], ids=["value", "table", "value-gamma_bar", "value-sobolev", "table-gamma_bar",
+            "table-sobolev", "exceptional", "htype", "check"])
     def test_each_verb_runs_only_the_modules_it_calls(self, tmp_path, argv, unrun):
         argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
         result = subprocess.run([sys.executable, "-c", _VERB_PROBE, json.dumps(argv)],
@@ -877,6 +915,8 @@ class TestImportPath:
         assert not probe["numpy"]
         # only `check` builds a Fraction (fractions imports numbers) or runs oracles
         assert probe["numbers"] == (argv[0] == "check")
+        # no module postpones its annotations, so none imports __future__
+        assert not probe["future"]
 
     def test_from_import_of_cli_runs_what_import_does(self):
         # the import system asks the package for `cli` before importing it
