@@ -15,19 +15,26 @@ Verbs:
 ``--eps`` exists on ``value`` and ``table`` only, whose cells, eps
 decision and refusals are the ``cells`` module's: this module parses
 their arguments and hands them over, so ``check``, ``exceptional`` and
-``htype`` never compile that code.  ``main`` builds the parser of the
-verb its first argument names, and of all five when it names none (no
-argument, ``-h``, a misspelt verb); every usage, help and error text is
-the same either way.  A ``PrecisionUnreachable`` from any verb is
-refused with a one-line message on stderr and exit 2.
+``htype`` never compile that code.  Each verb's grammar is stated once,
+in ``GRAMMAR``.  ``main`` reads a well-formed argv without argparse: the
+verb, exactly its positionals, then each option at most once, spelt in
+full, with its value as the next word, every value passing its check.
+Only help, errors and other spellings (an abbreviation, ``--eps=1e-9``,
+``--``, an option before a positional, a repeated option) import
+argparse: ``main`` then builds the parser of the verb its first argument
+names, and of all five when it names none (no argument, ``-h``, a
+misspelt verb); every usage, help and error text is the same either
+way.  A ``PrecisionUnreachable`` from any verb is refused with a
+one-line message on stderr and exit 2.
 
 Output is deterministic byte-for-byte; ``check`` carries a timestamp in
 its JSON trailer unless --no-timestamp is given.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 # The library modules are called through their module attributes, looked up when
 # a verb runs: each verb then runs only the modules it calls (the package registers
@@ -35,6 +42,9 @@ import sys
 from . import cells, checks, constants, htype_algebra
 from .admissibility import admissible
 from .core import InadmissiblePair, PrecisionUnreachable
+
+if TYPE_CHECKING:
+    import argparse
 
 QUANTITIES = ("gamma_tilde", "gamma_bar", "sobolev", "weyl", "c_series")
 FORMATS = ("markdown", "csv", "json", "latex")
@@ -102,93 +112,127 @@ def _cmd_htype(args) -> int:
     return 0
 
 
-def _checked(convert, ok, requirement: str):
-    """An argparse type: ``convert`` the text, then refuse a value failing ``ok``."""
-    def parse(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
-        return value
+# An argument's kind is a converter triple ``(convert, ok, requirement)``: the value
+# is ``convert(text)``, refused when it fails ``ok``; or a tuple of choices; or None,
+# any text for a positional and store-true for an option.
+_EPS = (float, lambda x: x > 0, "> 0")  # NaN fails x > 0 too
+_PRECISION = (int, lambda k: 1 <= k <= 12, "in [1, 12]")
+_POSITIVE = (int, lambda k: k >= 1, ">= 1")
+_TABLE_SIDE = (int, lambda k: 1 <= k <= 30, "in [1, 30]")
 
-    parse.__name__ = convert.__name__  # a malformed value reads "invalid int value: ..."
-    return parse
+_EPS_OPTION = ("--eps", _EPS, 1e-8, "series tolerance (default 1e-8); relative for derived "
+                                    "constants, absolute enclosure width for c_series")
+
+# Each verb's grammar, read by both `build_parser` and `_read`: its help, its handler,
+# its positionals as (dest, kind) and its options as (flag, kind, default, help).  The
+# value and table handlers are looked up when they run, so that parsing runs no `cells`.
+GRAMMAR = {
+    "value": ("one constant with certified error bound", lambda args: cells.cmd_value(args),
+              (("n", _POSITIVE), ("m", _POSITIVE), ("quantity", QUANTITIES)),
+              (("--precision", _PRECISION, 4, None), _EPS_OPTION)),
+    "table": ("emit a full table", lambda args: cells.cmd_table(args),
+              (("quantity", QUANTITIES),),
+              (("--n-max", _TABLE_SIDE, 10, None), ("--m-max", _TABLE_SIDE, 10, None),
+               ("--format", FORMATS, "markdown", None), ("--precision", _PRECISION, 4, None),
+               ("--no-annotations", None, False, "plain numbers only (csv is always plain)"),
+               _EPS_OPTION)),
+    "check": ("run offline self-check suites", _cmd_check,
+              (("suite", SUITE_NAMES),),
+              (("--no-timestamp", None, False,
+                "omit the timestamp from the JSON trailer (deterministic output)"),)),
+    "exceptional": ("classify pairs against the threshold 1", _cmd_exceptional, (),
+                    (("--n-max", _POSITIVE, 10, None), ("--m-max", _POSITIVE, 10, None))),
+    "htype": ("export a verified H-type matrix family as JSON", _cmd_htype,
+              (("n", _POSITIVE), ("m", _POSITIVE), ("output", None)), ()),
+}
+VERBS = tuple(GRAMMAR)
 
 
-_EPS = _checked(float, lambda x: x > 0, "> 0")  # NaN fails x > 0 too
-_PRECISION = _checked(int, lambda k: 1 <= k <= 12, "in [1, 12]")
-_POSITIVE = _checked(int, lambda k: k >= 1, ">= 1")
-_TABLE_SIDE = _checked(int, lambda k: 1 <= k <= 30, "in [1, 30]")
-
-
-VERBS = ("value", "table", "check", "exceptional", "htype")
-
-
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> "argparse.ArgumentParser":
     """The parser of ``verb`` alone, or of every verb when ``verb`` names none."""
+    import argparse
+
+    def typed(convert, ok, requirement):
+        def parse(text: str):
+            value = convert(text)
+            if not ok(value):
+                raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+            return value
+
+        parse.__name__ = convert.__name__  # a malformed value reads "invalid int value: ..."
+        return parse
+
+    def checks_of(kind):
+        if kind is None:
+            return {}
+        return {"choices": kind} if isinstance(kind[0], str) else {"type": typed(*kind)}
+
     parser = argparse.ArgumentParser(
         prog="pleijel",
         description="Certified spectral constants on H-type groups R^(2n) x R^m.",
     )
-    one = verb in VERBS
+    one = verb in GRAMMAR
     # one verb's parser names all five in its usage, as the full parser's default
     # metavar does; the full parser keeps the default, as its errors name "command"
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(VERBS) + "}" if one else None)
-    names = (verb,) if one else VERBS
-
-    def add_eps(p):
-        p.add_argument("--eps", type=_EPS, default=1e-8,
-                       help="series tolerance (default 1e-8); relative for derived "
-                            "constants, absolute enclosure width for c_series")
-
-    # the value and table commands are looked up when they run, so that building
-    # their parsers runs no `cells`
-    if "value" in names:
-        p = sub.add_parser("value", help="one constant with certified error bound")
-        p.add_argument("n", type=_POSITIVE)
-        p.add_argument("m", type=_POSITIVE)
-        p.add_argument("quantity", choices=QUANTITIES)
-        p.add_argument("--precision", type=_PRECISION, default=4)
-        add_eps(p)
-        p.set_defaults(func=lambda args: cells.cmd_value(args))
-
-    if "table" in names:
-        p = sub.add_parser("table", help="emit a full table")
-        p.add_argument("quantity", choices=QUANTITIES)
-        p.add_argument("--n-max", type=_TABLE_SIDE, default=10)
-        p.add_argument("--m-max", type=_TABLE_SIDE, default=10)
-        p.add_argument("--format", choices=FORMATS, default="markdown")
-        p.add_argument("--precision", type=_PRECISION, default=4)
-        p.add_argument("--no-annotations", action="store_true",
-                       help="plain numbers only (csv is always plain)")
-        add_eps(p)
-        p.set_defaults(func=lambda args: cells.cmd_table(args))
-
-    if "check" in names:
-        p = sub.add_parser("check", help="run offline self-check suites")
-        p.add_argument("suite", choices=SUITE_NAMES)
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp from the JSON trailer (deterministic output)")
-        p.set_defaults(func=_cmd_check)
-
-    if "exceptional" in names:
-        p = sub.add_parser("exceptional", help="classify pairs against the threshold 1")
-        p.add_argument("--n-max", type=_POSITIVE, default=10)
-        p.add_argument("--m-max", type=_POSITIVE, default=10)
-        p.set_defaults(func=_cmd_exceptional)
-
-    if "htype" in names:
-        p = sub.add_parser("htype", help="export a verified H-type matrix family as JSON")
-        p.add_argument("n", type=_POSITIVE)
-        p.add_argument("m", type=_POSITIVE)
-        p.add_argument("output")
-        p.set_defaults(func=_cmd_htype)
+    for name in (verb,) if one else VERBS:
+        summary, func, positionals, options = GRAMMAR[name]
+        p = sub.add_parser(name, help=summary)
+        for dest, kind in positionals:
+            p.add_argument(dest, **checks_of(kind))
+        for flag, kind, default, text in options:
+            p.add_argument(flag, default=default, help=text,
+                           **(checks_of(kind) if kind else {"action": "store_true"}))
+        p.set_defaults(func=func)
     return parser
+
+
+def _value(kind, text: str):
+    """``text`` read as ``kind``, or None where argparse would refuse it or read an option."""
+    if text.startswith("-"):
+        return None
+    if kind is None:
+        return text
+    if isinstance(kind[0], str):
+        return text if text in kind else None
+    convert, ok, _ = kind
+    try:
+        value = convert(text)
+    except ValueError:
+        return None
+    return value if ok(value) else None
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for a well-formed ``argv``
+    (the module docstring says which); None for any other, which argparse reads."""
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    _, func, positionals, options = GRAMMAR[argv[0]]
+    if len(argv) <= len(positionals):
+        return None
+    args = {"command": argv[0], "func": func}
+    for (dest, kind), text in zip(positionals, argv[1:]):
+        args[dest] = _value(kind, text)
+    unseen = {}
+    for flag, kind, default, _ in options:
+        dest = flag[2:].replace("-", "_")  # as argparse derives it
+        unseen[flag] = dest, kind
+        args[dest] = default
+    words = iter(argv[1 + len(positionals):])
+    for flag in words:
+        if flag not in unseen:
+            return None
+        dest, kind = unseen.pop(flag)
+        # a missing value reads as "-", which is declined
+        args[dest] = True if kind is None else _value(kind, next(words, "-"))
+    return None if None in args.values() else SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

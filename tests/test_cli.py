@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,12 +16,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pleijel import checks, constants, htype_algebra, reference, series
 from pleijel.admissibility import admissible
 from pleijel.checks import run_suite
 from pleijel.cells import TableSpec, _compute_cell, render_table
-from pleijel.cli import QUANTITIES, SUITE_NAMES, VERBS, build_parser, main
+from pleijel.cli import GRAMMAR, QUANTITIES, SUITE_NAMES, VERBS, _read, build_parser, main
 from pleijel.constants import gamma_tilde_interval
 
 
@@ -738,6 +742,94 @@ def _exit_code(parse, argv) -> int:
         return exc.code
 
 
+# Every argv the benchmark runs (bench/workloads.py): the fixed ops of its four
+# workloads, the interactive `value` one-shots' form, the warm-ups and the probes.
+_BENCH_ARGV = [
+    ["table", "gamma_tilde"], ["table", "gamma_bar"], ["exceptional"],
+    ["value", "17", "30", "c_series"], ["value", "1", "29", "sobolev"],
+    *(["table", q, "--n-max", "30", "--m-max", "30"] for q in QUANTITIES),
+    *(["table", q, "--n-max", "30", "--m-max", "30", "--format", "json"] for q in QUANTITIES),
+    ["table", "gamma_tilde", "--n-max", "30", "--m-max", "30", "--format", "csv"],
+    ["table", "gamma_tilde", "--n-max", "30", "--m-max", "30", "--format", "latex"],
+    ["exceptional", "--n-max", "30", "--m-max", "30"],
+    ["table", "weyl", "--n-max", "30", "--m-max", "30", "--eps", "1e-10", "--format", "json"],
+    ["value", "30", "1", "gamma_tilde", "--eps", "1e-12"],
+    ["table", "gamma_tilde", "--eps", "1e-12", "--format", "json"],
+    ["check", "all", "--no-timestamp"], ["htype", "8", "8", "w/htype_8_8.json"],
+    ["value", "2", "1", "gamma_tilde"], ["table", "gamma_tilde", "--n-max", "2", "--m-max", "2"],
+    ["exceptional", "--n-max", "2", "--m-max", "2"], ["check", "admissibility", "--no-timestamp"],
+    ["htype", "1", "1", "w/htype_warmup.json"],
+    ["value", "200", "1", "gamma_tilde"], ["value", "150", "3", "gamma_tilde"],
+]
+
+# argv checked against argparse by hand: (argv, argparse reads it, _read reads it)
+_SPELLINGS = [
+    ("value 1 --eps 1e-9 1 gamma_tilde", True, False),  # an option between positionals
+    ("value 1 1 gamma_tilde --e 1e-9", True, False),  # an abbreviation
+    ("value 1 1 gamma_tilde --eps=1e-9", True, False),
+    ("value -- 1 1 weyl", True, False),
+    ("htype 1 1 -", True, False),  # "-" is a positional to argparse
+    ("htype 1 1 -o.json", False, False),  # an unknown option to argparse
+    ("value 1_0 1 weyl", True, True),  # int() reads both as argparse's converter does
+    ("value +1 1 weyl", True, True),
+    ("table gamma_tilde --no-annotations --no-annotations", True, False),
+]
+
+_NUMBERS = ("1", "2", "12", "13", "30", "31", "0", "-1", "+1", "1_0", " 3 ", "1e-9", "-1e-9",
+            "inf", "nan", "1e999", str(10**309), "x")
+_CHOICES = ("gamma_tilde", "gamma_bar", "weyl", "gamma", "json", "latex", "xml", "all",
+            "algebra", "out.json", "-o.json", "-", "")
+_FLAGS = ("--eps", "--precision", "--n-max", "--m-max", "--format", "--no-annotations",
+          "--no-timestamp", "--e", "--n", "--form", "--eps=1e-9", "--format=csv", "-h", "--help",
+          "--")
+_WORD = st.sampled_from(_NUMBERS + _CHOICES)
+
+
+def _word_for(kind):
+    """A word that may read as ``kind`` (a grammar table's argument kind), or any word."""
+    if kind is None:
+        return _WORD
+    return st.sampled_from(kind if isinstance(kind[0], str) else _NUMBERS) | _WORD
+
+
+def _near_canonical(verb):
+    """The verb, a word per positional, then options, mostly the verb's own."""
+    _, _, positionals, options = GRAMMAR[verb]
+    option = st.builds(lambda flag, words: [flag, *words], st.sampled_from(_FLAGS),
+                       st.lists(_WORD, max_size=1))
+    for flag, kind, _, _ in options:
+        option |= st.just([flag]) if kind is None else _word_for(kind).map(
+            lambda word, flag=flag: [flag, word])
+    return st.builds(lambda words, options: [verb, *words, *(w for o in options for w in o)],
+                     st.tuples(*(_word_for(kind) for _, kind in positionals)),
+                     st.lists(option, max_size=3))
+
+
+_ARGV = st.one_of(*map(_near_canonical, VERBS)) | st.lists(
+    st.sampled_from(VERBS + ("valu",) + _FLAGS + _NUMBERS + _CHOICES), max_size=8)
+
+
+_FULL_PARSER = build_parser()
+
+
+def _argparse_reads(argv):
+    """The attributes argparse sets for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_FULL_PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def assert_read_agrees(argv) -> bool:
+    """_read declines argv, or reads what argparse reads; whether it read argv."""
+    read = _read(list(argv))
+    if read is not None:
+        # func is the same handler: both readers take it from the one grammar table
+        assert vars(read) == _argparse_reads(argv), argv
+    return read is not None
+
+
 class TestParser:
     def test_bytes_pinned(self, capsys, monkeypatch):
         # usage, help and error texts with their exit codes: main builds only the
@@ -761,6 +853,27 @@ class TestParser:
         (sub,) = (action for action in build_parser(verb)._actions
                   if isinstance(action, argparse._SubParsersAction))
         assert list(sub.choices) == built
+
+    def test_read_agrees_on_the_recorded_argv(self):
+        records = json.loads((Path(__file__).parent / "parser_output.json").read_text())
+        for record in records:
+            assert not assert_read_agrees(record["argv"])  # help and errors are argparse's
+
+    def test_read_takes_every_benchmark_argv(self):
+        for argv in _BENCH_ARGV:
+            assert assert_read_agrees(argv), argv
+
+    @pytest.mark.parametrize("line, by_argparse, by_read", _SPELLINGS,
+                             ids=[line.replace(" ", "_") for line, *_ in _SPELLINGS])
+    def test_read_declines_what_is_not_canonical(self, line, by_argparse, by_read):
+        argv = line.split(" ")
+        assert (_argparse_reads(argv) is not None) == by_argparse
+        assert assert_read_agrees(argv) == by_read
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_ARGV)
+    def test_read_agrees_with_argparse(self, argv):
+        assert_read_agrees(argv)
 
 
 class TestConsoleEntryPoint:
@@ -786,6 +899,20 @@ class TestConsoleEntryPoint:
         )
         assert result.returncode == 0
         assert result.stderr == ""
+
+    def test_joined_option_value_reads_as_two_words(self):
+        # `--eps=1e-9` is not canonical: argparse reads it, in a fresh process that
+        # loads argparse for it, and prints what `--eps 1e-9` prints without it
+        results = [subprocess.run([sys.executable, "-X", "importtime", "-m", "pleijel.cli",
+                                   "value", "2", "3", "gamma_bar", *eps],
+                                  capture_output=True, text=True, timeout=120)
+                   for eps in (["--eps=1e-9"], ["--eps", "1e-9"])]
+        assert [r.returncode for r in results] == [0, 0]
+        assert results[0].stdout == results[1].stdout
+        assert results[0].stdout.splitlines()[0] == "0.9375 (= 15/16)"
+        loaded = [{line.rpartition("|")[2].strip() for line in r.stderr.splitlines()}
+                  for r in results]
+        assert ["argparse" in names for names in loaded] == [True, False]
 
     def test_subprocess_bad_args(self):
         result = subprocess.run(
@@ -817,8 +944,10 @@ import json
 print(json.dumps({"after_import": after_import,
                   "after_verbs": "numpy" in sys.modules, "codes": codes,
                   "stdlib_added": sorted(added & {"dataclasses", "inspect", "datetime", "json",
-                                                  "fractions", "decimal"}),
-                  "stdlib_by_verbs": sorted(by_verbs & {"fractions", "decimal", "json"})}))
+                                                  "fractions", "decimal", "argparse", "gettext",
+                                                  "locale"}),
+                  "stdlib_by_verbs": sorted(by_verbs & {"fractions", "decimal", "json",
+                                                        "argparse", "gettext", "locale"})}))
 """
 
 # Run in a fresh interpreter: which pleijel modules are in sys.modules, and which
@@ -866,7 +995,8 @@ class TestClosedStdout:
 
 class TestImportPath:
     def test_value_table_exceptional_leave_numpy_unloaded(self, tmp_path):
-        # and `htype`: the five verbs load no numpy, and no fractions, decimal or json
+        # and `htype`: the five verbs load no numpy, and no fractions, decimal or json;
+        # a well-formed argv loads no argparse (which pulls in gettext and locale)
         result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "h88.json")],
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
@@ -876,10 +1006,11 @@ class TestImportPath:
         assert not probe["after_verbs"]
         # the import itself adds none of these: dataclasses pulls in inspect, ast,
         # dis and tokenize, and fractions pulls in decimal; datetime, json and
-        # fractions are loaded by the verbs that use them
+        # fractions are loaded by the verbs that use them, argparse by help and errors
         assert probe["stdlib_added"] == []
         # value, a json table, exceptional and htype build no Fraction (gamma_bar's
-        # exact cell is a lowest-terms integer pair) and write their JSON text themselves
+        # exact cell is a lowest-terms integer pair) and write their JSON text themselves;
+        # the strict reader reads their argv
         assert probe["stdlib_by_verbs"] == []
 
     @pytest.mark.parametrize("argv, unrun", [
