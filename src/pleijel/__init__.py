@@ -23,9 +23,9 @@ tests call) under ``check``, ``cells`` (the cells of ``value`` and
 finds it unloaded.
 """
 
+import _thread
 import importlib.util
 import sys
-import threading
 import types
 
 __version__ = "0.1.0"
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 # the modules whose ``__all__`` the package exports, in this order
 _EXPORTING = ("core", "admissibility", "numerics", "series", "constants", "monotonicity",
               "htype_algebra", "oracles")
-_LOCK = threading.RLock()
+_LOCK = _thread.RLock()  # reentrant: a module run may import another under it
 
 
 class _LazyModule(types.ModuleType):

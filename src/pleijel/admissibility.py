@@ -11,9 +11,9 @@ reference tables cell-for-cell: odd n admits only m = 1 (rho(2 odd) = 2),
 n in {2, 6, 10} admit m <= 3, n = 4 admits m <= 7, n = 8 admits m <= 8.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
-from .core import DimPair, as_pair
+from .core import as_pair
 
 __all__ = ["AdmissibilityVerdict", "radon_hurwitz", "admissible", "shading_mask"]
 
@@ -26,11 +26,8 @@ def radon_hurwitz(N: int) -> int:
     return 8 * (a // 4) + 2 ** (a % 4)
 
 
-class AdmissibilityVerdict(NamedTuple):
-    pair: DimPair
-    admissible: bool
-    rho_2n: int
-    max_m: int  # = rho_2n - 1, the largest centre dimension possible
+# max_m = rho_2n - 1, the largest centre dimension possible
+AdmissibilityVerdict = namedtuple("AdmissibilityVerdict", "pair admissible rho_2n max_m")
 
 
 def admissible(pair) -> AdmissibilityVerdict:

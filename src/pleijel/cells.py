@@ -17,7 +17,7 @@ cell is computed, so a wrapped module attribute is the one called.
 
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import constants, numerics, render, series
 from .admissibility import admissible
@@ -26,34 +26,22 @@ from .core import DimPair, Enclosure, PrecisionUnreachable
 _MAX_S = 10_000  # `value` refuses sobolev, weyl and gamma_tilde above this n + m
 
 
-class TableSpec(NamedTuple):
-    quantity: str
-    n_max: int = 10
-    m_max: int = 10
-    fmt: str = "markdown"
-    precision: int = 4
-    eps: float = 1e-8
-    annotations: bool = True
+TableSpec = namedtuple("TableSpec", "quantity n_max m_max fmt precision eps annotations",
+                       defaults=(10, 10, "markdown", 4, 1e-8, True))
 
 
-class Ratio(NamedTuple):
+class Ratio(namedtuple("Ratio", "numerator denominator")):
     """An exact rational in lowest terms, built without ``fractions``."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ()
 
     def as_integer_ratio(self) -> tuple[int, int]:  # what round_half_away reads
         return self.numerator, self.denominator
 
 
-class Cell(NamedTuple):  # admissibility is the table's shading_mask
-    n: int
-    m: int
-    value: float
-    display: str
-    error_bound: float
-    exceeds_one: bool  # certified: the exact value, or the enclosure's lower end, is > 1
-    exact: Ratio | None = None
+# admissibility is the table's shading_mask; exceeds_one is certified: the exact
+# value, or the enclosure's lower end, is > 1; exact is gamma_bar's Ratio, else None
+Cell = namedtuple("Cell", "n m value display error_bound exceeds_one exact", defaults=(None,))
 
 
 def _c_enclosure(pair: DimPair) -> Enclosure:

@@ -8,8 +8,8 @@ pass/fail with human-readable details.
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import reference
 from .admissibility import admissible, radon_hurwitz, shading_mask
@@ -26,10 +26,7 @@ from .series import c_series
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    details: tuple[str, ...]
+CheckResult = namedtuple("CheckResult", "name passed details")  # details: a tuple of lines
 
 
 def _result(name: str, failures: list[str], notes: list[str]) -> CheckResult:
@@ -143,7 +140,7 @@ def check_consistency() -> CheckResult:
         spread = (max(ratios) - min(ratios)) / w
         if spread > 1e-9:
             failures.append(f"brute-force homogeneity broken at {pair}: spread {spread:.2e}")
-    notes.append("brute-force shell-sum density agrees with weyl_constant on (1,1), (2,2), (3,1)")
+    notes.append("brute-force shell-sum density agrees with weyl_interval on (1,1), (2,2), (3,1)")
 
     # the headline classification
     exc = exceptional_set(10, 10)

@@ -34,7 +34,6 @@ its JSON trailer unless --no-timestamp is given.
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 # The library modules are called through their module attributes, looked up when
 # a verb runs: each verb then runs only the modules it calls (the package registers
@@ -42,9 +41,6 @@ from typing import TYPE_CHECKING
 from . import cells, checks, constants, htype_algebra
 from .admissibility import admissible
 from .core import InadmissiblePair, PrecisionUnreachable
-
-if TYPE_CHECKING:
-    import argparse
 
 QUANTITIES = ("gamma_tilde", "gamma_bar", "sobolev", "weyl", "c_series")
 FORMATS = ("markdown", "csv", "json", "latex")

@@ -44,8 +44,8 @@ flip a classification (is gamma_tilde >= 1?).
 """
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
 
 # series is called through its module attribute: gamma_bar and sobolev never
 # run it (the package registers it lazily), and a wrapped c_series is the one called
@@ -53,9 +53,6 @@ from . import series
 from .admissibility import radon_hurwitz
 from .core import DimPair, Enclosure, PrecisionUnreachable, as_pair
 from .numerics import _PI_HI, _PI_LO, _outward
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "ExceptionalSet",
@@ -205,11 +202,11 @@ def gamma_tilde_interval(pair) -> Enclosure:
     return _outward((num * ld, den * ln), (num * hd, den * hn))
 
 
-class ExceptionalSet(NamedTuple):
-    """Admissible pairs classified against the Pleijel threshold 1."""
+ExceptionalSet = namedtuple("ExceptionalSet", "exceptional uncertain")
+ExceptionalSet.__doc__ = """Admissible pairs classified against the Pleijel threshold 1.
 
-    exceptional: list[DimPair]  # certified gamma_tilde >= 1
-    uncertain: list[DimPair]  # certified interval straddles 1 (expected empty)
+exceptional: certified gamma_tilde >= 1; uncertain: the certified interval
+straddles 1 (expected empty)."""
 
 
 def exceptional_set(n_max: int, m_max: int) -> ExceptionalSet:

@@ -8,7 +8,7 @@ dimension is Q = 2n + 2m.
 
 import math
 import operator
-from typing import NamedTuple
+from collections import namedtuple
 
 __all__ = ["DimPair", "Enclosure", "InadmissiblePair", "PrecisionUnreachable"]
 
@@ -40,12 +40,7 @@ class InadmissiblePair(ValueError):
         self.rho_2n = rho_2n
 
 
-class _DimPairFields(NamedTuple):
-    n: int
-    m: int
-
-
-class DimPair(_DimPairFields):
+class DimPair(namedtuple("DimPair", "n m")):
     """Dimension parameters of an H-type group R^(2n) x R^m.
 
     n: half the dimension of the horizontal layer (which is always even).
@@ -82,11 +77,10 @@ def as_pair(pair) -> DimPair:
     return DimPair(operator.index(n), operator.index(m))
 
 
-class Enclosure(NamedTuple):
+class Enclosure(namedtuple("Enclosure", "lo hi")):
     """A certified interval [lo, hi] with binary64 ends: the true value lies in it."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
     @property
     def mid(self) -> float:

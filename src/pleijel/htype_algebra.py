@@ -37,11 +37,11 @@ verifies and writes, and loads ``fractions`` nowhere on that path.
 """
 
 import operator
+from collections import namedtuple
 from functools import lru_cache, reduce
-from typing import NamedTuple
 
 from .admissibility import admissible
-from .core import DimPair, InadmissiblePair, as_pair
+from .core import InadmissiblePair, as_pair
 
 __all__ = [
     "SignedPermutation",
@@ -55,11 +55,10 @@ __all__ = [
 ]
 
 
-class SignedPermutation(NamedTuple):
+class SignedPermutation(namedtuple("SignedPermutation", "perm signs")):
     """The matrix with the single entry signs[i] at (i, perm[i]) in row i."""
 
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ()
 
     @classmethod
     def identity(cls, d: int) -> "SignedPermutation":
@@ -133,11 +132,10 @@ def _hurwitz_radon_family(v: int) -> tuple[SignedPermutation, ...]:
             + tuple(omega.kron(A) for A in _hurwitz_radon_family(v - 4)))
 
 
-class HTypeStructure(NamedTuple):
+class HTypeStructure(namedtuple("HTypeStructure", "pair family")):
     """An explicit family of signed permutation matrices realising an H-type group."""
 
-    pair: DimPair
-    family: tuple[SignedPermutation, ...]
+    __slots__ = ()
 
     @property
     def dim_x(self) -> int:
@@ -186,15 +184,11 @@ def construct(pair) -> HTypeStructure:
     return s
 
 
-class GroupElement(NamedTuple):
-    """A point (x, t) with len(x) = 2n and len(t) = m.
+GroupElement = namedtuple("GroupElement", "x t")
+GroupElement.__doc__ = """A point (x, t) with len(x) = 2n and len(t) = m.
 
-    Coordinates may be ints, Fractions, or floats; group operations stay
-    exact on rational inputs.
-    """
-
-    x: tuple
-    t: tuple
+Coordinates may be ints, Fractions, or floats; group operations stay
+exact on rational inputs."""
 
 
 def _check_dims(s: HTypeStructure, g: GroupElement) -> None:

@@ -40,8 +40,8 @@ displayed maxima.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .constants import gamma_bar_exact, gamma_tilde_interval
 from .core import as_pair
@@ -56,13 +56,12 @@ _E_HI = (sum(Fraction(1, math.factorial(k)) for k in range(18))
          + Fraction(1, 17 * math.factorial(17)))
 
 
-class InequalityReport(NamedTuple):
-    name: str
-    domain_scanned: str
-    max_observed: float
-    threshold: float
-    passed: bool
-    note: str = ""
+class InequalityReport(namedtuple("InequalityReport",
+                                  "name domain_scanned max_observed threshold passed note",
+                                  defaults=("",))):
+    """One decided link of the proof; ``str()`` is its line in ``check monotonicity``."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         mark = "ok " if self.passed else "FAIL"

@@ -5,12 +5,8 @@ Only the ``table`` verb runs this module; the cells come from
 """
 
 import math
-from typing import TYPE_CHECKING
 
 from .admissibility import shading_mask
-
-if TYPE_CHECKING:
-    from .cells import Cell, TableSpec
 
 
 def _annotated_rows(spec: "TableSpec", cells: "dict[tuple[int, int], Cell]",

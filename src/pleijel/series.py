@@ -68,10 +68,10 @@ remainder by its integral instead (``oracles._integral_remainder``).
 """
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
-from typing import NamedTuple
 
 from .core import PrecisionUnreachable, as_pair
 
@@ -102,13 +102,7 @@ _EM_RATIO = _em_ratios()
 _BETA1 = 1 / 6  # beta_1 = B_2
 
 
-class _SeriesValueFields(NamedTuple):
-    value: float
-    tail_bound: float
-    terms_used: int
-
-
-class SeriesValue(_SeriesValueFields):
+class SeriesValue(namedtuple("SeriesValue", "value tail_bound terms_used")):
     """A certified lower bound plus enclosure width for a positive series.
 
     The true sum lies in [value, value + tail_bound].  ``terms_used`` is

@@ -17,16 +17,21 @@ import pleijel
 from pleijel import reference
 from pleijel.admissibility import admissible, radon_hurwitz, shading_mask
 from pleijel.checks import CheckResult
-from pleijel.cells import TableSpec, _compute_cell
+from pleijel.cells import Ratio, TableSpec, _compute_cell
+from pleijel.constants import exceptional_set, weyl_interval
 from pleijel.core import DimPair, InadmissiblePair
-from pleijel.htype_algebra import GroupElement, construct
+from pleijel.htype_algebra import GroupElement, SignedPermutation, construct
 from pleijel.monotonicity import InequalityReport
 from pleijel.oracles import Polynomial
 from pleijel.series import SeriesValue, c_series
 
-#: one instance of each of the package's value types (NamedTuples)
+#: one instance of each of the package's value types (named tuples)
 _VALUE_TYPES = {
     "DimPair": lambda: DimPair(2, 1),
+    "Enclosure": lambda: weyl_interval((2, 1)),
+    "Ratio": lambda: _compute_cell("gamma_bar", 4, 2, 4, 1e-8).exact,
+    "SignedPermutation": lambda: SignedPermutation.identity(4),
+    "ExceptionalSet": lambda: exceptional_set(3, 1),
     "SeriesValue": lambda: c_series((2, 1)),
     "AdmissibilityVerdict": lambda: admissible((2, 1)),
     "CheckResult": lambda: CheckResult("tables", True, ()),
@@ -129,6 +134,17 @@ class TestCrossModule:
                 setattr(value, field, getattr(value, field))
         with pytest.raises(AttributeError):
             value.extra = None
+
+    @pytest.mark.parametrize("name", _VALUE_TYPES)
+    def test_value_types_are_their_tuples(self, name):
+        value = _VALUE_TYPES[name]()
+        assert type(value) is not tuple and value == tuple(value)
+        if name == "ExceptionalSet":  # its fields are lists: neither it nor its tuple hashes
+            for v in (value, tuple(value)):
+                with pytest.raises(TypeError):
+                    hash(v)
+        else:
+            assert hash(value) == hash(tuple(value))
 
 
 class TestPackageExports:

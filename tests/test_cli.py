@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pleijel
 from pleijel import checks, constants, htype_algebra, reference, series
 from pleijel.admissibility import admissible
 from pleijel.checks import run_suite
@@ -947,7 +948,9 @@ print(json.dumps({"after_import": after_import,
                                                   "fractions", "decimal", "argparse", "gettext",
                                                   "locale"}),
                   "stdlib_by_verbs": sorted(by_verbs & {"fractions", "decimal", "json",
-                                                        "argparse", "gettext", "locale"})}))
+                                                        "argparse", "gettext", "locale"}),
+                  "typing_threading_by_verbs": sorted(by_verbs & {"typing", "threading", "re",
+                                                                  "enum"})}))
 """
 
 # Run in a fresh interpreter: which pleijel modules are in sys.modules, and which
@@ -1012,6 +1015,23 @@ class TestImportPath:
         # exact cell is a lowest-terms integer pair) and write their JSON text themselves;
         # the strict reader reads their argv
         assert probe["stdlib_by_verbs"] == []
+
+    def test_import_and_verbs_load_no_typing_or_threading_without_site(self, tmp_path):
+        # site may preload stdlib modules (a .pth hook can load typing, re and enum), and
+        # the probe subtracts whatever it loaded; under -S nothing is preloaded, so the
+        # import and the seven verbs show every module they load themselves
+        source = str(Path(pleijel.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE,
+                                 str(tmp_path / "h88.json")],
+                                capture_output=True, text=True, timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+        probe = json.loads(result.stdout)
+        assert probe["codes"] == [0] * 7
+        # the value types are collections.namedtuples and the lazy modules' lock is
+        # _thread's; `check` is not run: its fractions and json load re
+        assert probe["typing_threading_by_verbs"] == []
 
     @pytest.mark.parametrize("argv, unrun", [
         (["value", "30", "1", "gamma_tilde"], _SELF_CHECK_LAYERS | {"render"}),

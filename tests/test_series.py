@@ -441,6 +441,11 @@ class TestDimPair:
             DimPair(1.5, 1)
         with pytest.raises(ValueError):
             DimPair(1, 1)._replace(n=0)
+        # _replace builds through _make, which validates as the constructor does
+        with pytest.raises(TypeError):
+            DimPair(2, 1)._replace(n=True)
+        with pytest.raises(ValueError):
+            DimPair(2, 1)._replace(m=0)
 
     def test_bools_rejected(self):
         # bool is an int subclass: (True, True) would print as (True,True)
