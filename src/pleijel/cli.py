@@ -28,7 +28,10 @@ way.  A ``PrecisionUnreachable`` from any verb is refused with a
 one-line message on stderr and exit 2.
 
 Output is deterministic byte-for-byte; ``check`` carries a timestamp in
-its JSON trailer unless --no-timestamp is given.
+its JSON trailer unless --no-timestamp is given.  A process entered
+through ``run`` ends once the exit handlers have run and its output is
+flushed, past the interpreter's teardown; ``main(argv)`` in process
+registers nothing.
 """
 
 import os
@@ -243,5 +246,35 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry point: ``main()``, whose returned code then ends the process
+    once the exit handlers have run and stdout and stderr are flushed, without the
+    interpreter's teardown.  Called in process, it ends that process with that code."""
+    code = main()
+    import atexit
+
+    run_exitfuncs = getattr(atexit, "_run_exitfuncs", None)
+    if run_exitfuncs is None:
+        return code
+
+    def leave():
+        # registered last, so called first: the handlers registered before it run as
+        # they would, then what they and `main` buffered is written; a stream that is
+        # gone or cannot be flushed is left to the ordinary exit, which reports it
+        atexit.unregister(leave)
+        run_exitfuncs()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is None:
+                return
+            try:
+                stream.flush()
+            except (OSError, ValueError):
+                return
+        os._exit(code)
+
+    atexit.register(leave)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -879,15 +879,19 @@ class TestParser:
 
 class TestConsoleEntryPoint:
     def test_subprocess_invocation(self, tmp_path):
-        # the installed entry point and module invocation agree
-        result = subprocess.run(
-            [sys.executable, "-m", "pleijel.cli", "value", "2", "3", "gamma_bar"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0
-        assert result.stdout.splitlines()[0] == "0.9375 (= 15/16)"
+        # the installed entry point and module invocation agree: the script generated
+        # for the [project.scripts] target runs `sys.exit(target())`
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        section = pyproject.partition("[project.scripts]\n")[2].partition("\n[")[0]
+        targets = dict(line.replace('"', "").split(" = ") for line in section.splitlines() if line)
+        module, _, func = targets["pleijel"].partition(":")
+        script = f"import sys\nfrom {module} import {func}\nsys.exit({func}())"
+        results = [subprocess.run([sys.executable, *entry, "value", "2", "3", "gamma_bar"],
+                                  capture_output=True, text=True, timeout=120)
+                   for entry in (["-m", "pleijel.cli"], ["-c", script])]
+        assert [r.returncode for r in results] == [0, 0]
+        assert results[0].stdout == results[1].stdout
+        assert results[0].stdout.splitlines()[0] == "0.9375 (= 15/16)"
 
     def test_module_invocation_warns_nothing(self):
         # the package leaves cli unregistered, so runpy finds it unloaded and does
@@ -981,6 +985,11 @@ _PACKAGE_MODULES = {"admissibility", "cells", "checks", "cli", "constants", "cor
 _SELF_CHECK_LAYERS = {"checks", "htype_algebra", "monotonicity", "oracles", "reference"}
 
 
+# stdout and stderr buffered, as they are by default, so that a write left unflushed
+# when the process ends is lost
+_BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("argv", [
         ("check", "all", "--no-timestamp"),
@@ -994,6 +1003,84 @@ class TestClosedStdout:
         assert proc.returncode == 1, err
         for marker in ("Traceback", "BrokenPipeError", "Exception ignored"):
             assert marker not in err, err
+
+    def test_a_profiler_writing_into_the_closed_pipe_stays_quiet(self):
+        # cProfile catches the CLI's SystemExit and prints its report into the devnull
+        # the CLI left on stdout; the exit hook then ends the process with the CLI's code
+        proc = subprocess.Popen([sys.executable, "-m", "cProfile", "-m", "pleijel.cli", *_VALUE],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_BUFFERED)
+        proc.stdout.close()
+        err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == 1, err
+        assert err == ""
+
+
+# Run in a fresh interpreter: `python -m pleijel.cli ARGV` inside a wrapper that
+# registered an exit handler first, whose marker (no newline) stays buffered until
+# stderr is flushed, and that keeps an object only the interpreter's teardown finalises.
+_EXIT_WRAPPER = """
+import atexit, os, runpy, sys
+
+class Finalised:
+    def __del__(self, write=os.write):
+        write(2, b"<finalised>")
+
+atexit.register(lambda: sys.stderr.write("<exit handler>"))
+kept = Finalised()
+sys.argv = ["pleijel", *sys.argv[1:]]
+runpy.run_module("pleijel.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_wrapped(*argv):
+    return subprocess.run([sys.executable, "-c", _EXIT_WRAPPER, *argv],
+                          capture_output=True, text=True, timeout=120, env=_BUFFERED)
+
+
+class TestProcessExit:
+    def test_ends_after_the_exit_handlers_without_teardown(self, capsys):
+        argv = ("value", "2", "3", "gamma_bar")
+        result = run_wrapped(*argv)
+        assert (result.returncode, result.stdout) == run_cli(capsys, *argv)[:2]
+        assert result.returncode == 0
+        assert "<exit handler>" in result.stderr
+        assert "<finalised>" not in result.stderr
+
+    def test_a_parser_exit_is_the_ordinary_exit(self):
+        result = run_wrapped("table", "gamma_tilde", "--n-max", "99")
+        assert result.returncode == 2
+        assert "pleijel table: error: argument --n-max: must be in [1, 30], got 99" in result.stderr
+        assert "<exit handler>" in result.stderr
+        assert "<finalised>" in result.stderr
+
+    def test_a_profiler_still_reports_after_the_cli(self, capsys):
+        result = subprocess.run([sys.executable, "-m", "cProfile", "-m", "pleijel.cli", *_VALUE],
+                                capture_output=True, text=True, timeout=120, env=_BUFFERED)
+        out = run_cli(capsys, *_VALUE)[1]
+        assert len(out.splitlines()) == 2
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith(out)
+        assert "function calls" in result.stdout[len(out):]
+        assert result.stdout.endswith("\n\n")  # the report's last lines: nothing left unflushed
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("htype", "2", "3"), 0),
+        (("value", "200", "1", "gamma_tilde"), 2),
+        (("htype", "1", "2"), 3),
+    ])
+    def test_a_child_prints_and_writes_what_main_does(self, capsys, tmp_path, argv, expected):
+        out_json = tmp_path / "OUT.json"
+        if argv[0] == "htype":
+            argv += (str(out_json),)
+        by_main = run_cli(capsys, *argv)
+        file_by_main = out_json.read_bytes() if out_json.exists() else None
+        out_json.unlink(missing_ok=True)
+        result = subprocess.run([sys.executable, "-m", "pleijel.cli", *argv],
+                                capture_output=True, text=True, timeout=120, env=_BUFFERED)
+        assert (result.returncode, result.stdout, result.stderr) == by_main
+        assert by_main[0] == expected
+        assert (out_json.read_bytes() if out_json.exists() else None) == file_by_main
+        assert (file_by_main is not None) == (expected == 0)
 
 
 class TestImportPath:
