@@ -8,31 +8,47 @@ bound gamma_bar, the Radon-Hurwitz admissibility classification of
 
 Each library module lists its public names once, in its ``__all__``; the
 package exports exactly those.  Importing the package runs none of them:
-every library module is registered in ``sys.modules`` as a lazy module and
-runs on its first attribute access (``__dict__`` included), under one lock,
-so a thread that finds a module running waits until it has run.  An
-exported name is resolved on first use by reading the ``__all__`` of each
-exporting module in turn, which runs every module up to the one that lists
-it: ``from pleijel import DimPair`` runs ``core`` alone, and
-``from pleijel import zeta_interval`` runs all eight; ``oracles`` comes
-last.  A CLI verb imports from the modules directly, so it compiles and
-runs only the modules it calls: ``oracles`` (what only ``check`` and the
-tests call) under ``check``, ``cells`` (the cells of ``value`` and
-``table``) under those two, ``render`` (the table formats) under
-``table``.  ``cli`` is not registered, so that ``python -m pleijel.cli``
-finds it unloaded.
+every module but ``cli`` is registered in ``sys.modules`` as a lazy module,
+its spec built from the package directory without a path search, and runs
+on its first attribute access (``__dict__`` included), under one lock, so a
+thread that finds a module running waits until it has run.  An exported
+name is resolved on first use by reading the ``__all__`` of each exporting
+module in turn, which runs every module up to the one that lists it:
+``from pleijel import DimPair`` runs ``core`` alone, and
+``from pleijel import zeta_interval`` runs all ten; ``oracles`` comes last.
+
+A CLI verb calls the modules directly, so it compiles and runs only the
+modules it calls.  Every verb runs ``cli`` (the grammar, the strict argv
+reader, ``main`` and ``run``), ``core`` and ``admissibility``; then
+
+* ``value`` runs ``cells`` (``cmd_value`` and the cell), ``numerics`` and,
+  as its quantity needs them, ``constants``, ``sobolev`` and ``series``;
+* ``table`` runs what ``value`` runs, and ``render`` (``cmd_table``,
+  ``TableSpec`` and the four formats);
+* ``exceptional`` runs ``exceptional`` (the walk and ``cmd_exceptional``),
+  ``constants``, ``numerics`` and ``series``;
+* ``htype`` runs ``htype_algebra`` (``cmd_htype``, the construction and
+  the JSON writer) alone;
+* ``check`` runs ``checks`` (``cmd_check`` and the suites), which imports
+  every library module, ``oracles`` and ``reference`` included;
+* help, errors and other spellings of an argv run ``argparser``, which
+  builds the argparse parser from ``cli.GRAMMAR``.
+
+``cli`` is not registered, so that ``python -m pleijel.cli`` finds it
+unloaded and runs it once, as ``__main__``.
 """
 
 import _thread
-import importlib.util
 import sys
 import types
+from importlib.machinery import ModuleSpec, SourceFileLoader
+from os.path import join
 
 __version__ = "0.1.0"
 
 # the modules whose ``__all__`` the package exports, in this order
-_EXPORTING = ("core", "admissibility", "numerics", "series", "constants", "monotonicity",
-              "htype_algebra", "oracles")
+_EXPORTING = ("core", "admissibility", "numerics", "series", "constants", "sobolev",
+              "exceptional", "monotonicity", "htype_algebra", "oracles")
 _LOCK = _thread.RLock()  # reentrant: a module run may import another under it
 
 
@@ -52,12 +68,17 @@ class _LazyModule(types.ModuleType):
         return get(self, attr)
 
 
-for _name in (*_EXPORTING, "reference", "checks", "render", "cells"):
-    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
-    _module = importlib.util.module_from_spec(_spec)
-    _module.__class__ = _LazyModule
+# each spec is built from the package directory, as the path search would find it
+for _name in (*_EXPORTING, "reference", "checks", "cells", "render", "argparser"):
+    _path = join(__path__[0], f"{_name}.py")
+    _spec = ModuleSpec(f"{__name__}.{_name}", SourceFileLoader(f"{__name__}.{_name}", _path),
+                       origin=_path)
+    _spec.has_location = True  # __file__ is the origin
+    _module = _LazyModule(_spec.name)
+    _module.__spec__, _module.__loader__, _module.__package__ = _spec, _spec.loader, __name__
+    _module.__file__ = _path
     sys.modules[_spec.name] = globals()[_name] = _module
-del _name, _spec, _module
+del _name, _path, _spec, _module
 
 
 def __getattr__(name: str):

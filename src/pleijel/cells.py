@@ -1,7 +1,10 @@
-"""The ``value`` and ``table`` verbs: one certified cell, and a table of them.
+"""The ``value`` verb, and the cells of ``table``: one certified cell.
 
-Only these two verbs run this module; ``cli`` parses their arguments and
-calls ``cmd_value`` or ``cmd_table``.  The library computes each enclosure
+Only these two verbs run this module: ``value`` through ``cmd_value``, and
+``table`` through ``render.cmd_table``, which computes each cell with
+``_compute_cell``.  The table half (``TableSpec``, ``render_table``,
+``cmd_table``) is ``render``'s, so a ``value`` op compiles none of it, and
+``cells`` imports no ``render``.  The library computes each enclosure
 at the binary64 rounding floor, the same for every eps, and
 ``_compute_cell`` decides ``--eps`` once, on the enclosure it prints.  A
 certified value that cannot be delivered (its printed enclosure wider
@@ -19,15 +22,11 @@ import math
 import sys
 from collections import namedtuple
 
-from . import constants, numerics, render, series
+from . import constants, numerics, series, sobolev
 from .admissibility import admissible
 from .core import DimPair, Enclosure, PrecisionUnreachable
 
 _MAX_S = 10_000  # `value` refuses sobolev, weyl and gamma_tilde above this n + m
-
-
-TableSpec = namedtuple("TableSpec", "quantity n_max m_max fmt precision eps annotations",
-                       defaults=(10, 10, "markdown", 4, 1e-8, True))
 
 
 class Ratio(namedtuple("Ratio", "numerator denominator")):
@@ -52,7 +51,7 @@ def _c_enclosure(pair: DimPair) -> Enclosure:
 # every quantity but the exact gamma_bar: pair -> its certified enclosure
 _ENCLOSURES = {
     "gamma_tilde": lambda pair: constants.gamma_tilde_interval(pair),
-    "sobolev": lambda pair: constants.sobolev_interval(pair),
+    "sobolev": lambda pair: sobolev.sobolev_interval(pair),
     "weyl": lambda pair: constants.weyl_interval(pair),
     "c_series": _c_enclosure,
 }
@@ -84,15 +83,6 @@ def _compute_cell(quantity: str, n: int, m: int, precision: int, eps: float) -> 
                                    best_bound=radius, terms_used=0)
     return Cell(n=n, m=m, value=mid, display=numerics.round_half_away(mid, precision),
                 error_bound=radius, exceeds_one=enc.lo > 1.0)
-
-
-def render_table(spec: TableSpec) -> str:
-    cells = {
-        (n, m): _compute_cell(spec.quantity, n, m, spec.precision, spec.eps)
-        for n in range(1, spec.n_max + 1)
-        for m in range(1, spec.m_max + 1)
-    }
-    return render.RENDERERS[spec.fmt](spec, cells)
 
 
 def _over_digit_limit(args, bits: int) -> bool:
@@ -142,18 +132,4 @@ def cmd_value(args) -> int:
         f"value={cell.value!r} error_bound={cell.error_bound:.3e} "
         f"admissible={'yes' if adm else 'no'}"
     )
-    return 0
-
-
-def cmd_table(args) -> int:
-    spec = TableSpec(
-        quantity=args.quantity,
-        n_max=args.n_max,
-        m_max=args.m_max,
-        fmt=args.format,
-        precision=args.precision,
-        eps=args.eps,
-        annotations=not args.no_annotations,
-    )
-    sys.stdout.write(render_table(spec))
     return 0

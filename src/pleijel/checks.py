@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from . import reference
 from .admissibility import admissible, radon_hurwitz, shading_mask
-from .constants import (exceptional_set, gamma_bar_exact, gamma_tilde_interval, log_gamma_bar,
-                        weyl_interval)
+from .constants import gamma_bar_exact, gamma_tilde_interval, log_gamma_bar, weyl_interval
 from .core import DimPair
+from .exceptional import exceptional_set
 from .htype_algebra import GroupElement, HTypeStructure, SignedPermutation, construct, group_mul
 from .monotonicity import inequality_suite
 from .numerics import _PI_HI, _PI_LO, round_half_away
@@ -371,3 +371,28 @@ def run_suite(name: str) -> CheckResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return SUITES[name]()
+
+
+def cmd_check(args) -> int:
+    """The ``check`` verb: each suite's verdict and details, then a JSON trailer;
+    exit 1 when a suite fails."""
+    import json
+
+    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
+    results = [run_suite(name) for name in names]
+    for res in results:
+        print(f"{'PASS' if res.passed else 'FAIL'} {res.name}")
+        for line in res.details:
+            print(f"    {line}")
+    report = {
+        "suites": [
+            {"name": r.name, "passed": r.passed, "details": list(r.details)} for r in results
+        ],
+        "passed": all(r.passed for r in results),
+    }
+    if not args.no_timestamp:
+        from datetime import datetime, timezone
+
+        report["timestamp"] = datetime.now(timezone.utc).isoformat()
+    print(json.dumps(report, sort_keys=True))
+    return 0 if report["passed"] else 1

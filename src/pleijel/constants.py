@@ -2,10 +2,8 @@
 
 For Q = 2n + 2m the homogeneous dimension:
 
-* ``sobolev_interval`` -- the sharp L^2 Sobolev constant, enclosed,
-
-      C = 4^(n/(n+m)) n (n+m-1) pi^((2n+m)/(2n+2m))
-          (Gamma(n+m/2)/Gamma(2n+m))^(1/(n+m)).
+* the sharp L^2 Sobolev constant C, enclosed by ``sobolev.sobolev_interval``
+  from this module's gamma and pi factors;
 
 * ``weyl_interval`` -- coefficient W in the eigenvalue-counting
   asymptotics N(lambda) ~ W |Omega| lambda^(Q/2),
@@ -23,7 +21,7 @@ For Q = 2n + 2m the homogeneous dimension:
   Everything in front of 1/c is an exact rational (the gamma ratio
   telescopes), so gamma_tilde is computed as exact-rational / certified
   series value and inherits a certified enclosure.  The independent
-  product-form enclosure through sobolev_interval and weyl_interval is
+  product-form enclosure through C and weyl_interval is
   a consistency check (``oracles.gamma_tilde_product_form``).
 
 * ``gamma_bar_exact`` -- the rational upper bound obtained by keeping only
@@ -44,24 +42,19 @@ flip a classification (is gamma_tilde >= 1?).
 """
 
 import math
-from collections import namedtuple
 from functools import lru_cache
 
-# series is called through its module attribute: gamma_bar and sobolev never
-# run it (the package registers it lazily), and a wrapped c_series is the one called
+# series is called through its module attribute: gamma_bar never runs it (the
+# package registers it lazily), and a wrapped c_series is the one called
 from . import series
-from .admissibility import radon_hurwitz
 from .core import DimPair, Enclosure, PrecisionUnreachable, as_pair
 from .numerics import _PI_HI, _PI_LO, _outward
 
 __all__ = [
-    "ExceptionalSet",
-    "sobolev_interval",
     "weyl_interval",
     "gamma_tilde_interval",
     "gamma_bar_exact",
     "log_gamma_bar",
-    "exceptional_set",
 ]
 
 
@@ -129,52 +122,6 @@ def _pi_powers(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return tuple((num**k, (den.bit_length() - 1) * k) for num, den in (_PI_LO, _PI_HI))
 
 
-def _root(x: float, num: int, den: int, e: int, s: int, up: bool) -> float:
-    """The smallest float with x^s >= num/(den 2^e) (up), or the largest with
-    x^s <= num/(den 2^e), searched from x; each candidate is compared exactly over
-    integers, the powers of two as one shift."""
-    def holds(x: float) -> bool:
-        a, b = x.as_integer_ratio()  # b is a power of two
-        lhs, rhs, shift = a**s * den, num, (b.bit_length() - 1) * s - e
-        if shift >= 0:
-            rhs <<= shift
-        else:
-            lhs <<= -shift
-        return lhs >= rhs if up else lhs <= rhs
-
-    outward, inward = (math.inf, 0.0) if up else (0.0, math.inf)
-    while not holds(x):
-        x = math.nextafter(x, outward)
-    while holds(y := math.nextafter(x, inward)):
-        x = y
-    return x
-
-
-def sobolev_interval(pair) -> Enclosure:
-    """Certified enclosure of the sharp L^2 Sobolev constant C, from
-    C^s = R pi^k with s = n + m, k = n + ceil(m/2) and the rational
-    R = 4^n n^s (s-1)^s (Gamma(n+m/2)/sqrt(pi)^[m odd]) / (2n+m-1)!; the
-    ends are the outward float s-th roots of R pi^k at the two pi bounds.
-    The upper target exceeds the lower one by (pi_hi/pi_lo)^k, a few ulps,
-    so the upper root's search starts one ulp above the lower root.
-    """
-    p = as_pair(pair)
-    s, k = p.n + p.m, p.n + (p.m + 1) // 2
-    gn, gd = _gamma_half(2 * p.n + p.m)
-    num = 4**p.n * p.n**s * (s - 1) ** s * gn
-    den = gd * math.factorial(2 * p.n + p.m - 1)
-    twos = (den & -den).bit_length() - 1
-    den >>= twos  # R pi^k at a pi bound is num pi_num^k / (den 2^(twos + e))
-    (pl, el), (ph, eh) = _pi_powers(k)
-    ln, el, hn, eh = num * pl, twos + el, num * ph, twos + eh
-    x = math.exp((math.log(ln) - math.log(den) - el * math.log(2)) / s)
-    a, b = x.as_integer_ratio()
-    shift = (b.bit_length() - 1) * s - el  # one Newton step: now within ~2 ulps
-    x *= ((ln << max(shift, 0)) / ((a**s * den) << max(-shift, 0))) ** (1 / s)
-    lo = _root(x, ln, den, el, s, up=False)
-    return Enclosure(lo, _root(math.nextafter(lo, math.inf), hn, den, eh, s, up=True))
-
-
 def weyl_interval(pair) -> Enclosure:
     """Certified enclosure of the eigenvalue-counting coefficient
     W = R_w c(n, m) pi^-k, with s = n + m, k = n + ceil(m/2) and the rational
@@ -200,43 +147,3 @@ def gamma_tilde_interval(pair) -> Enclosure:
     den *= p.n ** (p.n + p.m)
     (ln, ld), (hn, hd) = sv.upper.as_integer_ratio(), sv.value.as_integer_ratio()
     return _outward((num * ld, den * ln), (num * hd, den * hn))
-
-
-ExceptionalSet = namedtuple("ExceptionalSet", "exceptional uncertain")
-ExceptionalSet.__doc__ = """Admissible pairs classified against the Pleijel threshold 1.
-
-exceptional: certified gamma_tilde >= 1; uncertain: the certified interval
-straddles 1 (expected empty)."""
-
-
-def exceptional_set(n_max: int, m_max: int) -> ExceptionalSet:
-    """Classify every admissible pair in the box [1, n_max] x [1, m_max].
-
-    gamma_tilde < gamma_bar (c exceeds its k = 0 term), and the exact
-    gamma_bar decreases in n and in m (``monotonicity``), so a row stops at
-    its first gamma_bar < 1, and the walk at the first row where that is
-    m = 1 (n = 7): any box costs about a dozen exact gamma_bar and at most
-    11 series evaluations.  A pair before the stop is exceptional iff the
-    certified lower end of its gamma_tilde interval is >= 1, safe iff the
-    upper end is < 1; anything straddling the threshold is reported
-    separately rather than silently decided.
-    """
-    if n_max < 1 or m_max < 1:
-        raise ValueError(f"need n_max, m_max >= 1, got ({n_max}, {m_max})")
-    exceptional: list[DimPair] = []
-    uncertain: list[DimPair] = []
-    for n in range(1, n_max + 1):
-        # the admissible m are 1..rho(2n) - 1, so a tall box costs nothing extra
-        for m in range(1, min(m_max, radon_hurwitz(2 * n) - 1) + 1):
-            p = DimPair(n, m)
-            num, den = _gamma_bar_ratio(p)
-            if num < den:
-                break
-            low, high = gamma_tilde_interval(p)
-            if low >= 1.0:
-                exceptional.append(p)
-            elif high >= 1.0:
-                uncertain.append(p)
-        if m == 1 and num < den:
-            break
-    return ExceptionalSet(exceptional, uncertain)

@@ -37,6 +37,7 @@ verifies and writes, and loads ``fractions`` nowhere on that path.
 """
 
 import operator
+import sys
 from collections import namedtuple
 from functools import lru_cache, reduce
 
@@ -248,3 +249,26 @@ def write_json(s: HTypeStructure, path) -> None:
             fh.write(f"{separator}  [\n{rows}\n  ]")
             separator = ",\n"
         fh.write("\n ]\n}\n")
+
+
+def cmd_htype(args) -> int:
+    """The ``htype`` verb: write the verified family of (n, m) to ``args.output``;
+    exit 3 for an inadmissible pair, 2 over 2^22 dense matrix entries or where
+    the file cannot be written."""
+    # both refusals come before the family is built, whose cost grows with n
+    verdict = admissible((args.n, args.m))
+    if not verdict.admissible:
+        print(f"error: {InadmissiblePair(verdict.pair, verdict.rho_2n)}", file=sys.stderr)
+        return 3
+    entries = args.m * (2 * args.n) ** 2  # htype 1024 1 (29 MB of JSON) is the largest m = 1
+    if entries > 1 << 22:
+        print(f"error: htype({args.n},{args.m}) would write {entries} dense matrix entries, "
+              "over the limit of 2^22", file=sys.stderr)
+        return 2
+    try:
+        write_json(construct(verdict.pair), args.output)
+    except OSError as exc:  # the family is built and verified; the path is refused
+        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return 2
+    print(f"wrote verified H-type structure ({args.n},{args.m}) to {args.output}")
+    return 0

@@ -16,7 +16,7 @@ a down-set:
 Four exact rationals below 1 fix the down-set's edge: gamma_bar(7, 1) =
 737280/823543, gamma_bar(4, 2) = 2268/3125, gamma_bar(2, 3) = 15/16 and
 gamma_bar(1, 5) = 13824/15625.  It holds 11 pairs, (1..6, 1), (1..3, 2),
-(1, 3) and (1, 4), and ``constants.exceptional_set`` asks the series about
+(1, 3) and (1, 4), and ``exceptional.exceptional_set`` asks the series about
 none outside it.
 
 The paper's lemmas, reproduced (no classification rests on them): gamma_tilde

@@ -29,11 +29,12 @@ from functools import lru_cache
 from itertools import accumulate, compress, count, islice, repeat, tee
 from operator import le, mul, truediv
 
-from .constants import sobolev_interval, weyl_interval
+from .constants import weyl_interval
 from .core import DimPair, Enclosure, as_pair
 from .htype_algebra import HTypeStructure, SignedPermutation, verify_structure
 from .numerics import _PI_HI, _PI_LO, _outward
 from .series import _BERNOULLI, _ETA, _POW, _charge, _shifted_numerator_coeffs
+from .sobolev import sobolev_interval
 
 __all__ = [
     "gamma_tilde_product_form",

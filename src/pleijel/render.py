@@ -1,12 +1,20 @@
-"""Table rendering: the cells of one ``table`` run in markdown, csv, json or latex.
+"""The ``table`` verb: a table of cells in markdown, csv, json or latex.
 
-Only the ``table`` verb runs this module; the cells come from
-``cells._compute_cell``, which imports this module.
+Only ``table`` runs this module: ``cmd_table`` reads the table's ``TableSpec``
+from the parsed arguments, ``render_table`` computes its cells with
+``cells._compute_cell`` and renders them in the format asked.  So a ``value``
+op compiles none of it.
 """
 
 import math
+import sys
+from collections import namedtuple
 
 from .admissibility import shading_mask
+from .cells import _compute_cell
+
+TableSpec = namedtuple("TableSpec", "quantity n_max m_max fmt precision eps annotations",
+                       defaults=(10, 10, "markdown", 4, 1e-8, True))
 
 
 def _annotated_rows(spec: "TableSpec", cells: "dict[tuple[int, int], Cell]",
@@ -101,3 +109,26 @@ RENDERERS = {
     "json": _render_json,
     "latex": _render_latex,
 }
+
+
+def render_table(spec: TableSpec) -> str:
+    cells = {
+        (n, m): _compute_cell(spec.quantity, n, m, spec.precision, spec.eps)
+        for n in range(1, spec.n_max + 1)
+        for m in range(1, spec.m_max + 1)
+    }
+    return RENDERERS[spec.fmt](spec, cells)
+
+
+def cmd_table(args) -> int:
+    spec = TableSpec(
+        quantity=args.quantity,
+        n_max=args.n_max,
+        m_max=args.m_max,
+        fmt=args.format,
+        precision=args.precision,
+        eps=args.eps,
+        annotations=not args.no_annotations,
+    )
+    sys.stdout.write(render_table(spec))
+    return 0

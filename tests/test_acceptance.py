@@ -24,10 +24,10 @@ import pytest
 
 from pleijel import reference
 from pleijel.admissibility import radon_hurwitz, shading_mask
-from pleijel.cells import TableSpec, _compute_cell, render_table
-from pleijel.constants import (exceptional_set, gamma_bar_exact, gamma_tilde_interval,
-                               weyl_interval)
+from pleijel.cells import _compute_cell
+from pleijel.constants import gamma_bar_exact, gamma_tilde_interval, weyl_interval
 from pleijel.core import DimPair
+from pleijel.exceptional import exceptional_set
 from pleijel.htype_algebra import construct, group_mul, verify_structure
 from pleijel.monotonicity import inequality_suite
 from pleijel.numerics import round_half_away
@@ -39,6 +39,7 @@ from pleijel.oracles import (
     weyl_density_bruteforce,
     zeta_interval,
 )
+from pleijel.render import TableSpec, render_table
 from pleijel.series import c_series, c_tail_bound
 from test_series import _mid
 

@@ -17,12 +17,14 @@ import pleijel
 from pleijel import reference
 from pleijel.admissibility import admissible, radon_hurwitz, shading_mask
 from pleijel.checks import CheckResult
-from pleijel.cells import Ratio, TableSpec, _compute_cell
-from pleijel.constants import exceptional_set, weyl_interval
+from pleijel.cells import Ratio, _compute_cell
+from pleijel.constants import weyl_interval
 from pleijel.core import DimPair, InadmissiblePair
+from pleijel.exceptional import exceptional_set
 from pleijel.htype_algebra import GroupElement, SignedPermutation, construct
 from pleijel.monotonicity import InequalityReport
 from pleijel.oracles import Polynomial
+from pleijel.render import TableSpec
 from pleijel.series import SeriesValue, c_series
 
 #: one instance of each of the package's value types (named tuples)
@@ -44,8 +46,8 @@ _VALUE_TYPES = {
 
 
 #: the library modules whose ``__all__`` the package re-exports, in order
-_LIBRARY_MODULES = ("core", "admissibility", "numerics", "series", "constants", "monotonicity",
-                    "htype_algebra", "oracles")
+_LIBRARY_MODULES = ("core", "admissibility", "numerics", "series", "constants", "sobolev",
+                    "exceptional", "monotonicity", "htype_algebra", "oracles")
 
 
 class TestRadonHurwitz:
@@ -175,7 +177,7 @@ class TestPackageExports:
         assert result.returncode == 0, result.stderr
         registered, ran, read = json.loads(result.stdout)
         assert registered == sorted(f"pleijel.{name}" for name in (
-            *_LIBRARY_MODULES, "reference", "checks", "render", "cells"))
+            *_LIBRARY_MODULES, "reference", "checks", "cells", "render", "argparser"))
         assert ran == []
         assert read
 

@@ -20,12 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pleijel
-from pleijel import checks, constants, htype_algebra, reference, series
+from pleijel import checks, constants, htype_algebra, reference, series, sobolev
 from pleijel.admissibility import admissible
 from pleijel.checks import run_suite
-from pleijel.cells import TableSpec, _compute_cell, render_table
-from pleijel.cli import GRAMMAR, QUANTITIES, SUITE_NAMES, VERBS, _read, build_parser, main
+from pleijel.argparser import build_parser
+from pleijel.cells import _compute_cell
+from pleijel.cli import GRAMMAR, QUANTITIES, SUITE_NAMES, _read, main
 from pleijel.constants import gamma_tilde_interval
+from pleijel.render import TableSpec, render_table
 
 
 def run_cli(capsys, *argv):
@@ -308,7 +310,7 @@ def _json_payload(spec: TableSpec) -> dict:
 class TestTable:
     @pytest.mark.parametrize("quantity, module, name", [
         ("gamma_tilde", constants, "gamma_tilde_interval"),
-        ("sobolev", constants, "sobolev_interval"),
+        ("sobolev", sobolev, "sobolev_interval"),
         ("weyl", constants, "weyl_interval"),
         ("c_series", series, "c_series"),
     ])
@@ -806,11 +808,12 @@ def _near_canonical(verb):
                      st.lists(option, max_size=3))
 
 
+VERBS = tuple(GRAMMAR)
 _ARGV = st.one_of(*map(_near_canonical, VERBS)) | st.lists(
     st.sampled_from(VERBS + ("valu",) + _FLAGS + _NUMBERS + _CHOICES), max_size=8)
 
 
-_FULL_PARSER = build_parser()
+_FULL_PARSER = build_parser(GRAMMAR)
 
 
 def _argparse_reads(argv):
@@ -842,7 +845,8 @@ class TestParser:
         for record in records:
             argv = record["argv"]
             got = (_exit_code(main, argv), *capsys.readouterr())
-            assert got == (_exit_code(build_parser().parse_args, argv), *capsys.readouterr()), argv
+            built = _exit_code(build_parser(GRAMMAR).parse_args, argv)
+            assert got == (built, *capsys.readouterr()), argv
             if sys.version_info[:2] == (3, 11):
                 assert got == (record["code"], record["stdout"], record["stderr"]), argv
 
@@ -851,7 +855,7 @@ class TestParser:
         (None, list(VERBS)), ("-h", list(VERBS)), ("valu", list(VERBS)),
     ])
     def test_builds_the_verb_named(self, verb, built):
-        (sub,) = (action for action in build_parser(verb)._actions
+        (sub,) = (action for action in build_parser(GRAMMAR, verb)._actions
                   if isinstance(action, argparse._SubParsersAction))
         assert list(sub.choices) == built
 
@@ -877,6 +881,26 @@ class TestParser:
         assert_read_agrees(argv)
 
 
+# The children's environment: the host's, with stdout and stderr buffered, as they are
+# by default, so that a write left unflushed when the process ends is lost; and the
+# package's source first on PYTHONPATH, where a child under -S (no site) finds it too.
+_BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+_BUFFERED["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(pleijel.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))
+
+# Imported by site at start-up from the first PYTHONPATH entry: at exit, whether the
+# CLI module was also imported under its own name, and the name of what ran as __main__.
+_SITECUSTOMIZE = """
+import atexit, json, os, sys
+
+@atexit.register
+def report():
+    main = sys.modules["__main__"].__spec__
+    os.write(2, json.dumps({"imported": "pleijel.cli" in sys.modules,
+                            "main": main and main.name}).encode())
+"""
+
+
 class TestConsoleEntryPoint:
     def test_subprocess_invocation(self, tmp_path):
         # the installed entry point and module invocation agree: the script generated
@@ -887,7 +911,7 @@ class TestConsoleEntryPoint:
         module, _, func = targets["pleijel"].partition(":")
         script = f"import sys\nfrom {module} import {func}\nsys.exit({func}())"
         results = [subprocess.run([sys.executable, *entry, "value", "2", "3", "gamma_bar"],
-                                  capture_output=True, text=True, timeout=120)
+                                  capture_output=True, text=True, timeout=120, env=_BUFFERED)
                    for entry in (["-m", "pleijel.cli"], ["-c", script])]
         assert [r.returncode for r in results] == [0, 0]
         assert results[0].stdout == results[1].stdout
@@ -901,16 +925,33 @@ class TestConsoleEntryPoint:
             capture_output=True,
             text=True,
             timeout=120,
+            env=_BUFFERED,
         )
         assert result.returncode == 0
         assert result.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("value", "2", "3", "gamma_bar"),
+        ("value", "2", "3", "gamma_bar", "--eps=1e-9"),  # read by argparse
+    ], ids=["well-formed", "non-canonical"])
+    def test_module_invocation_compiles_the_cli_once(self, tmp_path, argv):
+        # runpy runs the CLI as __main__; an import of pleijel.cli from anything it runs,
+        # the argparse module included, would compile and run it a second time
+        (tmp_path / "sitecustomize.py").write_text(_SITECUSTOMIZE)
+        env = {**_BUFFERED,
+               "PYTHONPATH": os.pathsep.join((str(tmp_path), _BUFFERED["PYTHONPATH"]))}
+        result = subprocess.run([sys.executable, "-m", "pleijel.cli", *argv],
+                                capture_output=True, text=True, timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0] == "0.9375 (= 15/16)"
+        assert json.loads(result.stderr) == {"imported": False, "main": "pleijel.cli"}
 
     def test_joined_option_value_reads_as_two_words(self):
         # `--eps=1e-9` is not canonical: argparse reads it, in a fresh process that
         # loads argparse for it, and prints what `--eps 1e-9` prints without it
         results = [subprocess.run([sys.executable, "-X", "importtime", "-m", "pleijel.cli",
                                    "value", "2", "3", "gamma_bar", *eps],
-                                  capture_output=True, text=True, timeout=120)
+                                  capture_output=True, text=True, timeout=120, env=_BUFFERED)
                    for eps in (["--eps=1e-9"], ["--eps", "1e-9"])]
         assert [r.returncode for r in results] == [0, 0]
         assert results[0].stdout == results[1].stdout
@@ -925,6 +966,7 @@ class TestConsoleEntryPoint:
             capture_output=True,
             text=True,
             timeout=120,
+            env=_BUFFERED,
         )
         assert result.returncode == 2
 
@@ -950,7 +992,7 @@ print(json.dumps({"after_import": after_import,
                   "after_verbs": "numpy" in sys.modules, "codes": codes,
                   "stdlib_added": sorted(added & {"dataclasses", "inspect", "datetime", "json",
                                                   "fractions", "decimal", "argparse", "gettext",
-                                                  "locale"}),
+                                                  "locale", "importlib.util", "contextlib"}),
                   "stdlib_by_verbs": sorted(by_verbs & {"fractions", "decimal", "json",
                                                         "argparse", "gettext", "locale"}),
                   "typing_threading_by_verbs": sorted(by_verbs & {"typing", "threading", "re",
@@ -959,8 +1001,8 @@ print(json.dumps({"after_import": after_import,
 
 # Run in a fresh interpreter: which pleijel modules are in sys.modules, and which
 # have run (a lazily registered module becomes a plain module when it runs), after
-# `import pleijel.cli` and after the verb given as JSON; and whether numpy, numbers
-# and __future__ were loaded.
+# `import pleijel.cli` and after the verb given as JSON; and whether numpy, numbers,
+# __future__ and argparse were loaded.
 _VERB_PROBE = """
 import contextlib, io, json, sys, types
 import pleijel.cli
@@ -975,19 +1017,18 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = pleijel.cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"present": present, "after_import": after_import, "after_verb": ran(),
                   "code": code, "numpy": "numpy" in sys.modules,
-                  "numbers": "numbers" in sys.modules, "future": "__future__" in sys.modules}))
+                  "numbers": "numbers" in sys.modules, "future": "__future__" in sys.modules,
+                  "argparse": "argparse" in sys.modules}))
 """
 
-_PACKAGE_MODULES = {"admissibility", "cells", "checks", "cli", "constants", "core",
-                    "htype_algebra", "monotonicity", "numerics", "oracles", "reference", "render",
-                    "series"}
+_PACKAGE_MODULES = {"admissibility", "argparser", "cells", "checks", "cli", "constants", "core",
+                    "exceptional", "htype_algebra", "monotonicity", "numerics", "oracles",
+                    "reference", "render", "series", "sobolev"}
 # the modules only `check` runs
 _SELF_CHECK_LAYERS = {"checks", "htype_algebra", "monotonicity", "oracles", "reference"}
-
-
-# stdout and stderr buffered, as they are by default, so that a write left unflushed
-# when the process ends is lost
-_BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+# the modules a well-formed `value` or `table` argv does not run: `check`'s, the
+# classification of `exceptional` and the parser of help, errors and other spellings
+_NOT_VALUE = _SELF_CHECK_LAYERS | {"exceptional", "argparser"}
 
 
 class TestClosedStdout:
@@ -997,7 +1038,7 @@ class TestClosedStdout:
     ])
     def test_exit_one_and_quiet_stderr(self, argv):
         proc = subprocess.Popen([sys.executable, "-m", "pleijel.cli", *argv],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_BUFFERED)
         proc.stdout.close()  # the reader is gone before anything is written
         err = proc.communicate(timeout=120)[1].decode()
         assert proc.returncode == 1, err
@@ -1088,7 +1129,7 @@ class TestImportPath:
         # and `htype`: the five verbs load no numpy, and no fractions, decimal or json;
         # a well-formed argv loads no argparse (which pulls in gettext and locale)
         result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "h88.json")],
-                                capture_output=True, text=True, timeout=120)
+                                capture_output=True, text=True, timeout=120, env=_BUFFERED)
         assert result.returncode == 0, result.stderr
         probe = json.loads(result.stdout)
         assert probe["codes"] == [0] * 7
@@ -1107,54 +1148,63 @@ class TestImportPath:
         # site may preload stdlib modules (a .pth hook can load typing, re and enum), and
         # the probe subtracts whatever it loaded; under -S nothing is preloaded, so the
         # import and the seven verbs show every module they load themselves
-        source = str(Path(pleijel.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))}
         result = subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE,
                                  str(tmp_path / "h88.json")],
-                                capture_output=True, text=True, timeout=120, env=env)
+                                capture_output=True, text=True, timeout=120, env=_BUFFERED)
         assert result.returncode == 0, result.stderr
         probe = json.loads(result.stdout)
         assert probe["codes"] == [0] * 7
+        # the lazy modules' specs are built from the package directory: no importlib.util,
+        # whose import loads contextlib and functools
+        assert probe["stdlib_added"] == []
         # the value types are collections.namedtuples and the lazy modules' lock is
         # _thread's; `check` is not run: its fractions and json load re
         assert probe["typing_threading_by_verbs"] == []
 
     @pytest.mark.parametrize("argv, unrun", [
-        (["value", "30", "1", "gamma_tilde"], _SELF_CHECK_LAYERS | {"render"}),
-        (["table", "weyl", "--format", "json"], _SELF_CHECK_LAYERS),
+        (["value", "30", "1", "gamma_tilde"], _NOT_VALUE | {"render", "sobolev"}),
+        (["table", "weyl", "--format", "json"], _NOT_VALUE | {"sobolev"}),
         # gamma_bar is exact and sobolev a root of an exact rational: no series
-        (["value", "7", "3", "gamma_bar"], _SELF_CHECK_LAYERS | {"render", "series"}),
-        (["value", "7", "3", "sobolev"], _SELF_CHECK_LAYERS | {"render", "series"}),
-        (["table", "gamma_bar", "--format", "json"], _SELF_CHECK_LAYERS | {"series"}),
-        (["table", "sobolev"], _SELF_CHECK_LAYERS | {"series"}),
+        (["value", "7", "3", "gamma_bar"], _NOT_VALUE | {"render", "series", "sobolev"}),
+        (["value", "7", "3", "sobolev"], _NOT_VALUE | {"render", "series"}),
+        (["table", "gamma_bar", "--format", "json"], _NOT_VALUE | {"series", "sobolev"}),
+        (["table", "sobolev"], _NOT_VALUE | {"series"}),
         # only `value` and `table` run `cells`, the cell path
-        (["exceptional"], _SELF_CHECK_LAYERS | {"render", "cells"}),
-        (["htype", "8", "8", "h88.json"], {"checks", "monotonicity", "oracles", "reference",
-                                            "render", "constants", "numerics", "series",
-                                            "cells"}),
+        (["exceptional"], _SELF_CHECK_LAYERS | {"argparser", "render", "cells", "sobolev"}),
+        (["htype", "8", "8", "h88.json"], {"argparser", "checks", "monotonicity", "oracles",
+                                            "reference", "render", "constants", "exceptional",
+                                            "numerics", "series", "cells", "sobolev"}),
         # the zeta oracle sums over Python floats, the term-ratio link is exact, and
         # the algebra suite is integer work on signed permutations: no numpy
-        (["check", "all", "--no-timestamp"], {"render", "cells"}),
+        (["check", "all", "--no-timestamp"], {"argparser", "render", "cells"}),
+        # an argv that is not canonical is read by argparse, built by `argparser`
+        (["value", "30", "1", "gamma_tilde", "--eps=1e-9"],
+         _NOT_VALUE - {"argparser"} | {"render", "sobolev"}),
     ], ids=["value", "table", "value-gamma_bar", "value-sobolev", "table-gamma_bar",
-            "table-sobolev", "exceptional", "htype", "check"])
+            "table-sobolev", "exceptional", "htype", "check", "value-joined-eps"])
     def test_each_verb_runs_only_the_modules_it_calls(self, tmp_path, argv, unrun):
         argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
-        result = subprocess.run([sys.executable, "-c", _VERB_PROBE, json.dumps(argv)],
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        probe = json.loads(result.stdout)
-        assert probe["code"] == 0
-        # every module stays in sys.modules, where the benchmark's tracer finds it
-        assert probe["present"] == sorted(_PACKAGE_MODULES)
-        assert probe["after_import"] == ["admissibility", "cli", "core"]
-        assert probe["after_verb"] == sorted(_PACKAGE_MODULES - unrun)
-        assert ("cells" in probe["after_verb"]) == (argv[0] in ("value", "table"))
-        assert not probe["numpy"]
-        # only `check` builds a Fraction (fractions imports numbers) or runs oracles
-        assert probe["numbers"] == (argv[0] == "check")
-        # no module postpones its annotations, so none imports __future__
-        assert not probe["future"]
+        # with this host's site, and under -S, where nothing is loaded before the probe
+        for flags in ([], ["-S"]):
+            result = subprocess.run([sys.executable, *flags, "-c", _VERB_PROBE, json.dumps(argv)],
+                                    capture_output=True, text=True, timeout=120, env=_BUFFERED)
+            assert result.returncode == 0, result.stderr
+            probe = json.loads(result.stdout)
+            assert probe["code"] == 0
+            # every module stays in sys.modules, where the benchmark's tracer finds it
+            assert probe["present"] == sorted(_PACKAGE_MODULES)
+            assert probe["after_import"] == ["cli", "core"]
+            assert probe["after_verb"] == sorted(_PACKAGE_MODULES - unrun)
+            assert ("cells" in probe["after_verb"]) == (argv[0] in ("value", "table"))
+            # a well-formed argv never runs the argparse module, nor loads argparse
+            assert ("argparser" in probe["after_verb"]) == ("--eps=1e-9" in argv)
+            if flags:
+                assert probe["argparse"] == ("--eps=1e-9" in argv)
+            assert not probe["numpy"]
+            # only `check` builds a Fraction (fractions imports numbers) or runs oracles
+            assert probe["numbers"] == (argv[0] == "check")
+            # no module postpones its annotations, so none imports __future__
+            assert not probe["future"]
 
     def test_from_import_of_cli_runs_what_import_does(self):
         # the import system asks the package for `cli` before importing it
@@ -1164,14 +1214,14 @@ class TestImportPath:
                  "              if name.startswith('pleijel.')\n"
                  "              and type(module) is types.ModuleType))\n")
         result = subprocess.run([sys.executable, "-c", probe],
-                                capture_output=True, text=True, timeout=120)
+                                capture_output=True, text=True, timeout=120, env=_BUFFERED)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["pleijel.admissibility", "pleijel.cli", "pleijel.core"]
+        assert result.stdout.split() == ["pleijel.cli", "pleijel.core"]
 
     def test_every_verb_runs_where_numpy_cannot_be_imported(self, tmp_path):
         # stands in for an install without numpy: the import system refuses it
         result = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE, str(tmp_path / "h.json")],
-                                capture_output=True, text=True, timeout=120)
+                                capture_output=True, text=True, timeout=120, env=_BUFFERED)
         assert result.returncode == 0, result.stderr
         probe = json.loads(result.stdout)
         assert probe["codes"] == [0] * 6

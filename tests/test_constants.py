@@ -20,14 +20,14 @@ from hypothesis import strategies as st
 
 from pleijel.admissibility import radon_hurwitz
 from pleijel.constants import (
-    exceptional_set,
     gamma_bar_exact,
     gamma_tilde_interval,
     log_gamma_bar,
-    sobolev_interval,
     weyl_interval,
 )
 from pleijel.core import DimPair, Enclosure, PrecisionUnreachable, as_pair
+from pleijel.exceptional import exceptional_set
+from pleijel.sobolev import sobolev_interval
 from pleijel.numerics import round_half_away
 from pleijel import constants, reference
 from pleijel.oracles import (
