@@ -9,6 +9,7 @@ Frozen high-precision references (50-digit independent evaluation):
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -40,7 +41,7 @@ from pleijel.oracles import (
     weyl_density_bruteforce,
     zeta_interval,
 )
-from test_series import _hurwitz_oracle
+from test_series import _EDGE, _hurwitz_oracle
 
 SOBOLEV_21_REFERENCE = 9.973934966328010133395
 
@@ -149,6 +150,20 @@ class TestProductFormConsistency:
         assert weyl_interval((139, 1)).lo <= 0
         product = gamma_tilde_product_form((139, 1))
         assert 0 < product.lo <= gamma_tilde_interval((139, 1)).lo and product.hi == math.inf
+
+
+def test_derived_enclosures_bit_pinned():
+    # every end of the derived enclosures, bit for bit: weyl, gamma_tilde and sobolev
+    # on 30 x 30 and on every 4th of the range's edge rows n >= 2 ((1, 10^6) alone
+    # takes about a minute), the product form on 10 x 10 and zeta at s = 2..40
+    grid = [(n, m) for n in range(1, 31) for m in range(1, 31)]
+    ends = [f(pair) for pair in grid + _EDGE[1::4]
+            for f in (weyl_interval, gamma_tilde_interval, sobolev_interval)]
+    ends += [gamma_tilde_product_form(pair) for pair in grid if max(pair) <= 10]
+    ends += map(zeta_interval, range(2, 41))
+    digest = hashlib.sha256("".join(f"{e.lo.hex()} {e.hi.hex()}\n" for e in ends).encode())
+    assert digest.hexdigest() == (
+        "88f2241595570e4b4a44f69e2b5566793a400429e262bfca2b32b235c6b61bb6")
 
 
 class TestGammaRatioExact:
