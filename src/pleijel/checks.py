@@ -18,7 +18,7 @@ from .core import DimPair
 from .exceptional import exceptional_set
 from .htype_algebra import GroupElement, HTypeStructure, SignedPermutation, construct, group_mul
 from .monotonicity import inequality_suite
-from .numerics import _PI_HI, _PI_LO, round_half_away
+from .numerics import _ends, round_half_away
 from .oracles import (Polynomial, gamma_tilde_product_form, sublaplacian,
                       weyl_density_bruteforce, zeta_interval)
 from .series import c_series
@@ -118,10 +118,9 @@ def check_consistency() -> CheckResult:
                 failures.append(f"series/zeta oracle enclosures disjoint at ({n},{m})")
     notes.append("series vs zeta closed forms (n in 1..2, m in 1..10): enclosures overlap")
 
-    # gamma_tilde(1, 1) = 32/pi^2: its enclosure must meet [32/pi_hi^2, 32/pi_lo^2]
-    g11 = gamma_tilde_interval((1, 1))
-    if not (Fraction(g11.lo) <= 32 / Fraction(*_PI_LO) ** 2
-            and 32 / Fraction(*_PI_HI) ** 2 <= Fraction(g11.hi)):
+    # gamma_tilde(1, 1) = 32/pi^2: its enclosure must meet the exact ends of 32/pi^2
+    g11, (lo, hi) = gamma_tilde_interval((1, 1)), _ends(32, 1, -2)
+    if not (Fraction(g11.lo) <= Fraction(*hi) and Fraction(*lo) <= Fraction(g11.hi)):
         failures.append("gamma_tilde(1,1) enclosure misses 32/pi^2")
 
     # brute-force spectral density vs the Weyl constant, plus homogeneity

@@ -3,7 +3,7 @@
 For Q = 2n + 2m the homogeneous dimension:
 
 * the sharp L^2 Sobolev constant C, enclosed by ``sobolev.sobolev_interval``
-  from this module's gamma and pi factors;
+  without the series;
 
 * ``weyl_interval`` -- coefficient W in the eigenvalue-counting
   asymptotics N(lambda) ~ W |Omega| lambda^(Q/2),
@@ -29,26 +29,22 @@ For Q = 2n + 2m the homogeneous dimension:
   logarithm in binary64 via ``log_gamma_bar``.
 
 Every non-exact constant is an ``Enclosure(lo, hi)`` built from exact
-rationals; a caller that wants one float reads its ``mid``, and gamma_bar's
-one float is ``math.exp(log_gamma_bar(p))``.  The series enclosure sits at
-the binary64 rounding floor, the same for every eps, so nothing here takes
-an eps: the CLI's ``--eps`` (on ``value`` and ``table`` only) is decided on
-the enclosure it prints.  The gamma factors are rational once the
-half-integer sqrt(pi) joins the pi power, and
-math.pi < pi < nextafter(math.pi, 4).  Each end is an integer quotient,
-correctly rounded by ``int / int`` and moved one ulp outward (W. Tucker,
-*Validated Numerics*, Princeton UP 2011), so floating-point noise can never
-flip a classification (is gamma_tilde >= 1?).
+rationals (the gamma factors are rational once the half-integer sqrt(pi)
+joins the pi power) by ``numerics``, the one home of pi's float bracket.  A
+caller that wants one float reads its ``mid``, and gamma_bar's one float is
+``math.exp(log_gamma_bar(p))``.  The series enclosure sits at the binary64
+rounding floor, the same for every eps, so nothing here takes an eps: the
+CLI's ``--eps`` (on ``value`` and ``table`` only) is decided on the
+enclosure it prints.
 """
 
 import math
-from functools import lru_cache
 
 # series is called through its module attribute: gamma_bar never runs it (the
 # package registers it lazily), and a wrapped c_series is the one called
 from . import series
 from .core import DimPair, Enclosure, PrecisionUnreachable, as_pair
-from .numerics import _PI_HI, _PI_LO, _outward
+from .numerics import _ends, _outward
 
 __all__ = [
     "weyl_interval",
@@ -116,12 +112,6 @@ def _gamma_half(q: int) -> tuple[int, int]:
     return math.factorial(2 * k), 4**k * math.factorial(k)
 
 
-@lru_cache(maxsize=None)
-def _pi_powers(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    # the float bounds of pi to the k-th power, each as (numerator, e) over 2^e
-    return tuple((num**k, (den.bit_length() - 1) * k) for num, den in (_PI_LO, _PI_HI))
-
-
 def weyl_interval(pair) -> Enclosure:
     """Certified enclosure of the eigenvalue-counting coefficient
     W = R_w c(n, m) pi^-k, with s = n + m, k = n + ceil(m/2) and the rational
@@ -131,10 +121,7 @@ def weyl_interval(pair) -> Enclosure:
     sv = series.c_series(p)
     s, k = p.n + p.m, p.n + (p.m + 1) // 2
     gn, gd = _gamma_half(p.m)
-    num, den = 2 * gd, s * 2**s * gn
-    (ln, ld), (hn, hd) = sv.value.as_integer_ratio(), sv.upper.as_integer_ratio()
-    (pl, el), (ph, eh) = _pi_powers(k)
-    return _outward((num * ln << eh, den * ld * ph), (num * hn << el, den * hd * pl))
+    return _outward(*_ends(2 * gd, s * gn << s, -k, (sv.value, sv.upper, 1)))
 
 
 def gamma_tilde_interval(pair) -> Enclosure:
@@ -144,6 +131,4 @@ def gamma_tilde_interval(pair) -> Enclosure:
     p = as_pair(pair)
     sv = series.c_series(p)
     num, den = _gamma_bar_ratio(p)
-    den *= p.n ** (p.n + p.m)
-    (ln, ld), (hn, hd) = sv.upper.as_integer_ratio(), sv.value.as_integer_ratio()
-    return _outward((num * ld, den * ln), (num * hd, den * hn))
+    return _outward(*_ends(num, den * p.n ** (p.n + p.m), 0, (sv.value, sv.upper, -1)))

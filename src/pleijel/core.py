@@ -53,11 +53,11 @@ class DimPair(namedtuple("DimPair", "n m")):
 
     def __new__(cls, n: int, m: int):
         # bool is an int subclass; DimPair(True, True) would alias (1, 1)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, m)):
+        if type(n) is bool or type(m) is bool or not (isinstance(n, int) and isinstance(m, int)):
             raise TypeError(f"n, m must be ints, got ({n!r}, {m!r})")
         if n < 1 or m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got ({n}, {m})")
-        return super().__new__(cls, n, m)
+        return tuple.__new__(cls, (n, m))
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through _make: validate there too

@@ -1,20 +1,44 @@
 """Numeric primitives shared by the rest of the package.
 
-The float bounds of pi live here, with ``_outward``, which rounds an exact
-quotient of integers one ulp outward, and ``round_half_away``, the display
-rule of every printed value.
+The float bracket of pi, math.pi < pi < nextafter(math.pi, 4), lives here
+alone, as the cached powers ``_pi_powers``.  ``_ends`` gives the exact ends
+of (num/den) pi^k prod x^p, and ``_outward`` rounds each by ``int / int``
+(correctly rounded) and one ulp outward (W. Tucker, *Validated Numerics*,
+Princeton UP 2011), so floating-point noise can never flip a classification
+(is gamma_tilde >= 1?).  ``round_half_away`` is the display rule of every
+printed value.
 """
 
 import math
+from functools import lru_cache
 
 from .core import Enclosure
 
 __all__ = ["round_half_away"]
 
 
-# math.pi < pi < nextafter(math.pi, 4), as (numerator, denominator)
-_PI_LO = math.pi.as_integer_ratio()
-_PI_HI = math.nextafter(math.pi, 4).as_integer_ratio()
+@lru_cache(maxsize=None)
+def _pi_powers(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    # the exact ends of pi^k, k != 0, at math.pi < pi < nextafter(math.pi, 4)
+    return _ends(1, 1, 0, (math.pi, math.nextafter(math.pi, 4), k))
+
+
+def _ends(num: int, den: int, k: int, *factors) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The exact ends of (num/den) pi^k prod x^p, each as (numerator, denominator),
+    over positive factors (lo, hi, p) with float ends: a positive power takes the
+    same end of its factor, a negative power the other end."""
+    ln, ld, hn, hd = num, den, num, den
+    for lo, hi, p in factors:
+        (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        if p < 0:  # the other end, inverted
+            a, b, c, d, p = d, c, b, a, -p
+        if p != 1:
+            a, b, c, d = a**p, b**p, c**p, d**p
+        ln, ld, hn, hd = ln * a, ld * b, hn * c, hd * d
+    if k:  # the largest factor last
+        (pl, pd), (ph, phd) = _pi_powers(k)
+        ln, ld, hn, hd = ln * pl, ld * pd, hn * ph, hd * phd
+    return (ln, ld), (hn, hd)
 
 
 def _outward(lo: tuple[int, int], hi: tuple[int, int]) -> Enclosure:

@@ -32,7 +32,7 @@ from operator import le, mul, truediv
 from .constants import weyl_interval
 from .core import DimPair, Enclosure, as_pair
 from .htype_algebra import HTypeStructure, SignedPermutation, verify_structure
-from .numerics import _PI_HI, _PI_LO, _outward
+from .numerics import _ends, _outward
 from .series import _BERNOULLI, _ETA, _POW, _charge, _shifted_numerator_coeffs
 from .sobolev import sobolev_interval
 
@@ -64,11 +64,8 @@ def gamma_tilde_product_form(pair) -> Enclosure:
     p = as_pair(pair)
     s = p.n + p.m
     c, w = sobolev_interval(p), weyl_interval(p)
-    lo = 1 / (Fraction(c.hi) ** s * Fraction(w.hi))
-    if w.lo <= 0:
-        return Enclosure(math.nextafter(float(lo), -math.inf), math.inf)
-    hi = 1 / (Fraction(c.lo) ** s * Fraction(w.lo))
-    return _outward(lo.as_integer_ratio(), hi.as_integer_ratio())
+    lo, hi = _ends(1, 1, 0, (c.lo, c.hi, -s), (w.lo, w.hi, -1))
+    return _outward(lo, hi if w.lo > 0 else (math.inf, 1))
 
 
 # --------------------------------------------------------------------------
@@ -223,9 +220,7 @@ def zeta_interval(s: int) -> Enclosure:
     s = int(s)
     if s % 2 == 0 and s // 2 <= len(_BERNOULLI):
         num, den = _BERNOULLI[s // 2 - 1]
-        num, den = abs(num) * 2 ** (s - 1), den * math.factorial(s)
-        return _outward((num * _PI_LO[0] ** s, den * _PI_LO[1] ** s),
-                        (num * _PI_HI[0] ** s, den * _PI_HI[1] ** s))
+        return _outward(*_ends(abs(num) * 2 ** (s - 1), den * math.factorial(s), s))
     N = math.ceil(2e14 ** (1 / s)) + 2  # bracket width ~ N^-s
     head = math.fsum(map(pow, map(float, range(1, N)), repeat(-float(s))))
     error = Fraction(_charge(_POW + 1, head) + (_POW + 1) * N * _ETA)

@@ -55,11 +55,12 @@ def test_traced_check_op_times_its_suite(tracer):
 
 def test_tracer_clears_every_series_and_constants_cache(tracer):
     # a cache the tracer misses would carry one op's work into the next: the
-    # traced ops must stay as cold as a fresh process
-    from pleijel import constants, series
+    # traced ops must stay as cold as a fresh process; numerics keeps the powers
+    # of pi that constants, sobolev and the oracles read
+    from pleijel import constants, numerics, series, sobolev
 
     cleared = {id(cache) for cache in tracer.caches}
-    for module in (series, constants):
+    for module in (series, constants, numerics, sobolev):
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_clear"):
                 assert id(obj) in cleared, f"{module.__name__}.{name}"

@@ -1164,11 +1164,12 @@ class TestImportPath:
     @pytest.mark.parametrize("argv, unrun", [
         (["value", "30", "1", "gamma_tilde"], _NOT_VALUE | {"render", "sobolev"}),
         (["table", "weyl", "--format", "json"], _NOT_VALUE | {"sobolev"}),
-        # gamma_bar is exact and sobolev a root of an exact rational: no series
+        # gamma_bar is exact and sobolev a root of an exact rational: no series, and
+        # sobolev no constants
         (["value", "7", "3", "gamma_bar"], _NOT_VALUE | {"render", "series", "sobolev"}),
-        (["value", "7", "3", "sobolev"], _NOT_VALUE | {"render", "series"}),
+        (["value", "7", "3", "sobolev"], _NOT_VALUE | {"render", "series", "constants"}),
         (["table", "gamma_bar", "--format", "json"], _NOT_VALUE | {"series", "sobolev"}),
-        (["table", "sobolev"], _NOT_VALUE | {"series"}),
+        (["table", "sobolev"], _NOT_VALUE | {"series", "constants"}),
         # only `value` and `table` run `cells`, the cell path
         (["exceptional"], _SELF_CHECK_LAYERS | {"argparser", "render", "cells", "sobolev"}),
         (["htype", "8", "8", "h88.json"], {"argparser", "checks", "monotonicity", "oracles",
