@@ -35,7 +35,7 @@ def _ends(num: int, den: int, k: int, *factors) -> tuple[tuple[int, int], tuple[
         if p != 1:
             a, b, c, d = a**p, b**p, c**p, d**p
         ln, ld, hn, hd = ln * a, ld * b, hn * c, hd * d
-    if k:  # the largest factor last
+    if k:  # pi^k, the largest factor, multiplied in last
         (pl, pd), (ph, phd) = _pi_powers(k)
         ln, ld, hn, hd = ln * pl, ld * pd, hn * ph, hd * phd
     return (ln, ld), (hn, hd)

@@ -35,11 +35,10 @@ def _root(num: int, den: int, s: int, up: bool, x: float | None = None) -> float
     if x is None:  # one Newton step off the logarithmic estimate: within ~2 ulps
         x = math.exp((math.log(num) - math.log(den) - e * math.log(2)) / s)
         x *= truediv(*sides(x)[::-1]) ** (1 / s)
-    holds = (lambda x: ge(*sides(x))) if up else (lambda x: le(*sides(x)))
-    outward, inward = (math.inf, 0.0) if up else (0.0, math.inf)
-    while not holds(x):
+    holds, outward, inward = (ge, math.inf, 0.0) if up else (le, 0.0, math.inf)
+    while not holds(*sides(x)):
         x = math.nextafter(x, outward)
-    while holds(y := math.nextafter(x, inward)):
+    while holds(*sides(y := math.nextafter(x, inward))):
         x = y
     return x
 
