@@ -29,7 +29,7 @@ from pleijel.constants import (
 from pleijel.core import DimPair, Enclosure, PrecisionUnreachable, as_pair
 from pleijel.exceptional import exceptional_set
 from pleijel.sobolev import sobolev_interval
-from pleijel.numerics import round_half_away
+from pleijel.numerics import _ends, round_half_away
 from pleijel import constants, reference
 from pleijel.oracles import (
     _integral_remainder,
@@ -164,6 +164,48 @@ def test_derived_enclosures_bit_pinned():
     digest = hashlib.sha256("".join(f"{e.lo.hex()} {e.hi.hex()}\n" for e in ends).encode())
     assert digest.hexdigest() == (
         "88f2241595570e4b4a44f69e2b5566793a400429e262bfca2b32b235c6b61bb6")
+
+
+def _gamma_half_factorials(q: int) -> Fraction:
+    # Gamma(q/2) / sqrt(pi)^[q odd] from factorials: Gamma(k + 1/2) = (2k)! / (4^k k!) sqrt(pi)
+    k = q // 2
+    if q % 2 == 0:
+        return Fraction(math.factorial(k - 1))
+    return Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
+
+
+def test_exact_prefactors_equal_their_factorial_forms():
+    for q in range(1, 401):
+        assert Fraction(*constants._gamma_half(q)) == _gamma_half_factorials(q), q
+    # gamma_bar = 2^(m-n-1) s/(s-1)^s Gamma(m/2) Gamma(2n+m) / Gamma(n+m/2), s = n + m
+    for n, m in itertools.product(range(1, 61), repeat=2):
+        s = n + m
+        want = (Fraction(2) ** (m - n - 1) * Fraction(s, (s - 1) ** s) * _gamma_half_factorials(m)
+                * math.factorial(2 * n + m - 1) / _gamma_half_factorials(2 * n + m))
+        assert Fraction(*constants._gamma_bar_ratio(DimPair(n, m))) == want, (n, m)
+
+
+def _power_sign(x: float, s: int, end: tuple[int, int]) -> int:
+    # the sign of x^s - num/den, over integers
+    (a, b), (num, den) = x.as_integer_ratio(), end
+    diff = a**s * den - num * b**s
+    return (diff > 0) - (diff < 0)
+
+
+def test_sobolev_ends_are_the_outward_roots():
+    # C^s = R pi^k with R = 4^n n^s (s-1)^s Gamma(q/2) / (Gamma(q) sqrt(pi)^[q odd]):
+    # the lower end is the largest float whose s-th power is <= R pi_lo^k, the upper
+    # the smallest whose s-th power is >= R pi_hi^k
+    grid = [(n, m) for n in range(1, 31) for m in range(1, 31)]
+    for n, m in grid + _EDGE[1::4]:
+        s, k, q = n + m, n + (m + 1) // 2, 2 * n + m
+        r = 4**n * n**s * (s - 1) ** s * _gamma_half_factorials(q) / math.factorial(q - 1)
+        lower, upper = _ends(r.numerator, r.denominator, k)
+        lo, hi = sobolev_interval((n, m))
+        assert _power_sign(lo, s, lower) <= 0 < _power_sign(
+            math.nextafter(lo, math.inf), s, lower), (n, m)
+        assert _power_sign(math.nextafter(hi, 0.0), s, upper) < 0 <= _power_sign(
+            hi, s, upper), (n, m)
 
 
 class TestGammaRatioExact:
