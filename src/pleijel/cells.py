@@ -103,7 +103,7 @@ def _over_digit_limit(args, bits: int) -> bool:
 
 def cmd_value(args) -> int:
     if args.quantity in ("sobolev", "weyl", "gamma_tilde") and args.n + args.m > _MAX_S:
-        # sobolev_interval's integer work grows like s^1.6: 0.3-0.8 s at the limit.
+        # sobolev_interval's integer work grows like s^1.6: 0.08-0.13 s at the limit (x86-64).
         # weyl and gamma_tilde past it are certain refusals: n >= 2 is out of the
         # series' range ((n+m) log2 n > 1000), and at n = 1 the value underflows
         print(f"error: {args.quantity}({args.n},{args.m}) needs n + m <= {_MAX_S}",

@@ -57,8 +57,8 @@ __all__ = [
 def _gamma_bar_ratio(p: DimPair) -> tuple[int, int]:
     # gamma_bar_exact as an unnormalised (numerator, denominator)
     s = p.n + p.m
-    num = 2 ** (p.m - 1) * s * math.factorial(2 * p.n + p.m - 1)
-    return num, (s - 1) ** s * math.prod(range(p.m, p.m + 2 * p.n, 2))
+    num = s * math.factorial(p.m - 1) * math.prod(range(p.m + 1, p.m + 2 * p.n, 2))
+    return num << (p.m - 1), (s - 1) ** s
 
 
 def gamma_bar_exact(pair) -> "Fraction":
@@ -68,9 +68,10 @@ def gamma_bar_exact(pair) -> "Fraction":
 
     The gamma ratio has integer argument difference, so the half-integer
     gammas cancel and the whole expression is rational:
-    Gamma(m/2)/Gamma(n+m/2) = 2^n / prod_{j<n} (m+2j), which leaves
+    Gamma(m/2)/Gamma(n+m/2) = 2^n / prod_{j<n} (m+2j), which cancels the
+    factors m + 2j of (2n+m-1)! = (m-1)! prod_{j<n} (m+2j)(m+2j+1) and leaves
 
-        2^(m-1) s (2n+m-1)! / ((s-1)^s prod_{j<n} (m+2j)),  s = n + m,
+        2^(m-1) s (m-1)! prod_{j<n} (m+2j+1) / (s-1)^s,  s = n + m,
 
     built over integers and normalised once.
     """
@@ -105,11 +106,11 @@ def log_gamma_bar(pair) -> float:
 
 
 def _gamma_half(q: int) -> tuple[int, int]:
-    # Gamma(q/2) / sqrt(pi)^[q odd] as (numerator, denominator)
+    """Gamma(q/2) / sqrt(pi)^[q odd] as (numerator, denominator): (q/2 - 1)! at even q,
+    and (2k-1)!! / 2^k = (2k)! / (4^k k!) at q = 2k + 1, with (2k-1)!! = (2k)!/k! / 2^k."""
     if q % 2 == 0:
         return math.factorial(q // 2 - 1), 1
-    k = q // 2  # Gamma(k + 1/2) = (2k)! / (4^k k!) sqrt(pi)
-    return math.factorial(2 * k), 4**k * math.factorial(k)
+    return math.perm(q - 1, q // 2) >> q // 2, 1 << q // 2
 
 
 def weyl_interval(pair) -> Enclosure:
