@@ -152,18 +152,26 @@ class TestProductFormConsistency:
         assert 0 < product.lo <= gamma_tilde_interval((139, 1)).lo and product.hi == math.inf
 
 
+def _ends_digest(ends) -> str:
+    return hashlib.sha256("".join(f"{e.lo.hex()} {e.hi.hex()}\n" for e in ends).encode()).hexdigest()
+
+
 def test_derived_enclosures_bit_pinned():
     # every end of the derived enclosures, bit for bit: weyl, gamma_tilde and sobolev
     # on 30 x 30 and on every 4th of the range's edge rows n >= 2 ((1, 10^6) alone
-    # takes about a minute), the product form on 10 x 10 and zeta at s = 2..40
+    # takes about a minute), and the product form on 10 x 10
     grid = [(n, m) for n in range(1, 31) for m in range(1, 31)]
     ends = [f(pair) for pair in grid + _EDGE[1::4]
             for f in (weyl_interval, gamma_tilde_interval, sobolev_interval)]
     ends += [gamma_tilde_product_form(pair) for pair in grid if max(pair) <= 10]
-    ends += map(zeta_interval, range(2, 41))
-    digest = hashlib.sha256("".join(f"{e.lo.hex()} {e.hi.hex()}\n" for e in ends).encode())
-    assert digest.hexdigest() == (
-        "88f2241595570e4b4a44f69e2b5566793a400429e262bfca2b32b235c6b61bb6")
+    assert _ends_digest(ends) == (
+        "03424c65ef52d0aada6584a73625622a939cac84a093026463659868ff13c9d7")
+
+
+def test_zeta_enclosures_bit_pinned():
+    # every end of the zeta oracle at s = 2..40, bit for bit
+    assert _ends_digest(map(zeta_interval, range(2, 41))) == (
+        "764d002786f40fdd304d2d6cf11090956fdcef89cdd6d56b2dd51a97def8d67d")
 
 
 def _gamma_half_factorials(q: int) -> Fraction:
