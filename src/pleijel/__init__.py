@@ -29,8 +29,9 @@ reader, ``main`` and ``run``), ``core`` and ``admissibility``; then
   ``constants``, ``numerics`` and ``series``;
 * ``htype`` runs ``htype_algebra`` (``cmd_htype``, the construction and
   the JSON writer) alone;
-* ``check`` runs ``checks`` (``cmd_check`` and the suites), which imports
-  every library module, ``oracles`` and ``reference`` included;
+* ``check`` runs ``checks`` (``cmd_check`` and the suites) and what its
+  suites call: ``check admissibility`` runs ``reference`` too, ``check
+  all`` every library module, ``oracles`` included;
 * help, errors and other spellings of an argv run ``argparser``, which
   builds the argparse parser from ``cli.GRAMMAR``.
 

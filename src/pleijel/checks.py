@@ -4,6 +4,10 @@ Each suite re-derives a slice of the package's guarantees from
 independent directions (embedded reference tables, zeta closed forms,
 brute-force spectral counting, exact matrix arithmetic) and reports
 pass/fail with human-readable details.
+
+The library is read through its module attributes, looked up when a
+suite runs, so ``check SUITE`` runs only the modules its suite calls, and
+a wrapped module attribute is the one called.
 """
 
 import itertools
@@ -11,17 +15,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from . import reference
-from .admissibility import admissible, radon_hurwitz, shading_mask
-from .constants import gamma_bar_exact, gamma_tilde_interval, log_gamma_bar, weyl_interval
+from . import (admissibility, constants, exceptional, htype_algebra, monotonicity, numerics,
+               oracles, reference, series)
 from .core import DimPair
-from .exceptional import exceptional_set
-from .htype_algebra import GroupElement, HTypeStructure, SignedPermutation, construct, group_mul
-from .monotonicity import inequality_suite
-from .numerics import _ends, round_half_away
-from .oracles import (Polynomial, gamma_tilde_product_form, sublaplacian,
-                      weyl_density_bruteforce, zeta_interval)
-from .series import c_series
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -49,11 +45,11 @@ def check_tables() -> CheckResult:
     tilde_ref = reference.corrected(reference.GAMMA_TILDE_PRINTED, reference.GAMMA_TILDE_ERRATA)
     bar_ref = reference.corrected(reference.GAMMA_BAR_PRINTED, reference.GAMMA_BAR_ERRATA)
     for (n, m), want in sorted(tilde_ref.items()):
-        got = round_half_away(gamma_tilde_interval((n, m)).mid, 4)
+        got = numerics.round_half_away(constants.gamma_tilde_interval((n, m)).mid, 4)
         if got != want:
             failures.append(f"gamma_tilde({n},{m}): computed {got}, reference {want}")
     for (n, m), want in sorted(bar_ref.items()):
-        got = round_half_away(gamma_bar_exact((n, m)), 4)
+        got = numerics.round_half_away(constants.gamma_bar_exact((n, m)), 4)
         if got != want:
             failures.append(f"gamma_bar({n},{m}): computed {got}, reference {want}")
     for (n, m), fixed in sorted(reference.GAMMA_TILDE_ERRATA.items()):
@@ -87,7 +83,8 @@ def check_consistency() -> CheckResult:
     # closed form vs defining product (isolates the gamma/power algebra): both
     # enclosures contain gamma_tilde, so they must overlap
     for n, m in itertools.product(range(1, 11), range(1, 11)):
-        g, product = gamma_tilde_interval((n, m)), gamma_tilde_product_form((n, m))
+        g = constants.gamma_tilde_interval((n, m))
+        product = oracles.gamma_tilde_product_form((n, m))
         if not (g.lo <= product.hi and product.lo <= g.hi):
             failures.append(f"product-form enclosure disjoint at ({n},{m})")
     notes.append("gamma_tilde closed form vs (sobolev)^-(n+m)/weyl (n, m <= 10): "
@@ -95,14 +92,14 @@ def check_consistency() -> CheckResult:
 
     # first-term truncation dominates, strictly
     for n, m in itertools.product(range(1, 11), range(1, 11)):
-        if not gamma_tilde_interval((n, m)).hi < gamma_bar_exact((n, m)):
+        if not constants.gamma_tilde_interval((n, m)).hi < constants.gamma_bar_exact((n, m)):
             failures.append(f"gamma_bar does not dominate gamma_tilde at ({n},{m})")
 
     # exact rational vs log-domain evaluation of gamma_bar
     worst = 0.0
     for n, m in itertools.product(range(1, 21), range(1, 21)):
-        exact = float(gamma_bar_exact((n, m)))
-        dev = abs(exact - math.exp(log_gamma_bar((n, m)))) / exact
+        exact = float(constants.gamma_bar_exact((n, m)))
+        dev = abs(exact - math.exp(constants.log_gamma_bar((n, m)))) / exact
         worst = max(worst, dev)
         if dev > 1e-12:
             failures.append(f"gamma_bar exact/log mismatch at ({n},{m}): rel dev {dev:.2e}")
@@ -111,25 +108,25 @@ def check_consistency() -> CheckResult:
     # zeta closed forms for the first two rows of the series: both enclosures
     # contain c(n, m), so they must overlap (compared exactly, as Fractions)
     for m in range(1, 11):
-        z = zeta_interval(m + 1)
+        z = oracles.zeta_interval(m + 1)
         for n, scale in ((1, 1 - Fraction(1, 2 ** (m + 1))), (2, Fraction(1, 2 ** (m + 2)))):
-            sv = c_series((n, m))
+            sv = series.c_series((n, m))
             if not (sv.value <= scale * Fraction(z.hi) and scale * Fraction(z.lo) <= sv.upper):
                 failures.append(f"series/zeta oracle enclosures disjoint at ({n},{m})")
     notes.append("series vs zeta closed forms (n in 1..2, m in 1..10): enclosures overlap")
 
     # gamma_tilde(1, 1) = 32/pi^2: its enclosure must meet the exact ends of 32/pi^2
-    g11, (lo, hi) = gamma_tilde_interval((1, 1)), _ends(32, 1, -2)
+    g11, (lo, hi) = constants.gamma_tilde_interval((1, 1)), numerics._ends(32, 1, -2)
     if not (Fraction(g11.lo) <= Fraction(*hi) and Fraction(*lo) <= Fraction(g11.hi)):
         failures.append("gamma_tilde(1,1) enclosure misses 32/pi^2")
 
     # brute-force spectral density vs the Weyl constant, plus homogeneity
     for pair in ((1, 1), (2, 2), (3, 1)):
-        w = weyl_interval(pair).mid
+        w = constants.weyl_interval(pair).mid
         s = sum(pair)
         ratios = []
         for lam in (0.5, 1.0, 2.0, 8.0):
-            ratios.append(weyl_density_bruteforce(pair, lam) / lam**s)
+            ratios.append(oracles.weyl_density_bruteforce(pair, lam) / lam**s)
         for lam, ratio in zip((0.5, 1.0, 2.0), ratios):
             dev = abs(ratio - w) / w
             if dev > 1e-7:
@@ -142,7 +139,7 @@ def check_consistency() -> CheckResult:
     notes.append("brute-force shell-sum density agrees with weyl_interval on (1,1), (2,2), (3,1)")
 
     # the headline classification
-    exc = exceptional_set(10, 10)
+    exc = exceptional.exceptional_set(10, 10)
     want = [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2), DimPair(3, 1)]
     if sorted(exc.exceptional) != sorted(want):
         failures.append(f"exceptional set is {exc.exceptional}, expected {want}")
@@ -153,7 +150,7 @@ def check_consistency() -> CheckResult:
 
 
 def check_monotonicity() -> CheckResult:
-    reports = inequality_suite()
+    reports = monotonicity.inequality_suite()
     failures = [str(r) for r in reports if not r.passed]
     notes = [str(r) for r in reports if r.passed]
     return _result("monotonicity", failures, notes)
@@ -165,10 +162,10 @@ def check_admissibility() -> CheckResult:
 
     # quoted special cases and the figure-level pattern
     for N, want in ((2, 2), (4, 4), (6, 2), (8, 8), (16, 9)):
-        got = radon_hurwitz(N)
+        got = admissibility.radon_hurwitz(N)
         if got != want:
             failures.append(f"radon_hurwitz({N}) = {got}, expected {want}")
-    mask = shading_mask(10, 10)
+    mask = admissibility.shading_mask(10, 10)
     for n, m in itertools.product(range(1, 11), range(1, 11)):
         want = (n, m) not in reference.INADMISSIBLE_PRINTED
         if mask[n - 1][m - 1] != want:
@@ -178,14 +175,14 @@ def check_admissibility() -> CheckResult:
     # rho sees only the 2-adic part; odd N gives 1
     for N in range(1, 1025):
         two_part = N & -N
-        if radon_hurwitz(N) != radon_hurwitz(two_part):
+        if admissibility.radon_hurwitz(N) != admissibility.radon_hurwitz(two_part):
             failures.append(f"rho({N}) != rho({two_part})")
-        if N % 2 == 1 and radon_hurwitz(N) != 1:
+        if N % 2 == 1 and admissibility.radon_hurwitz(N) != 1:
             failures.append(f"rho({N}) != 1 for odd N")
 
     # admissibility is monotone in m
     for n in range(1, 33):
-        flags = [admissible((n, m)).admissible for m in range(1, 12)]
+        flags = [admissibility.admissible((n, m)).admissible for m in range(1, 12)]
         if any(a and not b for a, b in zip(flags[1:], flags[:-1])):
             failures.append(f"admissibility not downward closed in m at n={n}")
     notes.append("rho is 2-adic and admissibility downward closed (n <= 32, m <= 11)")
@@ -227,8 +224,8 @@ def _extensions(family, d: int):
 
     def search(signs: tuple[int, ...]):
         if -1 not in mu:
-            yield SignedPermutation(tuple(mu), tuple(a))
-            yield SignedPermutation(tuple(mu), tuple([-sign for sign in a]))
+            yield htype_algebra.SignedPermutation(tuple(mu), tuple(a))
+            yield htype_algebra.SignedPermutation(tuple(mu), tuple([-sign for sign in a]))
             return
         i = mu.index(-1)  # mu(j) = i for a set j would have set mu(i): mu(i) is open
         for j, sign in itertools.product([j for j in range(i + 1, d) if mu[j] < 0], signs):
@@ -250,16 +247,16 @@ def check_algebra() -> CheckResult:
     notes: list[str] = []
 
     # every admissible pair with 2n <= 16 carries an exact integer structure
-    top = {n: radon_hurwitz(2 * n) - 1 for n in range(1, 9)}
-    built: dict[tuple[int, int], HTypeStructure] = {}
+    top = {n: admissibility.radon_hurwitz(2 * n) - 1 for n in range(1, 9)}
+    built: dict[tuple[int, int], htype_algebra.HTypeStructure] = {}
     for n, max_m in top.items():
         for m in range(1, max_m + 1):
             try:
-                built[n, m] = construct((n, m))
+                built[n, m] = htype_algebra.construct((n, m))
             except Exception as exc:  # noqa: BLE001 - report, do not abort the suite
                 failures.append(f"construct({n},{m}) failed: {exc}")
         try:
-            construct((n, max_m + 1))
+            htype_algebra.construct((n, max_m + 1))
             failures.append(f"construct({n},{max_m + 1}) unexpectedly succeeded")
         except ValueError:
             pass
@@ -277,8 +274,8 @@ def check_algebra() -> CheckResult:
         if m not in (1, top[n]):
             continue
         d, dt = s.dim_x, s.dim_t
-        basis = ([GroupElement(_unit(i, d), (0,) * dt) for i in range(d)]
-                 + [GroupElement((0,) * d, _unit(j, dt)) for j in range(dt)])
+        basis = ([htype_algebra.GroupElement(_unit(i, d), (0,) * dt) for i in range(d)]
+                 + [htype_algebra.GroupElement((0,) * d, _unit(j, dt)) for j in range(dt)])
         bad = 0
         for i, u in enumerate(basis):
             for k, v in enumerate(basis):
@@ -287,7 +284,7 @@ def check_algebra() -> CheckResult:
                 if i < d and k < d:
                     t = tuple([Fraction(P.signs[k], 2) if P.perm[k] == i else 0
                                for P in s.family])
-                bad += group_mul(s, u, v) != GroupElement(x, t)
+                bad += htype_algebra.group_mul(s, u, v) != htype_algebra.GroupElement(x, t)
         products += len(basis) ** 2
         if bad:
             wrong.append(f"{bad} at ({n},{m})")
@@ -305,7 +302,7 @@ def check_algebra() -> CheckResult:
 
     # J_z^T J_z = |z|^2 I (anticommutation), exactly: both sides are quadratic
     # in z, so z = e_j and e_j + e_l (j < l) fix the identity for every z
-    s47 = construct((4, 7))
+    s47 = htype_algebra.construct((4, 7))
     d = s47.dim_x
     zs = [tuple(int(k in js) for k in range(s47.dim_t))
           for r in (1, 2) for js in itertools.combinations(range(s47.dim_t), r)]
@@ -327,27 +324,27 @@ def check_algebra() -> CheckResult:
 
     # Hurwitz-Radon maximality: no skew signed permutation extends a maximal family
     extended = [2 * n for n, max_m in top.items()
-                if next(_extensions(construct((n, max_m)).family, 2 * n), None)]
+                if next(_extensions(htype_algebra.construct((n, max_m)).family, 2 * n), None)]
     if extended:
         failures.append(f"maximal family extended by a skew signed permutation at 2n = {extended}")
     else:
         notes.append("no skew signed permutation extends a maximal family (exhaustive, 2n <= 16)")
 
     # sublaplacian on polynomial test functions, exactly
-    s = construct((2, 3))
+    s = htype_algebra.construct((2, 3))
     nv = s.dim_x + s.dim_t
-    x1 = Polynomial.variable(0, nv)
-    t1 = Polynomial.variable(s.dim_x, nv)
-    norm_sq = Polynomial(nv)
+    x1 = oracles.Polynomial.variable(0, nv)
+    t1 = oracles.Polynomial.variable(s.dim_x, nv)
+    norm_sq = oracles.Polynomial(nv)
     for i in range(s.dim_x):
-        norm_sq = norm_sq + Polynomial.variable(i, nv) * Polynomial.variable(i, nv)
-    if not sublaplacian(s, x1).is_zero() or not sublaplacian(s, t1).is_zero():
+        norm_sq = norm_sq + oracles.Polynomial.variable(i, nv) * oracles.Polynomial.variable(i, nv)
+    if not oracles.sublaplacian(s, x1).is_zero() or not oracles.sublaplacian(s, t1).is_zero():
         failures.append("sublaplacian does not annihilate linear coordinates")
-    if sublaplacian(s, norm_sq) != Polynomial.constant(2 * s.dim_x, nv):
+    if oracles.sublaplacian(s, norm_sq) != oracles.Polynomial.constant(2 * s.dim_x, nv):
         failures.append("sublaplacian of |x|^2 is not 2 * dim(x)")
     first = s.family[0]
-    expected = Polynomial.variable(first.perm[0], nv).scale(first.signs[0])
-    if sublaplacian(s, x1 * t1) != expected:
+    expected = oracles.Polynomial.variable(first.perm[0], nv).scale(first.signs[0])
+    if oracles.sublaplacian(s, x1 * t1) != expected:
         failures.append("sublaplacian of x_1 t_1 is not (U^(1) x)_1")
     else:
         notes.append("sublaplacian exact on test polynomials "

@@ -10,8 +10,8 @@ an independent route:
   ``_integral_remainder``): each pair's shell counts and stop are built
   once, and each lambda's shells are added by one ``math.fsum``;
 * ``sphere_area`` -- the area of the unit sphere, a factor of that density;
-* ``zeta_interval`` -- Riemann zeta without the series' Euler-Maclaurin
-  code;
+* ``zeta_interval`` -- Riemann zeta from Borwein's series, summed exactly
+  over integers, without the series' Euler-Maclaurin code or tables;
 * ``Polynomial`` and ``sublaplacian`` -- the sublaplacian applied to exact
   polynomial test functions;
 * ``from_json_dict`` -- an ``htype`` file read back and re-verified.
@@ -29,12 +29,11 @@ from functools import lru_cache
 from itertools import accumulate, compress, count, islice, repeat, tee
 from operator import le, mul, truediv
 
-from .constants import weyl_interval
+from . import constants, sobolev
 from .core import DimPair, Enclosure, as_pair
 from .htype_algebra import HTypeStructure, SignedPermutation, verify_structure
 from .numerics import _ends, _outward
-from .series import _BERNOULLI, _ETA, _POW, _charge, _shifted_numerator_coeffs
-from .sobolev import sobolev_interval
+from .series import _shifted_numerator_coeffs
 
 __all__ = [
     "gamma_tilde_product_form",
@@ -63,7 +62,7 @@ def gamma_tilde_product_form(pair) -> Enclosure:
     """
     p = as_pair(pair)
     s = p.n + p.m
-    c, w = sobolev_interval(p), weyl_interval(p)
+    c, w = sobolev.sobolev_interval(p), constants.weyl_interval(p)
     lo, hi = _ends(1, 1, 0, (c.lo, c.hi, -s), (w.lo, w.hi, -1))
     return _outward(lo, hi if w.lo > 0 else (math.inf, 1))
 
@@ -204,29 +203,31 @@ def _bruteforce_shells(n: int, m: int) -> tuple[array, float]:
 # --------------------------------------------------------------------------
 # Riemann zeta
 
-@lru_cache(maxsize=None)
-def zeta_interval(s: int) -> Enclosure:
-    """Riemann zeta at an integer s >= 2, enclosed to 1e-14 relative.
+_BORWEIN_K = 24  # terms of Borwein's series, whose remainder is below 3/5^24 < 6e-17
+# d_j = sum_{i<=j} k (k+i-1)! 4^i / ((k-i)! (2i)!), j = 0..k: integer summands
+_BORWEIN_D = tuple(accumulate(_BORWEIN_K * math.factorial(_BORWEIN_K + i - 1) * 4**i // (
+    math.factorial(_BORWEIN_K - i) * math.factorial(2 * i)) for i in range(_BORWEIN_K + 1)))
 
-    Even s = 2j <= 24: zeta(2j) = |B_2j| (2 pi)^(2j) / (2 (2j)!), exact at
-    both float bounds of pi.  Other s: ``math.fsum`` of j^-s for j < N (each
-    pow charged 4 ulps, the sum one rounding) plus the remainder's integral
-    bracket [N^(1-s), (N-1)^(1-s)] / (s-1), under 5e-15 wide.  Each end is
-    exact, then rounded outward.  No Euler-Maclaurin code is shared with
-    ``series``, so the checks' zeta rows stay an independent oracle.
+
+def zeta_interval(s: int) -> Enclosure:
+    """Riemann zeta at an integer s >= 2, enclosed to 1e-15 relative, by
+    Borwein's series at k = 24 (P. Borwein, "An efficient algorithm for the
+    Riemann zeta function", CMS Conf. Proc. 27, 2000, Algorithm 2):
+
+        zeta(s) (1 - 2^(1-s)) = sum_{j<k} (-1)^j (d_k - d_j) / (d_k (j+1)^s) + g,
+
+    |g| <= 3/(3+sqrt 8)^k < 3/5^k.  Summed over integers on the denominator
+    d_k lcm(1..k)^s, each end is exact, then rounded outward: no float, no
+    pi and no table of ``series``, so the checks' zeta rows stay independent.
     """
     if not isinstance(s, numbers.Integral) or s < 2:
         raise ValueError(f"zeta needs an integer s >= 2, got {s!r}")
-    s = int(s)
-    if s % 2 == 0 and s // 2 <= len(_BERNOULLI):
-        num, den = _BERNOULLI[s // 2 - 1]
-        return _outward(*_ends(abs(num) * 2 ** (s - 1), den * math.factorial(s), s))
-    N = math.ceil(2e14 ** (1 / s)) + 2  # bracket width ~ N^-s
-    head = math.fsum(map(pow, map(float, range(1, N)), repeat(-float(s))))
-    error = Fraction(_charge(_POW + 1, head) + (_POW + 1) * N * _ETA)
-    lo = Fraction(head) - error + Fraction(1, (s - 1) * N ** (s - 1))
-    hi = Fraction(head) + error + Fraction(1, (s - 1) * (N - 1) ** (s - 1))
-    return _outward(lo.as_integer_ratio(), hi.as_integer_ratio())
+    s, k, d, L = int(s), _BORWEIN_K, _BORWEIN_D, math.lcm(*range(1, _BORWEIN_K + 1))
+    head = sum((d[k] - d[j]) * (L // (j + 1)) ** s * (-1) ** j for j in range(k))
+    den, tail = d[k] * L**s, 5**k  # the sum is head / den, and |g| < 3 / tail
+    scale = den * tail * ((1 << (s - 1)) - 1)  # zeta(s) = (head/den + g) / (1 - 2^(1-s))
+    return _outward(((head * tail - 3 * den) << (s - 1), scale),
+                    ((head * tail + 3 * den) << (s - 1), scale))
 
 
 # --------------------------------------------------------------------------

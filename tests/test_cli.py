@@ -498,14 +498,14 @@ class TestCheck:
 
     def test_zeta_rows_compare_enclosures(self, monkeypatch):
         # an oracle shifted by 1e-13 relative no longer overlaps the series enclosure
-        from pleijel import checks
+        from pleijel import checks, oracles
         from pleijel.oracles import zeta_interval
 
         def shifted(s):
             z = zeta_interval(s)
             return z._replace(lo=z.lo * (1 + 1e-13), hi=z.hi * (1 + 1e-13))
 
-        monkeypatch.setattr(checks, "zeta_interval", shifted)
+        monkeypatch.setattr(oracles, "zeta_interval", shifted)
         result = checks.check_consistency()
         assert not result.passed
         assert "series/zeta oracle enclosures disjoint at (1,1)" in result.details
@@ -519,7 +519,7 @@ class TestCheck:
             w = weyl_interval(pair)
             return w._replace(lo=w.lo * (1 + 1e-6), hi=w.hi * (1 + 1e-6))
 
-        monkeypatch.setattr(checks, "weyl_interval", shifted)
+        monkeypatch.setattr(constants, "weyl_interval", shifted)
         result = checks.check_consistency()
         assert not result.passed
         assert any(line.startswith("brute-force Weyl mismatch at (1, 1), lambda=0.5: rel dev")
@@ -529,10 +529,10 @@ class TestCheck:
     def test_bruteforce_row_sees_a_lambda_dependent_density(self, monkeypatch):
         # a factor 1 + 1e-8 lambda spreads the ratios over 0.5..8 by 7.5e-8, past the
         # 1e-9 homogeneity gate, while lambda <= 2 stays inside the 1e-7 Weyl gate
-        from pleijel import checks
+        from pleijel import checks, oracles
         from pleijel.oracles import weyl_density_bruteforce
 
-        monkeypatch.setattr(checks, "weyl_density_bruteforce",
+        monkeypatch.setattr(oracles, "weyl_density_bruteforce",
                             lambda pair, lam: weyl_density_bruteforce(pair, lam) * (1 + 1e-8 * lam))
         result = checks.check_consistency()
         assert not result.passed
@@ -549,7 +549,7 @@ class TestCheck:
             g = gamma_tilde_interval(pair)
             return g._replace(lo=g.lo * (1 + 1e-13), hi=g.hi * (1 + 1e-13))
 
-        monkeypatch.setattr(checks, "gamma_tilde_interval", shifted)
+        monkeypatch.setattr(constants, "gamma_tilde_interval", shifted)
         result = checks.check_consistency()
         assert not result.passed
         assert "gamma_tilde(1,1) enclosure misses 32/pi^2" in result.details
@@ -1175,14 +1175,19 @@ class TestImportPath:
         (["htype", "8", "8", "h88.json"], {"argparser", "checks", "monotonicity", "oracles",
                                             "reference", "render", "constants", "exceptional",
                                             "numerics", "series", "cells", "sobolev"}),
-        # the zeta oracle sums over Python floats, the term-ratio link is exact, and
-        # the algebra suite is integer work on signed permutations: no numpy
+        # the zeta oracle sums Borwein's series over integers, the term-ratio link is
+        # exact, and the algebra suite is integer work on signed permutations: no numpy
         (["check", "all", "--no-timestamp"], {"argparser", "render", "cells"}),
+        # `checks` reads the library through module attributes, so a suite runs only
+        # the modules it calls
+        (["check", "admissibility", "--no-timestamp"],
+         _PACKAGE_MODULES - {"admissibility", "checks", "cli", "core", "reference"}),
         # an argv that is not canonical is read by argparse, built by `argparser`
         (["value", "30", "1", "gamma_tilde", "--eps=1e-9"],
          _NOT_VALUE - {"argparser"} | {"render", "sobolev"}),
     ], ids=["value", "table", "value-gamma_bar", "value-sobolev", "table-gamma_bar",
-            "table-sobolev", "exceptional", "htype", "check", "value-joined-eps"])
+            "table-sobolev", "exceptional", "htype", "check", "check-admissibility",
+            "value-joined-eps"])
     def test_each_verb_runs_only_the_modules_it_calls(self, tmp_path, argv, unrun):
         argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
         # with this host's site, and under -S, where nothing is loaded before the probe

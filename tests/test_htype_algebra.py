@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pleijel import checks
+from pleijel import checks, htype_algebra
 from pleijel.admissibility import radon_hurwitz
 from pleijel.core import DimPair, InadmissiblePair
 from pleijel.htype_algebra import (
@@ -266,7 +266,7 @@ class TestGroupLaw:
             ab = group_mul(s, a, b)
             return ab._replace(t=tuple(2 * u - ta - tb for u, ta, tb in zip(ab.t, a.t, b.t)))
 
-        monkeypatch.setattr(checks, "group_mul", without_half)
+        monkeypatch.setattr(htype_algebra, "group_mul", without_half)
         result = checks.check_algebra()
         assert not result.passed
         assert any(line.startswith("group law wrong on basis products:")
@@ -278,7 +278,7 @@ class TestGroupLaw:
         def transposed(s, a, b):
             return group_mul(s, b, a)._replace(x=tuple(u + v for u, v in zip(a.x, b.x)))
 
-        monkeypatch.setattr(checks, "group_mul", transposed)
+        monkeypatch.setattr(htype_algebra, "group_mul", transposed)
         result = checks.check_algebra()
         assert not result.passed
         assert any(line.startswith("group law wrong on basis products:")
@@ -352,7 +352,7 @@ class TestExtensions:
             s = construct(pair)
             return HTypeStructure(DimPair(6, 2), s.family[:2]) if s.pair == (6, 3) else s
 
-        monkeypatch.setattr(checks, "construct", drop_at_12)
+        monkeypatch.setattr(htype_algebra, "construct", drop_at_12)
         result = checks.check_algebra()
         assert not result.passed
         assert result.details[-1] == (
@@ -369,7 +369,7 @@ class TestExtensions:
             family = construct((4, 7)).family
             return HTypeStructure(s.pair, (family[0], family[4]))
 
-        monkeypatch.setattr(checks, "construct", skip_at_4_2)
+        monkeypatch.setattr(htype_algebra, "construct", skip_at_4_2)
         result = checks.check_algebra()
         assert not result.passed
         assert "family not a prefix of the maximal one at (4,2)" in result.details
@@ -416,7 +416,7 @@ class TestJz:
             s = construct(pair)
             return s._replace(family=s.family[:6] + s.family[5:6]) if s.pair == (4, 7) else s
 
-        monkeypatch.setattr(checks, "construct", repeat_at_4_7)
+        monkeypatch.setattr(htype_algebra, "construct", repeat_at_4_7)
         result = checks.check_algebra()
         assert not result.passed
         assert "J_z^T J_z != |z|^2 I on 1 of 28 z at (4,7)" in result.details

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from pleijel.constants import log_gamma_bar
 from pleijel.numerics import round_half_away
+from pleijel import oracles
 from pleijel.oracles import sphere_area, zeta_interval
 
 
@@ -78,7 +80,7 @@ class TestZeta:
         assert zeta_interval(4).mid == pytest.approx(math.pi**4 / 90, rel=1e-13)
 
     def test_apery(self):
-        # direct summation with a sub-1e-14 bracket; frozen reference value
+        # frozen reference value
         assert zeta_interval(3).mid == pytest.approx(1.2020569031595942854, rel=1e-13)
 
     def test_domain(self):
@@ -92,13 +94,23 @@ class TestZeta:
         assert all(a > b > 1 for a, b in zip(values, values[1:]))
 
     def test_interval_contains_the_true_value(self):
-        # even s <= 24 from the Bernoulli closed form, the rest by direct summation
+        # one route for every s: Borwein's series, its ends exact, then rounded outward
         mpmath = pytest.importorskip("mpmath")
-        for s in range(2, 31):
+        for s in range(2, 81):
             enc = zeta_interval(s)
             with mpmath.workdps(40):
                 assert enc.lo <= mpmath.zeta(s) <= enc.hi, s
-            assert enc.hi - enc.lo < 1e-14 * enc.lo, s
+            assert enc.hi - enc.lo < 1e-15 * enc.lo, s
+
+    def test_borwein_summands_divide_exactly(self):
+        # d_j sums k (k+i-1)! 4^i / ((k-i)! (2i)!) over i <= j; the table divides with
+        # //, exact only because each summand is an integer with k inside the division
+        k, f = oracles._BORWEIN_K, math.factorial
+        summands = [Fraction(k * f(k + i - 1) * 4**i, f(k - i) * f(2 * i)) for i in range(k + 1)]
+        assert all(t.denominator == 1 for t in summands)
+        assert list(oracles._BORWEIN_D) == list(accumulate(summands))
+        # without the factor k, six of them (i = 0, 3, 15, 18, 21, 24) are not integers
+        assert sum(t.denominator != 1 for t in (t / k for t in summands)) == 6
 
 
 def half_away_reference(x: Fraction, decimals: int) -> str:

@@ -301,7 +301,7 @@ class TestHurwitzKernel:
 
     def test_bernoulli_table(self):
         # B_j from the recurrence sum_{k<=j} C(j+1, k) B_k = 0; the kernel's
-        # corrections and zeta_interval's even s both read this table
+        # Euler-Maclaurin corrections read this table
         B = [Fraction(1)]
         for j in range(1, 2 * len(_BERNOULLI) + 1):
             B.append(-sum(math.comb(j + 1, k) * B[k] for k in range(j)) / (j + 1))
