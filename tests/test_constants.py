@@ -153,7 +153,8 @@ class TestProductFormConsistency:
 
 
 def _ends_digest(ends) -> str:
-    return hashlib.sha256("".join(f"{e.lo.hex()} {e.hi.hex()}\n" for e in ends).encode()).hexdigest()
+    text = "".join(f"{e.lo.hex()} {e.hi.hex()}\n" for e in ends)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_derived_enclosures_bit_pinned():
