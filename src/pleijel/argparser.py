@@ -10,8 +10,8 @@ of the CLI is ``__main__``, and an import would compile and run it again.
 import argparse
 
 
-def build_parser(grammar: dict, verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``verb`` alone, or of every verb when ``verb`` names none.
+def build_parser(grammar: dict) -> argparse.ArgumentParser:
+    """The parser of every verb of ``grammar``.
 
     ``grammar`` is ``cli.GRAMMAR``: each verb's help, handler, positionals as
     (dest, kind) and options as (flag, kind, default, help).
@@ -35,13 +35,8 @@ def build_parser(grammar: dict, verb: str | None = None) -> argparse.ArgumentPar
         prog="pleijel",
         description="Certified spectral constants on H-type groups R^(2n) x R^m.",
     )
-    one = verb in grammar
-    # one verb's parser names all five in its usage, as the full parser's default
-    # metavar does; the full parser keeps the default, as its errors name "command"
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(grammar) + "}" if one else None)
-    for name in (verb,) if one else grammar:
-        summary, func, positionals, options = grammar[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, func, positionals, options) in grammar.items():
         p = sub.add_parser(name, help=summary)
         for dest, kind in positionals:
             p.add_argument(dest, **checks_of(kind))

@@ -141,11 +141,9 @@ def check_consistency() -> CheckResult:
     # the headline classification
     exc = exceptional.exceptional_set(10, 10)
     want = [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2), DimPair(3, 1)]
-    if sorted(exc.exceptional) != sorted(want):
-        failures.append(f"exceptional set is {exc.exceptional}, expected {want}")
-    if exc.uncertain:
-        failures.append(f"uncertain classifications: {exc.uncertain}")
-    notes.append("exceptional pairs over 10 x 10: " + " ".join(map(str, exc.exceptional)))
+    if exc != want:
+        failures.append(f"exceptional set is {exc}, expected {want}")
+    notes.append("exceptional pairs over 10 x 10: " + " ".join(map(str, exc)))
     return _result("consistency", failures, notes)
 
 

@@ -6,7 +6,8 @@ Verbs:
 * ``table QUANTITY``      -- a full table in markdown/csv/json/latex;
 * ``check SUITE``         -- offline self-checks (exit 1 on any failure);
 * ``exceptional``         -- certified classification against the
-                             Pleijel threshold 1;
+                             Pleijel threshold 1 (exit 2 where a pair's
+                             interval straddles 1);
 * ``htype N M OUT.json``  -- write a verified H-type matrix family
                              (exit 3 for inadmissible pairs, exit 2 over
                              2^22 dense matrix entries or where OUT.json
@@ -24,9 +25,7 @@ positionals, then each option at most once, spelt in full, with its value
 as the next word, every value passing its check.  Only help, errors and
 other spellings (an abbreviation, ``--eps=1e-9``, ``--``, an option before
 a positional, a repeated option) run the ``argparser`` module, which
-imports argparse: ``main`` then builds the parser of the verb its first
-argument names, and of all five when it names none (no argument, ``-h``, a
-misspelt verb); every usage, help and error text is the same either way.
+imports argparse and builds the parser of all five verbs from ``GRAMMAR``.
 A ``PrecisionUnreachable`` from any verb is refused with a one-line
 message on stderr and exit 2.
 
@@ -135,8 +134,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read(argv) or argparser.build_parser(
-        GRAMMAR, argv[0] if argv else None).parse_args(argv)
+    args = _read(argv) or argparser.build_parser(GRAMMAR).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -1,7 +1,7 @@
 """The classification against the Pleijel threshold 1, and the ``exceptional`` verb.
 
 ``exceptional_set`` walks the exact gamma_bar down-set and asks the series
-only inside it; ``cmd_exceptional`` prints each classified pair with its
+only inside it; ``cmd_exceptional`` prints each exceptional pair with its
 certified gamma_tilde interval.  Only ``exceptional`` and ``check`` run this
 module, so a ``value`` op compiles none of it.
 
@@ -9,38 +9,29 @@ module, so a ``value`` op compiles none of it.
 pair is classified, so a wrapped module attribute is the one called.
 """
 
-from collections import namedtuple
-
 from . import constants
 from .admissibility import radon_hurwitz
-from .core import DimPair
+from .core import DimPair, PrecisionUnreachable
 
-__all__ = ["ExceptionalSet", "exceptional_set"]
-
-
-ExceptionalSet = namedtuple("ExceptionalSet", "exceptional uncertain")
-ExceptionalSet.__doc__ = """Admissible pairs classified against the Pleijel threshold 1.
-
-exceptional: certified gamma_tilde >= 1; uncertain: the certified interval
-straddles 1 (expected empty)."""
+__all__ = ["exceptional_set"]
 
 
-def exceptional_set(n_max: int, m_max: int) -> ExceptionalSet:
-    """Classify every admissible pair in the box [1, n_max] x [1, m_max].
+def exceptional_set(n_max: int, m_max: int) -> list[DimPair]:
+    """The admissible pairs of the box [1, n_max] x [1, m_max] with certified
+    gamma_tilde >= 1, in walk order (by n, then m).
 
     gamma_tilde < gamma_bar (c exceeds its k = 0 term), and the exact
     gamma_bar decreases in n and in m (``monotonicity``), so a row stops at
     its first gamma_bar < 1, and the walk at the first row where that is
     m = 1 (n = 7): any box costs about a dozen exact gamma_bar and at most
-    11 series evaluations.  A pair before the stop is exceptional iff the
+    7 series evaluations.  A pair before the stop is exceptional iff the
     certified lower end of its gamma_tilde interval is >= 1, safe iff the
-    upper end is < 1; anything straddling the threshold is reported
-    separately rather than silently decided.
+    upper end is < 1; an interval straddling 1 raises PrecisionUnreachable
+    rather than being decided.
     """
     if n_max < 1 or m_max < 1:
         raise ValueError(f"need n_max, m_max >= 1, got ({n_max}, {m_max})")
     exceptional: list[DimPair] = []
-    uncertain: list[DimPair] = []
     for n in range(1, n_max + 1):
         # the admissible m are 1..rho(2n) - 1, so a tall box costs nothing extra
         for m in range(1, min(m_max, radon_hurwitz(2 * n) - 1) + 1):
@@ -52,22 +43,24 @@ def exceptional_set(n_max: int, m_max: int) -> ExceptionalSet:
             if low >= 1.0:
                 exceptional.append(p)
             elif high >= 1.0:
-                uncertain.append(p)
+                raise PrecisionUnreachable(
+                    f"gamma_tilde{p} in [{low!r}, {high!r}] straddles the threshold 1",
+                    best_bound=high - low, terms_used=0)
         if m == 1 and num < den:
             break
-    return ExceptionalSet(exceptional, uncertain)
+    return exceptional
 
 
 def cmd_exceptional(args) -> int:
-    """The ``exceptional`` verb: the exceptional pairs of the box, then the uncertain."""
-    result = exceptional_set(args.n_max, args.m_max)
-    titles = (f"exceptional pairs (certified gamma_tilde >= 1) "
-              f"for 1 <= n <= {args.n_max}, 1 <= m <= {args.m_max}:",
-              "uncertain (certified interval straddles 1):" if result.uncertain
-              else "uncertain: none")
-    for title, pairs in zip(titles, result):
-        print(title)
-        for p in pairs:
-            low, high = constants.gamma_tilde_interval(p)
-            print(f"  {p}  gamma_tilde in [{low:.8f}, {high:.8f}]")
+    """The ``exceptional`` verb: the exceptional pairs of the box with their intervals.
+
+    The last line, ``uncertain: none``, is kept for readers of the output: a
+    pair that cannot be decided is refused (exit 2) before anything is printed."""
+    pairs = exceptional_set(args.n_max, args.m_max)
+    print(f"exceptional pairs (certified gamma_tilde >= 1) "
+          f"for 1 <= n <= {args.n_max}, 1 <= m <= {args.m_max}:")
+    for p in pairs:
+        low, high = constants.gamma_tilde_interval(p)
+        print(f"  {p}  gamma_tilde in [{low:.8f}, {high:.8f}]")
+    print("uncertain: none")
     return 0

@@ -29,11 +29,8 @@ from functools import lru_cache
 from itertools import accumulate, compress, count, islice, repeat, tee
 from operator import le, mul, truediv
 
-from . import constants, sobolev
+from . import constants, htype_algebra, numerics, series, sobolev
 from .core import DimPair, Enclosure, as_pair
-from .htype_algebra import HTypeStructure, SignedPermutation, verify_structure
-from .numerics import _ends, _outward
-from .series import _shifted_numerator_coeffs
 
 __all__ = [
     "gamma_tilde_product_form",
@@ -63,8 +60,8 @@ def gamma_tilde_product_form(pair) -> Enclosure:
     p = as_pair(pair)
     s = p.n + p.m
     c, w = sobolev.sobolev_interval(p), constants.weyl_interval(p)
-    lo, hi = _ends(1, 1, 0, (c.lo, c.hi, -s), (w.lo, w.hi, -1))
-    return _outward(lo, hi if w.lo > 0 else (math.inf, 1))
+    lo, hi = numerics._ends(1, 1, 0, (c.lo, c.hi, -s), (w.lo, w.hi, -1))
+    return numerics._outward(lo, hi if w.lo > 0 else (math.inf, 1))
 
 
 # --------------------------------------------------------------------------
@@ -100,7 +97,7 @@ def _integral_remainder(pair, K: int) -> float:
     p = as_pair(pair)
     U = float(2 * K + p.n)
     total = 0.0
-    for i, b in enumerate(_shifted_numerator_coeffs(p.n)):
+    for i, b in enumerate(series._shifted_numerator_coeffs(p.n)):
         decay = p.n + p.m - i - 1  # >= m >= 1
         total += b * U ** (-decay) / decay
     return total / (2**p.n * math.factorial(p.n - 1))
@@ -226,8 +223,8 @@ def zeta_interval(s: int) -> Enclosure:
     head = sum((d[k] - d[j]) * (L // (j + 1)) ** s * (-1) ** j for j in range(k))
     den, tail = d[k] * L**s, 5**k  # the sum is head / den, and |g| < 3 / tail
     scale = den * tail * ((1 << (s - 1)) - 1)  # zeta(s) = (head/den + g) / (1 - 2^(1-s))
-    return _outward(((head * tail - 3 * den) << (s - 1), scale),
-                    ((head * tail + 3 * den) << (s - 1), scale))
+    return numerics._outward(((head * tail - 3 * den) << (s - 1), scale),
+                             ((head * tail + 3 * den) << (s - 1), scale))
 
 
 # --------------------------------------------------------------------------
@@ -299,7 +296,7 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-def sublaplacian(s: HTypeStructure, u: Polynomial) -> Polynomial:
+def sublaplacian(s: "htype_algebra.HTypeStructure", u: Polynomial) -> Polynomial:
     """Apply the sublaplacian of ``s`` to a polynomial u in (x, t), exactly:
 
         Delta = Delta_x + |x|^2/4 Delta_t + sum_j <U^(j) x, grad_x> d_(t_j).
@@ -337,7 +334,7 @@ def sublaplacian(s: HTypeStructure, u: Polynomial) -> Polynomial:
 # --------------------------------------------------------------------------
 # an htype file read back: {"n": int, "m": int, "U": [[[int]]]}
 
-def _from_rows(idx: int, rows, d: int) -> SignedPermutation:
+def _from_rows(idx: int, rows, d: int) -> "htype_algebra.SignedPermutation":
     """Dense rows as a signed permutation; raises on shape, entries, skew, orthogonal."""
     if not (isinstance(rows, Sized) and len(rows) == d
             and all(isinstance(row, Sized) and len(row) == d for row in rows)):
@@ -349,13 +346,14 @@ def _from_rows(idx: int, rows, d: int) -> SignedPermutation:
     if any(sum(v * v for v in row) != 1 for row in rows):  # rows of norm 1: one entry each
         raise ValueError(f"U^({idx}) is not orthogonal")
     perm = tuple(k for row in rows for k, v in enumerate(row) if v)
-    return SignedPermutation(perm, tuple(int(rows[i][k]) for i, k in enumerate(perm)))
+    signs = tuple(int(rows[i][k]) for i, k in enumerate(perm))
+    return htype_algebra.SignedPermutation(perm, signs)
 
 
-def from_json_dict(data: dict) -> HTypeStructure:
+def from_json_dict(data: dict) -> "htype_algebra.HTypeStructure":
     """The structure of ``htype_algebra.to_json_dict``'s dict, re-verified."""
     pair = DimPair(int(data["n"]), int(data["m"]))
     family = tuple(_from_rows(idx, U, 2 * pair.n) for idx, U in enumerate(data["U"], 1))
-    s = HTypeStructure(pair=pair, family=family)
-    verify_structure(s)
+    s = htype_algebra.HTypeStructure(pair=pair, family=family)
+    htype_algebra.verify_structure(s)
     return s

@@ -184,11 +184,10 @@ def test_criterion_02_exceptional_set():
         low, high = gamma_tilde_interval((n, m))
         if low < 1.0 <= high:
             straddlers.append((n, m))
-    ok = result.exceptional == want and not result.uncertain and not straddlers
+    ok = result == want and not straddlers
     _verdict(2, "exceptional set over 10x10", ok,
-             "exceptional = " + " ".join(map(str, result.exceptional)))
-    assert result.exceptional == want
-    assert result.uncertain == []
+             "exceptional = " + " ".join(map(str, result)))
+    assert result == want
     assert not straddlers
 
 

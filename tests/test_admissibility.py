@@ -20,7 +20,6 @@ from pleijel.checks import CheckResult
 from pleijel.cells import Ratio, _compute_cell
 from pleijel.constants import weyl_interval
 from pleijel.core import DimPair, InadmissiblePair
-from pleijel.exceptional import exceptional_set
 from pleijel.htype_algebra import GroupElement, SignedPermutation, construct
 from pleijel.monotonicity import InequalityReport
 from pleijel.oracles import Polynomial
@@ -33,7 +32,6 @@ _VALUE_TYPES = {
     "Enclosure": lambda: weyl_interval((2, 1)),
     "Ratio": lambda: _compute_cell("gamma_bar", 4, 2, 4, 1e-8).exact,
     "SignedPermutation": lambda: SignedPermutation.identity(4),
-    "ExceptionalSet": lambda: exceptional_set(3, 1),
     "SeriesValue": lambda: c_series((2, 1)),
     "AdmissibilityVerdict": lambda: admissible((2, 1)),
     "CheckResult": lambda: CheckResult("tables", True, ()),
@@ -141,12 +139,7 @@ class TestCrossModule:
     def test_value_types_are_their_tuples(self, name):
         value = _VALUE_TYPES[name]()
         assert type(value) is not tuple and value == tuple(value)
-        if name == "ExceptionalSet":  # its fields are lists: neither it nor its tuple hashes
-            for v in (value, tuple(value)):
-                with pytest.raises(TypeError):
-                    hash(v)
-        else:
-            assert hash(value) == hash(tuple(value))
+        assert hash(value) == hash(tuple(value))
 
 
 class TestPackageExports:

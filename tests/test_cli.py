@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -27,6 +26,7 @@ from pleijel.argparser import build_parser
 from pleijel.cells import _compute_cell
 from pleijel.cli import GRAMMAR, QUANTITIES, SUITE_NAMES, _read, main
 from pleijel.constants import gamma_tilde_interval
+from pleijel.core import Enclosure
 from pleijel.render import TableSpec, render_table
 
 
@@ -628,6 +628,15 @@ class TestExceptional:
         _, default, _ = run_cli(capsys, "exceptional")
         assert result.stdout.splitlines()[1:] == default.splitlines()[1:]
 
+    def test_a_straddling_interval_is_refused(self, capsys, monkeypatch):
+        # no pair's certified interval straddles 1; one that did is refused, not decided
+        monkeypatch.setattr(constants, "gamma_tilde_interval",
+                            lambda pair: Enclosure(0.99, 1.01))
+        code, out, err = run_cli(capsys, "exceptional")
+        assert code == 2 and out == ""
+        assert err.startswith("error: gamma_tilde(1,1) in [0.99, 1.01] straddles")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_determinism(self, capsys):
         _, a, _ = run_cli(capsys, "exceptional")
         _, b, _ = run_cli(capsys, "exceptional")
@@ -836,9 +845,8 @@ def assert_read_agrees(argv) -> bool:
 
 class TestParser:
     def test_bytes_pinned(self, capsys, monkeypatch):
-        # usage, help and error texts with their exit codes: main builds only the
-        # parser of the verb argv names, and prints what the parser of all five verbs
-        # prints, and what it printed when every argv built all five (recorded under
+        # usage, help and error texts with their exit codes: main prints what the
+        # parser of all five verbs prints, and what it printed when recorded (under
         # CPython 3.11); argparse wraps at COLUMNS
         monkeypatch.setenv("COLUMNS", "80")
         records = json.loads((Path(__file__).parent / "parser_output.json").read_text())
@@ -849,15 +857,6 @@ class TestParser:
             assert got == (built, *capsys.readouterr()), argv
             if sys.version_info[:2] == (3, 11):
                 assert got == (record["code"], record["stdout"], record["stderr"]), argv
-
-    @pytest.mark.parametrize("verb, built", [
-        *((verb, [verb]) for verb in VERBS),
-        (None, list(VERBS)), ("-h", list(VERBS)), ("valu", list(VERBS)),
-    ])
-    def test_builds_the_verb_named(self, verb, built):
-        (sub,) = (action for action in build_parser(GRAMMAR, verb)._actions
-                  if isinstance(action, argparse._SubParsersAction))
-        assert list(sub.choices) == built
 
     def test_read_agrees_on_the_recorded_argv(self):
         records = json.loads((Path(__file__).parent / "parser_output.json").read_text())
@@ -1182,12 +1181,17 @@ class TestImportPath:
         # the modules it calls
         (["check", "admissibility", "--no-timestamp"],
          _PACKAGE_MODULES - {"admissibility", "checks", "cli", "core", "reference"}),
+        # and `oracles` reads the library the same way: the algebra suite runs neither
+        # the series nor the numerics it never calls
+        (["check", "algebra", "--no-timestamp"],
+         _PACKAGE_MODULES - {"admissibility", "checks", "cli", "core", "htype_algebra",
+                             "oracles"}),
         # an argv that is not canonical is read by argparse, built by `argparser`
         (["value", "30", "1", "gamma_tilde", "--eps=1e-9"],
          _NOT_VALUE - {"argparser"} | {"render", "sobolev"}),
     ], ids=["value", "table", "value-gamma_bar", "value-sobolev", "table-gamma_bar",
             "table-sobolev", "exceptional", "htype", "check", "check-admissibility",
-            "value-joined-eps"])
+            "check-algebra", "value-joined-eps"])
     def test_each_verb_runs_only_the_modules_it_calls(self, tmp_path, argv, unrun):
         argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
         # with this host's site, and under -S, where nothing is loaded before the probe

@@ -264,8 +264,12 @@ class TestGammaRatioExact:
 
 class TestGammaBar:
     def test_rational_checkpoints(self):
+        # the first four are the edge of the down-set {gamma_bar >= 1}, as stated in
+        # ``monotonicity`` and the README
+        assert gamma_bar_exact((7, 1)) == Fraction(737280, 823543)
         assert gamma_bar_exact((4, 2)) == Fraction(2268, 3125)
         assert gamma_bar_exact((2, 3)) == Fraction(15, 16)
+        assert gamma_bar_exact((1, 5)) == Fraction(13824, 15625)
         assert gamma_bar_exact((1, 1)) == 4
 
     def test_cell_1_3_is_128_over_81(self):
@@ -331,23 +335,33 @@ class TestGammaBar:
 
 class TestExceptionalSet:
     def test_ten_by_ten(self):
-        result = exceptional_set(10, 10)
-        want = [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2), DimPair(3, 1)]
-        assert result.exceptional == sorted(want)
-        assert result.uncertain == []
+        assert exceptional_set(10, 10) == [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2),
+                                           DimPair(3, 1)]
 
     def test_small_boxes(self):
-        assert exceptional_set(1, 1).exceptional == [DimPair(1, 1)]
-        assert exceptional_set(3, 3).exceptional == sorted(
-            [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2), DimPair(3, 1)]
-        )
+        assert exceptional_set(1, 1) == [DimPair(1, 1)]
+        assert exceptional_set(3, 3) == [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2),
+                                         DimPair(3, 1)]
         # nothing new appears in row n = 4
-        assert exceptional_set(4, 7).exceptional == exceptional_set(3, 3).exceptional
+        assert exceptional_set(4, 7) == exceptional_set(3, 3)
 
     def test_no_admissible_interval_straddles_one(self):
         for n, m in itertools.product(range(1, 11), range(1, 11)):
             low, high = gamma_tilde_interval((n, m))
             assert low >= 1.0 or high < 1.0
+
+    def test_every_asked_pair_lies_strictly_on_one_side(self):
+        # the 7 admissible pairs of the down-set: the four exceptional, then three safe
+        for pair in ((1, 1), (2, 1), (2, 2), (3, 1)):
+            assert gamma_tilde_interval(pair).lo >= 1, pair
+        for pair in ((4, 1), (5, 1), (6, 1)):
+            assert gamma_tilde_interval(pair).hi < 1, pair
+
+    def test_a_straddling_interval_is_refused(self, monkeypatch):
+        monkeypatch.setattr(constants, "gamma_tilde_interval",
+                            lambda pair: Enclosure(0.99, 1.01))
+        with pytest.raises(PrecisionUnreachable, match=r"gamma_tilde\(1,1\) .* straddles"):
+            exceptional_set(10, 10)
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -372,8 +386,8 @@ class TestExceptionalSet:
         asked = []
         monkeypatch.setattr(constants, "gamma_tilde_interval",
                             lambda pair: asked.append(pair) or gamma_tilde_interval(pair))
-        assert exceptional_set(30, 30) == (
-            [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2), DimPair(3, 1)], [])
+        assert exceptional_set(30, 30) == [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2),
+                                           DimPair(3, 1)]
         assert asked and all(gamma_bar_exact(pair) >= 1 for pair in asked)
 
     def test_staircase_equals_a_full_box_scan(self):
@@ -384,20 +398,19 @@ class TestExceptionalSet:
             for m in range(1, min(40, radon_hurwitz(2 * n) - 1) + 1):
                 low, high = gamma_tilde_interval((n, m))
                 assert high < gamma_bar_exact((n, m))
-                verdict[n, m] = "exceptional" if low >= 1 else "uncertain" if high >= 1 else ""
+                assert low >= 1 or high < 1
+                verdict[n, m] = low >= 1
         for n_max, m_max in itertools.product(range(1, 41), repeat=2):
             box = [p for p in sorted(verdict) if p[0] <= n_max and p[1] <= m_max]
-            assert exceptional_set(n_max, m_max) == tuple(
-                [p for p in box if verdict[p] == kind] for kind in ("exceptional", "uncertain")
-            ), (n_max, m_max)
+            assert exceptional_set(n_max, m_max) == [p for p in box if verdict[p]], (n_max, m_max)
 
     def test_any_box_asks_the_series_inside_the_down_set_only(self, monkeypatch):
         # the admissible pairs of the 11-pair down-set {gamma_bar >= 1}, and no others
         asked = []
         monkeypatch.setattr(constants, "gamma_tilde_interval",
                             lambda pair: asked.append(pair) or gamma_tilde_interval(pair))
-        assert exceptional_set(10**9, 10**9) == (
-            [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2), DimPair(3, 1)], [])
+        assert exceptional_set(10**9, 10**9) == [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2),
+                                                 DimPair(3, 1)]
         assert asked == [(1, 1), (2, 1), (2, 2), (3, 1), (4, 1), (5, 1), (6, 1)]
 
 
