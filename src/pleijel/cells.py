@@ -9,10 +9,11 @@ at the binary64 rounding floor, the same for every eps, and
 ``_compute_cell`` decides ``--eps`` once, on the enclosure it prints.  A
 certified value that cannot be delivered (its printed enclosure wider
 than eps, a pair out of binary64 range, or a value that underflows
-binary64 so no relative eps holds) is refused with a one-line message on
-stderr and exit 2, as is an exact gamma_bar whose numerator or
-denominator may exceed the interpreter's integer-to-string digit limit,
-or a sobolev, weyl or gamma_tilde value with n + m > 10,000.
+binary64 so no relative eps holds) raises ``PrecisionUnreachable``; an
+exact gamma_bar whose numerator or denominator may exceed the
+interpreter's integer-to-string digit limit, and a sobolev, weyl or
+gamma_tilde value with n + m > 10,000, raise ``Refused``.  ``cmd_value``
+prints nothing before a refusal; ``cli.main`` prints it.
 
 The library is called through its module attributes, looked up when a
 cell is computed, so a wrapped module attribute is the one called.
@@ -24,7 +25,7 @@ from collections import namedtuple
 
 from . import constants, numerics, series, sobolev
 from .admissibility import admissible
-from .core import DimPair, Enclosure, PrecisionUnreachable
+from .core import DimPair, Enclosure, PrecisionUnreachable, Refused
 
 _MAX_S = 10_000  # `value` refuses sobolev, weyl and gamma_tilde above this n + m
 
@@ -85,20 +86,18 @@ def _compute_cell(quantity: str, n: int, m: int, precision: int, eps: float) -> 
                 error_bound=radius, exceeds_one=enc.lo > 1.0)
 
 
-def _over_digit_limit(args, bits: int) -> bool:
-    """Whether an exact value with a numerator or denominator of ``bits`` bits
-    is refused, with its one-line message on stderr.
+def _over_digit_limit(args, bits: int) -> None:
+    """Refuse an exact value with a numerator or denominator of ``bits`` bits
+    that str() may not print.
 
     str() refuses integers over the interpreter's digit limit (0: none; no
     limit before Python 3.10.7); b bits give at most b log10(2) + 1 digits.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not (limit and bits * 30103 // 100000 + 1 > limit):
-        return False
-    print(f"error: {args.quantity}({args.n},{args.m}) is exact, but its numerator or "
-          f"denominator may have more than the {limit} digits this interpreter "
-          "prints", file=sys.stderr)
-    return True
+    if limit and bits * 30103 // 100000 + 1 > limit:
+        raise Refused(f"{args.quantity}({args.n},{args.m}) is exact, but its numerator or "
+                      f"denominator may have more than the {limit} digits this interpreter "
+                      "prints")
 
 
 def cmd_value(args) -> int:
@@ -106,23 +105,19 @@ def cmd_value(args) -> int:
         # sobolev_interval's integer work grows like s^1.6: 0.08-0.13 s at the limit (x86-64).
         # weyl and gamma_tilde past it are certain refusals: n >= 2 is out of the
         # series' range ((n+m) log2 n > 1000), and at n = 1 the value underflows
-        print(f"error: {args.quantity}({args.n},{args.m}) needs n + m <= {_MAX_S}",
-              file=sys.stderr)
-        return 2
+        raise Refused(f"{args.quantity}({args.n},{args.m}) needs n + m <= {_MAX_S}")
     if args.quantity == "gamma_bar":
         # a/b in lowest terms has a or b of more than |log2(a/b)| bits: enough to
         # refuse before building it; 1e-9 q ln q covers log_gamma_bar's float error
         q = 2 * args.n + args.m
         log = abs(constants.log_gamma_bar(DimPair(args.n, args.m))) - 1e-9 * q * math.log(q)
-        if _over_digit_limit(args, math.floor(log / math.log(2))):
-            return 2
+        _over_digit_limit(args, math.floor(log / math.log(2)))
     cell = _compute_cell(args.quantity, args.n, args.m, args.precision, args.eps)
     adm = admissible(DimPair(args.n, args.m)).admissible
     line = cell.display
     if cell.exact is not None:
-        if _over_digit_limit(args, max(cell.exact.numerator.bit_length(),
-                                       cell.exact.denominator.bit_length())):
-            return 2
+        _over_digit_limit(args, max(cell.exact.numerator.bit_length(),
+                                    cell.exact.denominator.bit_length()))
         line += f" (= {cell.exact.numerator}/{cell.exact.denominator})"
     if not adm:
         line += " [inadmissible: no H-type group]"

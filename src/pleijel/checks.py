@@ -19,7 +19,7 @@ from . import (admissibility, constants, exceptional, htype_algebra, monotonicit
                oracles, reference, series)
 from .core import DimPair
 
-__all__ = ["CheckResult", "SUITES", "run_suite"]
+__all__ = ["CheckResult", "SUITES"]
 
 
 CheckResult = namedtuple("CheckResult", "name passed details")  # details: a tuple of lines
@@ -361,19 +361,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str) -> CheckResult:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name]()
-
-
 def cmd_check(args) -> int:
     """The ``check`` verb: each suite's verdict and details, then a JSON trailer;
     exit 1 when a suite fails."""
     import json
 
     names = tuple(SUITES) if args.suite == "all" else (args.suite,)
-    results = [run_suite(name) for name in names]
+    results = [SUITES[name]() for name in names]
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}")
         for line in res.details:

@@ -26,8 +26,9 @@ as the next word, every value passing its check.  Only help, errors and
 other spellings (an abbreviation, ``--eps=1e-9``, ``--``, an option before
 a positional, a repeated option) run the ``argparser`` module, which
 imports argparse and builds the parser of all five verbs from ``GRAMMAR``.
-A ``PrecisionUnreachable`` from any verb is refused with a one-line
-message on stderr and exit 2.
+A verb's handler raises its refusal (``core.Refused`` or ``InadmissiblePair``);
+``main`` alone prints it as one ``error:`` line on stderr, and returns 3 for
+``InadmissiblePair`` and 2 for any other.
 
 Output is deterministic byte-for-byte; ``check`` carries a timestamp in
 its JSON trailer unless --no-timestamp is given.  A process entered
@@ -44,7 +45,7 @@ from types import SimpleNamespace
 # looked up when a verb runs: each verb then runs only the modules it calls (the package
 # registers them lazily), and a wrapped module attribute is the one called.
 from . import argparser, cells, checks, exceptional, htype_algebra, render
-from .core import PrecisionUnreachable
+from .core import InadmissiblePair, Refused
 
 QUANTITIES = ("gamma_tilde", "gamma_bar", "sobolev", "weyl", "c_series")
 FORMATS = ("markdown", "csv", "json", "latex")
@@ -139,9 +140,9 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except PrecisionUnreachable as exc:
+    except (Refused, InadmissiblePair) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, InadmissiblePair) else 2
     except BrokenPipeError:
         # the reader went away: send what is still buffered to devnull, so the
         # interpreter's own flush at exit cannot fail again (Python docs, signal)

@@ -3,17 +3,22 @@
 Everything in this package is parameterised by a dimension pair (n, m):
 the underlying group is R^(2n) x R^m, where 2n is the dimension of the
 horizontal layer and m the dimension of the centre.  The homogeneous
-dimension is Q = 2n + 2m.
+dimension is Q = 2n + 2m.  A request the package declines raises
+``Refused`` or ``InadmissiblePair``, which ``cli.main`` alone prints.
 """
 
 import math
 import operator
 from collections import namedtuple
 
-__all__ = ["DimPair", "Enclosure", "InadmissiblePair", "PrecisionUnreachable"]
+__all__ = ["DimPair", "Enclosure", "InadmissiblePair", "PrecisionUnreachable", "Refused"]
 
 
-class PrecisionUnreachable(RuntimeError):
+class Refused(RuntimeError):
+    """A well-formed request the package declines; its message says why."""
+
+
+class PrecisionUnreachable(Refused):
     """A certified error target cannot be met.
 
     Raised when eps lies below the binary64 rounding floor of the

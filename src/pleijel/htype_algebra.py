@@ -37,12 +37,11 @@ verifies and writes, and loads ``fractions`` nowhere on that path.
 """
 
 import operator
-import sys
 from collections import namedtuple
 from functools import lru_cache, reduce
 
 from .admissibility import admissible
-from .core import InadmissiblePair, as_pair
+from .core import InadmissiblePair, Refused, as_pair
 
 __all__ = [
     "SignedPermutation",
@@ -252,23 +251,21 @@ def write_json(s: HTypeStructure, path) -> None:
 
 
 def cmd_htype(args) -> int:
-    """The ``htype`` verb: write the verified family of (n, m) to ``args.output``;
-    exit 3 for an inadmissible pair, 2 over 2^22 dense matrix entries or where
-    the file cannot be written."""
+    """The ``htype`` verb: write the verified family of (n, m) to ``args.output``.
+    Raises ``InadmissiblePair`` for an inadmissible pair, and ``Refused`` over
+    2^22 dense matrix entries or where the file cannot be written; ``cli.main``
+    prints them (exit 3 and 2)."""
     # both refusals come before the family is built, whose cost grows with n
     verdict = admissible((args.n, args.m))
     if not verdict.admissible:
-        print(f"error: {InadmissiblePair(verdict.pair, verdict.rho_2n)}", file=sys.stderr)
-        return 3
+        raise InadmissiblePair(verdict.pair, verdict.rho_2n)
     entries = args.m * (2 * args.n) ** 2  # htype 1024 1 (29 MB of JSON) is the largest m = 1
     if entries > 1 << 22:
-        print(f"error: htype({args.n},{args.m}) would write {entries} dense matrix entries, "
-              "over the limit of 2^22", file=sys.stderr)
-        return 2
+        raise Refused(f"htype({args.n},{args.m}) would write {entries} dense matrix entries, "
+                      "over the limit of 2^22")
     try:
         write_json(construct(verdict.pair), args.output)
     except OSError as exc:  # the family is built and verified; the path is refused
-        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise Refused(f"cannot write {args.output}: {exc.strerror}") from None
     print(f"wrote verified H-type structure ({args.n},{args.m}) to {args.output}")
     return 0

@@ -15,18 +15,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pleijel
-from pleijel import checks, constants, htype_algebra, reference, series, sobolev
+from pleijel import checks, constants, htype_algebra, reference, render, series, sobolev
 from pleijel.admissibility import admissible
-from pleijel.checks import run_suite
 from pleijel.argparser import build_parser
 from pleijel.cells import _compute_cell
 from pleijel.cli import GRAMMAR, QUANTITIES, SUITE_NAMES, _read, main
 from pleijel.constants import gamma_tilde_interval
-from pleijel.core import Enclosure
+from pleijel.core import DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable, Refused
 from pleijel.render import TableSpec, render_table
 
 
@@ -569,11 +568,6 @@ class TestCheck:
         assert "FAIL tables" in out
         assert "gamma_bar(1,3): computed 1.5802, reference 1.5803" in out
 
-    def test_run_suite_dispatch(self):
-        assert run_suite("admissibility").passed
-        with pytest.raises(ValueError, match="unknown suite"):
-            run_suite("everything")
-
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["check", "everything"])
@@ -745,6 +739,61 @@ class TestHType:
         code, _, err = run_cli(capsys, "htype", "5001", "2", str(out_file))
         assert code == 3 and "rho(10002) = 2" in err
         assert not out_file.exists()
+
+
+def assert_answered_or_refused(code, out, err):
+    # an answer on stdout and nothing on stderr, or one `error:` line and nothing on stdout
+    if code == 0:
+        assert err == "", err
+    else:
+        assert code in (2, 3) and out == "", (code, out)
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+_LOG_SCALE = st.floats(min_value=0, max_value=9).map(lambda e: int(10 ** e))  # 1 to 10^9
+
+
+class TestRefusalPath:
+    def test_main_prints_a_raised_refusal(self, capsys, monkeypatch):
+        def raising(exc):
+            def handler(args):
+                raise exc
+            return handler
+
+        monkeypatch.setattr(render, "cmd_table", raising(Refused("x")))
+        assert run_cli(capsys, "table", "gamma_tilde") == (2, "", "error: x\n")
+        inadmissible = InadmissiblePair(DimPair(2, 4), 4)
+        monkeypatch.setattr(checks, "cmd_check", raising(inadmissible))
+        assert run_cli(capsys, "check", "all") == (3, "", f"error: {inadmissible}\n")
+        # a library caller catches every refusal with one type
+        assert issubclass(PrecisionUnreachable, Refused)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_LOG_SCALE, _LOG_SCALE, st.sampled_from(QUANTITIES),
+           st.none() | st.floats(min_value=1e-16, max_value=1),
+           st.none() | st.integers(min_value=1, max_value=12))
+    def test_value_answers_or_refuses(self, capsys, n, m, quantity, eps, precision):
+        argv = ["value", str(n), str(m), quantity]
+        if eps is not None:
+            argv += ["--eps", repr(eps)]
+        if precision is not None:
+            argv += ["--precision", str(precision)]
+        assert_answered_or_refused(*run_cli(capsys, *argv))
+
+    # m (2n)^2 <= 2^16 writes at most 0.5 MB; over 2^22 is refused unwritten.  Small m
+    # are drawn often, so that admissible pairs reach the writer
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.tuples(_LOG_SCALE, st.integers(min_value=1, max_value=8) | _LOG_SCALE).filter(
+               lambda p: not 1 << 16 < p[1] * (2 * p[0]) ** 2 <= 1 << 22),
+           st.sampled_from(["h.json", "missing/h.json"]))
+    def test_htype_answers_or_refuses(self, capsys, tmp_path, pair, where):
+        out_file = tmp_path / where
+        out_file.unlink(missing_ok=True)
+        code, out, err = run_cli(capsys, "htype", *map(str, pair), str(out_file))
+        assert_answered_or_refused(code, out, err)
+        assert out_file.exists() == (code == 0)
 
 
 def _exit_code(parse, argv) -> int:
