@@ -31,7 +31,8 @@ reader, ``main`` and ``run``), ``core`` and ``admissibility``; then
   the JSON writer) alone;
 * ``check`` runs ``checks`` (``cmd_check`` and the suites) and what its
   suites call: ``check admissibility`` runs ``reference`` too, ``check
-  all`` every library module, ``oracles`` included;
+  tables`` ``cells``, ``check all`` every module but ``render`` and
+  ``argparser``, ``oracles`` included;
 * help, errors and other spellings of an argv run ``argparser``, which
   builds the argparse parser from ``cli.GRAMMAR``.
 

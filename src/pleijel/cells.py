@@ -1,10 +1,10 @@
 """The ``value`` verb, and the cells of ``table``: one certified cell.
 
-Only these two verbs run this module: ``value`` through ``cmd_value``, and
-``table`` through ``render.cmd_table``, which computes each cell with
-``_compute_cell``.  The table half (``TableSpec``, ``render_table``,
-``cmd_table``) is ``render``'s, so a ``value`` op compiles none of it, and
-``cells`` imports no ``render``.  The library computes each enclosure
+``value`` runs this module through ``cmd_value``; ``table``, through
+``render.cmd_table``, and ``check tables`` compute each cell they print or
+certify with ``_compute_cell``.  The table half (``TableSpec``,
+``render_table``, ``cmd_table``) is ``render``'s, so a ``value`` op
+compiles none of it, and ``cells`` imports no ``render``.  The library computes each enclosure
 at the binary64 rounding floor, the same for every eps, and
 ``_compute_cell`` decides ``--eps`` once, on the enclosure it prints.  A
 certified value that cannot be delivered (its printed enclosure wider

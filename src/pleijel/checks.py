@@ -7,7 +7,8 @@ pass/fail with human-readable details.
 
 The library is read through its module attributes, looked up when a
 suite runs, so ``check SUITE`` runs only the modules its suite calls, and
-a wrapped module attribute is the one called.
+a wrapped module attribute is the one called.  ``check tables`` runs
+``cells``, the cell that ``table`` and ``value`` print.
 """
 
 import itertools
@@ -15,9 +16,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from . import (admissibility, constants, exceptional, htype_algebra, monotonicity, numerics,
-               oracles, reference, series)
-from .core import DimPair
+from . import (admissibility, cells, constants, exceptional, htype_algebra, monotonicity,
+               numerics, oracles, reference, series)
 
 __all__ = ["CheckResult", "SUITES"]
 
@@ -33,45 +33,33 @@ def _result(name: str, failures: list[str], notes: list[str]) -> CheckResult:
 # --------------------------------------------------------------------------
 
 def check_tables() -> CheckResult:
-    """Recompute both 10 x 10 reference tables cell-for-cell.
+    """Recompute both 10 x 10 reference tables cell-for-cell, each cell by
+    ``cells._compute_cell``, the cell ``table`` and ``value`` print.
 
-    Cells listed in the errata are compared against their corrected
-    displays (the printed digits are provably wrong there); every other
-    cell must match the printed digits exactly after half-away-from-zero
-    rounding to 4 decimals.
+    Each cell's display (4 decimals, eps 1e-8) must match the printed digits,
+    or the corrected digits where the errata list the cell (the printed
+    digits are provably wrong there), and the figure's red cells must be the
+    admissible cells whose certified value exceeds 1.
     """
     failures: list[str] = []
-    notes: list[str] = []
-    tilde_ref = reference.corrected(reference.GAMMA_TILDE_PRINTED, reference.GAMMA_TILDE_ERRATA)
-    bar_ref = reference.corrected(reference.GAMMA_BAR_PRINTED, reference.GAMMA_BAR_ERRATA)
-    for (n, m), want in sorted(tilde_ref.items()):
-        got = numerics.round_half_away(constants.gamma_tilde_interval((n, m)).mid, 4)
-        if got != want:
-            failures.append(f"gamma_tilde({n},{m}): computed {got}, reference {want}")
-    for (n, m), want in sorted(bar_ref.items()):
-        got = numerics.round_half_away(constants.gamma_bar_exact((n, m)), 4)
-        if got != want:
-            failures.append(f"gamma_bar({n},{m}): computed {got}, reference {want}")
-    for (n, m), fixed in sorted(reference.GAMMA_TILDE_ERRATA.items()):
-        notes.append(
-            f"erratum: gamma_tilde({n},{m}) prints {reference.GAMMA_TILDE_PRINTED[n, m]} "
-            f"in the source table but certified evaluation gives {fixed}"
-        )
-    for (n, m), fixed in sorted(reference.GAMMA_BAR_ERRATA.items()):
-        notes.append(
-            f"erratum: gamma_bar({n},{m}) prints {reference.GAMMA_BAR_PRINTED[n, m]} "
-            f"in the source table but the exact rational gives {fixed}"
-        )
-    # red-highlight flags (check_admissibility compares the grey shading)
-    for n, m in itertools.product(range(1, 11), range(1, 11)):
-        printed_grey = (n, m) in reference.INADMISSIBLE_PRINTED
-        red = not printed_grey and float(tilde_ref[n, m]) > 1
-        if red != ((n, m) in reference.RED_PRINTED_GAMMA_TILDE):
-            failures.append(f"red-flag mismatch in gamma_tilde table at ({n},{m})")
-        red_bar = not printed_grey and float(bar_ref[n, m]) > 1
-        if red_bar != ((n, m) in reference.RED_PRINTED_GAMMA_BAR):
-            failures.append(f"red-flag mismatch in gamma_bar table at ({n},{m})")
-    notes.insert(0, "compared 200 table cells plus red-highlight patterns")
+    notes = ["compared 200 table cells plus red-highlight patterns"]
+    figures = (
+        ("gamma_tilde", reference.GAMMA_TILDE_PRINTED, reference.GAMMA_TILDE_ERRATA,
+         reference.RED_PRINTED_GAMMA_TILDE, "certified evaluation"),
+        ("gamma_bar", reference.GAMMA_BAR_PRINTED, reference.GAMMA_BAR_ERRATA,
+         reference.RED_PRINTED_GAMMA_BAR, "the exact rational"),
+    )
+    for quantity, printed, errata, red, source in figures:
+        for (n, m), fixed in sorted(errata.items()):
+            notes.append(f"erratum: {quantity}({n},{m}) prints {printed[n, m]} "
+                         f"in the source table but {source} gives {fixed}")
+        for (n, m), want in sorted(reference.corrected(printed, errata).items()):
+            cell = cells._compute_cell(quantity, n, m, 4, 1e-8)
+            if cell.display != want:
+                failures.append(f"{quantity}({n},{m}): computed {cell.display}, reference {want}")
+            grey = (n, m) in reference.INADMISSIBLE_PRINTED  # check_admissibility compares it
+            if (not grey and cell.exceeds_one) != ((n, m) in red):
+                failures.append(f"red-flag mismatch in {quantity} table at ({n},{m})")
     return _result("tables", failures, notes)
 
 
@@ -81,19 +69,17 @@ def check_consistency() -> CheckResult:
     notes: list[str] = []
 
     # closed form vs defining product (isolates the gamma/power algebra): both
-    # enclosures contain gamma_tilde, so they must overlap
+    # enclosures contain gamma_tilde, so they must overlap; and the first-term
+    # truncation dominates, strictly
     for n, m in itertools.product(range(1, 11), range(1, 11)):
         g = constants.gamma_tilde_interval((n, m))
         product = oracles.gamma_tilde_product_form((n, m))
         if not (g.lo <= product.hi and product.lo <= g.hi):
             failures.append(f"product-form enclosure disjoint at ({n},{m})")
+        if not g.hi < constants.gamma_bar_exact((n, m)):
+            failures.append(f"gamma_bar does not dominate gamma_tilde at ({n},{m})")
     notes.append("gamma_tilde closed form vs (sobolev)^-(n+m)/weyl (n, m <= 10): "
                  "enclosures overlap")
-
-    # first-term truncation dominates, strictly
-    for n, m in itertools.product(range(1, 11), range(1, 11)):
-        if not constants.gamma_tilde_interval((n, m)).hi < constants.gamma_bar_exact((n, m)):
-            failures.append(f"gamma_bar does not dominate gamma_tilde at ({n},{m})")
 
     # exact rational vs log-domain evaluation of gamma_bar
     worst = 0.0
@@ -138,9 +124,9 @@ def check_consistency() -> CheckResult:
             failures.append(f"brute-force homogeneity broken at {pair}: spread {spread:.2e}")
     notes.append("brute-force shell-sum density agrees with weyl_interval on (1,1), (2,2), (3,1)")
 
-    # the headline classification
+    # the headline classification: the red cells of the gamma_tilde figure
     exc = exceptional.exceptional_set(10, 10)
-    want = [DimPair(1, 1), DimPair(2, 1), DimPair(2, 2), DimPair(3, 1)]
+    want = sorted(reference.RED_PRINTED_GAMMA_TILDE)
     if exc != want:
         failures.append(f"exceptional set is {exc}, expected {want}")
     notes.append("exceptional pairs over 10 x 10: " + " ".join(map(str, exc)))
@@ -300,7 +286,7 @@ def check_algebra() -> CheckResult:
 
     # J_z^T J_z = |z|^2 I (anticommutation), exactly: both sides are quadratic
     # in z, so z = e_j and e_j + e_l (j < l) fix the identity for every z
-    s47 = htype_algebra.construct((4, 7))
+    s47 = built[4, 7]
     d = s47.dim_x
     zs = [tuple(int(k in js) for k in range(s47.dim_t))
           for r in (1, 2) for js in itertools.combinations(range(s47.dim_t), r)]
@@ -322,14 +308,14 @@ def check_algebra() -> CheckResult:
 
     # Hurwitz-Radon maximality: no skew signed permutation extends a maximal family
     extended = [2 * n for n, max_m in top.items()
-                if next(_extensions(htype_algebra.construct((n, max_m)).family, 2 * n), None)]
+                if next(_extensions(built[n, max_m].family, 2 * n), None)]
     if extended:
         failures.append(f"maximal family extended by a skew signed permutation at 2n = {extended}")
     else:
         notes.append("no skew signed permutation extends a maximal family (exhaustive, 2n <= 16)")
 
     # sublaplacian on polynomial test functions, exactly
-    s = htype_algebra.construct((2, 3))
+    s = built[2, 3]
     nv = s.dim_x + s.dim_t
     x1 = oracles.Polynomial.variable(0, nv)
     t1 = oracles.Polynomial.variable(s.dim_x, nv)

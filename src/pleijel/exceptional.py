@@ -54,13 +54,19 @@ def exceptional_set(n_max: int, m_max: int) -> list[DimPair]:
 def cmd_exceptional(args) -> int:
     """The ``exceptional`` verb: the exceptional pairs of the box with their intervals.
 
+    Each interval is the certified one with its lower end rounded down and its
+    upper end up at 8 decimals, exactly, on the floats' integer ratios (W. Tucker,
+    *Validated Numerics*, 2011), so the printed interval contains the enclosure.
     The last line, ``uncertain: none``, is kept for readers of the output: a
     pair that cannot be decided is refused (exit 2) before anything is printed."""
     pairs = exceptional_set(args.n_max, args.m_max)
     print(f"exceptional pairs (certified gamma_tilde >= 1) "
           f"for 1 <= n <= {args.n_max}, 1 <= m <= {args.m_max}:")
     for p in pairs:
-        low, high = constants.gamma_tilde_interval(p)
-        print(f"  {p}  gamma_tilde in [{low:.8f}, {high:.8f}]")
+        (ln, ld), (hn, hd) = (end.as_integer_ratio() for end in constants.gamma_tilde_interval(p))
+        # floor and ceiling of 10^8 times each end; both ends are >= 1
+        low, high = ln * 10**8 // ld, -(-hn * 10**8 // hd)
+        print(f"  {p}  gamma_tilde in [{low // 10**8}.{low % 10**8:08d}, "
+              f"{high // 10**8}.{high % 10**8:08d}]")
     print("uncertain: none")
     return 0

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,11 +20,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pleijel
-from pleijel import checks, constants, htype_algebra, reference, render, series, sobolev
+from pleijel import cells, checks, constants, htype_algebra, reference, render, series, sobolev
 from pleijel.admissibility import admissible
 from pleijel.argparser import build_parser
 from pleijel.cells import _compute_cell
-from pleijel.cli import GRAMMAR, QUANTITIES, SUITE_NAMES, _read, main
+from pleijel.cli import FORMATS, GRAMMAR, QUANTITIES, SUITE_NAMES, _read, main
 from pleijel.constants import gamma_tilde_interval
 from pleijel.core import DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable, Refused
 from pleijel.render import TableSpec, render_table
@@ -276,7 +277,8 @@ _GRID_DIGESTS = {
     ("gamma_tilde", "csv"): "d6be00b44040717ed8dcd4857ce5a9922e4acc8638106657e5ac19e9f72545b9",
     ("gamma_tilde", "latex"): "0495a4020fb49f2695963fe644e8deff12e2e843c94280be2954e368aa96cf00",
 }
-_EXCEPTIONAL_30_DIGEST = "915d4d4b2531392b0ad4c5f105d985b9c4b373115234f266130ad25e55666976"
+#: (re-pinned when each interval end came to be rounded outward, not to nearest)
+_EXCEPTIONAL_30_DIGEST = "da7a7eb5b80e11a1632d81bb638161ace6f72c11c8d58cb6475e410bbf87de6e"
 
 
 def _json_payload(spec: TableSpec) -> dict:
@@ -559,6 +561,28 @@ class TestCheck:
         assert "erratum: gamma_bar(1,3)" in out
         assert "erratum: gamma_tilde(9,10)" in out
 
+    # the figure's red cells are compared with the certified exceeds_one of the cell
+    # `table` prints, which renders a red cell from it, and the digits with its display
+    @pytest.mark.parametrize("quantity, pair, change, failure", [
+        ("gamma_tilde", (3, 1), {"exceeds_one": False},
+         "red-flag mismatch in gamma_tilde table at (3,1)"),
+        ("gamma_bar", (4, 5), {"display": "0.1484"},
+         "gamma_bar(4,5): computed 0.1484, reference 0.1483"),
+    ], ids=["red-flag", "display"])
+    def test_tables_suite_reads_the_printed_cell(self, capsys, monkeypatch, quantity, pair,
+                                                 change, failure):
+        def changed(*args):
+            cell = _compute_cell(*args)
+            return cell._replace(**change) if args[:3] == (quantity, *pair) else cell
+
+        monkeypatch.setattr(cells, "_compute_cell", changed)
+        code, out, _ = run_cli(capsys, "check", "tables", "--no-timestamp")
+        (suite,) = json.loads(out.splitlines()[-1])["suites"]
+        assert code == 1 and out.startswith("FAIL tables\n") and not suite["passed"]
+        # one failure line past the count and the errata notes
+        assert [line for line in suite["details"]
+                if not line.startswith(("compared ", "erratum: "))] == [failure]
+
     def test_failure_exits_1(self, capsys, monkeypatch):
         # drop the gamma_bar erratum: the computed 1.5802 then mismatches
         # the printed 1.5803 and the tables suite must fail
@@ -572,6 +596,20 @@ class TestCheck:
         with pytest.raises(SystemExit) as err:
             main(["check", "everything"])
         assert err.value.code == 2
+
+
+_EXCEPTIONAL_LINE = re.compile(r"  \((\d+),(\d+)\)  gamma_tilde in \[(\d+\.\d{8}), (\d+\.\d{8})\]")
+
+
+def assert_intervals_contain_enclosures(out) -> int:
+    """Each interval `exceptional` printed contains its pair's certified enclosure,
+    compared exactly; the number of intervals."""
+    lines = out.splitlines()[1:-1]
+    for line in lines:
+        n, m, lo, hi = _EXCEPTIONAL_LINE.fullmatch(line).groups()
+        g = gamma_tilde_interval((int(n), int(m)))
+        assert Fraction(lo) <= Fraction(g.lo) and Fraction(g.hi) <= Fraction(hi), line
+    return len(lines)
 
 
 class TestExceptional:
@@ -589,9 +627,10 @@ class TestExceptional:
         assert "(1,1)" in out
 
     def test_intervals_printed_match_library(self, capsys):
-        _, out, _ = run_cli(capsys, "exceptional", "--n-max", "1", "--m-max", "1")
-        low, high = gamma_tilde_interval((1, 1))
-        assert f"[{low:.8f}, {high:.8f}]" in out
+        # each end rounded outward at 8 decimals: the interval contains the enclosure
+        _, out, _ = run_cli(capsys, "exceptional", "--n-max", "30", "--m-max", "30")
+        assert assert_intervals_contain_enclosures(out) == 4
+        assert "  (1,1)  gamma_tilde in [3.24227787, 3.24227788]\n" in out
 
     def test_tall_box_answers_at_once(self, capsys):
         # only m <= rho(2n) - 1 is admissible, so the box's height costs nothing
@@ -780,6 +819,38 @@ class TestRefusalPath:
         if precision is not None:
             argv += ["--precision", str(precision)]
         assert_answered_or_refused(*run_cli(capsys, *argv))
+
+    # a 30 x 30 table takes 20-40 ms in process, and the sides are drawn in 1..30.  eps is
+    # log-uniform in [1e-16, 1], or omitted, so that both answers and refusals are drawn
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(QUANTITIES), st.sampled_from(FORMATS),
+           st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30),
+           st.none() | st.integers(min_value=1, max_value=12),
+           st.floats(min_value=-17, max_value=0).map(lambda e: None if e < -16 else 10**e),
+           st.booleans())
+    def test_table_answers_or_refuses(self, capsys, quantity, fmt, n_max, m_max, precision,
+                                      eps, plain):
+        argv = ["table", quantity, "--n-max", str(n_max), "--m-max", str(m_max), "--format", fmt]
+        if precision is not None:
+            argv += ["--precision", str(precision)]
+        if eps is not None:
+            argv += ["--eps", repr(eps)]
+        if plain:
+            argv.append("--no-annotations")
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2)
+        assert_answered_or_refused(code, out, err)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_LOG_SCALE, _LOG_SCALE)
+    def test_exceptional_answers_or_refuses(self, capsys, n_max, m_max):
+        code, out, err = run_cli(capsys, "exceptional", "--n-max", str(n_max), "--m-max", str(m_max))
+        assert code in (0, 2)
+        assert_answered_or_refused(code, out, err)
+        if code == 0:
+            assert_intervals_contain_enclosures(out)
 
     # m (2n)^2 <= 2^16 writes at most 0.5 MB; over 2^22 is refused unwritten.  Small m
     # are drawn often, so that admissible pairs reach the writer
@@ -1218,14 +1289,15 @@ class TestImportPath:
         (["value", "7", "3", "sobolev"], _NOT_VALUE | {"render", "series", "constants"}),
         (["table", "gamma_bar", "--format", "json"], _NOT_VALUE | {"series", "sobolev"}),
         (["table", "sobolev"], _NOT_VALUE | {"series", "constants"}),
-        # only `value` and `table` run `cells`, the cell path
+        # `exceptional` runs no `cells`, the cell path
         (["exceptional"], _SELF_CHECK_LAYERS | {"argparser", "render", "cells", "sobolev"}),
         (["htype", "8", "8", "h88.json"], {"argparser", "checks", "monotonicity", "oracles",
                                             "reference", "render", "constants", "exceptional",
                                             "numerics", "series", "cells", "sobolev"}),
         # the zeta oracle sums Borwein's series over integers, the term-ratio link is
-        # exact, and the algebra suite is integer work on signed permutations: no numpy
-        (["check", "all", "--no-timestamp"], {"argparser", "render", "cells"}),
+        # exact, and the algebra suite is integer work on signed permutations: no numpy.
+        # The tables suite computes each cell with `cells`, as `table` does
+        (["check", "all", "--no-timestamp"], {"argparser", "render"}),
         # `checks` reads the library through module attributes, so a suite runs only
         # the modules it calls
         (["check", "admissibility", "--no-timestamp"],
@@ -1254,7 +1326,9 @@ class TestImportPath:
             assert probe["present"] == sorted(_PACKAGE_MODULES)
             assert probe["after_import"] == ["cli", "core"]
             assert probe["after_verb"] == sorted(_PACKAGE_MODULES - unrun)
-            assert ("cells" in probe["after_verb"]) == (argv[0] in ("value", "table"))
+            # `value`, `table` and the tables suite of `check all` run `cells`, the cell path
+            assert ("cells" in probe["after_verb"]) == (argv[0] in ("value", "table")
+                                                        or argv[:2] == ["check", "all"])
             # a well-formed argv never runs the argparse module, nor loads argparse
             assert ("argparser" in probe["after_verb"]) == ("--eps=1e-9" in argv)
             if flags:
