@@ -3,17 +3,17 @@
 ``value`` runs this module through ``cmd_value``; ``table``, through
 ``render.cmd_table``, and ``check tables`` compute each cell they print or
 certify with ``_compute_cell``.  The table half (``TableSpec``,
-``render_table``, ``cmd_table``) is ``render``'s, so a ``value`` op
-compiles none of it, and ``cells`` imports no ``render``.  The library computes each enclosure
-at the binary64 rounding floor, the same for every eps, and
+``render_table``, ``cmd_table``) is ``render``'s, so a ``value`` op compiles
+none of it, and ``cells`` imports no ``render``.  The library computes each
+enclosure at the binary64 rounding floor, the same for every eps, and
 ``_compute_cell`` decides ``--eps`` once, on the enclosure it prints.  A
-certified value that cannot be delivered (its printed enclosure wider
-than eps, a pair out of binary64 range, or a value that underflows
-binary64 so no relative eps holds) raises ``PrecisionUnreachable``; an
-exact gamma_bar whose numerator or denominator may exceed the
-interpreter's integer-to-string digit limit, and a sobolev, weyl or
-gamma_tilde value with n + m > 10,000, raise ``Refused``.  ``cmd_value``
-prints nothing before a refusal; ``cli.main`` prints it.
+certified value that cannot be delivered (its printed enclosure wider than
+eps, a pair out of binary64 range, or a value that underflows binary64 so no
+relative eps holds) raises ``PrecisionUnreachable``; an exact gamma_bar whose
+numerator or denominator may exceed the interpreter's integer-to-string digit
+limit raises ``Refused``, as the library does past n + m = 10,000 for
+sobolev, weyl and gamma_tilde.  ``cmd_value`` prints nothing before a
+refusal; ``cli.main`` prints it.
 
 The library is called through its module attributes, looked up when a
 cell is computed, so a wrapped module attribute is the one called.
@@ -26,8 +26,6 @@ from collections import namedtuple
 from . import constants, numerics, series, sobolev
 from .admissibility import admissible
 from .core import DimPair, Enclosure, PrecisionUnreachable, Refused
-
-_MAX_S = 10_000  # `value` refuses sobolev, weyl and gamma_tilde above this n + m
 
 
 class Ratio(namedtuple("Ratio", "numerator denominator")):
@@ -101,11 +99,6 @@ def _over_digit_limit(args, bits: int) -> None:
 
 
 def cmd_value(args) -> int:
-    if args.quantity in ("sobolev", "weyl", "gamma_tilde") and args.n + args.m > _MAX_S:
-        # sobolev_interval's integer work grows like s^1.6: 0.08-0.13 s at the limit (x86-64).
-        # weyl and gamma_tilde past it are certain refusals: n >= 2 is out of the
-        # series' range ((n+m) log2 n > 1000), and at n = 1 the value underflows
-        raise Refused(f"{args.quantity}({args.n},{args.m}) needs n + m <= {_MAX_S}")
     if args.quantity == "gamma_bar":
         # a/b in lowest terms has a or b of more than |log2(a/b)| bits: enough to
         # refuse before building it; 1e-9 q ln q covers log_gamma_bar's float error

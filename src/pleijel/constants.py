@@ -34,8 +34,8 @@ joins the pi power) by ``numerics``, the one home of pi's float bracket.  A
 caller that wants one float reads its ``mid``, and gamma_bar's one float is
 ``math.exp(log_gamma_bar(p))``.  The series enclosure sits at the binary64
 rounding floor, the same for every eps, so nothing here takes an eps: the
-CLI's ``--eps`` (on ``value`` and ``table`` only) is decided on the
-enclosure it prints.
+CLI's ``--eps`` (on ``value`` and ``table`` only) is decided on the enclosure
+it prints.  All but ``log_gamma_bar`` raise ``Refused`` past n + m = 10,000.
 """
 
 import math
@@ -44,7 +44,7 @@ import math
 # package registers it lazily), and a wrapped c_series is the one called
 from . import series
 from .core import DimPair, Enclosure, PrecisionUnreachable, as_pair
-from .numerics import _ends, _outward
+from .numerics import _bounded_pair, _ends, _outward
 
 __all__ = [
     "weyl_interval",
@@ -77,7 +77,7 @@ def gamma_bar_exact(pair) -> "Fraction":
     """
     from fractions import Fraction  # loaded only where one is built
 
-    return Fraction(*_gamma_bar_ratio(as_pair(pair)))
+    return Fraction(*_gamma_bar_ratio(_bounded_pair("gamma_bar", pair)))
 
 
 def log_gamma_bar(pair) -> float:
@@ -118,7 +118,7 @@ def weyl_interval(pair) -> Enclosure:
     W = R_w c(n, m) pi^-k, with s = n + m, k = n + ceil(m/2) and the rational
     R_w = 2 / (s 2^s Gamma(m/2)/sqrt(pi)^[m odd]).
     """
-    p = as_pair(pair)
+    p = _bounded_pair("weyl", pair)
     sv = series.c_series(p)
     s, k = p.n + p.m, p.n + (p.m + 1) // 2
     gn, gd = _gamma_half(p.m)
@@ -129,7 +129,7 @@ def gamma_tilde_interval(pair) -> Enclosure:
     """Certified enclosure [low, high] of the nodal-domain bound: the exact
     gamma_bar_exact / n^(n+m) over c(n, m).
     """
-    p = as_pair(pair)
+    p = _bounded_pair("gamma_tilde", pair)
     sv = series.c_series(p)
     num, den = _gamma_bar_ratio(p)
     return _outward(*_ends(num, den * p.n ** (p.n + p.m), 0, (sv.value, sv.upper, -1)))

@@ -5,16 +5,26 @@ alone, as the cached powers ``_pi_powers``.  ``_ends`` gives the exact ends
 of (num/den) pi^k prod x^p, and ``_outward`` rounds each by ``int / int``
 (correctly rounded) and one ulp outward (W. Tucker, *Validated Numerics*,
 Princeton UP 2011), so floating-point noise can never flip a classification
-(is gamma_tilde >= 1?).  ``round_half_away`` is the display rule of every
-printed value.
+(is gamma_tilde >= 1?).  ``_bounded_pair`` is the size limit of the exact
+constants, and ``round_half_away`` the display rule of every printed value.
 """
 
 import math
 from functools import lru_cache
 
-from .core import Enclosure
+from .core import Enclosure, Refused, as_pair
 
 __all__ = ["round_half_away"]
+
+
+def _bounded_pair(name: str, pair) -> "DimPair":
+    # as_pair, refused past n + m = 10,000: sobolev's integer root work grows like s^1.6,
+    # gamma_bar's Fraction takes seconds to reduce, and weyl and gamma_tilde fail for
+    # certain (out of the series' range at n >= 2, an underflow at n = 1)
+    p = as_pair(pair)
+    if p.n + p.m > 10_000:
+        raise Refused(f"{name}{p} needs n + m <= 10000")
+    return p
 
 
 @lru_cache(maxsize=None)

@@ -5,16 +5,16 @@
 
 C needs no series: C^(n+m) is a rational times a power of pi, and each end
 of the enclosure is the outward float root of one exact end of that, found
-by a search whose every candidate is compared exactly over integers.
-Only ``value`` and ``table`` of sobolev, and ``check``, run this module, so
-the other quantities' ``value`` ops compile none of it.
+by a search whose every candidate is compared exactly over integers.  A pair
+past n + m = 10,000 is refused (``numerics._bounded_pair``).  Only ``value``
+and ``table`` of sobolev, and ``check``, run this module.
 """
 
 import math
 from operator import le, lt, truediv
 
-from .core import Enclosure, as_pair
-from .numerics import _ends
+from .core import Enclosure
+from .numerics import _bounded_pair, _ends
 
 __all__ = ["sobolev_interval"]
 
@@ -48,7 +48,7 @@ def sobolev_interval(pair) -> Enclosure:
     lower end is the largest float lo with lo^s <= R pi_lo^k.  The upper, the
     smallest float hi with hi^s >= R pi_hi^k, is one walk up from the float after
     lo, since lo^s <= R pi_lo^k < R pi_hi^k; (pi_hi/pi_lo)^k puts it a few ulps up."""
-    p = as_pair(pair)
+    p = _bounded_pair("sobolev", pair)
     s, k, q = p.n + p.m, p.n + (p.m + 1) // 2, 2 * p.n + p.m
     den = math.prod(range(q // 2, q)) if q % 2 == 0 else 4 ** (q // 2) * math.factorial(q // 2)
     (ln, ld), (hn, hd) = _ends(4**p.n * p.n**s * (s - 1) ** s, den, k)

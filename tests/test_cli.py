@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pleijel
@@ -792,6 +792,23 @@ def assert_answered_or_refused(code, out, err):
 _LOG_SCALE = st.floats(min_value=0, max_value=9).map(lambda e: int(10 ** e))  # 1 to 10^9
 
 
+def run_in_budget(capsys, *argv):
+    """run_cli, asserting that the run ends within the per-run budget of 2 s."""
+    start = time.perf_counter()
+    result = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2.0, argv
+    return result
+
+
+# the suites drawn with valid spellings take at most 0.04 s in process; consistency,
+# algebra and all (0.1-0.2 s) are explicit examples
+_CHEAP_SUITES = ("tables", "monotonicity", "admissibility")
+_SUITE_TYPOS = ("table", "Tables", "algebr", "monotonicity ", "al", "", "tables,algebra",
+                "--no-timestamp")
+_TIMESTAMP_SPELLINGS = ("--no-timestamp", "--no-time", "--no", "--n", "--no-timestamps",
+                        "--timestamp", "-no-timestamp", "--no_timestamp")
+
+
 class TestRefusalPath:
     def test_main_prints_a_raised_refusal(self, capsys, monkeypatch):
         def raising(exc):
@@ -818,7 +835,7 @@ class TestRefusalPath:
             argv += ["--eps", repr(eps)]
         if precision is not None:
             argv += ["--precision", str(precision)]
-        assert_answered_or_refused(*run_cli(capsys, *argv))
+        assert_answered_or_refused(*run_in_budget(capsys, *argv))
 
     # a 30 x 30 table takes 20-40 ms in process, and the sides are drawn in 1..30.  eps is
     # log-uniform in [1e-16, 1], or omitted, so that both answers and refusals are drawn
@@ -838,7 +855,7 @@ class TestRefusalPath:
             argv += ["--eps", repr(eps)]
         if plain:
             argv.append("--no-annotations")
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_in_budget(capsys, *argv)
         assert code in (0, 2)
         assert_answered_or_refused(code, out, err)
 
@@ -846,7 +863,8 @@ class TestRefusalPath:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_LOG_SCALE, _LOG_SCALE)
     def test_exceptional_answers_or_refuses(self, capsys, n_max, m_max):
-        code, out, err = run_cli(capsys, "exceptional", "--n-max", str(n_max), "--m-max", str(m_max))
+        code, out, err = run_in_budget(capsys, "exceptional", "--n-max", str(n_max),
+                                       "--m-max", str(m_max))
         assert code in (0, 2)
         assert_answered_or_refused(code, out, err)
         if code == 0:
@@ -862,9 +880,34 @@ class TestRefusalPath:
     def test_htype_answers_or_refuses(self, capsys, tmp_path, pair, where):
         out_file = tmp_path / where
         out_file.unlink(missing_ok=True)
-        code, out, err = run_cli(capsys, "htype", *map(str, pair), str(out_file))
+        code, out, err = run_in_budget(capsys, "htype", *map(str, pair), str(out_file))
         assert_answered_or_refused(code, out, err)
         assert out_file.exists() == (code == 0)
+
+    # a suite name, valid or misspelt, then --no-timestamp absent, repeated or in
+    # another spelling: argparse reads an abbreviation, and refuses a misspelling
+    # in one `error:` line after its usage
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(_CHEAP_SUITES) | st.sampled_from(_SUITE_TYPOS),
+           st.lists(st.sampled_from(_TIMESTAMP_SPELLINGS), max_size=2))
+    @example("consistency", ["--no-timestamp"])
+    @example("algebra", ["--no-t"])
+    @example("all", [])
+    @example("all", ["--no-timestamp", "--no-timestamp"])
+    def test_check_answers_or_refuses(self, capsys, suite, flags):
+        start = time.perf_counter()
+        try:
+            code, out, err = run_cli(capsys, "check", suite, *flags)
+        except SystemExit as exc:  # argparse's refusal
+            code, (out, err) = exc.code, capsys.readouterr()
+        assert time.perf_counter() - start < 2.0, (suite, flags)
+        if code in (0, 1):
+            assert err == "" and json.loads(out.splitlines()[-1])["suites"], (suite, flags)
+        else:
+            assert code == 2 and out == "", (suite, flags)
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                err.splitlines()[-1]], err
 
 
 def _exit_code(parse, argv) -> int:

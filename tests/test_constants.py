@@ -13,23 +13,25 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pleijel.admissibility import radon_hurwitz
+from pleijel.admissibility import admissible, radon_hurwitz
 from pleijel.constants import (
     gamma_bar_exact,
     gamma_tilde_interval,
     log_gamma_bar,
     weyl_interval,
 )
-from pleijel.core import DimPair, Enclosure, PrecisionUnreachable, as_pair
+from pleijel.core import DimPair, Enclosure, PrecisionUnreachable, Refused, as_pair
 from pleijel.exceptional import exceptional_set
 from pleijel.sobolev import sobolev_interval
 from pleijel.numerics import _ends, round_half_away
+from pleijel.series import c_series
 from pleijel import constants, reference
 from pleijel.oracles import (
     _integral_remainder,
@@ -41,6 +43,7 @@ from pleijel.oracles import (
     weyl_density_bruteforce,
     zeta_interval,
 )
+from test_cli import _LOG_SCALE
 from test_series import _EDGE, _hurwitz_oracle
 
 SOBOLEV_21_REFERENCE = 9.973934966328010133395
@@ -537,3 +540,49 @@ class TestEnclosuresContainOracle:
                 # gamma_tilde is the exact gamma_bar_exact / n^s over c
                 low, high = gamma_tilde_interval((n, m))
                 assert low <= gamma_bar_exact((n, m)) / n**s / c <= high, (n, m)
+
+
+def _ordered(enc: Enclosure) -> bool:
+    return enc.lo <= enc.hi
+
+
+#: each public call at a pair, with what its answer must satisfy
+_ANSWERS = [(c_series, lambda sv: sv.value <= sv.upper), (weyl_interval, _ordered),
+            (gamma_tilde_interval, _ordered), (sobolev_interval, _ordered),
+            (gamma_bar_exact, lambda q: q > 0), (log_gamma_bar, math.isfinite),
+            (admissible, lambda verdict: isinstance(verdict.admissible, bool))]
+
+
+class TestLibraryAnswersOrRefuses:
+    """Every public constant called directly answers or raises ``Refused``, within
+    1 s: past n + m = 10,000 the exact constants refuse before building an integer."""
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(_LOG_SCALE, _LOG_SCALE)
+    @example(1, 10**6)
+    @example(10**6, 1)
+    @example(1, 9999)
+    @example(9999, 1)
+    @example(5000, 5000)
+    def test_each_call_answers_or_refuses_in_time(self, n, m):
+        def in_box(pairs):
+            return all(p.n <= n and p.m <= m for p in pairs)
+
+        for call, args, sound in [*((call, [(n, m)], sound) for call, sound in _ANSWERS),
+                                  (exceptional_set, [n, m], in_box)]:
+            start = time.perf_counter()
+            try:
+                assert sound(call(*args)), (call.__name__, n, m)
+            except Refused:
+                pass
+            assert time.perf_counter() - start < 1.0, (call.__name__, n, m)
+
+    @pytest.mark.parametrize("pair", [(1, 10**6), (10**6, 1), (5000, 5001)])
+    def test_exact_constants_refuse_past_the_limit(self, pair):
+        for call, name in [(weyl_interval, "weyl"), (gamma_tilde_interval, "gamma_tilde"),
+                           (sobolev_interval, "sobolev"), (gamma_bar_exact, "gamma_bar")]:
+            start = time.perf_counter()
+            with pytest.raises(Refused) as err:
+                call(pair)
+            assert time.perf_counter() - start < 0.1
+            assert str(err.value) == f"{name}({pair[0]},{pair[1]}) needs n + m <= 10000"
