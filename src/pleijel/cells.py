@@ -9,11 +9,11 @@ enclosure at the binary64 rounding floor, the same for every eps, and
 ``_compute_cell`` decides ``--eps`` once, on the enclosure it prints.  A
 certified value that cannot be delivered (its printed enclosure wider than
 eps, a pair out of binary64 range, or a value that underflows binary64 so no
-relative eps holds) raises ``PrecisionUnreachable``; an exact gamma_bar whose
-numerator or denominator may exceed the interpreter's integer-to-string digit
-limit raises ``Refused``, as the library does past n + m = 10,000 for
-sobolev, weyl and gamma_tilde.  ``cmd_value`` prints nothing before a
-refusal; ``cli.main`` prints it.
+relative eps holds) raises ``PrecisionUnreachable``.  Past n + m = 10,000
+every quantity but c_series raises the library's ``Refused``, gamma_bar
+included, and ``value`` refuses an exact gamma_bar whose reduced numerator or
+denominator may exceed the interpreter's integer-to-string digit limit.
+``cmd_value`` prints nothing before a refusal; ``cli.main`` prints it.
 
 The library is called through its module attributes, looked up when a
 cell is computed, so a wrapped module attribute is the one called.
@@ -60,7 +60,7 @@ def _compute_cell(quantity: str, n: int, m: int, precision: int, eps: float) -> 
     pair = DimPair(n, m)
     if quantity == "gamma_bar":
         # gamma_bar_exact's Fraction, without importing fractions (and decimal)
-        num, den = constants._gamma_bar_ratio(pair)
+        num, den = constants._gamma_bar_ratio(numerics._bounded_pair("gamma_bar", pair))
         common = math.gcd(num, den)
         exact = Ratio(num // common, den // common)
         return Cell(n=n, m=m, value=exact.numerator / exact.denominator,
@@ -84,33 +84,19 @@ def _compute_cell(quantity: str, n: int, m: int, precision: int, eps: float) -> 
                 error_bound=radius, exceeds_one=enc.lo > 1.0)
 
 
-def _over_digit_limit(args, bits: int) -> None:
-    """Refuse an exact value with a numerator or denominator of ``bits`` bits
-    that str() may not print.
-
-    str() refuses integers over the interpreter's digit limit (0: none; no
-    limit before Python 3.10.7); b bits give at most b log10(2) + 1 digits.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and bits * 30103 // 100000 + 1 > limit:
-        raise Refused(f"{args.quantity}({args.n},{args.m}) is exact, but its numerator or "
-                      f"denominator may have more than the {limit} digits this interpreter "
-                      "prints")
-
-
 def cmd_value(args) -> int:
-    if args.quantity == "gamma_bar":
-        # a/b in lowest terms has a or b of more than |log2(a/b)| bits: enough to
-        # refuse before building it; 1e-9 q ln q covers log_gamma_bar's float error
-        q = 2 * args.n + args.m
-        log = abs(constants.log_gamma_bar(DimPair(args.n, args.m))) - 1e-9 * q * math.log(q)
-        _over_digit_limit(args, math.floor(log / math.log(2)))
     cell = _compute_cell(args.quantity, args.n, args.m, args.precision, args.eps)
     adm = admissible(DimPair(args.n, args.m)).admissible
     line = cell.display
     if cell.exact is not None:
-        _over_digit_limit(args, max(cell.exact.numerator.bit_length(),
-                                    cell.exact.denominator.bit_length()))
+        # str() refuses integers over the interpreter's digit limit (0: none; no limit
+        # before Python 3.10.7); b bits give at most b log10(2) + 1 digits
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        bits = max(cell.exact.numerator.bit_length(), cell.exact.denominator.bit_length())
+        if limit and bits * 30103 // 100000 + 1 > limit:
+            raise Refused(f"{args.quantity}({args.n},{args.m}) is exact, but its numerator or "
+                          f"denominator may have more than the {limit} digits this interpreter "
+                          "prints")
         line += f" (= {cell.exact.numerator}/{cell.exact.denominator})"
     if not adm:
         line += " [inadmissible: no H-type group]"

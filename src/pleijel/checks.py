@@ -12,7 +12,6 @@ a wrapped module attribute is the one called.  ``check tables`` runs
 """
 
 import itertools
-import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -80,16 +79,6 @@ def check_consistency() -> CheckResult:
             failures.append(f"gamma_bar does not dominate gamma_tilde at ({n},{m})")
     notes.append("gamma_tilde closed form vs (sobolev)^-(n+m)/weyl (n, m <= 10): "
                  "enclosures overlap")
-
-    # exact rational vs log-domain evaluation of gamma_bar
-    worst = 0.0
-    for n, m in itertools.product(range(1, 21), range(1, 21)):
-        exact = float(constants.gamma_bar_exact((n, m)))
-        dev = abs(exact - math.exp(constants.log_gamma_bar((n, m)))) / exact
-        worst = max(worst, dev)
-        if dev > 1e-12:
-            failures.append(f"gamma_bar exact/log mismatch at ({n},{m}): rel dev {dev:.2e}")
-    notes.append(f"gamma_bar exact vs log-domain (n, m <= 20): worst rel dev {worst:.2e}")
 
     # zeta closed forms for the first two rows of the series: both enclosures
     # contain c(n, m), so they must overlap (compared exactly, as Fractions)

@@ -25,17 +25,17 @@ For Q = 2n + 2m the homogeneous dimension:
   a consistency check (``oracles.gamma_tilde_product_form``).
 
 * ``gamma_bar_exact`` -- the rational upper bound obtained by keeping only
-  the k = 0 term of the series, i.e. replacing 1/c by n^(n+m); its
-  logarithm in binary64 via ``log_gamma_bar``.
+  the k = 0 term of the series, i.e. replacing 1/c by n^(n+m).
 
 Every non-exact constant is an ``Enclosure(lo, hi)`` built from exact
 rationals (the gamma factors are rational once the half-integer sqrt(pi)
 joins the pi power) by ``numerics``, the one home of pi's float bracket.  A
 caller that wants one float reads its ``mid``, and gamma_bar's one float is
-``math.exp(log_gamma_bar(p))``.  The series enclosure sits at the binary64
+``float(gamma_bar_exact(p))``.  The series enclosure sits at the binary64
 rounding floor, the same for every eps, so nothing here takes an eps: the
 CLI's ``--eps`` (on ``value`` and ``table`` only) is decided on the enclosure
-it prints.  All but ``log_gamma_bar`` raise ``Refused`` past n + m = 10,000.
+it prints.  Each, like ``sobolev_interval``, raises ``Refused`` past
+n + m = 10,000.
 """
 
 import math
@@ -43,14 +43,13 @@ import math
 # series is called through its module attribute: gamma_bar never runs it (the
 # package registers it lazily), and a wrapped c_series is the one called
 from . import series
-from .core import DimPair, Enclosure, PrecisionUnreachable, as_pair
+from .core import DimPair, Enclosure
 from .numerics import _bounded_pair, _ends, _outward
 
 __all__ = [
     "weyl_interval",
     "gamma_tilde_interval",
     "gamma_bar_exact",
-    "log_gamma_bar",
 ]
 
 
@@ -78,31 +77,6 @@ def gamma_bar_exact(pair) -> "Fraction":
     from fractions import Fraction  # loaded only where one is built
 
     return Fraction(*_gamma_bar_ratio(_bounded_pair("gamma_bar", pair)))
-
-
-def log_gamma_bar(pair) -> float:
-    """ln gamma_bar in binary64: six terms, each at most about (2n+m) ln(2n+m)
-    in size and accurate to 1e-14 relative.  Each lgamma argument is one
-    correctly rounded int / int (n + m/2 would round twice), and math.lgamma
-    is within 1e-14 at half-integers (checked against exact factorials in the
-    tests).  A pair whose terms leave the float range (2n + m past about
-    10^305) raises PrecisionUnreachable with an infinite ``best_bound``."""
-    p = as_pair(pair)
-    s, q = p.n + p.m, 2 * p.n + p.m
-    try:
-        log = ((p.m - p.n - 1) * math.log(2)
-               + math.log(s)
-               - s * math.log(s - 1)
-               + math.lgamma(p.m / 2)
-               + math.lgamma(q)
-               - math.lgamma(q / 2))
-    except OverflowError:  # an integer or an lgamma past the largest float
-        log = math.inf
-    if not math.isfinite(log):
-        raise PrecisionUnreachable(f"gamma_bar{p} is out of range: the terms of its "
-                                   "logarithm overflow binary64",
-                                   best_bound=math.inf, terms_used=0)
-    return log
 
 
 def _gamma_half(q: int) -> tuple[int, int]:

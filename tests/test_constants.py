@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import random
 import time
 from fractions import Fraction
 
@@ -24,11 +23,12 @@ from pleijel.admissibility import admissible, radon_hurwitz
 from pleijel.constants import (
     gamma_bar_exact,
     gamma_tilde_interval,
-    log_gamma_bar,
     weyl_interval,
 )
-from pleijel.core import DimPair, Enclosure, PrecisionUnreachable, Refused, as_pair
+from pleijel.core import (DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable, Refused,
+                          as_pair)
 from pleijel.exceptional import exceptional_set
+from pleijel.htype_algebra import construct
 from pleijel.sobolev import sobolev_interval
 from pleijel.numerics import _ends, round_half_away
 from pleijel.series import c_series
@@ -47,11 +47,6 @@ from test_cli import _LOG_SCALE
 from test_series import _EDGE, _hurwitz_oracle
 
 SOBOLEV_21_REFERENCE = 9.973934966328010133395
-
-_RNG = random.Random(20261019)
-#: n and m log-uniform in [1, 10^15]
-_LOG_UNIFORM_PAIRS = [(int(10 ** _RNG.uniform(0, 15)), int(10 ** _RNG.uniform(0, 15)))
-                      for _ in range(500)]
 
 
 def gamma_ratio_exact(a, b) -> Fraction:
@@ -289,43 +284,6 @@ class TestGammaBar:
                     * gamma_ratio_exact(half_m, half_m + n) * math.factorial(2 * n + m - 1))
             assert gamma_bar_exact((n, m)) == want, (n, m)
 
-    def test_log_domain_matches_exact(self):
-        for n, m in itertools.product(range(1, 21), range(1, 21)):
-            exact = float(gamma_bar_exact((n, m)))
-            assert math.exp(log_gamma_bar((n, m))) == pytest.approx(exact, rel=1e-12)
-
-    @pytest.mark.parametrize("pairs", [
-        list(itertools.product(range(1, 61), repeat=2)),
-        _LOG_UNIFORM_PAIRS,
-        [(3, 2**53 + 1)],
-    ], ids=["n,m<=60", "random-to-1e15", "witness"])
-    def test_log_bit_identical_to_the_fraction_form(self, pairs):
-        # each lgamma argument is rounded once, as float() of the Fraction did
-        for n, m in pairs:
-            assert log_gamma_bar((n, m)).hex() == _log_gamma_bar_reference(n, m).hex(), (n, m)
-
-    def test_half_integer_argument_rounded_once(self):
-        # at the witness, n + m/2 rounds twice and moves ln Gamma by 64
-        n, m = 3, 2**53 + 1
-        assert math.lgamma(n + m / 2) - math.lgamma((2 * n + m) / 2) == -64.0
-
-    @pytest.mark.parametrize("pair", [(1, 1), (4, 2), (30, 30), (2000, 1), (1, 3000), (700, 900)])
-    def test_log_within_the_refusal_margin(self, pair):
-        # the CLI refuses gamma_bar over the digit limit from log_gamma_bar,
-        # with 1e-9 q ln q (q = 2n + m) as its float error allowance
-        exact = gamma_bar_exact(pair)
-        q = 2 * pair[0] + pair[1]
-        err = abs(log_gamma_bar(pair) - (math.log(exact.numerator) - math.log(exact.denominator)))
-        assert err <= 1e-12 * q * math.log(q)
-
-    @pytest.mark.parametrize("pair", [(10**309, 1), (1, 10**309), (1, 10**307), (10**307, 1)])
-    def test_log_out_of_the_float_range_refused(self, pair):
-        # an int past the largest float, or an lgamma that overflows, used to
-        # escape as OverflowError
-        with pytest.raises(PrecisionUnreachable, match="out of range") as err:
-            log_gamma_bar(pair)
-        assert err.value.best_bound == math.inf
-
     def test_dominates_gamma_tilde_strictly(self):
         for n, m in itertools.product(range(1, 11), range(1, 11)):
             assert gamma_tilde_interval((n, m)).hi < gamma_bar_exact((n, m))
@@ -451,20 +409,6 @@ class TestWeylBruteForce:
             assert got.hex() == _bruteforce_reference(pair, lam).hex(), lam
 
 
-def _log_gamma_bar_reference(n: int, m: int) -> float:
-    """log_gamma_bar as it was built: each lgamma argument a Fraction half-integer
-    converted by float(), the reference for its int / int form."""
-    s = n + m
-    return (
-        (m - n - 1) * math.log(2)
-        + math.log(s)
-        - s * math.log(s - 1)
-        + math.lgamma(float(Fraction(m, 2)))
-        + math.lgamma(float(Fraction(2 * n + m)))
-        - math.lgamma(float(Fraction(m, 2) + n))
-    )
-
-
 def _bruteforce_reference(pair, lam) -> float:
     """weyl_density_bruteforce as one loop over the shells, each term and
     count computed in place: the reference for its hoisted form."""
@@ -549,13 +493,16 @@ def _ordered(enc: Enclosure) -> bool:
 #: each public call at a pair, with what its answer must satisfy
 _ANSWERS = [(c_series, lambda sv: sv.value <= sv.upper), (weyl_interval, _ordered),
             (gamma_tilde_interval, _ordered), (sobolev_interval, _ordered),
-            (gamma_bar_exact, lambda q: q > 0), (log_gamma_bar, math.isfinite),
+            (gamma_bar_exact, lambda q: q > 0),
+            (construct, lambda s: len(s.family) == s.pair.m),
             (admissible, lambda verdict: isinstance(verdict.admissible, bool))]
 
 
 class TestLibraryAnswersOrRefuses:
-    """Every public constant called directly answers or raises ``Refused``, within
-    1 s: past n + m = 10,000 the exact constants refuse before building an integer."""
+    """Every public constant, and ``construct``, called directly answers or raises its
+    typed refusal (``Refused``, or ``InadmissiblePair`` from ``construct``) within 1 s:
+    past n + m = 10,000 the exact constants refuse before building an integer, and
+    ``construct`` past m * 2n = 2^18 before building a family."""
 
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
     @given(_LOG_SCALE, _LOG_SCALE)
@@ -564,6 +511,8 @@ class TestLibraryAnswersOrRefuses:
     @example(1, 9999)
     @example(9999, 1)
     @example(5000, 5000)
+    @example(2**17, 1)
+    @example(2**17 + 1, 1)
     def test_each_call_answers_or_refuses_in_time(self, n, m):
         def in_box(pairs):
             return all(p.n <= n and p.m <= m for p in pairs)
@@ -575,6 +524,8 @@ class TestLibraryAnswersOrRefuses:
                 assert sound(call(*args)), (call.__name__, n, m)
             except Refused:
                 pass
+            except InadmissiblePair:
+                assert call is construct, (call.__name__, n, m)
             assert time.perf_counter() - start < 1.0, (call.__name__, n, m)
 
     @pytest.mark.parametrize("pair", [(1, 10**6), (10**6, 1), (5000, 5001)])

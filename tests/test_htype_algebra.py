@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from pleijel import checks, htype_algebra
 from pleijel.admissibility import radon_hurwitz
-from pleijel.core import DimPair, InadmissiblePair
+from pleijel.core import DimPair, InadmissiblePair, Refused
 from pleijel.htype_algebra import (
     GroupElement,
     HTypeStructure,
@@ -171,6 +172,22 @@ class TestConstruct:
         for n, m in ((16, 9), (32, 11)):
             assert radon_hurwitz(2 * n) - 1 == m
             verify_structure(construct((n, m)))
+
+    @pytest.mark.parametrize("pair", [(2**17 + 1, 1), (2**17, 8), (10**9, 1)])
+    def test_refused_past_the_sparse_limit(self, pair):
+        # refused before a family is built: (10^9, 1) would need hundreds of GB
+        start = time.perf_counter()
+        with pytest.raises(Refused) as err:
+            construct(pair)
+        assert time.perf_counter() - start < 0.1
+        assert str(err.value) == (f"construct({pair[0]},{pair[1]}) needs m * 2n <= 2^18 "
+                                  "nonzero entries")
+
+    def test_htype_dense_limit_implies_the_sparse_limit(self):
+        # every admissible pair the htype verb accepts, m (2n)^2 <= 2^22, has m * 2n <= 2^18
+        for two_n in range(2, 2049, 2):
+            m = min(radon_hurwitz(two_n) - 1, (1 << 22) // two_n**2)
+            assert m * two_n <= 1 << 18, two_n
 
     def test_verify_rejects_broken_structures(self):
         s = construct((2, 3))
