@@ -6,7 +6,8 @@ of (num/den) pi^k prod x^p, and ``_outward`` rounds each by ``int / int``
 (correctly rounded) and one ulp outward (W. Tucker, *Validated Numerics*,
 Princeton UP 2011), so floating-point noise can never flip a classification
 (is gamma_tilde >= 1?).  ``_bounded_pair`` is the size limit of the exact
-constants, and ``round_half_away`` the display rule of every printed value.
+constants and the brute-force Weyl oracle, and ``round_half_away`` the
+display rule of every printed value.
 """
 
 import math

@@ -6,9 +6,9 @@ an independent route:
 * ``gamma_tilde_product_form`` -- the defining product C^(-Q/2) W^-1,
   enclosed from ``sobolev_interval`` and ``weyl_interval``;
 * ``weyl_density_bruteforce`` -- the spectral density rebuilt shell by
-  shell, with the series pieces it sums (``_summand``, ``_min_terms``,
-  ``_integral_remainder``): each pair's shell counts and stop are built
-  once, and each lambda's shells are added by one ``math.fsum``;
+  shell: one stream of exact counts times powers per pair (``_shell_sum``),
+  stopped and bracketed by ``_min_terms`` and ``_integral_remainder``;
+  ``_summand`` is the tests' direct-summation term;
 * ``sphere_area`` -- the area of the unit sphere, a factor of that density;
 * ``zeta_interval`` -- Riemann zeta from Borwein's series, summed exactly
   over integers, without the series' Euler-Maclaurin code or tables;
@@ -22,15 +22,15 @@ Of the package's modules only ``checks`` imports this one, so ``value``,
 
 import math
 import numbers
-from array import array
+import sys
 from collections.abc import Sized
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, compress, count, islice, repeat, tee
-from operator import le, mul, truediv
+from functools import lru_cache, partial
+from itertools import accumulate, compress, count, islice, repeat, takewhile, tee
+from operator import gt, le, mul
 
 from . import constants, htype_algebra, numerics, series, sobolev
-from .core import DimPair, Enclosure, as_pair
+from .core import DimPair, Enclosure, Refused, as_pair
 
 __all__ = [
     "gamma_tilde_product_form",
@@ -110,9 +110,12 @@ def _min_terms(n: int) -> int:
 
 
 def sphere_area(d: int) -> float:
-    """Surface measure of the unit d-sphere: 2 pi^((d+1)/2) / Gamma((d+1)/2)."""
+    """Surface measure of the unit d-sphere: 2 pi^((d+1)/2) / Gamma((d+1)/2).
+    Refused past d = 437, where it falls below 2^-1022."""
     if d < 0:
         raise ValueError(f"sphere_area needs d >= 0, got {d}")
+    if d > 437:
+        raise Refused(f"sphere_area({d}) needs d <= 437: past it the area is below 2^-1022")
     h = (d + 1) / 2
     return math.exp(math.log(2) + h * LOG_PI - math.lgamma(h))
 
@@ -120,9 +123,6 @@ def sphere_area(d: int) -> float:
 def _weyl_prefactor(p: DimPair) -> float:
     s = p.n + p.m
     return math.exp(math.log(sphere_area(p.m - 1)) - s * _LOG_TWO_PI - math.log(s))
-
-
-_BRUTEFORCE_EPS = 1e-9  # the shell sum stops at a term <= this times its partial sum
 
 
 def weyl_density_bruteforce(pair, lam: float) -> float:
@@ -136,65 +136,51 @@ def weyl_density_bruteforce(pair, lam: float) -> float:
         int_0^inf tau^(n+m-1) 1(tau (2K+n) < lambda) dtau
             = (lambda/(2K+n))^(n+m) / (n+m),
 
-    so the density is omega_(m-1)/(2pi)^(n+m) times the shell sum of
-    C(K+n-1, K) (lambda/(2K+n))^(n+m)/(n+m), where C(K+n-1, K) counts the
-    multi-indices with |k| = K (stars and bars).  Shells are
-    enumerated directly, independently of the c_series kernel: the sum
-    stops at the first K >= _min_terms(n) whose series term is at most
-    1e-9 times the partial series sum, and the rest is enclosed by the
-    integral bracket (the shell sum *is* the series, restructured); the
-    bracket midpoint is used.  The counts and the stop are lambda-free and
-    built once per pair (``_bruteforce_shells``); each lambda divides,
-    powers and scales its own shells, and ``math.fsum`` adds them with one
-    rounding (J. R. Shewchuk, Discrete Comput. Geom. 18 (1997)).
+    and C(K+n-1, K) multi-indices have |k| = K (stars and bars), so the
+    density is omega_(m-1)/((2pi)^(n+m) (n+m)) lambda^(n+m) times the
+    lambda-free ``_shell_sum``: the series, restructured.  It equals
+    weyl_interval(pair).mid * lambda^(n+m) up to the combined certified error.
 
-    Equals weyl_interval(pair).mid * lambda^(n+m) up to the combined
-    certified error.
+    Raises ValueError for a lambda not finite and > 0.  Refused past
+    n + m = 10000, where ``_shell_sum`` or ``sphere_area`` refuses, and where
+    the density or its lambda-free constant is not a normal binary64 number.
     """
-    p = as_pair(pair)
+    p = numerics._bounded_pair("weyl_density_bruteforce", pair)
     if not 0 < lam < math.inf:
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
-    n, s = p.n, p.n + p.m
-    counts, remainder = _bruteforce_shells(n, p.m)
-    # (number of multi-indices with |k| = K) * (lam / (2K + n))^s / s, per shell, as
-    # many as there are counts; 2K + n and s as the floats the divisions and the power
-    # convert them to (a float counter adds integers exactly below 2^53)
-    levels = map(truediv, repeat(lam), count(float(n), 2.0))
-    sf = float(s)
-    total = math.fsum(map(truediv, map(mul, counts, map(pow, levels, repeat(sf))), repeat(sf)))
-    total += lam**s * remainder / s
-    # omega_(m-1)/(2pi)^(n+m) * total; _weyl_prefactor carries an extra 1/s
-    return _weyl_prefactor(p) * s * total
-
-
-def _summands(n: int, m: int):
-    """``_summand(n, m, k)`` for k = 0, 1, 2, ...: the same float operations
-    in the same order, each step a ``map`` over unbounded counters."""
-    r = repeat(1.0)
-    for j in range(1, n):  # (k + j) / (j (2k + n))
-        r = map(mul, r, map(truediv, count(j), count(j * n, 2 * j)))
-    return map(mul, r, map(pow, count(float(n), 2.0), repeat(-(m + 1))))
+    s, tiny = p.n + p.m, sys.float_info.min
+    weyl = _weyl_prefactor(p) * _shell_sum(p.n, p.m)
+    # weyl < 1/20, and lambda = f 2^e with 1/2 <= f < 1 has lambda^s < 2^(s e): the
+    # power and the density are finite for s e <= 1024
+    if weyl >= tiny and s * math.frexp(lam)[1] <= 1024 and (density := weyl * lam**s) >= tiny:
+        return density
+    raise Refused(f"weyl_density_bruteforce{p} at lambda={lam!r} is not a normal float")
 
 
 @lru_cache(maxsize=16)
-def _bruteforce_shells(n: int, m: int) -> tuple[array, float]:
-    """The lambda-free part of weyl_density_bruteforce: the count
-    C(K+n-1, K) of each shell summed before the stop rule holds, and the
-    integral bracket of the series from there on.  The stop is the first
-    K >= _min_terms(n) whose summand is at most 1e-9 times the running
-    float sum of the summands before it, found without a Python-level loop.
-    Each count is kept as the binary64 its product with a float converts it
-    to (exact below 2^53: the three pairs ``check`` runs stay under 2^30),
-    8 bytes a shell."""
-    kmin = _min_terms(n)
-    terms, ahead = tee(_summands(n, m))
-    partials = accumulate(ahead, initial=0.0)  # the sum before each term
-    stops = map(le, terms, map(mul, repeat(_BRUTEFORCE_EPS), partials))
-    K = next(compress(count(kmin), islice(stops, kmin, None)))
-    counts = repeat(1, K)  # C(K+n-1, K) is the sum over k <= K of C(k+n-2, k)
+def _shell_sum(n: int, m: int) -> float:
+    """sum_K C(K+n-1, K) (2K+n)^-(n+m), from one stream of shells: an exact
+    count from n - 1 nested running sums times a float power each.
+
+    The stream serves three uses: the stop, the first K >= _min_terms(n)
+    whose shell is at most 1e-9 times the running float sum of the shells
+    before it; one ``math.fsum`` of the shells before K (one rounding:
+    J. R. Shewchuk, Discrete Comput. Geom. 18 (1997)); and the midpoint
+    I(K) + f(K)/2 of the integral bracket of the rest.  Refused when a count
+    reaches 2^53, inexact in binary64, before the stop (from (5, 1) on).
+    """
+    counts = repeat(1)  # C(K+n-1, K) is the sum over k <= K of C(k+n-2, k)
     for _ in range(n - 1):
         counts = accumulate(counts)
-    return array("d", counts), _integral_remainder((n, m), K) + _summand(n, m, K) / 2
+    powers = map(pow, count(float(n), 2.0), repeat(-(n + m)))  # (2K + n)^-(n+m)
+    shells, ahead, kept = tee(map(mul, takewhile(partial(gt, 2**53), counts), powers), 3)
+    partials = accumulate(ahead, initial=0.0)  # the sum before each shell
+    stops = map(le, shells, map(mul, repeat(1e-9), partials))
+    kmin = _min_terms(n)
+    K = next(compress(count(kmin), islice(stops, kmin, None)), None)
+    if K is None:
+        raise Refused(f"the brute-force shell sum at ({n},{m}) needs a count of 2^53 or more")
+    return math.fsum(islice(kept, K)) + (_integral_remainder((n, m), K) + next(kept) / 2)
 
 
 # --------------------------------------------------------------------------
@@ -216,9 +202,12 @@ def zeta_interval(s: int) -> Enclosure:
     |g| <= 3/(3+sqrt 8)^k < 3/5^k.  Summed over integers on the denominator
     d_k lcm(1..k)^s, each end is exact, then rounded outward: no float, no
     pi and no table of ``series``, so the checks' zeta rows stay independent.
+    Refused past s = 10000, the exact constants' size rule.
     """
     if not isinstance(s, numbers.Integral) or s < 2:
         raise ValueError(f"zeta needs an integer s >= 2, got {s!r}")
+    if s > 10_000:
+        raise Refused(f"zeta_interval({s}) needs s <= 10000")
     s, k, d, L = int(s), _BORWEIN_K, _BORWEIN_D, math.lcm(*range(1, _BORWEIN_K + 1))
     head = sum((d[k] - d[j]) * (L // (j + 1)) ** s * (-1) ** j for j in range(k))
     den, tail = d[k] * L**s, 5**k  # the sum is head / den, and |g| < 3 / tail

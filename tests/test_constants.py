@@ -36,7 +36,6 @@ from pleijel import constants, reference
 from pleijel.oracles import (
     _integral_remainder,
     _min_terms,
-    _summand,
     _weyl_prefactor,
     gamma_tilde_product_form,
     sphere_area,
@@ -396,6 +395,14 @@ class TestWeylBruteForce:
             spread = (max(ratios) - min(ratios)) / ratios[0]
             assert spread <= 1e-9
 
+    def test_counts_stay_exact(self):
+        # (4, 1) stops at K = 42,159, where C(K+3, 3) < 2^44; at (5, 1) a count
+        # reaches 2^53 before the stop, so the pair is refused
+        assert weyl_density_bruteforce((4, 1), 1.0) == pytest.approx(
+            weyl_interval((4, 1)).mid, rel=1e-7)
+        with pytest.raises(Refused, match="needs a count of 2\\^53"):
+            weyl_density_bruteforce((5, 1), 1.0)
+
     def test_bad_lambda(self):
         for lam in (0.0, -1.0, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -403,34 +410,29 @@ class TestWeylBruteForce:
 
     @pytest.mark.parametrize("pair", [(1, 1), (2, 2), (3, 1)])
     def test_bit_identical_to_the_shell_loop(self, pair):
-        # the (pair, lambda) calls of check_consistency
+        # the pairs of check_consistency
         for lam in (0.5, 1.0, 2.0, 8.0):
             got = weyl_density_bruteforce(pair, lam)
             assert got.hex() == _bruteforce_reference(pair, lam).hex(), lam
 
 
 def _bruteforce_reference(pair, lam) -> float:
-    """weyl_density_bruteforce as one loop over the shells, each term and
-    count computed in place: the reference for its hoisted form."""
+    """weyl_density_bruteforce as one loop over the shells, each count
+    C(K+n-1, K) by ``math.comb`` times its power, with the same stop and one
+    ``math.fsum``: the reference for its stream form."""
     p = as_pair(pair)
     s = p.n + p.m
     kmin = _min_terms(p.n)
-    total = comp = partial = 0.0
-    K = 0
+    shells, partial = [], 0.0
     while True:
-        term = _summand(p.n, p.m, K)
-        if K >= kmin and term <= 1e-9 * partial:
+        K = len(shells)
+        shell = math.comb(K + p.n - 1, K) * (2 * K + p.n) ** -s
+        if K >= kmin and shell <= 1e-9 * partial:
             break
-        shell = math.comb(K + p.n - 1, K) * (lam / (2 * K + p.n)) ** s / s
-        y = shell - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        partial += term
-        K += 1
-    remainder = _integral_remainder(p, K) + term / 2
-    total += lam**s * remainder / s
-    return _weyl_prefactor(p) * s * total
+        shells.append(shell)
+        partial += shell
+    total = math.fsum(shells) + (_integral_remainder(p, K) + shell / 2)
+    return _weyl_prefactor(p) * total * lam**s
 
 
 _FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
@@ -537,3 +539,60 @@ class TestLibraryAnswersOrRefuses:
                 call(pair)
             assert time.perf_counter() - start < 0.1
             assert str(err.value) == f"{name}({pair[0]},{pair[1]}) needs n + m <= 10000"
+
+
+def _agrees_with_weyl(pair):
+    def sound(density):
+        w = weyl_interval(pair).mid
+        return 2.0**-1022 <= density < math.inf and abs(density - w) <= 1e-7 * w
+    return sound
+
+
+class TestOraclesAnswerOrRefuse:
+    """Every oracle export called directly answers or raises ``Refused`` within 1 s,
+    at the argument a pair (n, m) gives it: the product form and the brute-force
+    density at the pair, zeta at m + 1 (c(1, m)'s zeta), the sphere area at m - 1
+    (the Weyl prefactor's).  Past n + m = 10,000, zeta past s = 10,000, the brute
+    force where a count would reach 2^53 and the sphere area past d = 437 refuse
+    before their work."""
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(_LOG_SCALE, _LOG_SCALE)
+    @example(300, 1)
+    @example(10**9, 1)
+    @example(1, 10**5)
+    @example(1, 10**6)
+    @example(1, 9999)
+    @example(4, 1)
+    @example(5, 1)
+    @example(13, 10)
+    @example(1, 438)
+    def test_each_oracle_answers_or_refuses_in_time(self, n, m):
+        calls = [(gamma_tilde_product_form, [(n, m)], _ordered),
+                 (weyl_density_bruteforce, [(n, m), 1.0], _agrees_with_weyl((n, m))),
+                 (zeta_interval, [m + 1], lambda z: 1 <= z.hi and z.lo <= z.hi),
+                 (sphere_area, [m - 1], lambda area: 2.0**-1022 <= area < math.inf)]
+        for call, args, sound in calls:
+            start = time.perf_counter()
+            try:
+                assert sound(call(*args)), (call.__name__, n, m)
+            except Refused:
+                pass
+            assert time.perf_counter() - start < 1.0, (call.__name__, n, m)
+
+    @pytest.mark.parametrize("call, args", [
+        (weyl_density_bruteforce, ((300, 1), 1.0)),
+        (weyl_density_bruteforce, ((10**9, 1), 1.0)),
+        (weyl_density_bruteforce, ((1, 1), 1e300)),
+        (weyl_density_bruteforce, ((1, 1), 1e-300)),
+        (weyl_density_bruteforce, ((1, 438), 1.0)),
+        (zeta_interval, (10**5,)),
+        (zeta_interval, (10**6,)),
+        (sphere_area, (438,)),
+        (sphere_area, (10**400,)),
+    ])
+    def test_refused_before_the_work(self, call, args):
+        start = time.perf_counter()
+        with pytest.raises(Refused):
+            call(*args)
+        assert time.perf_counter() - start < 0.1

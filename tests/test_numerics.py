@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pleijel.constants import gamma_bar_exact
+from pleijel.core import Refused
 from pleijel.numerics import round_half_away
 from pleijel import oracles
 from pleijel.oracles import sphere_area, zeta_interval
@@ -72,6 +73,18 @@ class TestSphereArea:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sphere_area(-1)
+
+    def test_answers_exactly_where_the_area_is_normal(self):
+        # 437 is the last d whose area is at least 2^-1022, by a 30-digit oracle
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            def area(d):
+                h = mpmath.mpf(d + 1) / 2
+                return 2 * mpmath.pi**h / mpmath.gamma(h)
+            assert area(437) >= mpmath.mpf(2) ** -1022 > area(438)
+            assert sphere_area(437) == pytest.approx(float(area(437)), rel=1e-12)
+        with pytest.raises(Refused, match=r"sphere_area\(438\) needs d <= 437"):
+            sphere_area(438)
 
 
 class TestZeta:
