@@ -6,13 +6,13 @@ certify with ``_compute_cell``.  The table half (``TableSpec``,
 ``render_table``, ``cmd_table``) is ``render``'s, so a ``value`` op compiles
 none of it, and ``cells`` imports no ``render``.  The library computes each
 enclosure at the binary64 rounding floor, the same for every eps, and
-``_compute_cell`` decides ``--eps`` once, on the enclosure it prints.  A
-certified value that cannot be delivered (its printed enclosure wider than
-eps, a pair out of binary64 range, or a value that underflows binary64 so no
-relative eps holds) raises ``PrecisionUnreachable``.  Past n + m = 10,000
-every quantity but c_series raises the library's ``Refused``, gamma_bar
-included, and ``value`` refuses an exact gamma_bar whose reduced numerator or
-denominator may exceed the interpreter's integer-to-string digit limit.
+``_compute_cell`` decides ``--eps`` once, on the enclosure it prints, and
+raises ``Refused`` where it is wider than eps allows (a value that underflows
+binary64 meets no relative eps); a pair out of the series' range raises the
+series' ``PrecisionUnreachable``.  Past n + m = 10,000 every quantity but
+c_series raises the library's ``Refused``, gamma_bar included, and ``value``
+refuses an exact gamma_bar whose reduced numerator or denominator may exceed
+the interpreter's integer-to-string digit limit.
 ``cmd_value`` prints nothing before a refusal; ``cli.main`` prints it.
 
 The library is called through its module attributes, looked up when a
@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from . import constants, numerics, series, sobolev
 from .admissibility import admissible
-from .core import DimPair, Enclosure, PrecisionUnreachable, Refused
+from .core import DimPair, Enclosure, Refused
 
 
 class Ratio(namedtuple("Ratio", "numerator denominator")):
@@ -76,10 +76,9 @@ def _compute_cell(quantity: str, n: int, m: int, precision: int, eps: float) -> 
     en, ed = min(eps, sys.float_info.max).as_integer_ratio()
     mn, md = (1, 1) if absolute else abs(mid).as_integer_ratio()
     if not 2 * rn * ed * md <= en * mn * rd:  # 2 radius <= eps |mid|
-        raise PrecisionUnreachable(f"{quantity}({n},{m}) cannot be certified to "
-                                   f"{'absolute' if absolute else 'relative'} eps={eps:g} "
-                                   f"in binary64: its enclosure is {list(enc)}",
-                                   best_bound=radius, terms_used=0)
+        raise Refused(f"{quantity}({n},{m}) cannot be certified to "
+                      f"{'absolute' if absolute else 'relative'} eps={eps:g} "
+                      f"in binary64: its enclosure is {list(enc)}")
     return Cell(n=n, m=m, value=mid, display=numerics.round_half_away(mid, precision),
                 error_bound=radius, exceeds_one=enc.lo > 1.0)
 

@@ -19,17 +19,12 @@ class Refused(RuntimeError):
 
 
 class PrecisionUnreachable(Refused):
-    """A certified error target cannot be met.
+    """The series kernel's refusal, raised by ``series`` alone: an eps below the
+    enclosure's binary64 rounding floor (``terms_used`` is the head's length),
+    or a pair out of binary64 range (``terms_used`` is 0)."""
 
-    Raised when eps lies below the binary64 rounding floor of the
-    enclosure, or when a pair is out of binary64 range (best_bound is then
-    inf).  Carries the best bound that *was* achieved so callers can
-    decide whether to accept it.
-    """
-
-    def __init__(self, message: str, best_bound: float, terms_used: int):
+    def __init__(self, message: str, terms_used: int):
         super().__init__(message)
-        self.best_bound = best_bound
         self.terms_used = terms_used
 
 

@@ -11,7 +11,7 @@ pair is classified, so a wrapped module attribute is the one called.
 
 from . import constants
 from .admissibility import radon_hurwitz
-from .core import DimPair, PrecisionUnreachable
+from .core import DimPair, Refused
 
 __all__ = ["exceptional_set"]
 
@@ -26,8 +26,8 @@ def exceptional_set(n_max: int, m_max: int) -> list[DimPair]:
     m = 1 (n = 7): any box costs about a dozen exact gamma_bar and at most
     7 series evaluations.  A pair before the stop is exceptional iff the
     certified lower end of its gamma_tilde interval is >= 1, safe iff the
-    upper end is < 1; an interval straddling 1 raises PrecisionUnreachable
-    rather than being decided.
+    upper end is < 1; an interval straddling 1 raises ``Refused`` rather
+    than being decided.
     """
     if n_max < 1 or m_max < 1:
         raise ValueError(f"need n_max, m_max >= 1, got ({n_max}, {m_max})")
@@ -43,9 +43,7 @@ def exceptional_set(n_max: int, m_max: int) -> list[DimPair]:
             if low >= 1.0:
                 exceptional.append(p)
             elif high >= 1.0:
-                raise PrecisionUnreachable(
-                    f"gamma_tilde{p} in [{low!r}, {high!r}] straddles the threshold 1",
-                    best_bound=high - low, terms_used=0)
+                raise Refused(f"gamma_tilde{p} in [{low!r}, {high!r}] straddles the threshold 1")
         if m == 1 and num < den:
             break
     return exceptional

@@ -54,14 +54,17 @@ def gamma_tilde_product_form(pair) -> Enclosure:
     [1/(C_hi^s W_hi), 1/(C_lo^s W_lo)] with s = n + m, built exactly from
     ``sobolev_interval`` and ``weyl_interval``.  The two routes share only
     the series value, so its overlap with ``gamma_tilde_interval``
-    isolates the gamma/power algebra.  Where W's lower end underflows to
-    0 or below, the upper end is infinite.
+    isolates the gamma/power algebra.  Refused unless W's lower end is a
+    normal float: at or below 0 the upper end is infinite, and a subnormal
+    W loses relative accuracy (the product is 10% wide at (1, 234)).
     """
     p = as_pair(pair)
-    s = p.n + p.m
-    c, w = sobolev.sobolev_interval(p), constants.weyl_interval(p)
-    lo, hi = numerics._ends(1, 1, 0, (c.lo, c.hi, -s), (w.lo, w.hi, -1))
-    return numerics._outward(lo, hi if w.lo > 0 else (math.inf, 1))
+    w = constants.weyl_interval(p)
+    if not w.lo >= sys.float_info.min:
+        raise Refused(f"gamma_tilde_product_form{p} needs W's lower end to be a normal "
+                      f"float, got {w.lo!r}")
+    c = sobolev.sobolev_interval(p)
+    return numerics._outward(*numerics._ends(1, 1, 0, (c.lo, c.hi, -(p.n + p.m)), (w.lo, w.hi, -1)))
 
 
 # --------------------------------------------------------------------------

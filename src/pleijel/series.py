@@ -44,7 +44,8 @@ subnormal range adds 2^-1074.  p grows until the Euler-Maclaurin bound
 is below 1e-3 of that budget.  The enclosure is therefore the same for
 every eps, at the rounding floor (about 1e-14 relative or less for
 n, m <= 30), and eps is only checked against it: a target below the
-floor is refused at once with ``PrecisionUnreachable``.
+floor is refused at once with ``PrecisionUnreachable``, which only this
+module raises.
 
 What does not depend on m -- K, U, the head's factors, the tail's t_i,
 t_i/2 and |t_i/2| at the i = n-1, n-3, ... (the others are 0),
@@ -197,8 +198,7 @@ def _enclosure(n: int, m: int) -> SeriesValue:
                "so c nears the binary64 subnormal range")
     except OverflowError:  # n + m, or at n = 1 a power of it, past the largest float
         why = "its evaluation overflows binary64"
-    raise PrecisionUnreachable(f"c({n},{m}) is out of range: {why}",
-                               best_bound=math.inf, terms_used=0)
+    raise PrecisionUnreachable(f"c({n},{m}) is out of range: {why}", terms_used=0)
 
 
 def _evaluate(n: int, m: int) -> SeriesValue:
@@ -260,9 +260,9 @@ def c_series(pair, eps: float = 1e-8, relative: bool = False) -> SeriesValue:
     with ``relative=True`` the target is eps times the certified lower
     bound.  The enclosure is the same for every eps, at the rounding
     floor, and cached per pair; a target below it raises
-    PrecisionUnreachable at once, with the floor width as ``best_bound``.
+    PrecisionUnreachable at once, with the head's length as ``terms_used``.
     So does a pair out of binary64 range ((n+m) log2 n > 1000, or a
-    float evaluation that overflows), with an infinite ``best_bound``.
+    float evaluation that overflows), with ``terms_used`` 0.
     """
     p = as_pair(pair)
     if not eps > 0:
@@ -273,7 +273,6 @@ def c_series(pair, eps: float = 1e-8, relative: bool = False) -> SeriesValue:
         raise PrecisionUnreachable(
             f"c{p} cannot reach eps={eps:g}{' relative' if relative else ''}: "
             f"its certified width is {sv.tail_bound:.3g} at the binary64 rounding floor",
-            best_bound=sv.tail_bound,
             terms_used=sv.terms_used,
         )
     return sv

@@ -841,6 +841,12 @@ class TestRefusalPath:
         # a library caller catches every refusal with one type
         assert issubclass(PrecisionUnreachable, Refused)
 
+    def test_eps_refusal_is_the_cells_own(self):
+        # only the series kernel raises PrecisionUnreachable; the --eps gate is a Refused
+        with pytest.raises(Refused, match=r"c_series\(1,1\) cannot be certified") as err:
+            _compute_cell("c_series", 1, 1, 4, 1e-15)
+        assert not isinstance(err.value, PrecisionUnreachable)
+
     @settings(max_examples=60, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_LOG_SCALE, _LOG_SCALE, st.sampled_from(QUANTITIES),

@@ -142,11 +142,18 @@ class TestProductFormConsistency:
             dev = abs(g.mid - product.mid) / g.mid
             assert dev <= 1e-8, f"({n},{m}): {dev:.2e}"
 
-    def test_underflowing_weyl_leaves_the_upper_end_open(self):
-        # W(139, 1) is below the subnormal range: its enclosure straddles 0
-        assert weyl_interval((139, 1)).lo <= 0
-        product = gamma_tilde_product_form((139, 1))
-        assert 0 < product.lo <= gamma_tilde_interval((139, 1)).lo and product.hi == math.inf
+    def test_underflowing_weyl_is_refused(self):
+        # W(139, 1) is below the subnormal range: its enclosure straddles 0, so the
+        # product's upper end is infinite and the product form refuses.  W(1, 225) is
+        # the first subnormal W of the row n = 1: refused too, where (1, 224) answers.
+        # The library's gamma_tilde, built without W, answers at all three
+        assert weyl_interval((139, 1)).lo <= 0 < weyl_interval((1, 225)).lo < 2.0**-1022
+        for pair in ((139, 1), (1, 225)):
+            with pytest.raises(Refused, match=r"needs W's lower end to be a normal float"):
+                gamma_tilde_product_form(pair)
+            assert gamma_tilde_interval(pair).lo > 0
+        product = gamma_tilde_product_form((1, 224))
+        assert product.lo <= gamma_tilde_interval((1, 224)).lo and product.hi < math.inf
 
 
 def _ends_digest(ends) -> str:
@@ -320,8 +327,9 @@ class TestExceptionalSet:
     def test_a_straddling_interval_is_refused(self, monkeypatch):
         monkeypatch.setattr(constants, "gamma_tilde_interval",
                             lambda pair: Enclosure(0.99, 1.01))
-        with pytest.raises(PrecisionUnreachable, match=r"gamma_tilde\(1,1\) .* straddles"):
+        with pytest.raises(Refused, match=r"gamma_tilde\(1,1\) .* straddles") as err:
             exceptional_set(10, 10)
+        assert not isinstance(err.value, PrecisionUnreachable)
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -554,7 +562,8 @@ class TestOraclesAnswerOrRefuse:
     density at the pair, zeta at m + 1 (c(1, m)'s zeta), the sphere area at m - 1
     (the Weyl prefactor's).  Past n + m = 10,000, zeta past s = 10,000, the brute
     force where a count would reach 2^53 and the sphere area past d = 437 refuse
-    before their work."""
+    before their work; the product form refuses where W's lower end is not a
+    normal float, and otherwise answers with finite positive ends."""
 
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
     @given(_LOG_SCALE, _LOG_SCALE)
@@ -568,7 +577,7 @@ class TestOraclesAnswerOrRefuse:
     @example(13, 10)
     @example(1, 438)
     def test_each_oracle_answers_or_refuses_in_time(self, n, m):
-        calls = [(gamma_tilde_product_form, [(n, m)], _ordered),
+        calls = [(gamma_tilde_product_form, [(n, m)], lambda g: 0 < g.lo <= g.hi < math.inf),
                  (weyl_density_bruteforce, [(n, m), 1.0], _agrees_with_weyl((n, m))),
                  (zeta_interval, [m + 1], lambda z: 1 <= z.hi and z.lo <= z.hi),
                  (sphere_area, [m - 1], lambda area: 2.0**-1022 <= area < math.inf)]
@@ -590,6 +599,8 @@ class TestOraclesAnswerOrRefuse:
         (zeta_interval, (10**6,)),
         (sphere_area, (438,)),
         (sphere_area, (10**400,)),
+        *((gamma_tilde_product_form, (pair,)) for pair in
+          ((1, 300), (2, 300), (139, 1), (1, 438), (1, 1074), (1, 5000), (1, 9999))),
     ])
     def test_refused_before_the_work(self, call, args):
         start = time.perf_counter()

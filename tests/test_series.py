@@ -162,7 +162,11 @@ class TestCSeries:
     def test_precision_unreachable_is_explicit(self):
         with pytest.raises(PrecisionUnreachable) as err:
             c_series((1, 1), 1e-30)
-        assert err.value.best_bound > 1e-30
+        assert _enclosure(1, 1).tail_bound > 1e-30
+        assert err.value.terms_used == _split(1)
+        with pytest.raises(PrecisionUnreachable) as err:
+            c_series((200, 1))
+        assert err.value.terms_used == 0
 
 
 class TestHurwitzKernel:
@@ -201,10 +205,11 @@ class TestHurwitzKernel:
             sv = c_series((n, m), eps, relative)
         except PrecisionUnreachable as err:
             if (n + m) * math.log2(n) > 1000:
-                assert err.best_bound == math.inf
+                assert err.terms_used == 0
                 return
             floor = _enclosure(n, m)
-            assert err.best_bound == floor.tail_bound > (eps * floor.value if relative else eps)
+            assert floor.tail_bound > (eps * floor.value if relative else eps)
+            assert err.terms_used == floor.terms_used
             return
         assert (n + m) * math.log2(n) <= 1000
         assert Fraction(sv.value) <= _hurwitz_oracle(n, m) <= Fraction(sv.upper)
@@ -215,7 +220,9 @@ class TestHurwitzKernel:
         for pair in ((200, 1), (150, 3), (10**309, 1), (1, 10**309), (1, 10**307)):
             with pytest.raises(PrecisionUnreachable) as err:
                 c_series(pair, 1e-8, relative=True)
-            assert err.value.best_bound == math.inf
+            assert err.value.terms_used == 0
+            with pytest.raises(PrecisionUnreachable):
+                _enclosure(*pair)
 
     def test_default_eps_never_refuses_an_in_range_pair(self):
         # the library reads every enclosure through c_series(p) at its default and
