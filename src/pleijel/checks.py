@@ -98,7 +98,7 @@ def check_consistency() -> CheckResult:
     # brute-force spectral density at lambda = 1 vs the Weyl constant
     for pair in ((1, 1), (2, 2), (3, 1)):
         w = constants.weyl_interval(pair).mid
-        dev = abs(oracles.weyl_density_bruteforce(pair, 1.0) - w) / w
+        dev = abs(oracles.weyl_density_bruteforce(pair) - w) / w
         if dev > 1e-7:
             failures.append(f"brute-force Weyl mismatch at {pair}: rel dev {dev:.2e}")
     notes.append("brute-force shell-sum density agrees with weyl_interval on (1,1), (2,2), (3,1)")

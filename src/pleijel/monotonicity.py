@@ -12,6 +12,7 @@ a down-set:
   Pi = prod_{j<n} (m-1+2j)/(m+2j).  a(a+2) <= (a+1)^2 telescopes to
   Pi^2 <= (m-1)/(2n+m-1), and (2n+m-1)(m-1) = (s-1)^2 - n^2, so
   psi < 2s/(e(s-1)) as well.  The one pair left, (1, 2), has psi = 9/16.
+  psi is notation for the quotient, not a function.
 
 Four exact rationals below 1 fix the down-set's edge: gamma_bar(7, 1) =
 737280/823543, gamma_bar(4, 2) = 2268/3125, gamma_bar(2, 3) = 15/16 and
@@ -31,12 +32,12 @@ which increases in real k >= 0: its log-derivative is a positive rational
 function of d = 2k + n.  Altogether phi <= 5/(2e) < 1.
 
 Each verdict is decided once, exactly: the quotient identities on the
-12 x 12 grid against ``gamma_bar_exact``, each polynomial identity on a grid
-that fixes its degrees, phi on the certified ends of
-``gamma_tilde_interval``.  e enters as two rationals: the partial sum
-_E_LO < e, so 8/3 < _E_LO proves 8/3 < e, and _E_HI > e, so phi's
-threshold 5/(2 _E_HI) is below the true one.  Floats appear only in the
-displayed maxima.
+12 x 12 grid against quotients of one table of ``gamma_bar_exact``, each
+polynomial identity on a grid that fixes its degrees, phi on the
+certified ends of ``gamma_tilde_interval``.  e enters as two rationals:
+the partial sum _E_LO < e, so 8/3 < _E_LO proves 8/3 < e, and _E_HI > e,
+so phi's threshold 5/(2 _E_HI) is below the true one.  Floats appear
+only in the displayed maxima.
 """
 
 import math
@@ -44,10 +45,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .constants import gamma_bar_exact, gamma_tilde_interval
-from .core import as_pair
 from .series import c_series
 
-__all__ = ["InequalityReport", "psi", "inequality_suite"]
+__all__ = ["InequalityReport", "inequality_suite"]
 
 # e > _E_LO: a partial sum of sum_k 1/k!, whose terms are all positive
 _E_LO = sum(Fraction(1, math.factorial(k)) for k in range(10))
@@ -75,14 +75,6 @@ class InequalityReport(namedtuple("InequalityReport",
 def _report(name: str, domain: str, worst, bound, note: str = "") -> InequalityReport:
     """The verdict worst <= bound, decided on the exact values; floats are for display."""
     return InequalityReport(name, domain, float(worst), float(bound), worst <= bound, note)
-
-
-def psi(pair) -> Fraction:
-    """gamma_bar(n, m)/gamma_bar(n, m-1) for m >= 2, as an exact rational."""
-    p = as_pair(pair)
-    if p.m < 2:
-        raise ValueError(f"psi needs m >= 2, got {p}")
-    return gamma_bar_exact(p) / gamma_bar_exact((p.n, p.m - 1))
 
 
 def _n_quotient(n: int, m: int) -> Fraction:
@@ -182,7 +174,8 @@ def inequality_suite() -> list[InequalityReport]:
                 note="X < 2s/(e(s-1)) <= 8/(3e) for s >= 4; X(2,1) = 3/4")
     )
     psi_domain = f"1 <= n <= {n_max}, 2 <= m <= {m_max}"
-    worst = max(abs(2 * _n_quotient(n, m) * _pi_product(n, m) / psi((n, m)) - 1)
+    # psi = gamma_bar(n, m)/gamma_bar(n, m-1), read from the table
+    worst = max(abs(2 * _n_quotient(n, m) * _pi_product(n, m) * gb[n, m - 1] / gb[n, m] - 1)
                 for n in range(1, n_max + 1) for m in range(2, m_max + 1))
     reports.append(
         _report("gamma_bar_m_quotient", psi_domain, worst, 0,

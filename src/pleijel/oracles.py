@@ -5,9 +5,10 @@ an independent route:
 
 * ``gamma_tilde_product_form`` -- the defining product C^(-Q/2) W^-1,
   enclosed from ``sobolev_interval`` and ``weyl_interval``;
-* ``weyl_density_bruteforce`` -- the spectral density rebuilt shell by
-  shell: one stream of exact counts times powers per pair (``_shell_sum``),
-  stopped and bracketed by ``_min_terms`` and ``_integral_remainder``;
+* ``weyl_density_bruteforce`` -- the Weyl constant, the spectral density at
+  lambda = 1, rebuilt shell by shell: one stream of exact counts times
+  powers per pair (``_shell_sum``), stopped and bracketed by ``_min_terms``
+  and ``_integral_remainder``;
   ``_summand`` is the tests' direct-summation term;
 * ``sphere_area`` -- the area of the unit sphere, a factor of that density;
 * ``zeta_interval`` -- Riemann zeta from Borwein's series, summed exactly
@@ -25,7 +26,7 @@ import numbers
 import sys
 from collections.abc import Sized
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate, compress, count, islice, repeat, takewhile, tee
 from operator import gt, le, mul
 
@@ -128,9 +129,10 @@ def _weyl_prefactor(p: DimPair) -> float:
     return math.exp(math.log(sphere_area(p.m - 1)) - s * _LOG_TWO_PI - math.log(s))
 
 
-def weyl_density_bruteforce(pair, lam: float) -> float:
-    """On-diagonal spectral density 1(-Delta < lambda) rebuilt from first
-    principles, as a cross-check of ``weyl_interval``.
+def weyl_density_bruteforce(pair) -> float:
+    """The Weyl constant rebuilt from first principles, as a cross-check of
+    ``weyl_interval``: the on-diagonal spectral density 1(-Delta < lambda)
+    at lambda = 1.
 
     The fibrewise diagonalisation gives Landau levels |tau|(2|k| + n) over
     multi-indices k in N_0^n; for each shell |k| = K the radial tau
@@ -140,27 +142,19 @@ def weyl_density_bruteforce(pair, lam: float) -> float:
             = (lambda/(2K+n))^(n+m) / (n+m),
 
     and C(K+n-1, K) multi-indices have |k| = K (stars and bars), so the
-    density is omega_(m-1)/((2pi)^(n+m) (n+m)) lambda^(n+m) times the
-    lambda-free ``_shell_sum``: the series, restructured.  It equals
-    weyl_interval(pair).mid * lambda^(n+m) up to the combined certified error.
+    density is lambda^(n+m) times the constant omega_(m-1)/((2pi)^(n+m) (n+m))
+    times ``_shell_sum``: the series, restructured.  The constant equals
+    weyl_interval(pair).mid up to the combined certified error.
 
-    Raises ValueError for a lambda not finite and > 0.  Refused past
-    n + m = 10000, where ``_shell_sum`` or ``sphere_area`` refuses, and where
-    the density or its lambda-free constant is not a normal binary64 number.
+    Refused past n + m = 10000, where ``_shell_sum`` or ``sphere_area``
+    refuses, and where the constant is not a normal binary64 number.
     """
     p = numerics._bounded_pair("weyl_density_bruteforce", pair)
-    if not 0 < lam < math.inf:
-        raise ValueError(f"lambda must be finite and > 0, got {lam}")
-    s, tiny = p.n + p.m, sys.float_info.min
-    weyl = _weyl_prefactor(p) * _shell_sum(p.n, p.m)
-    # weyl < 1/20, and lambda = f 2^e with 1/2 <= f < 1 has lambda^s < 2^(s e): the
-    # power and the density are finite for s e <= 1024
-    if weyl >= tiny and s * math.frexp(lam)[1] <= 1024 and (density := weyl * lam**s) >= tiny:
-        return density
-    raise Refused(f"weyl_density_bruteforce{p} at lambda={lam!r} is not a normal float")
+    if (weyl := _weyl_prefactor(p) * _shell_sum(p.n, p.m)) >= sys.float_info.min:
+        return weyl
+    raise Refused(f"weyl_density_bruteforce{p} is not a normal float")
 
 
-@lru_cache(maxsize=16)
 def _shell_sum(n: int, m: int) -> float:
     """sum_K C(K+n-1, K) (2K+n)^-(n+m), from one stream of shells: an exact
     count from n - 1 nested running sums times a float power each.

@@ -204,7 +204,8 @@ class TestPackageExports:
                                       "series_term", "group_identity", "group_inverse",
                                       "SublaplacianCoefficients", "sublaplacian_coefficients",
                                       "gamma_tilde", "weyl_constant", "gamma_bar", "zeta",
-                                      "log_gamma", "as_half_integer", "log_gamma_bar"])
+                                      "log_gamma", "as_half_integer", "log_gamma_bar",
+                                      "psi"])
     def test_deleted_wrappers_are_gone(self, name):
         assert name not in pleijel.__all__ and not hasattr(pleijel, name)
         for module_name in _LIBRARY_MODULES:

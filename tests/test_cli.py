@@ -25,7 +25,7 @@ from pleijel.admissibility import admissible
 from pleijel.argparser import build_parser
 from pleijel.cells import _compute_cell
 from pleijel.cli import FORMATS, GRAMMAR, QUANTITIES, SUITE_NAMES, _read, main
-from pleijel.constants import gamma_tilde_interval
+from pleijel.constants import gamma_bar_exact, gamma_tilde_interval
 from pleijel.core import DimPair, Enclosure, InadmissiblePair, PrecisionUnreachable, Refused
 from pleijel.render import TableSpec, render_table
 
@@ -418,11 +418,12 @@ class TestTable:
             assert cell["admissible"] == admissible((cell["n"], cell["m"])).admissible
 
     def test_json_carries_exact_rationals_for_gamma_bar(self, capsys):
-        _, out, _ = run_cli(capsys, "table", "gamma_bar", "--format", "json",
-                            "--n-max", "2", "--m-max", "3")
+        _, out, _ = run_cli(capsys, "table", "gamma_bar", "--format", "json")
         payload = json.loads(out)
         by_key = {(c["n"], c["m"]): c for c in payload["cells"]}
         assert by_key[2, 3]["exact"] == "15/16"
+        for (n, m), cell in by_key.items():
+            assert Fraction(cell["exact"]) == gamma_bar_exact((n, m)), (n, m)
 
     @pytest.mark.parametrize("quantity", QUANTITIES)
     def test_json_error_bounds_meet_eps(self, capsys, quantity):
@@ -490,6 +491,30 @@ class TestTable:
         assert cell.value > 1 and not cell.exceeds_one
         for n, m in ((1, 1), (2, 1), (3, 1)):
             assert _compute_cell("gamma_tilde", n, m, 4, 1e-8).exceeds_one
+
+    def test_json_enclosures_contain_the_known_values(self, capsys):
+        # value +- error_bound, as printed, against what the package knows exactly
+        from pleijel.numerics import _ends
+        from pleijel.oracles import zeta_interval
+
+        def enclosures(quantity, *argv):
+            _, out, _ = run_cli(capsys, "table", quantity, "--format", "json", *argv)
+            cells = json.loads(out)["cells"]
+            return {(c["n"], c["m"]): (Fraction(c["value"]) - Fraction(c["error_bound"]),
+                                       Fraction(c["value"]) + Fraction(c["error_bound"]))
+                    for c in cells}
+
+        lo, hi = enclosures("weyl", "--n-max", "1", "--m-max", "1")[1, 1]
+        assert lo <= Fraction(1, 32) <= hi
+        c = enclosures("c_series", "--n-max", "2", "--m-max", "30")
+        for m in range(1, 31):
+            z = zeta_interval(m + 1)
+            for n, scale in ((1, 1 - Fraction(1, 2 ** (m + 1))), (2, Fraction(1, 2 ** (m + 2)))):
+                lo, hi = c[n, m]
+                assert lo <= scale * Fraction(z.hi) and scale * Fraction(z.lo) <= hi, (n, m)
+        lo, hi = enclosures("gamma_tilde", "--n-max", "1", "--m-max", "1")[1, 1]
+        exact_lo, exact_hi = _ends(32, 1, -2)  # the ends of 32/pi^2
+        assert lo <= Fraction(*exact_hi) and Fraction(*exact_lo) <= hi
 
     def test_determinism_markdown(self, capsys):
         _, a, _ = run_cli(capsys, "table", "gamma_tilde", "--n-max", "5", "--m-max", "5")

@@ -384,47 +384,28 @@ class TestExceptionalSet:
 
 class TestWeylBruteForce:
     def test_heisenberg_lambda_one(self):
-        assert weyl_density_bruteforce((1, 1), 1.0) == pytest.approx(1 / 32, rel=1e-7)
+        assert weyl_density_bruteforce((1, 1)) == pytest.approx(1 / 32, rel=1e-7)
 
     def test_matches_weyl_constant(self):
         for pair in ((1, 1), (2, 2), (3, 1)):
-            w = weyl_interval(pair).mid
-            s = sum(pair)
-            for lam in (0.5, 1.0, 2.0):
-                got = weyl_density_bruteforce(pair, lam) / lam**s
-                assert got == pytest.approx(w, rel=1e-7), (pair, lam)
-
-    def test_homogeneity(self):
-        for pair in ((1, 1), (2, 2), (3, 1)):
-            s = sum(pair)
-            ratios = [
-                weyl_density_bruteforce(pair, lam) / lam**s for lam in (0.5, 1.0, 2.0, 8.0)
-            ]
-            spread = (max(ratios) - min(ratios)) / ratios[0]
-            assert spread <= 1e-9
+            assert weyl_density_bruteforce(pair) == pytest.approx(
+                weyl_interval(pair).mid, rel=1e-7), pair
 
     def test_counts_stay_exact(self):
         # (4, 1) stops at K = 42,159, where C(K+3, 3) < 2^44; at (5, 1) a count
         # reaches 2^53 before the stop, so the pair is refused
-        assert weyl_density_bruteforce((4, 1), 1.0) == pytest.approx(
+        assert weyl_density_bruteforce((4, 1)) == pytest.approx(
             weyl_interval((4, 1)).mid, rel=1e-7)
         with pytest.raises(Refused, match="needs a count of 2\\^53"):
-            weyl_density_bruteforce((5, 1), 1.0)
-
-    def test_bad_lambda(self):
-        for lam in (0.0, -1.0, math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError):
-                weyl_density_bruteforce((1, 1), lam)
+            weyl_density_bruteforce((5, 1))
 
     @pytest.mark.parametrize("pair", [(1, 1), (2, 2), (3, 1)])
     def test_bit_identical_to_the_shell_loop(self, pair):
         # the pairs of check_consistency
-        for lam in (0.5, 1.0, 2.0, 8.0):
-            got = weyl_density_bruteforce(pair, lam)
-            assert got.hex() == _bruteforce_reference(pair, lam).hex(), lam
+        assert weyl_density_bruteforce(pair).hex() == _bruteforce_reference(pair).hex()
 
 
-def _bruteforce_reference(pair, lam) -> float:
+def _bruteforce_reference(pair) -> float:
     """weyl_density_bruteforce as one loop over the shells, each count
     C(K+n-1, K) by ``math.comb`` times its power, with the same stop and one
     ``math.fsum``: the reference for its stream form."""
@@ -440,7 +421,7 @@ def _bruteforce_reference(pair, lam) -> float:
         shells.append(shell)
         partial += shell
     total = math.fsum(shells) + (_integral_remainder(p, K) + shell / 2)
-    return _weyl_prefactor(p) * total * lam**s
+    return _weyl_prefactor(p) * total
 
 
 _FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
@@ -559,8 +540,8 @@ def _agrees_with_weyl(pair):
 class TestOraclesAnswerOrRefuse:
     """Every oracle export called directly answers or raises ``Refused`` within 1 s,
     at the argument a pair (n, m) gives it: the product form and the brute-force
-    density at the pair, zeta at m + 1 (c(1, m)'s zeta), the sphere area at m - 1
-    (the Weyl prefactor's).  Past n + m = 10,000, zeta past s = 10,000, the brute
+    Weyl constant at the pair, zeta at m + 1 (c(1, m)'s zeta), the sphere area
+    at m - 1 (the Weyl prefactor's).  Past n + m = 10,000, zeta past s = 10,000, the brute
     force where a count would reach 2^53 and the sphere area past d = 437 refuse
     before their work; the product form refuses where W's lower end is not a
     normal float, and otherwise answers with finite positive ends."""
@@ -578,7 +559,7 @@ class TestOraclesAnswerOrRefuse:
     @example(1, 438)
     def test_each_oracle_answers_or_refuses_in_time(self, n, m):
         calls = [(gamma_tilde_product_form, [(n, m)], lambda g: 0 < g.lo <= g.hi < math.inf),
-                 (weyl_density_bruteforce, [(n, m), 1.0], _agrees_with_weyl((n, m))),
+                 (weyl_density_bruteforce, [(n, m)], _agrees_with_weyl((n, m))),
                  (zeta_interval, [m + 1], lambda z: 1 <= z.hi and z.lo <= z.hi),
                  (sphere_area, [m - 1], lambda area: 2.0**-1022 <= area < math.inf)]
         for call, args, sound in calls:
@@ -590,11 +571,11 @@ class TestOraclesAnswerOrRefuse:
             assert time.perf_counter() - start < 1.0, (call.__name__, n, m)
 
     @pytest.mark.parametrize("call, args", [
-        (weyl_density_bruteforce, ((300, 1), 1.0)),
-        (weyl_density_bruteforce, ((10**9, 1), 1.0)),
-        (weyl_density_bruteforce, ((1, 1), 1e300)),
-        (weyl_density_bruteforce, ((1, 1), 1e-300)),
-        (weyl_density_bruteforce, ((1, 438), 1.0)),
+        (weyl_density_bruteforce, ((300, 1),)),
+        (weyl_density_bruteforce, ((10**9, 1),)),
+        (weyl_density_bruteforce, ((14, 1),)),
+        (weyl_density_bruteforce, ((1, 10**5),)),
+        (weyl_density_bruteforce, ((1, 438),)),
         (zeta_interval, (10**5,)),
         (zeta_interval, (10**6,)),
         (sphere_area, (438,)),

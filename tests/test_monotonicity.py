@@ -9,7 +9,7 @@ import pytest
 
 from pleijel import monotonicity
 from pleijel.constants import gamma_bar_exact
-from pleijel.monotonicity import _n_quotient, _pi_product, inequality_suite, psi
+from pleijel.monotonicity import _n_quotient, _pi_product, inequality_suite
 from pleijel.constants import gamma_tilde_interval
 from pleijel.oracles import _summand
 from pleijel.series import c_series
@@ -119,31 +119,31 @@ class TestCRatioLowerBound:
                 assert term_ratio((n, m), 0) < 1
 
 
+def _psi(n: int, m: int) -> Fraction:
+    """psi(n, m) = gamma_bar(n, m)/gamma_bar(n, m-1), the quotient the suite reads."""
+    return gamma_bar_exact((n, m)) / gamma_bar_exact((n, m - 1))
+
+
 class TestPsi:
     def test_exact_rational_values(self):
-        assert psi((1, 2)) == Fraction(9, 16)
+        assert _psi(1, 2) == Fraction(9, 16)
         # 0.7258... / 1.8750 as exact rationals
-        assert psi((4, 2)) == gamma_bar_exact((4, 2)) / gamma_bar_exact((4, 1))
-        assert psi((4, 2)) == Fraction(6048, 15625)
-        assert float(psi((4, 2))) == pytest.approx(0.7258 / 1.8750, abs=5e-4)
+        assert _psi(4, 2) == Fraction(6048, 15625)
+        assert float(_psi(4, 2)) == pytest.approx(0.7258 / 1.8750, abs=5e-4)
 
     def test_below_one_on_scan(self):
         for n in range(1, 13):
             for m in range(2, 13):
-                assert psi((n, m)) < 1
+                assert _psi(n, m) < 1
 
     def test_closed_form_agreement(self):
         # psi = 2 X Pi exactly, here off the suite's 12 x 12 grid too
         for n, m in ((1, 2), (2, 5), (7, 3), (12, 12), (13, 2), (20, 9)):
-            assert psi((n, m)) == 2 * _n_quotient(n, m) * _pi_product(n, m)
+            assert _psi(n, m) == 2 * _n_quotient(n, m) * _pi_product(n, m)
 
     def test_gamma_bar_n_quotient_off_the_grid(self):
         for n, m in ((2, 1), (13, 1), (20, 9), (7, 30)):
             assert gamma_bar_exact((n, m)) / gamma_bar_exact((n - 1, m)) == _n_quotient(n, m)
-
-    def test_needs_m_at_least_two(self):
-        with pytest.raises(ValueError):
-            psi((3, 1))
 
 
 @pytest.fixture(scope="module")
